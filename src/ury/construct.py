@@ -34,12 +34,14 @@ the triangle inequality (see ``demos/02_urysohn_prefix.py``).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InvalidMode, ParseError, PrefixTooShort
+from .metric import katetov_failure, katetov_row
 from .rational import as_rational, format_rational
 
 ENUMERATION_VERSION = "cw1"
@@ -263,20 +265,6 @@ class PrefixState:
         return self.rho[i][j]
 
 
-def _eq1_first_failure(
-    rho: Sequence[Sequence[Fraction]], elements: Sequence[Fraction]
-) -> tuple[int, int] | None:
-    """First pair (i, k), i < k, violating |r_i - r_k| <= rho <= r_i + r_k."""
-    p = len(elements)
-    for i in range(p):
-        for k in range(i + 1, p):
-            d = rho[i][k]
-            lo = abs(elements[i] - elements[k])
-            if d < lo or d > elements[i] + elements[k]:
-                return (i, k)
-    return None
-
-
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
     """Test the two-sided correctness condition of a label against a prefix.
 
@@ -291,8 +279,8 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
         raise PrefixTooShort(
             f"label has {len(elements)} elements but the prefix has {prefix.m} points"
         )
-    failure = _eq1_first_failure(prefix.rho, elements)
-    return (failure is None, failure)
+    failure = katetov_failure(prefix.rho, range(len(elements)), elements, two_sided=True)
+    return (True, None) if failure is None else (False, failure[0])
 
 
 def build_prefix(
@@ -337,12 +325,9 @@ def build_prefix(
             raise PrefixTooShort(
                 f"step {step}: label needs {p} points but only {step} exist"
             )
-        failure = _eq1_first_failure(rows, label.elements)
+        failure = katetov_failure(rows, range(p), label.elements, two_sided=True)
         if failure is None:
-            new_row = [
-                min(rows[j][lam] + label.elements[lam] for lam in range(p))
-                for j in range(step)
-            ]
+            new_row = katetov_row(rows, range(p), label.elements)
         elif mode.case1_scope == ALL_PRIOR:
             new_row = [running_max] * step
         else:
@@ -443,8 +428,23 @@ def load_prefix_text(text: str) -> PrefixState:
 
 
 def save_prefix(state: PrefixState, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dump_prefix_text(state))
+    """Write via a sibling ``.tmp`` file and ``os.replace``: a crash part-way
+    leaves the old file intact, never a torn one that may still parse.
+    Symlinks are followed; a device or pipe is written in place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(dump_prefix_text(state))
+        return
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(dump_prefix_text(state))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def load_prefix(path) -> PrefixState:

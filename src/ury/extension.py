@@ -26,7 +26,7 @@ from .errors import (
     Inadmissible,
     PairwiseInfeasible,
 )
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, katetov_failure, katetov_row
 from .rational import as_rational
 
 
@@ -72,15 +72,10 @@ class AdmissibilityResult:
 
 def admissible(req: ExtensionRequest) -> AdmissibilityResult:
     """Check |a_i - a_j| <= d(x_i, x_j) <= a_i + a_j on every support pair."""
-    d = req.base.matrix
-    for i in range(len(req.support)):
-        for j in range(i + 1, len(req.support)):
-            dist = d[req.support[i]][req.support[j]]
-            if abs(req.radii[i] - req.radii[j]) > dist:
-                return AdmissibilityResult(False, (i, j), "lower")
-            if dist > req.radii[i] + req.radii[j]:
-                return AdmissibilityResult(False, (i, j), "upper")
-    return AdmissibilityResult(True)
+    failure = katetov_failure(req.base.matrix, req.support, req.radii, two_sided=True)
+    if failure is None:
+        return AdmissibilityResult(True)
+    return AdmissibilityResult(False, *failure)
 
 
 def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
@@ -89,16 +84,8 @@ def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
     Does not check admissibility; exposed for equivalence testing
     (admissible <=> this matrix is a metric).
     """
-    base = req.base
-    n = base.n
-    by_index = dict(zip(req.support, req.radii))
-    new_row = [
-        by_index[z]
-        if z in by_index
-        else min(r + base.distance(x, z) for x, r in zip(req.support, req.radii))
-        for z in range(n)
-    ]
-    matrix = [list(row) + [new_row[i]] for i, row in enumerate(base.matrix)]
+    new_row = katetov_row(req.base.matrix, req.support, req.radii)
+    matrix = [list(row) + [new_row[i]] for i, row in enumerate(req.base.matrix)]
     matrix.append(new_row + [Fraction(0)])
     return matrix
 
@@ -160,13 +147,12 @@ class ReductionTrace:
 
 
 def _check_pairwise_feasible(family: BallFamily) -> None:
-    d = family.base.matrix
-    balls = family.balls
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            dist = d[balls[i].center][balls[j].center]
-            if dist > balls[i].radius + balls[j].radius:
-                raise PairwiseInfeasible((i, j), dist, balls[i].radius + balls[j].radius)
+    centers, radii = zip(*family.balls)
+    failure = katetov_failure(family.base.matrix, centers, radii, two_sided=False)
+    if failure is not None:
+        (i, j), _ = failure
+        lhs = family.base.distance(centers[i], centers[j])
+        raise PairwiseInfeasible((i, j), lhs, radii[i] + radii[j])
 
 
 def reduce_ball_family(family: BallFamily) -> ReductionTrace:

@@ -158,6 +158,32 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
+def katetov_failure(
+    d, points: Sequence[int], radii: Sequence[Fraction], two_sided: bool
+) -> tuple[tuple[int, int], str] | None:
+    """The lexicographically first pair of positions ``(i, j)`` where the radii
+    at ``points`` break ``d(x_i, x_j) <= r_i + r_j`` (side ``"upper"``) or, if
+    ``two_sided``, first ``|r_i - r_j| <= d(x_i, x_j)`` (``"lower"``); else None."""
+    for i in range(len(points)):
+        row, ri = d[points[i]], radii[i]
+        for j in range(i + 1, len(points)):
+            dist = row[points[j]]
+            if two_sided and abs(ri - radii[j]) > dist:
+                return (i, j), "lower"
+            if dist > ri + radii[j]:
+                return (i, j), "upper"
+    return None
+
+
+def katetov_row(d, points: Sequence[int], radii: Sequence[Fraction]) -> list[Fraction]:
+    """The min-plus extension ``min_l (r_l + d(x_l, z))`` for every z, with each
+    ``points[l]`` pinned to ``radii[l]`` (a no-op when the lower side holds)."""
+    row = [min(r + d[x][z] for x, r in zip(points, radii)) for z in range(len(d))]
+    for x, r in zip(points, radii):
+        row[x] = r
+    return row
+
+
 @dataclass(frozen=True)
 class FiniteMetricSpace:
     """An n-point metric space given by its exact distance matrix.

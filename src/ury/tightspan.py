@@ -31,10 +31,11 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, katetov_failure, katetov_row
 from .rational import as_rational
 
 TIGHT_SPAN_MAX_POINTS = 6
+HULL_MAX_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -59,13 +60,8 @@ class KatetovFunction:
 
 def is_admissible_function(f: KatetovFunction) -> tuple[bool, tuple[int, int] | None]:
     """True iff d(x,y) <= f(x) + f(y) everywhere; else the first bad pair."""
-    d = f.space.matrix
-    n = f.space.n
-    for x in range(n):
-        for y in range(x + 1, n):
-            if d[x][y] > f.values[x] + f.values[y]:
-                return False, (x, y)
-    return True, None
+    failure = katetov_failure(f.space.matrix, f.space.points(), f.values, two_sided=False)
+    return (True, None) if failure is None else (False, failure[0])
 
 
 def is_extremal(f: KatetovFunction) -> bool:
@@ -144,19 +140,10 @@ def extend_radius_function(
         raise ValueError("subset index out of range")
     if any(v <= 0 for v in r):
         raise ValueError("radii must be positive")
-    d = space.matrix
-    for i in range(len(subset)):
-        for j in range(i + 1, len(subset)):
-            if d[subset[i]][subset[j]] > r[i] + r[j]:
-                raise NotAdmissibleOnSubset((i, j))
-    by_index = dict(zip(subset, r))
-    values = [
-        by_index[z]
-        if z in by_index
-        else min(rv + d[z][a] for a, rv in zip(subset, r))
-        for z in range(space.n)
-    ]
-    return KatetovFunction(space, values)
+    failure = katetov_failure(space.matrix, subset, r, two_sided=False)
+    if failure is not None:
+        raise NotAdmissibleOnSubset(failure[0])
+    return KatetovFunction(space, katetov_row(space.matrix, subset, r))
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +181,10 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     """Enumerate the vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} exactly.
 
     Every choice of n constraints (coordinate zero or pair tightness) with a
-    unique solution is solved by rational elimination; feasible, extremal
-    solutions are kept.  Enforced limit: n <= 6 (the subset count is
-    combinatorial); larger spaces are rejected, never approximated.
+    unique solution is solved by rational elimination; nonnegative, feasible
+    solutions are kept.  Every vertex is extremal, because the tight span is
+    the union of the bounded faces of this polyhedron (Dress 1984).  Enforced
+    limit: n <= 6; larger spaces are rejected, never approximated.
     """
     n = space.n
     if n > TIGHT_SPAN_MAX_POINTS:
@@ -225,13 +213,8 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
         solution = _solve_exact([list(c[0]) for c in chosen], [c[1] for c in chosen])
         if solution is None:
             continue
-        if any(v < 0 for v in solution):
-            continue
-        if any(solution[i] + solution[j] < d[i][j] for i in range(n) for j in range(i + 1, n)):
-            continue
-        candidate = KatetovFunction(space, solution)
-        if is_extremal(candidate):
-            seen.setdefault(candidate.values)
+        if min(solution) >= 0 and katetov_failure(d, range(n), solution, two_sided=False) is None:
+            seen.setdefault(tuple(solution))
 
     vertices = tuple(KatetovFunction(space, v) for v in sorted(seen))
     return TightSpanVertexSet(space, vertices)
@@ -303,12 +286,16 @@ class HullCheckReport:
 
 
 def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport:
-    """Sample the polyline by arclength and verify segment isometry exactly.
+    """Verify exactly that an arclength-sampled polyline is a segment.
 
     Checks (i) that the polyline endpoints realize the max-norm distance of
     the reference pair and (ii) that max-norm distances between sampled
     points equal their arclength parameter differences.  ``step`` must be a
-    rational of the form 1/k (it fixes the sampling resolution).
+    rational of the form 1/k; over :data:`HULL_MAX_SAMPLES` samples raise
+    :class:`TooLarge`.  By the triangle inequality, (ii) holds iff the
+    endpoints lie ``total`` apart (Burago-Burago-Ivanov, *A Course in Metric
+    Geometry*); otherwise the pair (0, total) fails, so the first violation
+    is found by one O(S) scan of ``d(start, sample_j)`` against ``param_j``.
     """
     step = as_rational(step)
     if step <= 0 or (1 / step).denominator != 1:
@@ -324,10 +311,10 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
     for length in lengths:
         cumulative.append(cumulative[-1] + length)
     total = cumulative[-1]
-
-    params = [k * step for k in range(int(total / step) + 1)]
-    if params[-1] != total:
-        params.append(total)
+    steps = total / step
+    sample_count = int(steps) + 1 + (steps.denominator != 1)
+    if sample_count > HULL_MAX_SAMPLES:
+        raise TooLarge(f"{sample_count} samples exceed the limit of {HULL_MAX_SAMPLES}")
 
     def point_at(t: Fraction) -> Point2:
         for s, length in enumerate(lengths):
@@ -338,21 +325,17 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
                 return (ax + frac * (bx - ax), ay + frac * (by - ay))
         raise AssertionError("parameter out of range")
 
-    samples = [point_at(t) for t in params]
-    isometry_ok = True
-    first_violation = None
-    for i in range(len(params)):
-        for j in range(i + 1, len(params)):
-            actual = chebyshev(samples[i], samples[j])
-            expected = params[j] - params[i]
-            if actual != expected:
-                isometry_ok = False
-                first_violation = IsometryViolation(params[i], params[j], expected, actual)
-                break
-        if not isometry_ok:
-            break
-
     endpoint_distance = chebyshev(bps[0], bps[-1])
+    isometry_ok = endpoint_distance == total
+    first_violation = None
+    if not isometry_ok:
+        for k in range(1, sample_count):
+            t = min(k * step, total)
+            actual = chebyshev(bps[0], point_at(t))
+            if actual != t:
+                first_violation = IsometryViolation(Fraction(0), t, t, actual)
+                break
+
     reference_distance = chebyshev(*candidate.a_points)
     endpoint_ok = endpoint_distance == reference_distance
     return HullCheckReport(
@@ -363,5 +346,5 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
         isometry_ok=isometry_ok,
         first_violation=first_violation,
         total_length=total,
-        sample_count=len(params),
+        sample_count=sample_count,
     )

@@ -177,3 +177,66 @@ def oracle_embedding(target: FiniteMetricSpace, prefix: PrefixState):
         return None
 
     return extend([])
+
+
+def oracle_katetov_failure(d, points, radii, two_sided: bool):
+    """First failing pair of the Katetov condition, by listing every failure
+    and taking the least ``(i, j, side)`` with ``"lower"`` ranked first.
+
+    Returns ``((i, j), side)`` over positions in ``points``, or None.
+    """
+    failures = []
+    for i in range(len(points)):
+        for j in range(len(points)):
+            if i >= j:
+                continue
+            dist = d[points[i]][points[j]]
+            if two_sided and dist < max(radii[i], radii[j]) - min(radii[i], radii[j]):
+                failures.append((i, j, 0))
+            if radii[i] + radii[j] < dist:
+                failures.append((i, j, 1))
+    if not failures:
+        return None
+    i, j, side = min(failures)
+    return (i, j), ("lower", "upper")[side]
+
+
+def oracle_hull_isometry(breakpoints, step: Fraction):
+    """Naive pairwise isometry check of an arclength-sampled polyline.
+
+    Samples every multiple of ``step`` (plus the total length), then compares
+    max-norm distance and parameter difference for every pair of samples in
+    lexicographic order.  Returns ``(isometry_ok, first_violation,
+    sample_count)`` with the violation as ``(param_a, param_b, expected,
+    actual)`` or None.
+    """
+    def cheb(p, q):
+        return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+
+    segments = list(zip(breakpoints, breakpoints[1:]))
+    total = sum((cheb(a, b) for a, b in segments), Fraction(0))
+
+    def point_at(t):
+        start = Fraction(0)
+        for a, b in segments:
+            length = cheb(a, b)
+            if t <= start + length:
+                u = (t - start) / length
+                return (a[0] + u * (b[0] - a[0]), a[1] + u * (b[1] - a[1]))
+            start += length
+        raise AssertionError("parameter beyond the polyline")
+
+    params = []
+    t = Fraction(0)
+    while t < total:
+        params.append(t)
+        t += step
+    params.append(total)
+    samples = [point_at(t) for t in params]
+    for i in range(len(params)):
+        for j in range(i + 1, len(params)):
+            actual = cheb(samples[i], samples[j])
+            expected = params[j] - params[i]
+            if actual != expected:
+                return False, (params[i], params[j], expected, actual), len(params)
+    return True, None, len(params)

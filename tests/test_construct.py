@@ -1,4 +1,6 @@
+import os
 import random
+import stat
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +19,9 @@ from ury import (
     dump_prefix_text,
     index_of_subset,
     is_correctly_defined,
+    load_prefix,
     load_prefix_text,
+    save_prefix,
     subset_of_index,
     truncate_prefix,
     validate_metric,
@@ -277,6 +281,62 @@ def test_cache_header_and_records():
 def test_cache_parse_errors(text):
     with pytest.raises(ParseError):
         load_prefix_text(text)
+
+
+def test_save_is_atomic_when_the_write_fails(prefix50, tmp_path, monkeypatch):
+    path = tmp_path / "prefix.ury"
+    save_prefix(truncate_prefix(prefix50, 10), path)
+    old = path.read_bytes()
+
+    class HalfWriter:
+        """A file that writes the first half of what it is given, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    def failing_open(file, *args, **kwargs):
+        return HalfWriter(open(file, *args, **kwargs))
+
+    with monkeypatch.context() as patch:
+        patch.setattr("ury.construct.open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_prefix(prefix50, path)
+
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["prefix.ury"]
+    assert load_prefix(path) == truncate_prefix(prefix50, 10)
+
+
+def test_save_writes_through_symlinks_and_pipes(prefix50, tmp_path):
+    state = truncate_prefix(prefix50, 10)
+    target, link = tmp_path / "real.ury", tmp_path / "link.ury"
+    target.write_text("old")
+    link.symlink_to(target)
+    save_prefix(state, link)
+    assert link.is_symlink() and load_prefix(target) == state
+
+    # A pipe cannot be replaced; it must receive the text and stay a pipe.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        save_prefix(state, fifo)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 1 << 16).decode() == dump_prefix_text(state)
+    finally:
+        os.close(reader)
+    assert sorted(os.listdir(tmp_path)) == ["link.ury", "pipe", "real.ury"]
 
 
 def test_loaded_cache_resumes(prefix50):

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from ury import (
     Box,
     DimensionMismatch,
+    TooLarge,
     box_intersection,
     c0_counterexample,
     max_norm_ball,
     max_norm_distance,
 )
+from ury.linf import C0_MAX_DIMENSION
 from helpers import random_pairwise_family
 
 
@@ -141,3 +143,18 @@ def test_c0_large_radius_not_unique():
 def test_c0_requires_two_points():
     with pytest.raises(ValueError):
         c0_counterexample(1)
+
+
+@pytest.mark.parametrize("n", [2, 7, 20, 100])
+def test_c0_pairwise_distance_holds_for_every_pair(n):
+    # The report reads the distance off the first pair; every pair agrees.
+    report = c0_counterexample(n)
+    basis = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert max_norm_distance(basis[i], basis[j]) == report.pairwise_distance
+
+
+def test_c0_dimension_limit():
+    with pytest.raises(TooLarge):
+        c0_counterexample(C0_MAX_DIMENSION + 1)

@@ -5,15 +5,26 @@ import pytest
 
 import ury.metric as metric_mod
 from ury import (
+    BallFamily,
+    ExtensionRequest,
     FiniteMetricSpace,
+    KatetovFunction,
     MetricViolation,
     NonSquareInput,
+    NotAdmissibleOnSubset,
+    PairwiseInfeasible,
     ParseError,
+    PrefixState,
+    admissible,
+    extend_radius_function,
+    is_admissible_function,
+    is_correctly_defined,
     parse_distance_matrix,
     serialize_distance_matrix,
+    reduce_ball_family,
     validate_metric,
 )
-from helpers import oracle_is_metric, random_metric_space
+from helpers import oracle_is_metric, oracle_katetov_failure, rand_rational, random_metric_space
 
 T345 = "3\n3\n4 5\n"
 
@@ -205,3 +216,66 @@ def test_parse_normalizes_then_serializes_canonically():
 
 def test_missing_final_newline_tolerated():
     assert parse_distance_matrix("2\n1") == parse_distance_matrix("2\n1\n")
+
+
+# ---------------------------------------------------------------------------
+# Katetov pair check: every wrapper reports the oracle's first failing pair
+# ---------------------------------------------------------------------------
+
+def test_katetov_wrappers_match_first_failure_oracle():
+    rng = random.Random(4242)
+    sides = {"lower": 0, "upper": 0, None: 0}
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        space = random_metric_space(rng, n)
+        d = space.matrix
+        k = rng.randint(2, n)
+        support = rng.sample(range(n), k)
+        if rng.random() < 0.3:
+            # d(c, .) + offset is 1-Lipschitz and above d(c, .): admissible.
+            c = rng.randrange(n)
+            offset = rand_rational(rng, Fraction(1, 4), Fraction(2))
+            radii = [d[c][x] + offset for x in support]
+        else:
+            radii = [rand_rational(rng, Fraction(1, 8), Fraction(2)) for _ in support]
+
+        expected = oracle_katetov_failure(d, support, radii, two_sided=True)
+        sides[expected and expected[1]] += 1
+        check = admissible(ExtensionRequest(space, support, radii))
+        assert (check.ok, check.pair, check.side) == (
+            (True, None, None) if expected is None else (False, *expected)
+        )
+
+        prefix = PrefixState(m=n, rho=d, log=())
+        expected = oracle_katetov_failure(d, range(k), radii, two_sided=True)
+        assert is_correctly_defined(prefix, radii) == (
+            (True, None) if expected is None else (False, expected[0])
+        )
+
+        values = [rand_rational(rng, Fraction(0), Fraction(2)) for _ in range(n)]
+        expected = oracle_katetov_failure(d, range(n), values, two_sided=False)
+        assert is_admissible_function(KatetovFunction(space, values)) == (
+            (True, None) if expected is None else (False, expected[0])
+        )
+
+        expected = oracle_katetov_failure(d, support, radii, two_sided=False)
+        if expected is None:
+            extend_radius_function(space, support, radii)
+        else:
+            with pytest.raises(NotAdmissibleOnSubset) as info:
+                extend_radius_function(space, support, radii)
+            assert info.value.pair == expected[0]
+
+        centers = [rng.randrange(n) for _ in radii]
+        expected = oracle_katetov_failure(d, centers, radii, two_sided=False)
+        family = BallFamily(space, list(zip(centers, radii)))
+        if expected is None:
+            reduce_ball_family(family)
+        else:
+            with pytest.raises(PairwiseInfeasible) as info:
+                reduce_ball_family(family)
+            (i, j), _ = expected
+            assert info.value.pair == (i, j)
+            assert info.value.lhs == d[centers[i]][centers[j]]
+            assert info.value.rhs == radii[i] + radii[j]
+    assert min(sides.values()) >= 30

@@ -22,7 +22,14 @@ from ury import (
     tripod_center,
     verify_hull_candidate,
 )
-from helpers import oracle_is_extremal, rand_rational, random_metric_space, random_tripod_space
+from ury.tightspan import HULL_MAX_SAMPLES
+from helpers import (
+    oracle_hull_isometry,
+    oracle_is_extremal,
+    rand_rational,
+    random_metric_space,
+    random_tripod_space,
+)
 
 T345 = FiniteMetricSpace.from_lower_triangle([[3], [4, 5]])
 PATH = FiniteMetricSpace.from_lower_triangle([[1], [2, 1]])
@@ -330,3 +337,68 @@ def test_hull_step_must_divide_one():
         verify_hull_candidate(candidate, Fraction(2, 3))
     with pytest.raises(ValueError):
         verify_hull_candidate(candidate, Fraction(0))
+
+
+def test_hull_sample_limit():
+    # 2^16 + 1 samples: rejected from the sample count, before any sampling.
+    candidate = PathHullCandidate([("0", "0"), ("1", "1")], A_PAIR)
+    with pytest.raises(TooLarge):
+        verify_hull_candidate(candidate, Fraction(1, HULL_MAX_SAMPLES))
+
+
+def _random_polyline(rng: random.Random):
+    def q(lo, hi):
+        return rand_rational(rng, Fraction(lo), Fraction(hi))
+
+    shape = rng.randrange(4)
+    if shape == 0:
+        # Backtracking: out along one axis, then partly or fully back.
+        a = (q(0, 1), q(0, 1))
+        b = (a[0] + q("1/4", 2), a[1])
+        back = q("1/4", b[0] - a[0])
+        return [a, b, (b[0] - back, b[1] + q(0, back))]
+    if shape == 1:
+        # Axis-aligned L-path (never a geodesic), sometimes with a diagonal tail.
+        b = (q("1/4", 2), Fraction(0))
+        c = (b[0], rng.choice((1, -1)) * q("1/4", 2))
+        bps = [(Fraction(0), Fraction(0)), b, c]
+        if rng.random() < 0.5:
+            dx = q("1/4", 1)
+            bps.append((c[0] + dx, c[1] + dx))
+        return bps
+    if shape == 2:
+        # Geodesic: x advances by dx on every segment and |dy| <= dx.
+        bps = [(Fraction(0), Fraction(0))]
+        for _ in range(rng.randint(1, 4)):
+            x, y = bps[-1]
+            dx = q("1/4", 1)
+            bps.append((x + dx, y + rng.choice((1, -1)) * q(0, dx)))
+        return bps
+    # General polylines: a mix of geodesic and non-geodesic ones.
+    bps = [(Fraction(0), Fraction(0))]
+    size = rng.randint(2, 5)
+    while len(bps) < size:
+        x, y = bps[-1]
+        p = (x + q(-1, 2), y + q(-1, 2))
+        if p != bps[-1]:
+            bps.append(p)
+    return bps
+
+
+def test_hull_scan_matches_pairwise_oracle():
+    rng = random.Random(2024)
+    failures_seen = 0
+    for _ in range(300):
+        bps = _random_polyline(rng)
+        step = Fraction(1, rng.choice((1, 2, 4, 8)))
+        report = verify_hull_candidate(PathHullCandidate(bps, A_PAIR), step)
+        ok, violation, count = oracle_hull_isometry(bps, step)
+        assert report.isometry_ok == ok
+        assert report.sample_count == count
+        if violation is None:
+            assert report.first_violation is None
+        else:
+            failures_seen += 1
+            v = report.first_violation
+            assert (v.param_a, v.param_b, v.expected, v.actual) == violation
+    assert 100 < failures_seen < 250
