@@ -256,7 +256,13 @@ def cmd_balls(args) -> int:
 
 
 def cmd_tightspan(args) -> int:
-    space = metric.parse_distance_matrix(_read_text(args.dmat))
+    text = _read_text(args.dmat)
+    if args.vertices:
+        # Refuse an oversized space on its header, before the O(n^3) validation.
+        head = text.split("\n", 1)[0].rstrip("\r")
+        if head.isascii() and head.isdigit():
+            tightspan.check_vertex_limit(int(head))
+    space = metric.parse_distance_matrix(text)
     if args.vertices:
         result = tightspan.tight_span_vertices(space)
         for f in result.vertices:

@@ -9,6 +9,11 @@ space isometrically into it.  At finite scale the interesting skeleton is
 the vertex set of the admissibility polyhedron
 ``{f >= 0 : f(x) + f(y) >= d(x,y)}``, which this module enumerates exactly.
 
+Vertex enumeration visits only the sets of n tight constraints whose graph
+(a loop per ``f(x) = 0``, an edge per ``f(x) + f(y) = d(x,y)``) is odd
+unicyclic in every component, and solves each by integer propagation on the
+scale ``2 * D * d`` (D the lcm of the distance denominators); no float is used.
+
 Extremality is decided by single-coordinate pinning: ``f`` admissible is
 extremal iff every coordinate is either 0 or tight in some pair constraint.
 Lowering one free coordinate keeps all other constraints intact, and any
@@ -22,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -159,64 +165,84 @@ class TightSpanVertexSet:
     vertices: tuple[KatetovFunction, ...]
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve the square system a x = b over the rationals; None if singular."""
-    n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+def check_vertex_limit(n: int) -> None:
+    """Raise :class:`TooLarge` when an n-point space is over the limit of
+    :func:`tight_span_vertices`."""
+    if n > TIGHT_SPAN_MAX_POINTS:
+        raise TooLarge(f"vertex enumeration is limited to {TIGHT_SPAN_MAX_POINTS} points")
 
 
 def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     """Enumerate the vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} exactly.
 
-    Every choice of n constraints (coordinate zero or pair tightness) with a
-    unique solution is solved by rational elimination; nonnegative, feasible
-    solutions are kept.  Every vertex is extremal, because the tight span is
-    the union of the bounded faces of this polyhedron (Dress 1984).  Enforced
-    limit: n <= 6; larger spaces are rejected, never approximated.
+    A vertex is the unique solution of n tight constraints, each a loop
+    ``f_i = 0`` or an edge ``f_i + f_j = d_ij``.  Such a set has a unique
+    solution iff every connected component of its graph has exactly one
+    cycle and that cycle is odd (a loop counts as odd): the signless
+    incidence matrix of an odd unicyclic component has determinant +-2, and
+    every other structure is singular.  A depth-first search over the
+    constraints (loops, then pairs) skips any that would close an even cycle
+    or give a component a second cycle, so it visits only such sets.  Point
+    t holds ``x_t = sign_t * x_root + off_t``; closing an odd cycle anchors
+    its component, which is pruned if it turns out negative or inadmissible.
+
+    All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
+    lcm of the distance denominators: every coordinate is half an
+    alternating sum of distances, so ``2 * D * f`` is an integer.  Each
+    distinct vertex becomes Fractions once, at the end; no float is used.
+    Every vertex is extremal, because the tight span is the union of the
+    bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 6;
+    larger spaces are rejected, never approximated.
     """
     n = space.n
-    if n > TIGHT_SPAN_MAX_POINTS:
-        raise TooLarge(f"vertex enumeration is limited to {TIGHT_SPAN_MAX_POINTS} points")
+    check_vertex_limit(n)
     d = space.matrix
+    scale = 2 * lcm(*(v.denominator for row in d for v in row))
+    w = [[int(v * scale) for v in row] for row in d]
+    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
+    constraints = [(i, i, 0) for i in range(n)]
+    constraints += [(i, j, w[i][j]) for i, j in combinations(range(n), 2)]
+    found: set[tuple[int, ...]] = set()
 
-    constraints: list[tuple[tuple[Fraction, ...], Fraction, int]] = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        constraints.append((tuple(row), Fraction(0), 1 << i))
-    for i in range(n):
-        for j in range(i + 1, n):
-            row = [Fraction(0)] * n
-            row[i] = row[j] = Fraction(1)
-            constraints.append((tuple(row), d[i][j], (1 << i) | (1 << j)))
+    def visit(start: int, depth: int, root: list, sign: list, off: list) -> None:
+        # sign[t] == 0 marks an anchored component: there x_t == off[t].
+        if depth == n:
+            found.add(tuple(off))
+            return
+        for k in range(start, len(constraints) - n + depth + 1):
+            u, v, b = constraints[k]
+            rest = b - off[u] - off[v]
+            if root[u] == root[v]:
+                if sign[u] == 0 or sign[u] != sign[v]:
+                    continue  # a second cycle, or an even one
+                # Exact: a free component's offsets are sums of the even W entries.
+                factor, shift = 0, sign[u] * rest // 2
+            else:
+                if sign[v] == 0:
+                    u, v = v, u
+                if sign[v] == 0:
+                    continue  # two anchored components
+                factor, shift = -sign[u] * sign[v], sign[v] * rest
+            group = root[v]
+            root2, sign2, off2 = root[:], sign[:], off[:]
+            for t in range(n):
+                if root[t] == group:
+                    root2[t] = root[u]
+                    sign2[t] = sign[t] * factor
+                    off2[t] += sign[t] * shift
+            if factor == 0:
+                fixed = [t for t in range(n) if sign2[t] == 0]
+                values = [off2[t] for t in fixed]
+                if min(values) < 0 or katetov_failure(
+                    w, fixed, values, two_sided=False
+                ) is not None:
+                    continue
+            visit(k + 1, depth + 1, root2, sign2, off2)
 
-    full_mask = (1 << n) - 1
-    seen: dict[tuple[Fraction, ...], None] = {}
-    for chosen in combinations(constraints, n):
-        mask = 0
-        for _, _, m in chosen:
-            mask |= m
-        if mask != full_mask:
-            continue
-        solution = _solve_exact([list(c[0]) for c in chosen], [c[1] for c in chosen])
-        if solution is None:
-            continue
-        if min(solution) >= 0 and katetov_failure(d, range(n), solution, two_sided=False) is None:
-            seen.setdefault(tuple(solution))
-
-    vertices = tuple(KatetovFunction(space, v) for v in sorted(seen))
+    visit(0, 0, list(range(n)), [1] * n, [0] * n)
+    vertices = tuple(
+        KatetovFunction(space, [Fraction(x, scale) for x in v]) for v in sorted(found)
+    )
     return TightSpanVertexSet(space, vertices)
 
 

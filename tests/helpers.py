@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from ury import FiniteMetricSpace
 from ury.construct import PrefixState
@@ -27,14 +28,19 @@ def rand_rational(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
     return Fraction(rng.randint(lo_num, hi_num), den)
 
 
-def random_metric_space(rng: random.Random, n: int) -> FiniteMetricSpace:
+def random_metric_space(
+    rng: random.Random, n: int, closure: bool | None = None
+) -> FiniteMetricSpace:
     """A random n-point rational metric space.
 
     Mixes two shapes: entries confined to [1, 2] (triangle inequality is
     automatic) and shortest-path closures of random positive weights (these
-    produce plenty of exactly tight triangles).
+    produce plenty of exactly tight triangles).  ``closure`` picks the shape;
+    by default it is drawn at random.
     """
-    if n == 1 or rng.random() < 0.5:
+    if closure is None:
+        closure = n > 1 and rng.random() >= 0.5
+    if n == 1 or not closure:
         matrix = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
@@ -240,3 +246,60 @@ def oracle_hull_isometry(breakpoints, step: Fraction):
             if actual != expected:
                 return False, (params[i], params[j], expected, actual), len(params)
     return True, None, len(params)
+
+
+def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
+    """Solve the square system a x = b over the rationals; None if singular."""
+    n = len(a)
+    m = [row[:] + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = m[col][col]
+        m[col] = [v / inv for v in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction, ...]]:
+    """Vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} by brute force.
+
+    Every n-subset of the constraints (coordinate zero or pair tightness)
+    that touches every coordinate goes through Fraction Gauss-Jordan
+    elimination; nonnegative, feasible solutions are kept.  Returns the
+    sorted, duplicate-free value tuples.  C(n(n+1)/2, n) systems: about 10 s
+    at n = 6.
+    """
+    n = space.n
+    d = space.matrix
+    constraints = []
+    for i in range(n):
+        row = [Fraction(0)] * n
+        row[i] = Fraction(1)
+        constraints.append((row, Fraction(0), 1 << i))
+    for i in range(n):
+        for j in range(i + 1, n):
+            row = [Fraction(0)] * n
+            row[i] = row[j] = Fraction(1)
+            constraints.append((row, d[i][j], (1 << i) | (1 << j)))
+
+    found = set()
+    for chosen in combinations(constraints, n):
+        mask = 0
+        for _, _, m in chosen:
+            mask |= m
+        if mask != (1 << n) - 1:
+            continue
+        solution = _solve_exact([c[0] for c in chosen], [c[1] for c in chosen])
+        if solution is None or min(solution) < 0:
+            continue
+        if all(
+            solution[x] + solution[y] >= d[x][y] for x in range(n) for y in range(x + 1, n)
+        ):
+            found.add(tuple(solution))
+    return sorted(found)

@@ -188,6 +188,55 @@ def test_tightspan_vertices(tmp_path, capsys):
     assert stdout.splitlines() == ["0 3 4", "1 2 3", "3 0 5", "4 5 0"]
 
 
+# A shortest-path metric with 18 tight triangles and mixed denominators; its
+# tight span has 14 vertices.  The stdout is pinned byte for byte: vertex
+# order, deduplication and canonical rational formatting.
+SIX_TIGHT = (
+    "6\n3/8\n9/8 3/4\n47/40 4/5 31/20\n9/5 87/40 117/40 17/6\n"
+    "4/3 57/40 87/40 5/8 5/2\n"
+)
+SIX_TIGHT_VERTICES = (
+    "0 3/8 9/8 47/40 9/5 4/3\n"
+    "17/240 107/240 287/240 53/48 83/48 101/80\n"
+    "17/120 7/30 59/60 31/30 233/120 143/120\n"
+    "17/80 73/240 253/240 77/80 449/240 269/240\n"
+    "19/60 83/120 173/120 27/20 89/60 61/60\n"
+    "3/8 0 3/4 4/5 87/40 57/40\n"
+    "107/240 17/240 197/240 35/48 101/48 65/48\n"
+    "11/24 11/20 13/10 29/24 13/8 7/8\n"
+    "113/120 31/30 107/60 7/30 13/5 47/120\n"
+    "9/8 3/4 0 31/20 117/40 87/40\n"
+    "47/40 4/5 31/20 0 17/6 5/8\n"
+    "19/16 307/240 487/240 23/48 113/48 7/48\n"
+    "4/3 57/40 87/40 5/8 5/2 0\n"
+    "9/5 87/40 117/40 17/6 0 5/2\n"
+)
+
+
+def test_tightspan_vertices_golden_six_points(tmp_path, capsys):
+    f = tmp_path / "six.dmat"
+    f.write_text(SIX_TIGHT)
+    code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
+    assert (code, stderr) == (0, "")
+    assert stdout == SIX_TIGHT_VERTICES
+
+
+def test_tightspan_vertices_refuses_seven_points_before_parsing(tmp_path, capsys, monkeypatch):
+    from ury import metric
+
+    def unexpected(text):
+        raise AssertionError("the distance matrix was parsed")
+
+    monkeypatch.setattr(metric, "parse_distance_matrix", unexpected)
+    f = tmp_path / "seven.dmat"
+    f.write_text("7\n" + "".join(" ".join(["1"] * i) + "\n" for i in range(1, 7)))
+    code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
+    assert (code, stdout) == (1, "")
+    payload = json.loads(stderr)
+    assert payload["error"] == "TooLarge"
+    assert payload["detail"] == "vertex enumeration is limited to 6 points"
+
+
 def test_tightspan_project_and_kuratowski(tmp_path, capsys):
     f = tmp_path / "two.dmat"
     f.write_text("2\n1\n")

@@ -26,6 +26,7 @@ from ury.tightspan import HULL_MAX_SAMPLES
 from helpers import (
     oracle_hull_isometry,
     oracle_is_extremal,
+    oracle_tight_span_vertices,
     rand_rational,
     random_metric_space,
     random_tripod_space,
@@ -258,6 +259,73 @@ def test_vertices_properties_four_to_six_points():
                     assert abs(f.values[x] - f.values[y]) <= space.distance(x, y)
         for a in space.points():
             assert kuratowski(space, a).values in values
+
+
+def _vertex_values(space):
+    return [f.values for f in tight_span_vertices(space).vertices]
+
+
+def test_vertices_match_oracle_up_to_four_points():
+    rng = random.Random(79)
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            space = random_metric_space(rng, n)
+            assert _vertex_values(space) == oracle_tight_span_vertices(space)
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["strict", "closure"])
+def test_vertices_match_oracle_five_points(closure):
+    rng = random.Random(f"five:{closure}")
+    for _ in range(5):
+        space = random_metric_space(rng, 5, closure)
+        assert _vertex_values(space) == oracle_tight_span_vertices(space)
+
+
+def test_vertices_match_oracle_six_points():
+    space = random_metric_space(random.Random(83), 6, closure=True)
+    assert _vertex_values(space) == oracle_tight_span_vertices(space)
+
+
+def _equilateral(n):
+    return FiniteMetricSpace([[0 if i == j else 1 for j in range(n)] for i in range(n)])
+
+
+def _line(positions):
+    return FiniteMetricSpace([[abs(p - q) for q in positions] for p in positions])
+
+
+def _star(legs):
+    # Point 0 is the center; leaves i, j sit legs[i] + legs[j] apart.
+    n = len(legs) + 1
+    reach = [0] + list(legs)
+    return FiniteMetricSpace(
+        [[0 if i == j else reach[i] + reach[j] for j in range(n)] for i in range(n)]
+    )
+
+
+# Spaces where many constraint sets give the same vertex.
+DEGENERATE_SPACES = {
+    "equilateral3": _equilateral(3),
+    "equilateral4": _equilateral(4),
+    "equilateral5": _equilateral(5),
+    "equilateral6": _equilateral(6),
+    "path5": _line([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(7, 2), Fraction(9, 2)]),
+    "star5": _star([Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(1)]),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGENERATE_SPACES))
+def test_vertices_match_oracle_on_degenerate_spaces(name):
+    space = DEGENERATE_SPACES[name]
+    assert _vertex_values(space) == oracle_tight_span_vertices(space)
+
+
+@pytest.mark.slow
+def test_vertices_match_oracle_six_point_sweep():
+    rng = random.Random(89)
+    for k in range(20):
+        space = random_metric_space(rng, 6, closure=k % 2 == 1)
+        assert _vertex_values(space) == oracle_tight_span_vertices(space)
 
 
 def test_vertices_too_large():
