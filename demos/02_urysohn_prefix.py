@@ -38,7 +38,8 @@ flags = "".join("C" if rec.correctly_defined else "I" for rec in state.log)
 print("step outcomes (C = correctly defined):", flags)
 print("10-point prefix is a metric:", validate_metric(state.rho).ok)
 
-# The cache format round-trips bit-exactly; prefixes resume from it.
+# The cache logs only labels and C/I flags; loading replays the
+# construction, and prefixes resume from it.
 text = dump_prefix_text(build_prefix(4))
 print("\ncache text for 4 points:")
 print(text)

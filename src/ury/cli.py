@@ -158,11 +158,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_export(args) -> int:
-    state = construct.load_prefix(args.cache)
-    if args.points is not None:
-        if args.points > state.m:
-            raise ValueError(f"cache holds {state.m} points, cannot export {args.points}")
-        state = construct.truncate_prefix(state, args.points)
+    state = construct.load_prefix(args.cache, args.points)
     text = metric.serialize_matrix(state.rho)
     _write_text(args.out, text)
     print(f"wrote {state.m}-point distance matrix to {args.out}")
@@ -332,11 +328,7 @@ def cmd_c0_demo(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    state = construct.load_prefix(args.prefix)
-    if args.limit is not None:
-        if args.limit > state.m:
-            raise ValueError(f"prefix holds {state.m} points, cannot search {args.limit}")
-        state = construct.truncate_prefix(state, args.limit)
+    state = construct.load_prefix(args.prefix, args.limit)
     target = metric.parse_distance_matrix(_read_text(args.target))
     result = embed.find_isometric_embedding(target, state)
     payload = {

@@ -363,68 +363,74 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
 
 
 # ---------------------------------------------------------------------------
-# Cache file format: header "URY0 v1 <mode-tag>" then one record per step
+# Cache file format: header "URY0 v2 <mode-tag>" then "n | elements | C-or-I"
+# per step.  Rows are derived data: loading replays the construction.
 # ---------------------------------------------------------------------------
 
-_CACHE_MAGIC = "URY0 v1"
+_CACHE_MAGIC = "URY0 v2"
+
+
+def _record_text(rec: StepRecord) -> str:
+    elements = " ".join(format_rational(r) for r in rec.label.elements)
+    return f"{rec.step} | {elements} | {'C' if rec.correctly_defined else 'I'}"
 
 
 def dump_prefix_text(state: PrefixState) -> str:
-    """Render a prefix as cache text, bit-exactly reloadable."""
-    lines = [f"{_CACHE_MAGIC} {state.mode_tag}"]
-    for rec in state.log:
-        elements = " ".join(format_rational(r) for r in rec.label.elements)
-        flag = "C" if rec.correctly_defined else "I"
-        row = " ".join(format_rational(v) for v in state.rho[rec.step][: rec.step])
-        lines.append(f"{rec.step} | {elements} | {flag} | {row}")
+    """Render a prefix as its construction log: the labels and C/I flags."""
+    lines = [f"{_CACHE_MAGIC} {state.mode_tag}"] + [_record_text(rec) for rec in state.log]
     return "\n".join(lines) + "\n"
 
 
-def load_prefix_text(text: str) -> PrefixState:
-    """Parse cache text back into the identical in-memory state."""
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(_CACHE_MAGIC + " "):
-        raise ParseError(1, 1, f"missing {_CACHE_MAGIC!r} header")
-    mode_tag = lines[0][len(_CACHE_MAGIC) + 1 :]
-    if not mode_tag or " " in mode_tag:
-        raise ParseError(1, len(_CACHE_MAGIC) + 2, "malformed mode tag")
+def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
+    """Rebuild the first ``m`` points (default: all) of the prefix a cache
+    text logs, by replaying the construction under the logged mode.
 
-    rows: list[list[Fraction]] = [[Fraction(0)]]
-    log: list[StepRecord] = []
+    A record the replay does not reproduce is a :class:`ParseError` at its
+    line.  ``URY0 v1`` records carry a fourth field, the distance row; it
+    is compared as canonical text with the replayed row, never parsed.
+    """
+    lines = text.splitlines()
+    header = lines[0].split(" ") if lines else []
+    if len(header) != 3 or header[0] != "URY0" or header[1] not in ("v1", "v2"):
+        raise ParseError(1, 1, "missing 'URY0 v1' or 'URY0 v2' header")
+    tag = header[2].split(",")
+    if len(tag) != 3 or tag[2] not in (ENUMERATION_VERSION, "override"):
+        raise ParseError(1, 9, f"malformed mode tag {header[2]!r}")
+    fields = 4 if header[1] == "v1" else 3
+
+    labels = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" | ")
-        if len(parts) != 4:
-            raise ParseError(lineno, 1, "expected 'n | elements | C/I | row'")
-        step_text, elements_text, flag, row_text = parts
-        if not step_text.isdigit() or int(step_text) != lineno - 1:
+        if len(parts) != fields:
+            raise ParseError(lineno, 1, f"expected {fields} fields separated by ' | '")
+        step_text, elements_text, flag = parts[:3]
+        if not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1:
             raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {step_text!r}")
-        step = int(step_text)
         if flag not in ("C", "I"):
             raise ParseError(lineno, 1, f"flag must be C or I, got {flag!r}")
         try:
             elements = tuple(as_rational(t) for t in elements_text.split(" "))
-            row = tuple(as_rational(t) for t in row_text.split(" "))
         except ValueError as exc:
             raise ParseError(lineno, 1, str(exc)) from None
-        if len(row) != step:
-            raise ParseError(lineno, 1, f"row has {len(row)} entries, expected {step}")
-        for j, dist in enumerate(row):
-            rows[j].append(dist)
-        rows.append(list(row) + [Fraction(0)])
-        log.append(
-            StepRecord(
-                step=step,
-                label=QLabel(index=step, elements=elements),
-                correctly_defined=flag == "C",
-            )
-        )
+        if len(elements) >= lineno or min(elements) <= 0:
+            raise ParseError(lineno, 1, f"label must be 1..{lineno - 1} positive rationals")
+        labels.append(elements)
 
-    return PrefixState(
-        m=len(rows),
-        rho=tuple(tuple(row) for row in rows),
-        log=tuple(log),
-        mode_tag=mode_tag,
-    )
+    m = len(lines) if m is None else m
+    if m > len(lines):
+        raise ValueError(f"cache holds {len(lines)} points, cannot load {m}")
+    try:
+        mode = ConstructionMode(tag[0], tag[1], tuple(labels) if tag[2] == "override" else None)
+    except InvalidMode as exc:
+        raise ParseError(1, 9, str(exc)) from None
+    state = build_prefix(m, mode)
+    for rec in state.log:
+        replay = _record_text(rec)
+        if fields == 4:
+            replay += " | " + " ".join(format_rational(v) for v in state.rho[rec.step][: rec.step])
+        if lines[rec.step] != replay:
+            raise ParseError(rec.step + 1, 1, f"step {rec.step} differs from its replay")
+    return state
 
 
 def save_prefix(state: PrefixState, path) -> None:
@@ -447,6 +453,6 @@ def save_prefix(state: PrefixState, path) -> None:
         raise
 
 
-def load_prefix(path) -> PrefixState:
+def load_prefix(path, m: int | None = None) -> PrefixState:
     with open(path, "r", encoding="utf-8") as fh:
-        return load_prefix_text(fh.read())
+        return load_prefix_text(fh.read(), m)

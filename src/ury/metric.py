@@ -241,7 +241,7 @@ def parse_matrix_text(text: str) -> list[list[Fraction]]:
     if not lines:
         raise ParseError(1, 1, "empty input")
     head = lines[0]
-    if not head.isdigit():
+    if not (head.isascii() and head.isdigit()):
         raise ParseError(1, 1, f"invalid point count {head!r}")
     n = int(head)
     if n < 1:

@@ -126,6 +126,17 @@ def random_pairwise_family(rng: random.Random, dim: int, count: int):
 # Oracles
 # ---------------------------------------------------------------------------
 
+def v1_cache_text(state: PrefixState) -> str:
+    """The ``URY0 v1`` cache text of a prefix: each record also carries the
+    new point's distance row, rendered here with plain ``str``."""
+    lines = [f"URY0 v1 {state.mode_tag}"]
+    for rec in state.log:
+        elements = " ".join(str(r) for r in rec.label.elements)
+        row = " ".join(str(v) for v in state.rho[rec.step][: rec.step])
+        lines.append(f"{rec.step} | {elements} | {'C' if rec.correctly_defined else 'I'} | {row}")
+    return "\n".join(lines) + "\n"
+
+
 def oracle_is_metric(matrix) -> bool:
     """Plain-loop metric check over all ordered triples; no staging, no
     rescaling — independent of ury.metric.validate_metric."""

@@ -11,7 +11,9 @@ from ury import (
     truncate_prefix,
 )
 from ury.cli import main
-from ury.metric import FiniteMetricSpace
+from ury.metric import FiniteMetricSpace, parse_matrix_text
+
+from helpers import v1_cache_text
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -49,6 +51,33 @@ def test_build_reuses_and_extends_cache(tmp_path, capsys):
     assert load_prefix(out1) == build_prefix(40)
 
 
+def test_build_rebuilds_a_corrupt_v1_cache(tmp_path, capsys):
+    # A 12-point v1 cache whose last token, 19/12, was cut to 19/1: the line
+    # still parses, so resuming from it would extend a wrong prefix.
+    text = v1_cache_text(build_prefix(12))
+    assert text.endswith(" 19/12\n")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "set-collapse,all-prior,cw1.ury").write_text(text[: -len("2\n")] + "\n")
+    out, dmat = tmp_path / "p.ury", tmp_path / "p.dmat"
+    code, stdout, _ = run(capsys, "build", "--points", "14", "--out", str(out))
+    assert code == 0 and stdout.startswith("points=14 ")
+    assert run(capsys, "export", "--cache", str(out), "--out", str(dmat))[0] == 0
+    assert run(capsys, "verify", "--dmat", str(dmat))[:2] == (0, "OK: metric on 14 points\n")
+    assert parse_matrix_text(dmat.read_text()) == [list(row) for row in build_prefix(14).rho]
+    assert load_prefix(cache / "set-collapse,all-prior,cw1.ury") == build_prefix(14)
+
+
+def test_build_rebuilds_a_cache_with_a_non_ascii_step(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "set-collapse,all-prior,cw1.ury"
+    path.write_text("URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n\u00b2 | 1/2 | C | 1/2 3/2\n")
+    code, stdout, _ = run(capsys, "build", "--points", "5")
+    assert code == 0 and stdout.startswith("points=5 ")
+    assert load_prefix(path) == build_prefix(5)
+
+
 def test_build_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "x.ury"
     out2 = tmp_path / "y.ury"
@@ -66,6 +95,29 @@ def test_export_roundtrip(tmp_path, capsys):
     assert code == 0
     state = truncate_prefix(build_prefix(10), 4)
     assert dmat.read_text() == serialize_distance_matrix(FiniteMetricSpace(state.rho))
+
+
+# Asking for more points than a cache holds: exit code and error kind as
+# before the loaders took a point count.
+def test_export_past_the_cache_size_is_a_value_error(tmp_path, capsys):
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "10", "--out", str(cache))
+    code, stdout, stderr = run(
+        capsys, "export", "--cache", str(cache), "--points", "11", "--out", str(tmp_path / "x")
+    )
+    assert (code, stdout, json.loads(stderr)["error"]) == (2, "", "ValueError")
+    assert not (tmp_path / "x").exists()
+
+
+def test_embed_past_the_prefix_size_is_a_value_error(tmp_path, capsys):
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "10", "--out", str(cache))
+    target = tmp_path / "t.dmat"
+    target.write_text("2\n1\n")
+    code, stdout, stderr = run(
+        capsys, "embed", "--target", str(target), "--prefix", str(cache), "--limit", "12"
+    )
+    assert (code, stdout, json.loads(stderr)["error"]) == (2, "", "ValueError")
 
 
 def test_verify_ok(tmp_path, capsys):

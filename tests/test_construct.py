@@ -26,7 +26,9 @@ from ury import (
     truncate_prefix,
     validate_metric,
 )
-from ury.construct import colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, colex_rank, colex_unrank
+
+from helpers import v1_cache_text
 
 REMARK_OVERRIDE = (("2",), ("3",), ("4",), ("1/2", "1/2"))
 
@@ -261,10 +263,78 @@ def test_cache_roundtrip_legacy():
 
 def test_cache_header_and_records():
     text = dump_prefix_text(build_prefix(3))
-    lines = text.splitlines()
-    assert lines[0] == "URY0 v1 set-collapse,all-prior,cw1"
-    assert lines[1] == "1 | 1 | C | 1"
-    assert lines[2] == "2 | 1/2 | C | 1/2 3/2"
+    assert text.splitlines() == [
+        "URY0 v2 set-collapse,all-prior,cw1",
+        "1 | 1 | C",
+        "2 | 1/2 | C",
+    ]
+
+
+def test_cache_v1_golden_loads():
+    text = "URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n2 | 1/2 | C | 1/2 3/2\n"
+    assert load_prefix_text(text) == build_prefix(3)
+
+
+def test_cache_v1_rows_are_certified(prefix50):
+    legacy = build_prefix(5, ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE))
+    for state in (prefix50, legacy):
+        assert load_prefix_text(v1_cache_text(state)) == state
+    # The last token of a 12-point cache, 19/12, cut to 19/1: the line still
+    # parses, but the replayed row differs.
+    text = v1_cache_text(truncate_prefix(prefix50, 12))
+    assert text.endswith(" 19/12\n")
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text[: -len("2\n")] + "\n")
+    assert exc.value.line == 12
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_cache_flipped_flag_is_a_parse_error(prefix50, version):
+    state = truncate_prefix(prefix50, 12)
+    text = v1_cache_text(state) if version == "v1" else dump_prefix_text(state)
+    lines = text.splitlines(keepends=True)
+    assert lines[8].startswith("8 | 1/2 1 2 | I")
+    lines[8] = lines[8].replace(" | I", " | C", 1)
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text("".join(lines))
+    assert exc.value.line == 9
+
+
+def test_cache_wrong_canonical_label_is_a_parse_error(prefix50):
+    text = dump_prefix_text(truncate_prefix(prefix50, 12))
+    assert "\n5 | 1/3 | C\n" in text
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text.replace("\n5 | 1/3 | C\n", "\n5 | 1/4 | C\n"))
+    assert exc.value.line == 6
+
+
+def test_cache_override_labels_are_replayed():
+    mode = ConstructionMode(q_override=REMARK_OVERRIDE)
+    text = dump_prefix_text(build_prefix(8, mode))
+    assert text.splitlines()[0] == "URY0 v2 set-collapse,all-prior,override"
+    # An override label is taken from the file, so a changed label changes
+    # the replay instead of failing it; a changed flag still fails.
+    changed = load_prefix_text(text.replace("\n1 | 2 | C\n", "\n1 | 5 | C\n"))
+    assert changed == build_prefix(8, ConstructionMode(q_override=(("5",),) + REMARK_OVERRIDE[1:]))
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text.replace("\n2 | 3 | C\n", "\n2 | 3 | I\n"))
+    assert exc.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [DEFAULT_MODE, ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE)],
+    ids=["cw1", "legacy-multiset-override"],
+)
+def test_partial_load_equals_truncated_full_load(mode, tmp_path):
+    path = tmp_path / "p.ury"
+    save_prefix(build_prefix(30, mode), path)
+    full = load_prefix(path)
+    assert full == build_prefix(30, mode)
+    for m in (1, 2, 15, 30):
+        assert load_prefix(path, m) == truncate_prefix(full, m)
+    with pytest.raises(ValueError, match="cache holds 30 points"):
+        load_prefix(path, 31)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +346,13 @@ def test_cache_header_and_records():
         "URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | X | 1\n",
         "URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1 2\n",
         "URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C\n",
+        "URY0 v2 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n",
+        "URY0 v1 set-collapse,all-prior,cw1\n\u00b2 | 1 | C | 1\n",
+        "URY0 v2 set-collapse,all-prior,cw9\n",
+        "URY0 v2 legacy-multiset,all-prior,cw1\n",
+        "URY0 v2 set-collapse,all-prior,override\n1 | 1 2 | C\n",
+        "URY0 v2 set-collapse,all-prior,override\n1 | 0 | C\n",
+        "URY0 v2 set-collapse,all-prior,override\n1 | 2/4 | C\n",
     ],
 )
 def test_cache_parse_errors(text):

@@ -180,6 +180,7 @@ def test_negative_distance_is_parse_error():
         ("", 1),
         ("0\n", 1),
         ("x\n", 1),
+        ("\u00b2\n1\n", 1),
         ("2\n", 2),
         ("2\n1 2\n", 2),
         ("2\n1\nextra\n", 3),
