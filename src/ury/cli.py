@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import construct, embed, extension, linf, metric, tightspan
-from .errors import InvalidMode, PairwiseInfeasible, ParseError, UryError
+from .errors import InvalidMode, InvalidPartialIsometry, PairwiseInfeasible, ParseError, UryError
 from .rational import format_rational, parse_rational
 
 BUILTIN_HULLS = {
@@ -149,10 +149,9 @@ def cmd_build(args) -> int:
         construct.save_prefix(state, args.out)
 
     correct = sum(1 for rec in state.log if rec.correctly_defined)
-    top = max((v for row in state.rho for v in row), default=Fraction(0))
     print(
-        f"points={state.m} mode={state.mode_tag} "
-        f"correctly_defined={correct}/{len(state.log)} max_distance={format_rational(top)}"
+        f"points={state.m} mode={state.mode_tag} correctly_defined={correct}/{len(state.log)} "
+        f"max_distance={format_rational(state.running_max[-1])}"
     )
     return 0
 
@@ -345,8 +344,11 @@ def cmd_embed(args) -> int:
 def cmd_isom_extend(args) -> int:
     state = construct.load_prefix(args.prefix)
     pairs = [(s - 1, t - 1) for s, t in args.pairs]
-    partial = embed.PartialIsometry(state, pairs)
-    extended = embed.extend_partial_isometry(partial, args.source - 1)
+    try:
+        partial = embed.PartialIsometry(state, pairs)
+        extended = embed.extend_partial_isometry(partial, args.source - 1)
+    except InvalidPartialIsometry as exc:
+        return _fail("InvalidPartialIsometry", exc.message(1))
     if extended is None:
         _emit_json({"status": "not-found", "searched": state.m})
         return _fail("NotFound", f"no compatible image within the first {state.m} points")

@@ -37,6 +37,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Iterable, Sequence
 
@@ -260,9 +261,37 @@ class PrefixState:
     rho: tuple[tuple[Fraction, ...], ...]
     log: tuple[StepRecord, ...] = field(repr=False)
     mode_tag: str = DEFAULT_MODE.tag
+    # running_max[k] is the largest distance among the first k + 1 points.
+    # build_prefix keeps it as it goes; a state made by hand gets a scan.
+    running_max: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+
+    def __post_init__(self):
+        if len(self.running_max) != self.m:
+            top = Fraction(0)
+            maxima = []
+            for k in range(self.m):
+                top = max(top, max(self.rho[k][:k], default=top))
+                maxima.append(top)
+            object.__setattr__(self, "running_max", tuple(maxima))
 
     def distance(self, i: int, j: int) -> Fraction:
         return self.rho[i][j]
+
+    @cached_property
+    def distance_buckets(self) -> tuple[dict[Fraction, dict[int, None]], ...]:
+        """For each point u, every distance from u mapped to the points at
+        that distance, in ascending index order (a dict used as an ordered
+        set).  Built on first use and kept with the state; ``rho`` is
+        immutable, so it never goes stale.  Callers must not mutate it.  Not
+        a field: it takes no part in equality, hashing or ``repr``."""
+        buckets = []
+        for u, row in enumerate(self.rho):
+            by_value: dict[Fraction, dict[int, None]] = {}
+            for v, d in enumerate(row):
+                if v != u:
+                    by_value.setdefault(d, {})[v] = None
+            buckets.append(by_value)
+        return tuple(buckets)
 
 
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
@@ -316,8 +345,10 @@ def build_prefix(
             return truncate_prefix(resume, m)
         rows = [list(row) for row in resume.rho]
         log = list(resume.log)
+        maxima = list(resume.running_max)
+    else:
+        maxima = [Fraction(0)]
 
-    running_max = max((v for row in rows for v in row), default=Fraction(0))
     for step in range(len(rows), m):
         label = mode.label_for_step(step)
         p = label.cardinality
@@ -329,7 +360,7 @@ def build_prefix(
         if failure is None:
             new_row = katetov_row(rows, range(p), label.elements)
         elif mode.case1_scope == ALL_PRIOR:
-            new_row = [running_max] * step
+            new_row = [maxima[-1]] * step
         else:
             pairs = [rows[i][k] for i in range(p) for k in range(i + 1, p)]
             new_row = [max(pairs)] * step
@@ -337,7 +368,7 @@ def build_prefix(
         for j, dist in enumerate(new_row):
             rows[j].append(dist)
         rows.append(new_row + [Fraction(0)])
-        running_max = max(running_max, max(new_row))
+        maxima.append(max(maxima[-1], max(new_row)))
         log.append(StepRecord(step=step, label=label, correctly_defined=failure is None))
 
     return PrefixState(
@@ -345,6 +376,7 @@ def build_prefix(
         rho=tuple(tuple(row) for row in rows),
         log=tuple(log),
         mode_tag=mode.tag,
+        running_max=tuple(maxima),
     )
 
 
@@ -359,6 +391,7 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         rho=tuple(row[:m] for row in state.rho[:m]),
         log=state.log[: m - 1],
         mode_tag=state.mode_tag,
+        running_max=state.running_max[:m],
     )
 
 

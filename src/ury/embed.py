@@ -3,9 +3,10 @@
 Finds injective maps of a small target space into a prefix that realize all
 pairwise distances exactly, by depth-first backtracking over target points
 in order.  Candidate images for point k must already match the k previously
-established distances; candidates are served from per-point distance
-buckets, and trying prefix indices in increasing order makes the first
-complete map the lexicographically smallest one.
+established distances; candidates are served from the prefix's per-point
+distance buckets (:attr:`PrefixState.distance_buckets`, built on the first
+search and kept with the prefix), and trying prefix indices in increasing
+order makes the first complete map the lexicographically smallest one.
 
 A negative search result never disproves embeddability — it only says the
 target does not fit in *this* prefix, so the result carries the searched
@@ -15,7 +16,6 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .construct import PrefixState
 from .errors import InvalidPartialIsometry
@@ -35,17 +35,6 @@ class EmbeddingResult:
     searched_prefix_length: int
 
 
-def _distance_buckets(prefix: PrefixState) -> list[dict[Fraction, list[int]]]:
-    buckets: list[dict[Fraction, list[int]]] = []
-    for u in range(prefix.m):
-        by_value: dict[Fraction, list[int]] = {}
-        for v in range(prefix.m):
-            if v != u:
-                by_value.setdefault(prefix.rho[u][v], []).append(v)
-        buckets.append(by_value)
-    return buckets
-
-
 def find_isometric_embedding(
     target: FiniteMetricSpace, prefix: PrefixState
 ) -> EmbeddingResult:
@@ -55,11 +44,7 @@ def find_isometric_embedding(
     if t > m:
         return EmbeddingResult(NOT_FOUND, None, m)
 
-    buckets = _distance_buckets(prefix)
-    bucket_sets = [
-        {value: set(indices) for value, indices in per_point.items()}
-        for per_point in buckets
-    ]
+    buckets = prefix.distance_buckets
     mapping: list[int] = []
     used: set[int] = set()
 
@@ -69,17 +54,11 @@ def find_isometric_embedding(
         if depth == 0:
             candidates = range(m)
         else:
-            first = buckets[mapping[0]].get(target.distance(depth, 0))
-            if not first:
+            needed = [buckets[mapping[i]].get(target.distance(depth, i)) for i in range(depth)]
+            if not all(needed):
                 return False
-            candidates = [
-                c
-                for c in first
-                if all(
-                    c in bucket_sets[mapping[i]].get(target.distance(depth, i), ())
-                    for i in range(1, depth)
-                )
-            ]
+            first, rest = needed[0], needed[1:]
+            candidates = [c for c in first if all(c in bucket for bucket in rest)]
         for c in candidates:
             if c in used:
                 continue
@@ -114,17 +93,16 @@ class PartialIsometry:
         images = [t for _, t in pairs]
         for value in sources + images:
             if not 0 <= value < prefix.m:
-                raise InvalidPartialIsometry(f"index {value} out of range", witness=None)
+                raise InvalidPartialIsometry("index {} out of range", value)
         if len(set(sources)) != len(sources) or len(set(images)) != len(images):
-            raise InvalidPartialIsometry("pairing must be injective on both sides", witness=None)
+            raise InvalidPartialIsometry("pairing must be injective on both sides")
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
                 lhs = prefix.rho[pairs[i][0]][pairs[j][0]]
                 rhs = prefix.rho[pairs[i][1]][pairs[j][1]]
                 if lhs != rhs:
                     raise InvalidPartialIsometry(
-                        f"pairs {i} and {j} disagree: {lhs} != {rhs}",
-                        witness=(i, j),
+                        f"pairs {{}} and {{}} disagree: {lhs} != {rhs}", i, j, witness=(i, j)
                     )
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "pairs", pairs)
@@ -139,9 +117,9 @@ def extend_partial_isometry(
     prefix is too short to contain one).
     """
     if not 0 <= new_source < p.prefix.m:
-        raise InvalidPartialIsometry(f"index {new_source} out of range", witness=None)
+        raise InvalidPartialIsometry("index {} out of range", new_source)
     if any(s == new_source for s, _ in p.pairs):
-        raise InvalidPartialIsometry(f"source {new_source} already mapped", witness=None)
+        raise InvalidPartialIsometry("source {} already mapped", new_source)
     rho = p.prefix.rho
     images = {t for _, t in p.pairs}
     for candidate in range(p.prefix.m):

@@ -114,8 +114,19 @@ class DimensionMismatch(UryError):
 
 
 class InvalidPartialIsometry(UryError):
-    """A partial isometry violates its invariants; carries a witness pair."""
+    """A partial isometry violates its invariants.
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
+    ``reason`` has one ``{}`` per entry of ``indices``: the offending point
+    indices or pair positions, 0-based like the library API.  ``witness``
+    holds the disagreeing pair positions when there are some.
+    """
+
+    def __init__(self, reason: str, *indices: int, witness=None):
+        self.reason = reason
+        self.indices = indices
+        super().__init__(self.message(0))
         self.witness = witness
+
+    def message(self, base: int) -> str:
+        """The reason with every index counted from ``base``."""
+        return self.reason.format(*(i + base for i in self.indices))

@@ -385,5 +385,56 @@ def test_isom_extend_invalid_pairs(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "InvalidPartialIsometry"
 
 
+@pytest.mark.parametrize(
+    "argv,detail",
+    [
+        (["--pairs", "1:1", "--source", "99"], "index 99 out of range"),
+        (["--pairs", "1:31", "--source", "2"], "index 31 out of range"),
+        (["--pairs", "0:1", "--source", "2"], "index 0 out of range"),
+        (["--pairs", "1:2,2:3", "--source", "4"], "pairs 1 and 2 disagree: 1 != 3/2"),
+        (["--pairs", "3:3", "--source", "3"], "source 3 already mapped"),
+        (["--pairs", "1:1,1:2", "--source", "3"], "pairing must be injective on both sides"),
+    ],
+    ids=["source", "image", "zero", "disagree", "mapped", "injective"],
+)
+def test_isom_extend_errors_count_from_one(tmp_path, capsys, argv, detail):
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "30", "--out", str(cache))
+    code, stdout, stderr = run(capsys, "isom-extend", "--prefix", str(cache), *argv)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "InvalidPartialIsometry", "detail": detail}
+
+
+def build_and_scan(tmp_path, capsys, *argv):
+    """Run ``build``; return its ``max_distance`` and the maximum over the
+    exported matrix of the prefix it wrote, found by a full scan."""
+    cache, dmat = tmp_path / "out.ury", tmp_path / "out.dmat"
+    code, stdout, _ = run(capsys, "build", *argv, "--out", str(cache))
+    assert code == 0
+    assert run(capsys, "export", "--cache", str(cache), "--out", str(dmat))[0] == 0
+    rows = parse_matrix_text(dmat.read_text())
+    printed = stdout.rstrip("\n").rpartition(" max_distance=")[2]
+    return Fraction(printed), max(v for row in rows for v in row)
+
+
+def test_build_max_distance_matches_the_exported_matrix(tmp_path, capsys):
+    cold = build_and_scan(tmp_path, capsys, "--points", "40")
+    resumed = build_and_scan(tmp_path, capsys, "--points", "70")
+    truncated = build_and_scan(tmp_path, capsys, "--points", "25")
+    labels_only = build_and_scan(tmp_path, capsys, "--points", "60", "--case1-scope", "labels-only")
+    for printed, scanned in (cold, resumed, truncated, labels_only):
+        assert printed == scanned
+    assert len({cold, resumed, truncated, labels_only}) == 4
+
+
+@pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
+def test_legacy_build_max_distance_matches_the_exported_matrix(tmp_path, capsys, scope):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([["2"], ["3"], ["4"], ["1/2", "1/2"]]))
+    flags = ["--duplicates", "legacy-multiset", "--case1-scope", scope, "--q-override", str(labels)]
+    printed, scanned = build_and_scan(tmp_path, capsys, "--points", "12", *flags)
+    assert printed == scanned
+
+
 def test_missing_subcommand_usage_error(capsys):
     assert main([]) == 2

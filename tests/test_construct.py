@@ -10,6 +10,7 @@ from ury import (
     ConstructionMode,
     InvalidMode,
     ParseError,
+    PrefixState,
     PrefixTooShort,
     QLabel,
     build_prefix,
@@ -226,6 +227,45 @@ def test_resume_equivalence(prefix50):
     shorter = truncate_prefix(prefix50, 30)
     resumed = build_prefix(50, resume=shorter)
     assert resumed == prefix50
+
+
+def step_maxima(rho):
+    """Largest distance among the first k + 1 points, for each k, by a full scan."""
+    return tuple(max(rho[i][j] for i in range(k + 1) for j in range(k + 1)) for k in range(len(rho)))
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        DEFAULT_MODE,
+        ConstructionMode(case1_scope="labels-only"),
+        ConstructionMode("legacy-multiset", "all-prior", REMARK_OVERRIDE),
+        ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE),
+    ],
+    ids=["cw1", "labels-only", "legacy-all-prior", "legacy-labels-only"],
+)
+def test_running_max_matches_a_scan(mode):
+    state = build_prefix(40, mode)
+    expected = step_maxima(state.rho)
+    assert state.running_max == expected
+    assert truncate_prefix(state, 25).running_max == expected[:25]
+    assert build_prefix(40, mode, resume=truncate_prefix(state, 25)).running_max == expected
+    assert load_prefix_text(dump_prefix_text(state)).running_max == expected
+
+
+def test_resume_from_a_hand_made_state_equals_a_cold_build(prefix50):
+    # A state made by hand carries no maxima; the scan in its constructor
+    # supplies them, and a resumed build continues from there.
+    expected = step_maxima(prefix50.rho)
+
+    def by_hand(m):
+        rho = tuple(row[:m] for row in prefix50.rho[:m])
+        return PrefixState(m=m, rho=rho, log=prefix50.log[: m - 1])
+
+    assert all(by_hand(m).running_max == expected[:m] for m in range(1, 51))
+    resumed = build_prefix(50, resume=by_hand(30))
+    assert resumed == prefix50
+    assert resumed.running_max == expected
 
 
 def test_resume_rejects_other_mode(prefix50):

@@ -8,8 +8,10 @@ from ury import (
     InvalidPartialIsometry,
     PartialIsometry,
     build_prefix,
+    dump_prefix_text,
     extend_partial_isometry,
     find_isometric_embedding,
+    load_prefix_text,
     truncate_prefix,
 )
 from helpers import oracle_embedding, random_metric_space
@@ -112,6 +114,80 @@ def test_monotonicity_in_prefix_length(prefix200):
             assert again.status == "found"
             assert again.mapping == base.mapping
             assert again.searched_prefix_length == m
+
+
+# ---------------------------------------------------------------------------
+# The per-prefix candidate index
+# ---------------------------------------------------------------------------
+
+def subspace(prefix, points):
+    return FiniteMetricSpace([[prefix.rho[a][b] for b in points] for a in points])
+
+
+def test_distance_buckets_list_every_point_in_ascending_order(prefix50):
+    rho = prefix50.rho
+    for u, by_value in enumerate(prefix50.distance_buckets):
+        others = [v for v in range(prefix50.m) if v != u]
+        assert {d: list(points) for d, points in by_value.items()} == {
+            rho[u][v]: [w for w in others if rho[u][w] == rho[u][v]] for v in others
+        }
+
+
+def test_repeated_searches_reuse_one_index(prefix200):
+    rng = random.Random(131)
+    prefix = truncate_prefix(prefix200, 60)
+    twin = build_prefix(60)
+    assert twin == prefix and twin is not prefix
+    targets = [subspace(prefix, rng.sample(range(60), 3)) for _ in range(6)]
+    targets += [random_metric_space(rng, 3) for _ in range(6)]
+    expected = [oracle_embedding(target, prefix) for target in targets]
+    assert any(e is None for e in expected) and any(e is not None for e in expected)
+
+    def search_all():
+        for target, mapping in zip(targets, expected):
+            assert find_isometric_embedding(target, prefix).mapping == mapping
+            assert find_isometric_embedding(target, twin).mapping == mapping
+
+    search_all()
+    index = prefix.distance_buckets
+    search_all()
+    search_all()
+    assert prefix.distance_buckets is index  # built once, then kept
+    assert twin.distance_buckets is not index
+
+
+def test_truncated_prefix_gets_its_own_index(prefix200):
+    find_isometric_embedding(TWO, prefix200)
+    assert "distance_buckets" in vars(prefix200)
+    short = truncate_prefix(prefix200, 60)
+    assert "distance_buckets" not in vars(short)
+    rng = random.Random(137)
+    outcomes = set()
+    for _ in range(20):
+        target = subspace(prefix200, rng.sample(range(200), 3))
+        result = find_isometric_embedding(target, short)
+        assert result.mapping is None or max(result.mapping) < 60
+        assert result.mapping == oracle_embedding(target, short)
+        outcomes.add(result.status)
+    assert outcomes == {"found", "not-found-up-to"}
+    assert len(short.distance_buckets) == 60
+
+
+def test_building_or_loading_leaves_the_index_unbuilt(prefix50):
+    find_isometric_embedding(TWO, prefix50)
+    assert "distance_buckets" not in vars(build_prefix(30))
+    assert "distance_buckets" not in vars(build_prefix(60, resume=prefix50))
+    assert "distance_buckets" not in vars(load_prefix_text(dump_prefix_text(prefix50)))
+    assert "distance_buckets" not in vars(load_prefix_text(dump_prefix_text(prefix50), 20))
+
+
+def test_index_is_invisible_to_equality_hash_and_repr():
+    state, twin = build_prefix(20), build_prefix(20)
+    before = (repr(state), hash(state))
+    find_isometric_embedding(TWO, state)
+    assert "distance_buckets" in vars(state)
+    assert (repr(state), hash(state)) == before
+    assert state == twin and repr(state) == repr(twin)
 
 
 # ---------------------------------------------------------------------------
