@@ -130,7 +130,9 @@ def cmd_build(args) -> int:
     resume = None
     if os.path.exists(cache_path):
         try:
-            cached = construct.load_prefix(cache_path)
+            text = _read_text(cache_path)
+            # One line per point; replay no more of the cache than is asked for.
+            cached = construct.load_prefix_text(text, min(args.points, len(text.splitlines())))
             if cached.mode_tag == mode.tag:
                 resume = cached
         except (ParseError, OSError):
@@ -158,7 +160,7 @@ def cmd_build(args) -> int:
 
 def cmd_export(args) -> int:
     state = construct.load_prefix(args.cache, args.points)
-    text = metric.serialize_matrix(state.rho)
+    text = metric.serialize_scaled_matrix(state.rows, state.scale)
     _write_text(args.out, text)
     print(f"wrote {state.m}-point distance matrix to {args.out}")
     return 0

@@ -38,12 +38,12 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidMode, ParseError, PrefixTooShort
 from .metric import katetov_failure, katetov_row
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_ratio, format_rational
 
 ENUMERATION_VERSION = "cw1"
 
@@ -250,15 +250,20 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class PrefixState:
-    """A built prefix: m points, their exact distance matrix, and the log.
+    """A built prefix: m points, their exact distances, and the log.
 
-    ``rho`` restricted to the first k points equals the k-point prefix for
-    every k (incrementality).  In ``set-collapse`` mode the matrix is always
-    a valid metric; ``legacy-multiset`` overrides can break it by design.
+    Distances are integers over one common denominator:
+    ``rho[i][j] == Fraction(rows[i][j], scale)``.  ``scale`` is the lcm of
+    the denominators of the distances, so it is canonical and two states
+    are equal exactly when their metrics, logs and modes are.  ``rho``
+    restricted to the first k points equals the k-point prefix for every k
+    (incrementality).  In ``set-collapse`` mode the matrix is always a
+    valid metric; ``legacy-multiset`` overrides can break it by design.
     """
 
     m: int
-    rho: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
     log: tuple[StepRecord, ...] = field(repr=False)
     mode_tag: str = DEFAULT_MODE.tag
     # running_max[k] is the largest distance among the first k + 1 points.
@@ -267,31 +272,70 @@ class PrefixState:
 
     def __post_init__(self):
         if len(self.running_max) != self.m:
-            top = Fraction(0)
+            top = 0
             maxima = []
             for k in range(self.m):
-                top = max(top, max(self.rho[k][:k], default=top))
-                maxima.append(top)
+                top = max(top, max(self.rows[k][:k], default=top))
+                maxima.append(Fraction(top, self.scale))
             object.__setattr__(self, "running_max", tuple(maxima))
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.rho[i][j]
+        return Fraction(self.rows[i][j], self.scale)
 
     @cached_property
-    def distance_buckets(self) -> tuple[dict[Fraction, dict[int, None]], ...]:
-        """For each point u, every distance from u mapped to the points at
-        that distance, in ascending index order (a dict used as an ordered
-        set).  Built on first use and kept with the state; ``rho`` is
-        immutable, so it never goes stale.  Callers must not mutate it.  Not
-        a field: it takes no part in equality, hashing or ``repr``."""
+    def rho(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix as Fractions.  A view made on first access
+        and kept with the state: it costs O(m^2) time and memory, so the
+        library itself never reads it.  Not a field."""
+        values = {v: Fraction(v, self.scale) for row in self.rows for v in row}
+        return tuple(tuple(values[v] for v in row) for row in self.rows)
+
+    @cached_property
+    def distance_buckets(self) -> tuple[dict[int, dict[int, None]], ...]:
+        """For each point u, every distance from u (as an integer over
+        ``scale``) mapped to the points at that distance, in ascending index
+        order (a dict used as an ordered set).  Built on first use and kept
+        with the state; ``rows`` is immutable, so it never goes stale.
+        Callers must not mutate it.  Not a field: it takes no part in
+        equality, hashing or ``repr``."""
         buckets = []
-        for u, row in enumerate(self.rho):
-            by_value: dict[Fraction, dict[int, None]] = {}
+        for u, row in enumerate(self.rows):
+            by_value: dict[int, dict[int, None]] = {}
             for v, d in enumerate(row):
                 if v != u:
                     by_value.setdefault(d, {})[v] = None
             buckets.append(by_value)
         return tuple(buckets)
+
+
+def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
+    """Each value times ``scale``; every denominator must divide ``scale``."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
+    """``rows[i][j] * num // den`` for a symmetric matrix with a zero
+    diagonal.  Each unordered pair is computed once and the same int is
+    stored at ``(i, j)`` and ``(j, i)``, so the copy costs no more memory
+    than the original."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        out_i = out[i]
+        for j in range(i):
+            out_i[j] = out[j][i] = row[j] * num // den
+    return out
+
+
+def _entry_scale(rows: Sequence[Sequence[int]], scale: int) -> int:
+    """The lcm of the denominators of ``rows[i][j] / scale``.  The scan
+    starts at the last rows, which usually hold the largest denominators,
+    and stops as soon as nothing more can cancel."""
+    g = scale
+    for row in reversed(rows):
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    return scale // g
 
 
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
@@ -304,11 +348,15 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
     elements = label.elements if isinstance(label, QLabel) else tuple(
         as_rational(v) for v in label
     )
-    if len(elements) > prefix.m:
+    p = len(elements)
+    if p > prefix.m:
         raise PrefixTooShort(
-            f"label has {len(elements)} elements but the prefix has {prefix.m} points"
+            f"label has {p} elements but the prefix has {prefix.m} points"
         )
-    failure = katetov_failure(prefix.rho, range(len(elements)), elements, two_sided=True)
+    scale = lcm(prefix.scale, *(r.denominator for r in elements))
+    factor = scale // prefix.scale
+    d = [[v * factor for v in row[:p]] for row in prefix.rows[:p]]
+    failure = katetov_failure(d, range(p), _scaled(elements, scale), two_sided=True)
     return (True, None) if failure is None else (False, failure[0])
 
 
@@ -323,14 +371,15 @@ def build_prefix(
     have been produced under the same mode and enumeration, otherwise
     :class:`InvalidMode` is raised — a cache is never silently reused across
     settings.
+
+    Every step runs in integers over the lcm of the denominators of all
+    labels used; the result is then reduced to the canonical scale.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if mode.duplicate_handling == LEGACY_MULTISET and mode.q_override is None:
         raise InvalidMode("legacy-multiset requires an explicit q_override")
 
-    rows: list[list[Fraction]] = [[Fraction(0)]]
-    log: list[StepRecord] = []
     if resume is not None:
         if resume.mode_tag != mode.tag:
             raise InvalidMode(
@@ -343,52 +392,75 @@ def build_prefix(
                 )
         if resume.m >= m:
             return truncate_prefix(resume, m)
-        rows = [list(row) for row in resume.rho]
+
+    start = 1 if resume is None else resume.m
+    labels = [mode.label_for_step(step) for step in range(start, m)]
+    base_scale = 1 if resume is None else resume.scale
+    scale = lcm(base_scale, *(r.denominator for label in labels for r in label.elements))
+    if resume is None:
+        rows: list[list[int]] = [[0]]
+        log: list[StepRecord] = []
+        maxima = [Fraction(0)]
+        top = 0
+    else:
+        factor = scale // base_scale
+        rows = [list(row) for row in resume.rows] if factor == 1 else _rescaled(resume.rows, factor, 1)
         log = list(resume.log)
         maxima = list(resume.running_max)
-    else:
-        maxima = [Fraction(0)]
+        top = _scaled([maxima[-1]], scale)[0]
 
-    for step in range(len(rows), m):
-        label = mode.label_for_step(step)
+    tops = []
+    for step, label in enumerate(labels, start=start):
         p = label.cardinality
         if p > step:
             raise PrefixTooShort(
                 f"step {step}: label needs {p} points but only {step} exist"
             )
-        failure = katetov_failure(rows, range(p), label.elements, two_sided=True)
+        radii = _scaled(label.elements, scale)
+        failure = katetov_failure(rows, range(p), radii, two_sided=True)
         if failure is None:
-            new_row = katetov_row(rows, range(p), label.elements)
+            new_row = katetov_row(rows, range(p), radii)
         elif mode.case1_scope == ALL_PRIOR:
-            new_row = [maxima[-1]] * step
+            new_row = [top] * step
         else:
-            pairs = [rows[i][k] for i in range(p) for k in range(i + 1, p)]
-            new_row = [max(pairs)] * step
+            new_row = [max(rows[i][k] for i in range(p) for k in range(i + 1, p))] * step
 
         for j, dist in enumerate(new_row):
             rows[j].append(dist)
-        rows.append(new_row + [Fraction(0)])
-        maxima.append(max(maxima[-1], max(new_row)))
+        top = max(top, max(new_row))
+        new_row.append(0)
+        rows.append(new_row)
+        tops.append(top)
         log.append(StepRecord(step=step, label=label, correctly_defined=failure is None))
 
+    canonical = _entry_scale(rows, scale)
+    if canonical != scale:
+        rows = _rescaled(rows, 1, scale // canonical)
     return PrefixState(
         m=m,
-        rho=tuple(tuple(row) for row in rows),
+        rows=tuple(map(tuple, rows)),
+        scale=canonical,
         log=tuple(log),
         mode_tag=mode.tag,
-        running_max=tuple(maxima),
+        running_max=tuple(maxima) + tuple(Fraction(t, scale) for t in tops),
     )
 
 
 def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
-    """The first-m-points prefix of ``state`` (exact, by incrementality)."""
+    """The first-m-points prefix of ``state`` (exact, by incrementality),
+    reduced to its own canonical scale."""
     if not 1 <= m <= state.m:
         raise ValueError(f"cannot truncate a {state.m}-point prefix to {m}")
     if m == state.m:
         return state
+    rows = [row[:m] for row in state.rows[:m]]
+    scale = _entry_scale(rows, state.scale)
+    if scale != state.scale:
+        rows = _rescaled(rows, 1, state.scale // scale)
     return PrefixState(
         m=m,
-        rho=tuple(row[:m] for row in state.rho[:m]),
+        rows=tuple(map(tuple, rows)),
+        scale=scale,
         log=state.log[: m - 1],
         mode_tag=state.mode_tag,
         running_max=state.running_max[:m],
@@ -460,7 +532,9 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     for rec in state.log:
         replay = _record_text(rec)
         if fields == 4:
-            replay += " | " + " ".join(format_rational(v) for v in state.rho[rec.step][: rec.step])
+            replay += " | " + " ".join(
+                format_ratio(v, state.scale) for v in state.rows[rec.step][: rec.step]
+            )
         if lines[rec.step] != replay:
             raise ParseError(rec.step + 1, 1, f"step {rec.step} differs from its replay")
     return state

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .construct import PrefixState
 from .errors import InvalidPartialIsometry
 from .metric import FiniteMetricSpace
+from .rational import format_ratio
 
 FOUND = "found"
 NOT_FOUND = "not-found-up-to"
@@ -43,36 +44,54 @@ def find_isometric_embedding(
     m = prefix.m
     if t > m:
         return EmbeddingResult(NOT_FOUND, None, m)
+    # Target distances as integers over the prefix's scale; one that is not
+    # a multiple of 1/scale occurs nowhere in the prefix.
+    scale = prefix.scale
+    wanted = []
+    for i in range(t):
+        row = []
+        for j in range(i):
+            d = target.distance(i, j)
+            if scale % d.denominator:
+                return EmbeddingResult(NOT_FOUND, None, m)
+            row.append(d.numerator * (scale // d.denominator))
+        wanted.append(row)
+    mapping = _first_embedding(wanted, prefix.distance_buckets, m)
+    if mapping is None:
+        return EmbeddingResult(NOT_FOUND, None, m)
+    return EmbeddingResult(FOUND, mapping, m)
 
-    buckets = prefix.distance_buckets
+
+def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
+    """Depth-first search with an explicit stack of candidate iterators.
+
+    A candidate for target point k lies in ``buckets[mapping[i]]`` for every
+    i < k, and no bucket of u holds u, so the images are distinct without a
+    separate check.  There is no recursive closure: a closure that refers to
+    itself is a reference cycle, which would keep ``buckets`` alive after
+    the call until the cycle collector runs.
+    """
+    t = len(wanted)
     mapping: list[int] = []
-    used: set[int] = set()
-
-    def search(depth: int) -> bool:
+    stack = [iter(range(m))]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if mapping:
+                mapping.pop()
+            continue
+        mapping.append(c)
+        depth = len(mapping)
         if depth == t:
-            return True
-        if depth == 0:
-            candidates = range(m)
-        else:
-            needed = [buckets[mapping[i]].get(target.distance(depth, i)) for i in range(depth)]
-            if not all(needed):
-                return False
+            return tuple(mapping)
+        needed = [buckets[mapping[i]].get(wanted[depth][i]) for i in range(depth)]
+        if all(needed):
             first, rest = needed[0], needed[1:]
-            candidates = [c for c in first if all(c in bucket for bucket in rest)]
-        for c in candidates:
-            if c in used:
-                continue
-            mapping.append(c)
-            used.add(c)
-            if search(depth + 1):
-                return True
-            used.remove(c)
+            stack.append(iter([v for v in first if all(v in bucket for bucket in rest)]))
+        else:
             mapping.pop()
-        return False
-
-    if search(0):
-        return EmbeddingResult(FOUND, tuple(mapping), m)
-    return EmbeddingResult(NOT_FOUND, None, m)
+    return None
 
 
 @dataclass(frozen=True)
@@ -96,11 +115,13 @@ class PartialIsometry:
                 raise InvalidPartialIsometry("index {} out of range", value)
         if len(set(sources)) != len(sources) or len(set(images)) != len(images):
             raise InvalidPartialIsometry("pairing must be injective on both sides")
+        rows = prefix.rows
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
-                lhs = prefix.rho[pairs[i][0]][pairs[j][0]]
-                rhs = prefix.rho[pairs[i][1]][pairs[j][1]]
+                lhs = rows[pairs[i][0]][pairs[j][0]]
+                rhs = rows[pairs[i][1]][pairs[j][1]]
                 if lhs != rhs:
+                    lhs, rhs = format_ratio(lhs, prefix.scale), format_ratio(rhs, prefix.scale)
                     raise InvalidPartialIsometry(
                         f"pairs {{}} and {{}} disagree: {lhs} != {rhs}", i, j, witness=(i, j)
                     )
@@ -120,11 +141,11 @@ def extend_partial_isometry(
         raise InvalidPartialIsometry("index {} out of range", new_source)
     if any(s == new_source for s, _ in p.pairs):
         raise InvalidPartialIsometry("source {} already mapped", new_source)
-    rho = p.prefix.rho
+    rows = p.prefix.rows
     images = {t for _, t in p.pairs}
     for candidate in range(p.prefix.m):
         if candidate in images:
             continue
-        if all(rho[new_source][s] == rho[candidate][t] for s, t in p.pairs):
+        if all(rows[new_source][s] == rows[candidate][t] for s, t in p.pairs):
             return PartialIsometry(p.prefix, p.pairs + ((new_source, candidate),))
     return None

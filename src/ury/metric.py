@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricViolation, NonSquareInput, ParseError
-from .rational import as_rational, format_rational
+from .rational import as_rational, format_ratio, format_rational
 
 # Below this size the plain Fraction loop beats array setup; above it the
 # matrix is rescaled to integers (and to numpy int64 when it provably fits).
@@ -75,7 +75,7 @@ def _triangle_violations(rows: list[list[Fraction]]) -> list[Violation]:
         # Rescale to integers by the common denominator: comparisons turn
         # into plain int arithmetic (and vectorize when int64 cannot wrap).
         scale = lcm(*(v.denominator for row in rows for v in row))
-        scaled = [[int(v * scale) for v in row] for row in rows]
+        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
         top = max(max(row) for row in scaled)
         if top < _INT64_LIMIT:
             found = _triangle_scan_int64(scaled)
@@ -112,13 +112,15 @@ def _triangle_scan(rows) -> list[tuple[int, int, int]]:
 
 def _triangle_scan_int64(scaled: list[list[int]]) -> list[tuple[int, int, int]]:
     # Exact integer arithmetic: values are bounded so int64 sums cannot wrap.
+    # The diagonal is zero (checked earlier), so row and column ``mid`` never
+    # exceed and need no masking.
     d = np.array(scaled, dtype=np.int64)
     n = d.shape[0]
     found = []
     for mid in range(n):
         excess = d > d[:, mid : mid + 1] + d[mid : mid + 1, :]
-        excess[mid, :] = False
-        excess[:, mid] = False
+        if not excess.any():
+            continue
         for a, b in np.argwhere(np.triu(excess, k=1)):
             found.append((int(a), int(b), mid))
     return found
@@ -290,6 +292,15 @@ def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     lines = [str(n)]
     for i in range(1, n):
         lines.append(" ".join(format_rational(matrix[i][j]) for j in range(i)))
+    return "\n".join(lines) + "\n"
+
+
+def serialize_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> str:
+    """Render the matrix ``rows[i][j] / scale`` in ``.dmat`` syntax: the same
+    text as :func:`serialize_matrix` gives for it, with no Fraction made."""
+    lines = [str(len(rows))]
+    for i in range(1, len(rows)):
+        lines.append(" ".join(format_ratio(v, scale) for v in rows[i][:i]))
     return "\n".join(lines) + "\n"
 
 

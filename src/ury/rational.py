@@ -1,7 +1,8 @@
 """Exact rational scalars and their canonical text form.
 
-The library computes with :class:`fractions.Fraction` only; no floating
-point value ever enters a computation.  The canonical text rendering is
+The library computes with :class:`fractions.Fraction`, or with integers
+over a known common denominator where that is faster; no floating point
+value ever enters a computation.  The canonical text rendering is
 ``p/q`` in lowest terms with ``q > 0``, or a bare ``p`` when ``q == 1`` —
 the form ``str(Fraction)`` already produces.  Parsing is deliberately
 strict: decimal and exponent notation are rejected, never converted.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 Rational = Fraction
 
@@ -40,6 +42,16 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render ``q`` canonically: lowest terms, positive denominator."""
     return str(q)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Render ``num / den`` (``den > 0``) exactly as
+    ``format_rational(Fraction(num, den))`` does, with one gcd and no
+    Fraction."""
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def as_rational(value) -> Fraction:

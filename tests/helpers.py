@@ -8,11 +8,13 @@ the library code paths they check.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from ury import FiniteMetricSpace
-from ury.construct import PrefixState
+from ury.construct import ALL_PRIOR, DEFAULT_MODE, ConstructionMode, PrefixState, StepRecord
 from ury.tightspan import KatetovFunction
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 8, 12, 16)
@@ -135,6 +137,50 @@ def v1_cache_text(state: PrefixState) -> str:
         row = " ".join(str(v) for v in state.rho[rec.step][: rec.step])
         lines.append(f"{rec.step} | {elements} | {'C' if rec.correctly_defined else 'I'} | {row}")
     return "\n".join(lines) + "\n"
+
+
+def prefix_state(matrix, log=(), mode_tag: str = DEFAULT_MODE.tag) -> PrefixState:
+    """A :class:`PrefixState` made by hand from a Fraction matrix, at the
+    canonical scale (the lcm of the entries' denominators).  Its
+    ``running_max`` comes from the state's own scan."""
+    scale = lcm(*(v.denominator for row in matrix for v in row))
+    rows = tuple(tuple(int(v * scale) for v in row) for row in matrix)
+    return PrefixState(m=len(rows), rows=rows, scale=scale, log=tuple(log), mode_tag=mode_tag)
+
+
+@dataclass(frozen=True)
+class OracleBuild:
+    rho: tuple[tuple[Fraction, ...], ...]
+    log: tuple[StepRecord, ...]
+    running_max: tuple[Fraction, ...]
+
+
+def oracle_build_prefix(m: int, mode: ConstructionMode = DEFAULT_MODE) -> OracleBuild:
+    """The m-point prefix built cold in Fractions with plain loops: the
+    two-sided label check through :func:`oracle_katetov_failure`, the
+    min-plus row written out, and each running maximum by a scan of the new
+    row.  Only the label enumeration comes from the library."""
+    rho = [[Fraction(0)]]
+    log = []
+    maxima = [Fraction(0)]
+    for step in range(1, m):
+        label = mode.label_for_step(step)
+        radii = label.elements
+        p = len(radii)
+        assert p <= step, "label wider than the prefix"
+        ok = oracle_katetov_failure(rho, range(p), radii, two_sided=True) is None
+        if ok:
+            new_row = [min(radii[l] + rho[l][z] for l in range(p)) for z in range(step)]
+        elif mode.case1_scope == ALL_PRIOR:
+            new_row = [maxima[-1]] * step
+        else:
+            new_row = [max(rho[i][k] for i in range(p) for k in range(p))] * step
+        for z in range(step):
+            rho[z].append(new_row[z])
+        rho.append(new_row + [Fraction(0)])
+        maxima.append(max([maxima[-1]] + new_row))
+        log.append(StepRecord(step=step, label=label, correctly_defined=ok))
+    return OracleBuild(tuple(map(tuple, rho)), tuple(log), tuple(maxima))
 
 
 def oracle_is_metric(matrix) -> bool:

@@ -77,9 +77,8 @@ def test_prefix_metric_validity_and_incrementality(prefix300):
     rep = validate_metric(prefix300.rho)
     assert rep.ok and rep.violations == ()
     for m in range(1, 301):
-        state = build_prefix(m)
-        assert state.rho == truncate_prefix(prefix300, m).rho
-        assert state.log == prefix300.log[: m - 1]
+        # Whole states: at one canonical scale, equal rows are equal metrics.
+        assert build_prefix(m) == truncate_prefix(prefix300, m)
     report("prefix validity: 300-point build passes every exact axiom check; incrementality for all m <= 300")
 
 

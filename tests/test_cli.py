@@ -5,15 +5,16 @@ import pytest
 
 from ury import (
     build_prefix,
+    construct,
     find_isometric_embedding,
     load_prefix,
     serialize_distance_matrix,
     truncate_prefix,
 )
 from ury.cli import main
-from ury.metric import FiniteMetricSpace, parse_matrix_text
+from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix
 
-from helpers import v1_cache_text
+from helpers import oracle_build_prefix, v1_cache_text
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -78,6 +79,25 @@ def test_build_rebuilds_a_cache_with_a_non_ascii_step(tmp_path, capsys):
     assert load_prefix(path) == build_prefix(5)
 
 
+def test_build_replays_no_more_of_the_cache_than_asked(tmp_path, capsys, monkeypatch):
+    run(capsys, "build", "--points", "200")
+    path = tmp_path / "cache" / "set-collapse,all-prior,cw1.ury"
+    cached = path.read_bytes()
+    sizes = []
+    build = construct.build_prefix
+
+    def counting_build(m, *args, **kwargs):
+        sizes.append(m)
+        return build(m, *args, **kwargs)
+
+    monkeypatch.setattr(construct, "build_prefix", counting_build)
+    code, stdout, _ = run(capsys, "build", "--points", "10")
+    assert code == 0 and sizes and max(sizes) <= 10
+    assert path.read_bytes() == cached
+    monkeypatch.setenv("URY_CACHE_DIR", str(tmp_path / "cold"))
+    assert run(capsys, "build", "--points", "10") == (0, stdout, "")
+
+
 def test_build_deterministic_output(tmp_path, capsys):
     out1 = tmp_path / "x.ury"
     out2 = tmp_path / "y.ury"
@@ -95,6 +115,16 @@ def test_export_roundtrip(tmp_path, capsys):
     assert code == 0
     state = truncate_prefix(build_prefix(10), 4)
     assert dmat.read_text() == serialize_distance_matrix(FiniteMetricSpace(state.rho))
+
+
+def test_export_matches_the_fraction_oracle(tmp_path, capsys):
+    cache = tmp_path / "p.ury"
+    dmat = tmp_path / "p.dmat"
+    run(capsys, "build", "--points", "90", "--out", str(cache))
+    oracle = oracle_build_prefix(90)
+    for k in (1, 2, 45, 90):
+        assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
+        assert dmat.read_text() == serialize_matrix([row[:k] for row in oracle.rho[:k]])
 
 
 # Asking for more points than a cache holds: exit code and error kind as

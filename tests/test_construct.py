@@ -3,6 +3,7 @@ import random
 import stat
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -10,7 +11,6 @@ from ury import (
     ConstructionMode,
     InvalidMode,
     ParseError,
-    PrefixState,
     PrefixTooShort,
     QLabel,
     build_prefix,
@@ -29,7 +29,7 @@ from ury import (
 )
 from ury.construct import DEFAULT_MODE, colex_rank, colex_unrank
 
-from helpers import v1_cache_text
+from helpers import oracle_build_prefix, prefix_state, v1_cache_text
 
 REMARK_OVERRIDE = (("2",), ("3",), ("4",), ("1/2", "1/2"))
 
@@ -229,21 +229,21 @@ def test_resume_equivalence(prefix50):
     assert resumed == prefix50
 
 
+MODES = [
+    DEFAULT_MODE,
+    ConstructionMode(case1_scope="labels-only"),
+    ConstructionMode("legacy-multiset", "all-prior", REMARK_OVERRIDE),
+    ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE),
+]
+MODE_IDS = ["cw1", "labels-only", "legacy-all-prior", "legacy-labels-only"]
+
+
 def step_maxima(rho):
     """Largest distance among the first k + 1 points, for each k, by a full scan."""
     return tuple(max(rho[i][j] for i in range(k + 1) for j in range(k + 1)) for k in range(len(rho)))
 
 
-@pytest.mark.parametrize(
-    "mode",
-    [
-        DEFAULT_MODE,
-        ConstructionMode(case1_scope="labels-only"),
-        ConstructionMode("legacy-multiset", "all-prior", REMARK_OVERRIDE),
-        ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE),
-    ],
-    ids=["cw1", "labels-only", "legacy-all-prior", "legacy-labels-only"],
-)
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_running_max_matches_a_scan(mode):
     state = build_prefix(40, mode)
     expected = step_maxima(state.rho)
@@ -259,13 +259,67 @@ def test_resume_from_a_hand_made_state_equals_a_cold_build(prefix50):
     expected = step_maxima(prefix50.rho)
 
     def by_hand(m):
-        rho = tuple(row[:m] for row in prefix50.rho[:m])
-        return PrefixState(m=m, rho=rho, log=prefix50.log[: m - 1])
+        rho = [row[:m] for row in prefix50.rho[:m]]
+        return prefix_state(rho, log=prefix50.log[: m - 1])
 
     assert all(by_hand(m).running_max == expected[:m] for m in range(1, 51))
     resumed = build_prefix(50, resume=by_hand(30))
     assert resumed == prefix50
     assert resumed.running_max == expected
+
+
+def entry_scale(state):
+    """The lcm of the denominators of the state's distances."""
+    return lcm(*(v.denominator for row in state.rho for v in row))
+
+
+def assert_matches_oracle(state, oracle):
+    m = state.m
+    assert state.rho == tuple(row[:m] for row in oracle.rho[:m])
+    assert state.log == oracle.log[: m - 1]
+    assert state.running_max == oracle.running_max[:m]
+    assert state.scale == entry_scale(state)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_integer_kernel_matches_the_fraction_oracle(mode):
+    oracle = oracle_build_prefix(60, mode)
+    state = build_prefix(60, mode)
+    assert_matches_oracle(state, oracle)
+    # A resume whose scale must grow, and truncations that must shrink it.
+    changes = [k for k in range(2, 60) if truncate_prefix(state, k).scale != state.scale]
+    assert changes
+    for k in (changes[0], changes[-1]):
+        short = truncate_prefix(state, k)
+        assert_matches_oracle(short, oracle)
+        assert short == build_prefix(k, mode)
+        resumed = build_prefix(60, mode, resume=short)
+        assert_matches_oracle(resumed, oracle)
+        assert resumed == state
+    assert_matches_oracle(load_prefix_text(dump_prefix_text(state), 37), oracle)
+
+
+def test_resume_shares_each_rescaled_pair(prefix50):
+    short = truncate_prefix(prefix50, 20)
+    resumed = build_prefix(50, resume=short)
+    assert short.scale != resumed.scale
+    assert all(
+        resumed.rows[i][j] is resumed.rows[j][i] for i in range(50) for j in range(i)
+    )
+
+
+def test_scale_is_the_lcm_of_the_entry_denominators(prefix300):
+    assert prefix300.scale == entry_scale(prefix300)
+    for m in (1, 2, 3, 17, 120, 299):
+        assert truncate_prefix(prefix300, m).scale == entry_scale(truncate_prefix(prefix300, m))
+    assert build_prefix(1).scale == 1
+    # A Case-1 label's denominator drops out: the build runs over 7 and
+    # reduces to scale 1.
+    mode = ConstructionMode(q_override=(("1",), ("1/7", "5")))
+    state = build_prefix(3, mode)
+    assert not state.log[-1].correctly_defined
+    assert state.scale == entry_scale(state) == 1
+    assert_matches_oracle(state, oracle_build_prefix(3, mode))
 
 
 def test_resume_rejects_other_mode(prefix50):

@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -125,11 +127,11 @@ def subspace(prefix, points):
 
 
 def test_distance_buckets_list_every_point_in_ascending_order(prefix50):
-    rho = prefix50.rho
+    rho, scale = prefix50.rho, prefix50.scale
     for u, by_value in enumerate(prefix50.distance_buckets):
         others = [v for v in range(prefix50.m) if v != u]
         assert {d: list(points) for d, points in by_value.items()} == {
-            rho[u][v]: [w for w in others if rho[u][w] == rho[u][v]] for v in others
+            int(rho[u][v] * scale): [w for w in others if rho[u][w] == rho[u][v]] for v in others
         }
 
 
@@ -185,9 +187,44 @@ def test_index_is_invisible_to_equality_hash_and_repr():
     state, twin = build_prefix(20), build_prefix(20)
     before = (repr(state), hash(state))
     find_isometric_embedding(TWO, state)
-    assert "distance_buckets" in vars(state)
+    assert state.rho
+    assert "distance_buckets" in vars(state) and "rho" in vars(state)
     assert (repr(state), hash(state)) == before
     assert state == twin and repr(state) == repr(twin)
+
+
+def test_a_search_leaves_no_reference_to_the_index(prefix50):
+    # With the cycle collector off, a search that left a reference cycle
+    # behind (a recursive closure) would keep one more reference each time.
+    prefix = build_prefix(50)
+    target = subspace(prefix, [3, 17, 29])
+    find_isometric_embedding(target, prefix)
+    gc.disable()
+    try:
+        before = sys.getrefcount(prefix.distance_buckets)
+        assert find_isometric_embedding(target, prefix).status == "found"
+        assert find_isometric_embedding(TWO, prefix).status == "found"
+        after = sys.getrefcount(prefix.distance_buckets)  # not inside an assert, which holds one more
+        assert after == before
+    finally:
+        gc.enable()
+
+
+def test_a_distance_off_the_prefix_scale_is_not_found(prefix200):
+    rng = random.Random(149)
+    prefix = truncate_prefix(prefix200, 40)
+    for _ in range(10):
+        points = rng.sample(range(40), 3)
+        matrix = [[prefix.rho[a][b] for b in points] for a in points]
+        # A denominator the scale lacks, on a pair that stays in the metric.
+        matrix[1][2] = matrix[2][1] = matrix[1][2] + Fraction(1, 7 * prefix.scale)
+        target = FiniteMetricSpace(matrix)
+        assert prefix.scale % target.distance(1, 2).denominator
+        result = find_isometric_embedding(target, prefix)
+        assert (result.status, result.mapping, result.searched_prefix_length) == (
+            "not-found-up-to", None, 40
+        )
+        assert oracle_embedding(target, prefix) is None
 
 
 # ---------------------------------------------------------------------------

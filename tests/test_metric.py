@@ -14,7 +14,6 @@ from ury import (
     NotAdmissibleOnSubset,
     PairwiseInfeasible,
     ParseError,
-    PrefixState,
     admissible,
     extend_radius_function,
     is_admissible_function,
@@ -24,7 +23,13 @@ from ury import (
     reduce_ball_family,
     validate_metric,
 )
-from helpers import oracle_is_metric, oracle_katetov_failure, rand_rational, random_metric_space
+from helpers import (
+    oracle_is_metric,
+    oracle_katetov_failure,
+    prefix_state,
+    rand_rational,
+    random_metric_space,
+)
 
 T345 = "3\n3\n4 5\n"
 
@@ -119,23 +124,29 @@ def test_non_square_inputs():
         validate_metric([])
 
 
-def test_scaled_paths_match_small_path():
+def test_scaled_paths_match_small_path(monkeypatch):
+    # Seeded spaces with a few stretched pairs, so most break triangles in
+    # several places (some at once through one pair).  Each is validated by
+    # the Fraction scan, then through int64 and big ints by dropping the
+    # size threshold and the int64 limit.
     rng = random.Random(3)
-    space = random_metric_space(rng, 9)
-    rows = [list(r) for r in space.matrix]
-    rows[5][2] = rows[2][5] = rows[5][2] * 50  # force triangle violations
-    small = metric_mod.validate_metric(rows)
-    # Force both scaled branches by dropping the size threshold.
-    orig_min_n, orig_limit = metric_mod._SCALED_MIN_N, metric_mod._INT64_LIMIT
-    try:
-        metric_mod._SCALED_MIN_N = 2
-        via_numpy = metric_mod.validate_metric(rows)
-        metric_mod._INT64_LIMIT = 1
-        via_bigint = metric_mod.validate_metric(rows)
-    finally:
-        metric_mod._SCALED_MIN_N, metric_mod._INT64_LIMIT = orig_min_n, orig_limit
-    assert small == via_numpy == via_bigint
-    assert not small.ok
+    broken = 0
+    for _ in range(240):
+        n = rng.randint(3, 12)
+        rows = [list(r) for r in random_metric_space(rng, n).matrix]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
+        small = metric_mod.validate_metric(rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(metric_mod, "_SCALED_MIN_N", 2)
+            via_numpy = metric_mod.validate_metric(rows)
+            patch.setattr(metric_mod, "_INT64_LIMIT", 1)
+            via_bigint = metric_mod.validate_metric(rows)
+        assert small == via_numpy == via_bigint
+        assert small.ok == oracle_is_metric(rows)
+        broken += not small.ok
+    assert 100 < broken < 240
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def test_katetov_wrappers_match_first_failure_oracle():
             (True, None, None) if expected is None else (False, *expected)
         )
 
-        prefix = PrefixState(m=n, rho=d, log=())
+        prefix = prefix_state(d)
         expected = oracle_katetov_failure(d, range(k), radii, two_sided=True)
         assert is_correctly_defined(prefix, radii) == (
             (True, None) if expected is None else (False, expected[0])
