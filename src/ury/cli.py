@@ -59,10 +59,7 @@ def _index_list(text: str) -> list[int]:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    try:
-        return [parse_rational(t) for t in text.split(",") if t]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    return [_rational_flag(t) for t in text.split(",") if t]
 
 
 def _pair_list(text: str) -> list[tuple[int, int]]:
@@ -77,15 +74,24 @@ def _pair_list(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
-
-
 def _fail(kind: str, detail: str, **extra) -> int:
     payload = {"error": kind, "detail": detail}
     payload.update(extra)
     print(json.dumps(payload), file=sys.stderr)
     return 1
+
+
+def _json_value(value, kind: type, what: str):
+    """``value`` if it is a ``kind`` (a bool is no int); else a ValueError,
+    so a malformed JSON file is a usage error, not a crash."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {json.dumps(value)}")
+    return value
+
+
+def _json_items(value, kind: type, what: str) -> list:
+    """The items of the JSON array ``value``, each of JSON type ``kind``."""
+    return [_json_value(v, kind, f"each item of {what}") for v in _json_value(value, list, what)]
 
 
 def _violation_dict(v: metric.Violation) -> dict:
@@ -118,7 +124,7 @@ def _cache_dir() -> str:
 def cmd_build(args) -> int:
     override = None
     if args.q_override:
-        data = json.loads(_read_text(args.q_override))
+        data = _json_items(json.loads(_read_text(args.q_override)), list, "the override")
         override = tuple(tuple(parse_rational(str(v)) for v in entry) for entry in data)
     mode = construct.ConstructionMode(
         duplicate_handling=args.duplicates,
@@ -128,7 +134,8 @@ def cmd_build(args) -> int:
 
     cache_path = os.path.join(_cache_dir(), f"{mode.tag}.ury")
     resume = None
-    if os.path.exists(cache_path):
+    # An oversized request is refused by build_prefix before any replay.
+    if os.path.exists(cache_path) and args.points <= construct.PREFIX_MAX_POINTS:
         try:
             text = _read_text(cache_path)
             # One line per point; replay no more of the cache than is asked for.
@@ -205,11 +212,14 @@ def cmd_extend(args) -> int:
 
 
 def cmd_balls(args) -> int:
-    data = json.loads(_read_text(args.family))
-    dmat = data["dmat"]
+    data = _json_value(json.loads(_read_text(args.family)), dict, "the family")
+    dmat = _json_value(data["dmat"], str, '"dmat"')
     text = dmat if "\n" in dmat else _read_text(dmat)
     space = metric.parse_distance_matrix(text)
-    balls = [(int(b["center"]) - 1, parse_rational(str(b["radius"]))) for b in data["balls"]]
+    balls = [
+        (_json_value(b["center"], int, "a center") - 1, parse_rational(str(b["radius"])))
+        for b in _json_items(data["balls"], dict, '"balls"')
+    ]
     family = extension.BallFamily(space, balls)
     try:
         result = extension.ball_intersection_witness(family)
@@ -261,18 +271,14 @@ def cmd_tightspan(args) -> int:
             tightspan.check_vertex_limit(int(head))
     space = metric.parse_distance_matrix(text)
     if args.vertices:
-        result = tightspan.tight_span_vertices(space)
-        for f in result.vertices:
-            print(" ".join(format_rational(v) for v in f.values))
-        return 0
-    if args.kuratowski is not None:
-        f = tightspan.kuratowski(space, args.kuratowski - 1)
+        functions = tightspan.tight_span_vertices(space).vertices
+    elif args.kuratowski is not None:
+        functions = [tightspan.kuratowski(space, args.kuratowski - 1)]
+    else:
+        values = [parse_rational(t) for t in args.project.split()]
+        functions = [tightspan.extremal_below(tightspan.KatetovFunction(space, values))]
+    for f in functions:
         print(" ".join(format_rational(v) for v in f.values))
-        return 0
-    values = [parse_rational(t) for t in args.project.split()]
-    g = tightspan.KatetovFunction(space, values)
-    f = tightspan.extremal_below(g)
-    print(" ".join(format_rational(v) for v in f.values))
     return 0
 
 
@@ -281,9 +287,11 @@ def cmd_hull_check(args) -> int:
         breakpoints = BUILTIN_HULLS[args.builtin]
         reference = HULL_REFERENCE
     else:
-        data = json.loads(_read_text(args.candidate))
-        breakpoints = [(str(x), str(y)) for x, y in data["breakpoints"]]
-        reference = [(str(x), str(y)) for x, y in data["a"]]
+        data = _json_value(json.loads(_read_text(args.candidate)), dict, "the candidate")
+        breakpoints, reference = (
+            [(str(x), str(y)) for x, y in _json_items(data[key], list, f'"{key}"')]
+            for key in ("breakpoints", "a")
+        )
     candidate = tightspan.PathHullCandidate(breakpoints, reference)
     report = tightspan.verify_hull_candidate(candidate, args.step)
     print(
@@ -322,7 +330,7 @@ def cmd_c0_demo(args) -> int:
             else None
         ),
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     if report.witness is None:
         return _fail("EmptyIntersection", "the ball family has no common point")
     return 0
@@ -337,7 +345,7 @@ def cmd_embed(args) -> int:
         "mapping": [i + 1 for i in result.mapping] if result.mapping else None,
         "searched": result.searched_prefix_length,
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     if result.status != embed.FOUND:
         return _fail("NotFound", f"no embedding within the first {state.m} points")
     return 0
@@ -352,14 +360,14 @@ def cmd_isom_extend(args) -> int:
     except InvalidPartialIsometry as exc:
         return _fail("InvalidPartialIsometry", exc.message(1))
     if extended is None:
-        _emit_json({"status": "not-found", "searched": state.m})
+        print(json.dumps({"status": "not-found", "searched": state.m}))
         return _fail("NotFound", f"no compatible image within the first {state.m} points")
     payload = {
         "status": "extended",
         "pairs": [[s + 1, t + 1] for s, t in extended.pairs],
         "new_pair": [extended.pairs[-1][0] + 1, extended.pairs[-1][1] + 1],
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     return 0
 
 
@@ -455,14 +463,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "ParseError", "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+    except (ParseError, KeyError, ValueError, OSError) as exc:
+        # json.JSONDecodeError is a ValueError.
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 2
     except UryError as exc:
         return _fail(type(exc).__name__, str(exc))

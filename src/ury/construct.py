@@ -41,11 +41,14 @@ from functools import cached_property
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidMode, ParseError, PrefixTooShort
-from .metric import katetov_failure, katetov_row
+from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge
+from .metric import fraction_rows, katetov_failure, katetov_row
 from .rational import as_rational, format_ratio, format_rational
 
 ENUMERATION_VERSION = "cw1"
+
+# Time and memory grow as m^2 (about 400 MiB at 3000 points).
+PREFIX_MAX_POINTS = 4000
 
 SET_COLLAPSE = "set-collapse"
 LEGACY_MULTISET = "legacy-multiset"
@@ -287,8 +290,7 @@ class PrefixState:
         """The distance matrix as Fractions.  A view made on first access
         and kept with the state: it costs O(m^2) time and memory, so the
         library itself never reads it.  Not a field."""
-        values = {v: Fraction(v, self.scale) for row in self.rows for v in row}
-        return tuple(tuple(values[v] for v in row) for row in self.rows)
+        return fraction_rows(self.rows, self.scale)
 
     @cached_property
     def distance_buckets(self) -> tuple[dict[int, dict[int, None]], ...]:
@@ -326,16 +328,16 @@ def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[in
     return out
 
 
-def _entry_scale(rows: Sequence[Sequence[int]], scale: int) -> int:
-    """The lcm of the denominators of ``rows[i][j] / scale``.  The scan
-    starts at the last rows, which usually hold the largest denominators,
-    and stops as soon as nothing more can cancel."""
+def _reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
+    denominators of its entries.  The gcd scan starts at the last rows, which
+    usually hold the largest denominators, and stops once nothing can cancel."""
     g = scale
     for row in reversed(rows):
         g = gcd(g, *row)
         if g == 1:
-            break
-    return scale // g
+            return rows, scale
+    return _rescaled(rows, 1, g), scale // g
 
 
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
@@ -373,12 +375,13 @@ def build_prefix(
     settings.
 
     Every step runs in integers over the lcm of the denominators of all
-    labels used; the result is then reduced to the canonical scale.
+    labels used; the result is then reduced to the canonical scale.  m above
+    :data:`PREFIX_MAX_POINTS` raises :class:`TooLarge` before any work.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if mode.duplicate_handling == LEGACY_MULTISET and mode.q_override is None:
-        raise InvalidMode("legacy-multiset requires an explicit q_override")
+    if m > PREFIX_MAX_POINTS:
+        raise TooLarge(f"a prefix is limited to {PREFIX_MAX_POINTS} points")
 
     if resume is not None:
         if resume.mode_tag != mode.tag:
@@ -433,9 +436,7 @@ def build_prefix(
         tops.append(top)
         log.append(StepRecord(step=step, label=label, correctly_defined=failure is None))
 
-    canonical = _entry_scale(rows, scale)
-    if canonical != scale:
-        rows = _rescaled(rows, 1, scale // canonical)
+    rows, canonical = _reduced(rows, scale)
     return PrefixState(
         m=m,
         rows=tuple(map(tuple, rows)),
@@ -453,10 +454,7 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         raise ValueError(f"cannot truncate a {state.m}-point prefix to {m}")
     if m == state.m:
         return state
-    rows = [row[:m] for row in state.rows[:m]]
-    scale = _entry_scale(rows, state.scale)
-    if scale != state.scale:
-        rows = _rescaled(rows, 1, state.scale // scale)
+    rows, scale = _reduced([row[:m] for row in state.rows[:m]], state.scale)
     return PrefixState(
         m=m,
         rows=tuple(map(tuple, rows)),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .construct import PrefixState
 from .errors import InvalidPartialIsometry
-from .metric import FiniteMetricSpace
+from .metric import FiniteMetricSpace, point_index
 from .rational import format_ratio
 
 FOUND = "found"
@@ -40,26 +40,16 @@ def find_isometric_embedding(
     target: FiniteMetricSpace, prefix: PrefixState
 ) -> EmbeddingResult:
     """Lexicographically smallest exact embedding of ``target``, if any."""
-    t = target.n
     m = prefix.m
-    if t > m:
+    # Target distances as integers over the prefix's scale.  If the target's
+    # scale does not divide it, some target distance is not a multiple of
+    # 1/scale, and such a distance occurs nowhere in the prefix.
+    if target.n > m or prefix.scale % target.scale:
         return EmbeddingResult(NOT_FOUND, None, m)
-    # Target distances as integers over the prefix's scale; one that is not
-    # a multiple of 1/scale occurs nowhere in the prefix.
-    scale = prefix.scale
-    wanted = []
-    for i in range(t):
-        row = []
-        for j in range(i):
-            d = target.distance(i, j)
-            if scale % d.denominator:
-                return EmbeddingResult(NOT_FOUND, None, m)
-            row.append(d.numerator * (scale // d.denominator))
-        wanted.append(row)
+    factor = prefix.scale // target.scale
+    wanted = [[v * factor for v in row[:i]] for i, row in enumerate(target.rows)]
     mapping = _first_embedding(wanted, prefix.distance_buckets, m)
-    if mapping is None:
-        return EmbeddingResult(NOT_FOUND, None, m)
-    return EmbeddingResult(FOUND, mapping, m)
+    return EmbeddingResult(NOT_FOUND if mapping is None else FOUND, mapping, m)
 
 
 def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
@@ -107,7 +97,7 @@ class PartialIsometry:
     pairs: tuple[tuple[int, int], ...]
 
     def __init__(self, prefix: PrefixState, pairs):
-        pairs = tuple((int(s), int(t)) for s, t in pairs)
+        pairs = tuple((point_index(s), point_index(t)) for s, t in pairs)
         sources = [s for s, _ in pairs]
         images = [t for _, t in pairs]
         for value in sources + images:

@@ -17,18 +17,21 @@ All indices in the public API are 0-based; external formats render them
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from math import lcm
 from typing import Sequence
 
 import numpy as np
 
 from .errors import MetricViolation, NonSquareInput, ParseError
-from .rational import as_rational, format_ratio, format_rational
+from .rational import as_rational, format_ratio
 
-# Below this size the plain Fraction loop beats array setup; above it the
-# matrix is rescaled to integers (and to numpy int64 when it provably fits).
+# Below this size the plain Python-int loop beats array setup; above it the
+# scan runs in numpy int64 when the scaled entries provably fit.
 _SCALED_MIN_N = 40
 _INT64_LIMIT = 2**62
 
@@ -55,42 +58,62 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _coerce_matrix(matrix) -> list[list[Fraction]]:
-    rows = [[as_rational(v) for v in row] for row in matrix]
-    n = len(rows)
+def _scaled_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(rows, scale)`` with ``matrix[i][j] == rows[i][j] / scale`` and
+    ``scale`` the lcm of the entries' denominators: the one place that
+    chooses a distance matrix's common denominator.  Raises
+    :class:`NonSquareInput` for inputs that are not square."""
+    entries = [[as_rational(v) for v in row] for row in matrix]
+    n = len(entries)
     if n == 0:
         raise NonSquareInput("matrix has no rows")
-    if any(len(row) != n for row in rows):
+    if any(len(row) != n for row in entries):
         raise NonSquareInput(f"matrix is not {n}x{n}")
-    return rows
+    denominators = {v.denominator for row in entries for v in row}
+    scale = lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
+    return tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in entries), scale
 
 
-def _triangle_violations(rows: list[list[Fraction]]) -> list[Violation]:
+def fraction_rows(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix ``rows[i][j] / scale`` as Fractions, one per distinct value."""
+    values = {v: Fraction(v, scale) for v in set().union(*rows)}
+    return tuple(tuple(values[v] for v in row) for row in rows)
+
+
+def _violations(rows: tuple[tuple[int, ...], ...], scale: int) -> tuple[Violation, ...]:
+    # validate_metric's stages on the integers; only witnesses become Fractions.
     n = len(rows)
-    if n < 3:
-        return []
-    if n < _SCALED_MIN_N:
-        found = _triangle_scan(rows)
-    else:
-        # Rescale to integers by the common denominator: comparisons turn
-        # into plain int arithmetic (and vectorize when int64 cannot wrap).
-        scale = lcm(*(v.denominator for row in rows for v in row))
-        scaled = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
-        top = max(max(row) for row in scaled)
-        if top < _INT64_LIMIT:
-            found = _triangle_scan_int64(scaled)
-        else:
-            found = _triangle_scan(scaled)
-    found.sort()
-    return [
-        Violation("triangle", (a, mid, b), rows[a][b], rows[a][mid] + rows[mid][b])
-        for a, b, mid in found
+
+    def q(v: int) -> Fraction:
+        return Fraction(v, scale)
+
+    found = [Violation("diagonal", (i,), q(rows[i][i]), Fraction(0)) for i in range(n) if rows[i][i]]
+    found += [
+        Violation("symmetry", (i, j), q(rows[i][j]), q(rows[j][i]))
+        for i, j in combinations(range(n), 2) if rows[i][j] != rows[j][i]
     ]
+    if not found:
+        found = [
+            Violation("positivity", (i, j), q(rows[i][j]), Fraction(0))
+            for i, j in combinations(range(n), 2) if rows[i][j] <= 0
+        ]
+    if found or n < 3:
+        return tuple(found)
+    # Positive entries on a zero diagonal: the largest one bounds every sum.
+    if n >= _SCALED_MIN_N and max(map(max, rows)) < _INT64_LIMIT:
+        triples = _triangle_scan_int64(rows)
+    else:
+        triples = _triangle_scan(rows)
+    return tuple(
+        Violation("triangle", (a, mid, b), q(rows[a][b]), q(rows[a][mid] + rows[mid][b]))
+        for a, b, mid in sorted(triples)
+    )
 
 
 def _triangle_scan(rows) -> list[tuple[int, int, int]]:
     # Emits (a, b, mid) for every failing d(a,b) <= d(a,mid) + d(mid,b),
-    # visiting each unordered triple once.  Works on Fractions and ints.
+    # visiting each unordered triple once, in Python ints of any size.
     n = len(rows)
     found = []
     for i in range(n):
@@ -110,11 +133,11 @@ def _triangle_scan(rows) -> list[tuple[int, int, int]]:
     return found
 
 
-def _triangle_scan_int64(scaled: list[list[int]]) -> list[tuple[int, int, int]]:
+def _triangle_scan_int64(rows) -> list[tuple[int, int, int]]:
     # Exact integer arithmetic: values are bounded so int64 sums cannot wrap.
     # The diagonal is zero (checked earlier), so row and column ``mid`` never
     # exceed and need no masking.
-    d = np.array(scaled, dtype=np.int64)
+    d = np.array(rows, dtype=np.int64)
     n = d.shape[0]
     found = []
     for mid in range(n):
@@ -131,33 +154,20 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
 
     Axioms are checked in stages — diagonal/symmetry, then positivity, then
     the triangle inequality — and a stage only runs when the previous ones
-    hold, so each reported witness is meaningful on its own.  Raises
+    hold, so each reported witness is meaningful on its own.  Every stage
+    runs on integers over the common denominator.  Raises
     :class:`NonSquareInput` for inputs that are not square matrices.
     """
-    rows = _coerce_matrix(matrix)
-    n = len(rows)
+    violations = _violations(*_scaled_matrix(matrix))
+    return ValidationReport(not violations, violations)
 
-    violations: list[Violation] = []
-    zero = Fraction(0)
-    for i in range(n):
-        if rows[i][i] != 0:
-            violations.append(Violation("diagonal", (i,), rows[i][i], zero))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                violations.append(Violation("symmetry", (i, j), rows[i][j], rows[j][i]))
-    if violations:
-        return ValidationReport(False, tuple(violations))
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), rows[i][j], zero))
-    if violations:
-        return ValidationReport(False, tuple(violations))
-
-    violations.extend(_triangle_violations(rows))
-    return ValidationReport(not violations, tuple(violations))
+def point_index(x) -> int:
+    """``x`` as a point index: an int or integer-like, never a bool, float
+    or string, which a silent ``int(x)`` would truncate or convert."""
+    if isinstance(x, bool) or not hasattr(type(x), "__index__"):
+        raise TypeError(f"point index must be an integer, got {x!r}")
+    return operator.index(x)
 
 
 def katetov_failure(
@@ -190,26 +200,44 @@ def katetov_row(d, points: Sequence[int], radii: Sequence[Fraction]) -> list[Fra
 class FiniteMetricSpace:
     """An n-point metric space given by its exact distance matrix.
 
-    Construction validates all axioms and raises :class:`MetricViolation`
-    otherwise.  Instances are immutable and hashable; two spaces are equal
-    iff their matrices are.
+    Distances are integers over one common denominator,
+    ``matrix[i][j] == Fraction(rows[i][j], scale)``, with ``scale`` the lcm
+    of their denominators; so two spaces are equal, and hash equal, iff
+    their matrices are.  Construction validates all axioms and raises
+    :class:`MetricViolation` otherwise.  Instances are immutable.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
 
     def __init__(self, matrix):
-        rows = _coerce_matrix(matrix)
-        report = validate_metric(rows)
-        if not report.ok:
-            raise MetricViolation(report)
-        object.__setattr__(self, "matrix", tuple(tuple(row) for row in rows))
+        rows, scale = _scaled_matrix(matrix)
+        violations = _violations(rows, scale)
+        if violations:
+            raise MetricViolation(ValidationReport(False, violations))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def _trusted(cls, matrix) -> "FiniteMetricSpace":
+        """A space over a matrix proven to be a metric, without validation."""
+        space = object.__new__(cls)
+        for name, value in zip(("rows", "scale"), _scaled_matrix(matrix)):
+            object.__setattr__(space, name, value)
+        return space
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The distance matrix as Fractions: a view made on first access and
+        kept with the space, at O(n^2) time and memory.  Not a field."""
+        return fraction_rows(self.rows, self.scale)
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return len(self.rows)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
+        return Fraction(self.rows[i][j], self.scale)
 
     def points(self) -> range:
         return range(self.n)
@@ -217,23 +245,16 @@ class FiniteMetricSpace:
     @classmethod
     def from_lower_triangle(cls, triangle: Sequence[Sequence]) -> "FiniteMetricSpace":
         """Build a space from rows ``[d(1,0)], [d(2,0), d(2,1)], ...``."""
-        return cls(_matrix_from_triangle(triangle))
+        rows = [[as_rational(v) for v in row] for row in triangle]
+        for i, row in enumerate(rows):
+            if len(row) != i + 1:
+                raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
+        n = len(rows) + 1
+        return cls([[rows[max(i, j) - 1][min(i, j)] if i != j else 0 for j in range(n)]
+                    for i in range(n)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteMetricSpace(n={self.n})"
-
-
-def _matrix_from_triangle(triangle: Sequence[Sequence]) -> list[list[Fraction]]:
-    rows = [[as_rational(v) for v in row] for row in triangle]
-    n = len(rows) + 1
-    for i, row in enumerate(rows):
-        if len(row) != i + 1:
-            raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        for j in range(i):
-            matrix[i][j] = matrix[j][i] = rows[i - 1][j]
-    return matrix
 
 
 def parse_matrix_text(text: str) -> list[list[Fraction]]:
@@ -288,11 +309,7 @@ def parse_distance_matrix(text: str) -> FiniteMetricSpace:
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     """Render any square symmetric matrix in ``.dmat`` syntax."""
-    n = len(matrix)
-    lines = [str(n)]
-    for i in range(1, n):
-        lines.append(" ".join(format_rational(matrix[i][j]) for j in range(i)))
-    return "\n".join(lines) + "\n"
+    return serialize_scaled_matrix(*_scaled_matrix(matrix))
 
 
 def serialize_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> str:
@@ -306,4 +323,4 @@ def serialize_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> str:
 
 def serialize_distance_matrix(space: FiniteMetricSpace) -> str:
     """Canonical ``.dmat`` text; inverse of :func:`parse_distance_matrix`."""
-    return serialize_matrix(space.matrix)
+    return serialize_scaled_matrix(space.rows, space.scale)

@@ -12,7 +12,7 @@ the vertex set of the admissibility polyhedron
 Vertex enumeration visits only the sets of n tight constraints whose graph
 (a loop per ``f(x) = 0``, an edge per ``f(x) + f(y) = d(x,y)``) is odd
 unicyclic in every component, and solves each by integer propagation on the
-scale ``2 * D * d`` (D the lcm of the distance denominators); no float is used.
+scale ``2 * space.scale``; no float is used.
 
 Extremality is decided by single-coordinate pinning: ``f`` admissible is
 extremal iff every coordinate is either 0 or tight in some pair constraint.
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -37,7 +36,7 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .metric import FiniteMetricSpace, katetov_failure, katetov_row
+from .metric import FiniteMetricSpace, katetov_failure, katetov_row, point_index
 from .rational import as_rational
 
 TIGHT_SPAN_MAX_POINTS = 6
@@ -103,11 +102,7 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
     while changed:
         changed = False
         for x in range(n):
-            floor = max(
-                (d[x][y] - values[y] for y in range(n) if y != x),
-                default=Fraction(0),
-            )
-            target = max(Fraction(0), floor)
+            target = max([Fraction(0)] + [d[x][y] - values[y] for y in range(n) if y != x])
             if target != values[x]:
                 values[x] = target
                 changed = True
@@ -134,7 +129,7 @@ def extend_radius_function(
     Off the subset the extension is ``R(z) = min_a (r(a) + d(z, a))``; the
     result satisfies d(x,y) <= R(x) + R(y) everywhere and restricts to ``r``.
     """
-    subset = tuple(subset)
+    subset = tuple(point_index(a) for a in subset)
     r = tuple(as_rational(v) for v in r)
     if len(subset) != len(r):
         raise ValueError(f"{len(subset)} subset points but {len(r)} radii")
@@ -187,7 +182,7 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     its component, which is pruned if it turns out negative or inadmissible.
 
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
-    lcm of the distance denominators: every coordinate is half an
+    space's common denominator ``space.scale``: every coordinate is half an
     alternating sum of distances, so ``2 * D * f`` is an integer.  Each
     distinct vertex becomes Fractions once, at the end; no float is used.
     Every vertex is extremal, because the tight span is the union of the
@@ -196,9 +191,8 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     """
     n = space.n
     check_vertex_limit(n)
-    d = space.matrix
-    scale = 2 * lcm(*(v.denominator for row in d for v in row))
-    w = [[int(v * scale) for v in row] for row in d]
+    scale = 2 * space.scale
+    w = [[2 * v for v in row] for row in space.rows]
     # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
     constraints = [(i, i, 0) for i in range(n)]
     constraints += [(i, j, w[i][j]) for i, j in combinations(range(n), 2)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from ury import FiniteMetricSpace
+from ury import FiniteMetricSpace, Violation
 from ury.construct import ALL_PRIOR, DEFAULT_MODE, ConstructionMode, PrefixState, StepRecord
 from ury.tightspan import KatetovFunction
 
@@ -128,6 +128,18 @@ def random_pairwise_family(rng: random.Random, dim: int, count: int):
 # Oracles
 # ---------------------------------------------------------------------------
 
+def record_calls(monkeypatch, module, names) -> list[str]:
+    """Wrap each ``module.<name>`` so that every call appends its name to
+    the returned list (in call order) before running the original."""
+    calls: list[str] = []
+    for name in names:
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args)
+        )
+    return calls
+
+
 def v1_cache_text(state: PrefixState) -> str:
     """The ``URY0 v1`` cache text of a prefix: each record also carries the
     new point's distance row, rendered here with plain ``str``."""
@@ -199,6 +211,28 @@ def oracle_is_metric(matrix) -> bool:
                 if matrix[i][k] > matrix[i][j] + matrix[j][k]:
                     return False
     return True
+
+
+def oracle_violations(matrix) -> tuple[Violation, ...]:
+    """The report ``validate_metric`` owes, by plain Fraction loops with no
+    rescaling: diagonal then symmetry failures; else positivity failures;
+    else every ``(a, mid, b)`` with ``a < b`` and ``d(a,b) > d(a,mid) +
+    d(mid,b)``, in ``(a, b, mid)`` order."""
+    d = [[Fraction(v) for v in row] for row in matrix]
+    n = len(d)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = [Violation("diagonal", (i,), d[i][i], Fraction(0)) for i in range(n) if d[i][i] != 0]
+    found += [Violation("symmetry", (i, j), d[i][j], d[j][i]) for i, j in pairs if d[i][j] != d[j][i]]
+    if not found:
+        found = [Violation("positivity", (i, j), d[i][j], Fraction(0)) for i, j in pairs if d[i][j] <= 0]
+    if not found:
+        found = [
+            Violation("triangle", (a, mid, b), d[a][b], d[a][mid] + d[mid][b])
+            for a, b in pairs
+            for mid in range(n)
+            if mid not in (a, b) and d[a][b] > d[a][mid] + d[mid][b]
+        ]
+    return tuple(found)
 
 
 def oracle_is_extremal(f: KatetovFunction) -> bool:

@@ -1,8 +1,10 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ury.metric as metric_mod
 from ury import (
     build_prefix,
     construct,
@@ -14,7 +16,7 @@ from ury import (
 from ury.cli import main
 from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix
 
-from helpers import oracle_build_prefix, v1_cache_text
+from helpers import oracle_build_prefix, record_calls, v1_cache_text
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -172,6 +174,32 @@ def test_verify_violation_exit_one(tmp_path, capsys):
     assert "3 vs 2" in stdout
 
 
+# stdout, stderr and exit code of ``verify`` on the .dmat files in
+# tests/golden, byte for byte as the Fraction implementation printed them.
+# The triangle files cover each scan: the Python-int loop below 40 points,
+# int64 at 40 points (15-bit scale) and Python ints again above 2^62 (a
+# 228-bit scale).
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name,scan",
+    [
+        ("verify_positivity", None),
+        ("verify_triangle_6", "_triangle_scan"),
+        ("verify_triangle_40_int64", "_triangle_scan_int64"),
+        ("verify_triangle_40_bigint", "_triangle_scan"),
+    ],
+)
+def test_verify_violations_golden(name, scan, capsys, monkeypatch):
+    scans = record_calls(monkeypatch, metric_mod, ["_triangle_scan", "_triangle_scan_int64"])
+    code, stdout, stderr = run(capsys, "verify", "--dmat", str(GOLDEN / f"{name}.dmat"))
+    assert code == 1
+    assert stdout == (GOLDEN / f"{name}.out").read_text()
+    assert stderr == (GOLDEN / f"{name}.err").read_text()
+    assert scans == ([scan] if scan else [])
+
+
 def test_verify_parse_error_exit_two(tmp_path, capsys):
     f = tmp_path / "mangled.dmat"
     f.write_text("2\n-1\n")
@@ -326,6 +354,90 @@ def test_tightspan_project_and_kuratowski(tmp_path, capsys):
     assert (code, stdout.strip()) == (0, "0 1")
     code, stdout, _ = run(capsys, "tightspan", "--dmat", str(f), "--kuratowski", "2")
     assert (code, stdout.strip()) == (0, "1 0")
+
+
+# Malformed JSON inputs: exit 2 with one JSON line on stderr, no traceback.
+@pytest.mark.parametrize(
+    "argv,content,detail",
+    [
+        (["build", "--points", "3", "--q-override"], 5, "the override must be a JSON list, got 5"),
+        (
+            ["build", "--points", "3", "--q-override"],
+            [[1], 2],
+            "each item of the override must be a JSON list, got 2",
+        ),
+        (
+            ["balls", "--family"],
+            {"dmat": "2\n1\n", "balls": ["x"]},
+            'each item of "balls" must be a JSON dict, got "x"',
+        ),
+        (["balls", "--family"], {"dmat": 7, "balls": []}, '"dmat" must be a JSON str, got 7'),
+        (
+            ["balls", "--family"],
+            {"dmat": "2\n1\n", "balls": [{"center": 1.9, "radius": "1"}]},
+            "a center must be a JSON int, got 1.9",
+        ),
+        (
+            ["balls", "--family"],
+            {"dmat": "2\n1\n", "balls": [{"center": True, "radius": "1"}]},
+            "a center must be a JSON int, got true",
+        ),
+        (
+            ["hull-check", "--candidate"],
+            {"breakpoints": [1, 2], "a": [["0", "0"], ["0", "1"]]},
+            'each item of "breakpoints" must be a JSON list, got 1',
+        ),
+    ],
+    ids=[
+        "override-number",
+        "override-item-number",
+        "balls-item-string",
+        "dmat-number",
+        "center-float",
+        "center-bool",
+        "breakpoints-numbers",
+    ],
+)
+def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, argv, content, detail):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(content))
+    code, stdout, stderr = run(capsys, *argv, str(f))
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1
+    assert json.loads(stderr) == {"error": "ValueError", "detail": detail}
+
+
+def test_build_over_the_point_bound_is_refused_before_the_cache_is_read(tmp_path, capsys, monkeypatch):
+    run(capsys, "build", "--points", "12")
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the cache was replayed")
+
+    monkeypatch.setattr(construct, "load_prefix_text", no_replay)
+    code, stdout, stderr = run(capsys, "build", "--points", str(construct.PREFIX_MAX_POINTS + 1))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "TooLarge",
+        "detail": f"a prefix is limited to {construct.PREFIX_MAX_POINTS} points",
+    }
+
+
+@pytest.mark.parametrize("command", ["export", "embed", "isom-extend"])
+def test_replaying_a_cache_over_the_point_bound_is_refused(tmp_path, capsys, monkeypatch, command):
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "12", "--out", str(cache))
+    target = tmp_path / "t.dmat"
+    target.write_text("2\n1\n")
+    argv = {
+        "export": ["export", "--cache", str(cache), "--out", str(tmp_path / "x.dmat")],
+        "embed": ["embed", "--target", str(target), "--prefix", str(cache)],
+        "isom-extend": ["isom-extend", "--prefix", str(cache), "--source", "1"],
+    }[command]
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(construct, "PREFIX_MAX_POINTS", 11)
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "TooLarge", "detail": "a prefix is limited to 11 points"}
 
 
 def test_hull_check_builtins(capsys):

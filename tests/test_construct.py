@@ -13,6 +13,7 @@ from ury import (
     ParseError,
     PrefixTooShort,
     QLabel,
+    TooLarge,
     build_prefix,
     calkin_wilf,
     calkin_wilf_index,
@@ -27,7 +28,7 @@ from ury import (
     truncate_prefix,
     validate_metric,
 )
-from ury.construct import DEFAULT_MODE, colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
 
 from helpers import oracle_build_prefix, prefix_state, v1_cache_text
 
@@ -524,3 +525,13 @@ def test_label_index_matches_step(prefix50):
 def test_metric_validity_up_to_500():
     state = build_prefix(500)
     assert validate_metric(state.rho).ok
+
+
+def test_build_over_the_point_bound_is_refused_before_any_step(monkeypatch, prefix50):
+    def no_label(self, step):
+        raise AssertionError("a label was enumerated")
+
+    monkeypatch.setattr(ConstructionMode, "label_for_step", no_label)
+    for resume in (None, prefix50):
+        with pytest.raises(TooLarge, match=f"limited to {PREFIX_MAX_POINTS} points"):
+            build_prefix(PREFIX_MAX_POINTS + 1, resume=resume)

@@ -306,6 +306,13 @@ def test_invalid_partial_isometry_rejected(prefix50):
     assert exc.value.witness == (0, 1)
 
 
+@pytest.mark.parametrize("pair", [(1.9, 1), (0, True), ("1", 1)])
+def test_partial_isometry_rejects_an_index_that_is_not_an_integer(prefix50, pair):
+    # int(1.9) would silently pair point 1.
+    with pytest.raises(TypeError):
+        PartialIsometry(prefix50, [pair])
+
+
 def test_extend_rejects_mapped_source(prefix50):
     p = PartialIsometry(prefix50, [(0, 0)])
     with pytest.raises(InvalidPartialIsometry):

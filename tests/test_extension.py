@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import ury.metric as metric_mod
 from ury import (
     BallFamily,
     EmptyFamily,
@@ -23,6 +25,7 @@ from helpers import (
     rand_rational,
     random_feasible_family,
     random_metric_space,
+    record_calls,
 )
 
 T345 = FiniteMetricSpace.from_lower_triangle([[3], [4, 5]])
@@ -96,17 +99,41 @@ def test_request_validation():
 
 
 def test_equivalence_admissible_iff_extended_metric():
+    # Full and random partial supports (ball witnesses extend over the
+    # surviving centres only).  When admissible, the extension made without
+    # re-validation equals the validated space over the same matrix.
     rng = random.Random(17)
-    seen = {True: 0, False: 0}
-    for _ in range(300):
+    seen = {(ok, full): 0 for ok in (True, False) for full in (True, False)}
+    for _ in range(400):
         space = random_metric_space(rng, rng.randint(1, 6))
-        radii = [rand_rational(rng, Fraction(1, 4), Fraction(5, 2)) for _ in space.points()]
-        req = ExtensionRequest(space, list(space.points()), radii)
+        full = rng.random() < 0.5
+        support = list(space.points()) if full else rng.sample(range(space.n), rng.randint(1, space.n))
+        radii = [rand_rational(rng, Fraction(1, 4), Fraction(5, 2)) for _ in support]
+        req = ExtensionRequest(space, support, radii)
         ok = admissible(req).ok
-        seen[ok] += 1
+        seen[ok, full] += 1
         assert ok == oracle_is_metric(extended_matrix(req))
         assert ok == validate_metric(extended_matrix(req)).ok
-    assert min(seen.values()) > 30  # both outcomes genuinely exercised
+        if ok:
+            ext = extend_one_point(req)
+            validated = FiniteMetricSpace(extended_matrix(req))
+            assert ext == validated and hash(ext) == hash(validated)
+            assert (ext.rows, ext.scale, ext.matrix) == (validated.rows, validated.scale, validated.matrix)
+    assert min(seen.values()) > 30  # both outcomes genuinely exercised, on both kinds of support
+
+
+def test_extension_and_witness_run_no_triangle_scan(monkeypatch):
+    rng = random.Random(41)
+    spaces = [random_metric_space(rng, n) for n in (3, 5, 6)]
+    families = [random_feasible_family(rng, space, 4) for space in spaces]
+    calls = record_calls(monkeypatch, metric_mod, ["_violations", "_triangle_scan", "_triangle_scan_int64"])
+    for space, family in zip(spaces, families):
+        ext = extend_one_point(ExtensionRequest(space, [0, 1], [space.distance(0, 1)] * 2))
+        assert ext.n == space.n + 1
+        assert ball_intersection_witness(family).space.n == space.n + 1
+    assert calls == []
+    FiniteMetricSpace(ext.matrix)  # the validating constructor is seen
+    assert calls == ["_violations", "_triangle_scan"]
 
 
 def test_midpoints_always_admissible():
@@ -162,6 +189,25 @@ def test_family_validation():
         BallFamily(TWO, [(0, 0)])
     with pytest.raises(ValueError):
         BallFamily(TWO, [(7, 1)])
+
+
+@pytest.mark.parametrize("center", [1.9, 1.0, True, "1", Fraction(1)])
+def test_family_rejects_a_center_that_is_not_an_integer(center):
+    # int(1.9) would put the ball at point 1; a bool is no index either.
+    with pytest.raises(TypeError):
+        BallFamily(PATH, [(center, 3)])
+
+
+@pytest.mark.parametrize("support", [[True, 0], [0, 1.0], [0.5]])
+def test_request_rejects_a_support_point_that_is_not_an_integer(support):
+    with pytest.raises(TypeError):
+        ExtensionRequest(PATH, support, [1] * len(support))
+
+
+def test_integer_like_indices_are_accepted():
+    req = ExtensionRequest(PATH, [np.int64(0)], [1])
+    assert req.support == (0,) and type(req.support[0]) is int
+    assert BallFamily(PATH, [(np.int64(2), 1)]).balls[0].center == 2
 
 
 def test_witness_single_ball_on_sphere():

@@ -22,11 +22,14 @@ from ury import (
     serialize_distance_matrix,
     reduce_ball_family,
     validate_metric,
+    ValidationReport,
 )
 from helpers import (
     oracle_is_metric,
+    oracle_violations,
     oracle_katetov_failure,
     prefix_state,
+    record_calls,
     rand_rational,
     random_metric_space,
 )
@@ -127,8 +130,9 @@ def test_non_square_inputs():
 def test_scaled_paths_match_small_path(monkeypatch):
     # Seeded spaces with a few stretched pairs, so most break triangles in
     # several places (some at once through one pair).  Each is validated by
-    # the Fraction scan, then through int64 and big ints by dropping the
-    # size threshold and the int64 limit.
+    # the Python-int loop, then through int64 and big ints by dropping the
+    # size threshold and the int64 limit; each report must equal the plain
+    # Fraction oracle's, violation for violation.
     rng = random.Random(3)
     broken = 0
     for _ in range(240):
@@ -137,16 +141,53 @@ def test_scaled_paths_match_small_path(monkeypatch):
         for _ in range(rng.randint(0, 3)):
             i, j = rng.sample(range(n), 2)
             rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
-        small = metric_mod.validate_metric(rows)
+        expected = oracle_violations(rows)
+        oracle = ValidationReport(not expected, expected)
         with monkeypatch.context() as patch:
+            scans = record_calls(patch, metric_mod, ["_triangle_scan", "_triangle_scan_int64"])
+            small = metric_mod.validate_metric(rows)
             patch.setattr(metric_mod, "_SCALED_MIN_N", 2)
             via_numpy = metric_mod.validate_metric(rows)
             patch.setattr(metric_mod, "_INT64_LIMIT", 1)
             via_bigint = metric_mod.validate_metric(rows)
-        assert small == via_numpy == via_bigint
+        assert scans == ["_triangle_scan", "_triangle_scan_int64", "_triangle_scan"]
+        assert small == oracle
+        assert via_numpy == oracle
+        assert via_bigint == oracle
         assert small.ok == oracle_is_metric(rows)
         broken += not small.ok
     assert 100 < broken < 240
+
+
+@pytest.mark.parametrize(
+    "rows,kinds",
+    [
+        # A diagonal and a symmetry failure are reported together and hide
+        # the zero distance and the triangle.
+        ([[0, 0, 5], [2, 0, 1], [5, 1, Fraction(1, 3)]], ["diagonal", "symmetry"]),
+        # The zero distance hides the triangle.
+        ([[0, 0, 5], [0, 0, 1], [5, 1, 0]], ["positivity"]),
+        ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], ["triangle"]),
+    ],
+)
+def test_staged_reports_match_the_oracle(rows, kinds):
+    report = validate_metric(rows)
+    assert report.violations == oracle_violations(rows)
+    assert [v.kind for v in report.violations] == kinds
+
+
+def test_space_over_a_prefix_matrix_has_the_prefix_rows_and_scale(prefix50):
+    space = FiniteMetricSpace(prefix50.rho)
+    assert space.rows == prefix50.rows and space.scale == prefix50.scale
+    assert space.matrix == prefix50.rho
+
+
+def test_space_equality_and_hash_follow_the_metric():
+    halves = FiniteMetricSpace([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    same = FiniteMetricSpace.from_lower_triangle([["2/4"]])
+    assert (halves.rows, halves.scale) == (((0, 1), (1, 0)), 2)
+    assert halves == same and hash(halves) == hash(same)
+    assert halves != FiniteMetricSpace([[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------

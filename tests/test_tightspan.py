@@ -185,6 +185,12 @@ def test_extend_radius_rejects_inadmissible_subset():
     assert exc.value.pair == (0, 1)
 
 
+@pytest.mark.parametrize("subset", [[True], [0, 2.0], [Fraction(0)]])
+def test_extend_radius_function_rejects_an_index_that_is_not_an_integer(subset):
+    with pytest.raises(TypeError):
+        extend_radius_function(PATH, subset, [1] * len(subset))
+
+
 def test_extend_radius_is_admissible_everywhere():
     rng = random.Random(61)
     for _ in range(80):
