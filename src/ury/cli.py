@@ -59,7 +59,10 @@ def _index_list(text: str) -> list[int]:
 
 
 def _rational_list(text: str) -> list[Fraction]:
-    return [_rational_flag(t) for t in text.split(",") if t]
+    try:
+        return [parse_rational(t) for t in text.split(",") if t]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _pair_list(text: str) -> list[tuple[int, int]]:
@@ -72,6 +75,10 @@ def _pair_list(text: str) -> list[tuple[int, int]]:
             raise argparse.ArgumentTypeError(f"expected s:t pairs, got {chunk!r}")
         pairs.append((int(left), int(right)))
     return pairs
+
+
+def _emit_json(obj) -> None:
+    print(json.dumps(obj))
 
 
 def _fail(kind: str, detail: str, **extra) -> int:
@@ -271,14 +278,18 @@ def cmd_tightspan(args) -> int:
             tightspan.check_vertex_limit(int(head))
     space = metric.parse_distance_matrix(text)
     if args.vertices:
-        functions = tightspan.tight_span_vertices(space).vertices
-    elif args.kuratowski is not None:
-        functions = [tightspan.kuratowski(space, args.kuratowski - 1)]
-    else:
-        values = [parse_rational(t) for t in args.project.split()]
-        functions = [tightspan.extremal_below(tightspan.KatetovFunction(space, values))]
-    for f in functions:
+        result = tightspan.tight_span_vertices(space)
+        for f in result.vertices:
+            print(" ".join(format_rational(v) for v in f.values))
+        return 0
+    if args.kuratowski is not None:
+        f = tightspan.kuratowski(space, args.kuratowski - 1)
         print(" ".join(format_rational(v) for v in f.values))
+        return 0
+    values = [parse_rational(t) for t in args.project.split()]
+    g = tightspan.KatetovFunction(space, values)
+    f = tightspan.extremal_below(g)
+    print(" ".join(format_rational(v) for v in f.values))
     return 0
 
 
@@ -288,10 +299,10 @@ def cmd_hull_check(args) -> int:
         reference = HULL_REFERENCE
     else:
         data = _json_value(json.loads(_read_text(args.candidate)), dict, "the candidate")
-        breakpoints, reference = (
-            [(str(x), str(y)) for x, y in _json_items(data[key], list, f'"{key}"')]
-            for key in ("breakpoints", "a")
-        )
+        breakpoints = [
+            (str(x), str(y)) for x, y in _json_items(data["breakpoints"], list, '"breakpoints"')
+        ]
+        reference = [(str(x), str(y)) for x, y in _json_items(data["a"], list, '"a"')]
     candidate = tightspan.PathHullCandidate(breakpoints, reference)
     report = tightspan.verify_hull_candidate(candidate, args.step)
     print(
@@ -330,7 +341,7 @@ def cmd_c0_demo(args) -> int:
             else None
         ),
     }
-    print(json.dumps(payload))
+    _emit_json(payload)
     if report.witness is None:
         return _fail("EmptyIntersection", "the ball family has no common point")
     return 0
@@ -345,7 +356,7 @@ def cmd_embed(args) -> int:
         "mapping": [i + 1 for i in result.mapping] if result.mapping else None,
         "searched": result.searched_prefix_length,
     }
-    print(json.dumps(payload))
+    _emit_json(payload)
     if result.status != embed.FOUND:
         return _fail("NotFound", f"no embedding within the first {state.m} points")
     return 0
@@ -360,14 +371,14 @@ def cmd_isom_extend(args) -> int:
     except InvalidPartialIsometry as exc:
         return _fail("InvalidPartialIsometry", exc.message(1))
     if extended is None:
-        print(json.dumps({"status": "not-found", "searched": state.m}))
+        _emit_json({"status": "not-found", "searched": state.m})
         return _fail("NotFound", f"no compatible image within the first {state.m} points")
     payload = {
         "status": "extended",
         "pairs": [[s + 1, t + 1] for s, t in extended.pairs],
         "new_pair": [extended.pairs[-1][0] + 1, extended.pairs[-1][1] + 1],
     }
-    print(json.dumps(payload))
+    _emit_json(payload)
     return 0
 
 
@@ -463,9 +474,14 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ParseError, KeyError, ValueError, OSError) as exc:
-        # json.JSONDecodeError is a ValueError.
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
+    except ParseError as exc:
+        print(json.dumps({"error": "ParseError", "detail": str(exc)}), file=sys.stderr)
+        return 2
+    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+        print(
+            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
+            file=sys.stderr,
+        )
         return 2
     except UryError as exc:
         return _fail(type(exc).__name__, str(exc))

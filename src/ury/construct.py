@@ -382,6 +382,8 @@ def build_prefix(
         raise ValueError("m must be >= 1")
     if m > PREFIX_MAX_POINTS:
         raise TooLarge(f"a prefix is limited to {PREFIX_MAX_POINTS} points")
+    if mode.duplicate_handling == LEGACY_MULTISET and mode.q_override is None:
+        raise InvalidMode("legacy-multiset requires an explicit q_override")
 
     if resume is not None:
         if resume.mode_tag != mode.tag:

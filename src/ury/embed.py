@@ -40,16 +40,21 @@ def find_isometric_embedding(
     target: FiniteMetricSpace, prefix: PrefixState
 ) -> EmbeddingResult:
     """Lexicographically smallest exact embedding of ``target``, if any."""
+    t = target.n
     m = prefix.m
+    if t > m:
+        return EmbeddingResult(NOT_FOUND, None, m)
     # Target distances as integers over the prefix's scale.  If the target's
     # scale does not divide it, some target distance is not a multiple of
     # 1/scale, and such a distance occurs nowhere in the prefix.
-    if target.n > m or prefix.scale % target.scale:
+    if prefix.scale % target.scale:
         return EmbeddingResult(NOT_FOUND, None, m)
     factor = prefix.scale // target.scale
     wanted = [[v * factor for v in row[:i]] for i, row in enumerate(target.rows)]
     mapping = _first_embedding(wanted, prefix.distance_buckets, m)
-    return EmbeddingResult(NOT_FOUND if mapping is None else FOUND, mapping, m)
+    if mapping is None:
+        return EmbeddingResult(NOT_FOUND, None, m)
+    return EmbeddingResult(FOUND, mapping, m)
 
 
 def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:

@@ -239,6 +239,9 @@ def ball_intersection_witness(family: BallFamily) -> WitnessResult:
     for k, ball in enumerate(balls):
         dist = ext.distance(y, ball.center)
         on_sphere = k in survivors
-        assert dist == ball.radius if on_sphere else dist <= ball.radius
+        if on_sphere:
+            assert dist == ball.radius
+        else:
+            assert dist <= ball.radius
         certificate.append(CertificateEntry(k, ball.center, ball.radius, dist, on_sphere))
     return WitnessResult(ext, y, trace, tuple(certificate))

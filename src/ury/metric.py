@@ -28,11 +28,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MetricViolation, NonSquareInput, ParseError
-from .rational import as_rational, format_ratio
+from .rational import as_rational, format_ratio, format_rational
 
-# Below this size the plain Python-int loop beats array setup; above it the
-# scan runs in numpy int64 when the scaled entries provably fit.
-_SCALED_MIN_N = 40
+# From this size on the triangle scan runs in numpy int64 when the scaled
+# entries provably fit; below it the plain Python-int loop is as fast, since
+# array setup dominates (the two are level at about 16 points).
+_SCALED_MIN_N = 16
 _INT64_LIMIT = 2**62
 
 
@@ -88,7 +89,9 @@ def _violations(rows: tuple[tuple[int, ...], ...], scale: int) -> tuple[Violatio
     def q(v: int) -> Fraction:
         return Fraction(v, scale)
 
-    found = [Violation("diagonal", (i,), q(rows[i][i]), Fraction(0)) for i in range(n) if rows[i][i]]
+    found = [
+        Violation("diagonal", (i,), q(rows[i][i]), Fraction(0)) for i in range(n) if rows[i][i]
+    ]
     found += [
         Violation("symmetry", (i, j), q(rows[i][j]), q(rows[j][i]))
         for i, j in combinations(range(n), 2) if rows[i][j] != rows[j][i]
@@ -245,16 +248,23 @@ class FiniteMetricSpace:
     @classmethod
     def from_lower_triangle(cls, triangle: Sequence[Sequence]) -> "FiniteMetricSpace":
         """Build a space from rows ``[d(1,0)], [d(2,0), d(2,1)], ...``."""
-        rows = [[as_rational(v) for v in row] for row in triangle]
-        for i, row in enumerate(rows):
-            if len(row) != i + 1:
-                raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
-        n = len(rows) + 1
-        return cls([[rows[max(i, j) - 1][min(i, j)] if i != j else 0 for j in range(n)]
-                    for i in range(n)])
+        return cls(_matrix_from_triangle(triangle))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteMetricSpace(n={self.n})"
+
+
+def _matrix_from_triangle(triangle: Sequence[Sequence]) -> list[list[Fraction]]:
+    rows = [[as_rational(v) for v in row] for row in triangle]
+    n = len(rows) + 1
+    for i, row in enumerate(rows):
+        if len(row) != i + 1:
+            raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        for j in range(i):
+            matrix[i][j] = matrix[j][i] = rows[i - 1][j]
+    return matrix
 
 
 def parse_matrix_text(text: str) -> list[list[Fraction]]:
@@ -309,7 +319,11 @@ def parse_distance_matrix(text: str) -> FiniteMetricSpace:
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     """Render any square symmetric matrix in ``.dmat`` syntax."""
-    return serialize_scaled_matrix(*_scaled_matrix(matrix))
+    n = len(matrix)
+    lines = [str(n)]
+    for i in range(1, n):
+        lines.append(" ".join(format_rational(matrix[i][j]) for j in range(i)))
+    return "\n".join(lines) + "\n"
 
 
 def serialize_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> str:

@@ -102,7 +102,11 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
     while changed:
         changed = False
         for x in range(n):
-            target = max([Fraction(0)] + [d[x][y] - values[y] for y in range(n) if y != x])
+            floor = max(
+                (d[x][y] - values[y] for y in range(n) if y != x),
+                default=Fraction(0),
+            )
+            target = max(Fraction(0), floor)
             if target != values[x]:
                 values[x] = target
                 changed = True

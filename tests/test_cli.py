@@ -176,7 +176,7 @@ def test_verify_violation_exit_one(tmp_path, capsys):
 
 # stdout, stderr and exit code of ``verify`` on the .dmat files in
 # tests/golden, byte for byte as the Fraction implementation printed them.
-# The triangle files cover each scan: the Python-int loop below 40 points,
+# The triangle files cover each scan: the Python-int loop at 6 points,
 # int64 at 40 points (15-bit scale) and Python ints again above 2^62 (a
 # 228-bit scale).
 GOLDEN = Path(__file__).parent / "golden"

@@ -20,6 +20,7 @@ from ury import (
     is_correctly_defined,
     parse_distance_matrix,
     serialize_distance_matrix,
+    serialize_matrix,
     reduce_ball_family,
     validate_metric,
     ValidationReport,
@@ -261,6 +262,8 @@ def test_roundtrip_on_random_spaces():
         text = serialize_distance_matrix(space)
         assert parse_distance_matrix(text) == space
         assert serialize_distance_matrix(parse_distance_matrix(text)) == text
+        # The integer renderer against the independent Fraction one.
+        assert text == serialize_matrix(space.matrix)
 
 
 def test_parse_normalizes_then_serializes_canonically():
