@@ -45,17 +45,22 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _digits(text: str) -> bool:
+    """ASCII digits only, unlike ``int()``: no sign, ``_``, space or other script."""
+    return text.isascii() and text.isdigit()
+
+
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    if not _digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _index_list(text: str) -> list[int]:
-    try:
-        return [int(t) for t in text.split(",") if t]
-    except ValueError:
+    tokens = [t for t in text.split(",") if t]
+    if not all(map(_digits, tokens)):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return [int(t) for t in tokens]
 
 
 def _rational_list(text: str) -> list[Fraction]:
@@ -71,7 +76,7 @@ def _pair_list(text: str) -> list[tuple[int, int]]:
         return pairs
     for chunk in text.split(","):
         left, sep, right = chunk.partition(":")
-        if not sep or not left.isdigit() or not right.isdigit():
+        if not sep or not _digits(left) or not _digits(right):
             raise argparse.ArgumentTypeError(f"expected s:t pairs, got {chunk!r}")
         pairs.append((int(left), int(right)))
     return pairs

@@ -38,11 +38,11 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, lcm
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge
-from .metric import fraction_rows, katetov_failure, katetov_row
+from .metric import common_scale, fraction_rows, katetov_failure, katetov_row, reduced
 from .rational import as_rational, format_ratio, format_rational
 
 ENUMERATION_VERSION = "cw1"
@@ -310,36 +310,6 @@ class PrefixState:
         return tuple(buckets)
 
 
-def _scaled(values: Iterable[Fraction], scale: int) -> list[int]:
-    """Each value times ``scale``; every denominator must divide ``scale``."""
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
-    """``rows[i][j] * num // den`` for a symmetric matrix with a zero
-    diagonal.  Each unordered pair is computed once and the same int is
-    stored at ``(i, j)`` and ``(j, i)``, so the copy costs no more memory
-    than the original."""
-    out = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        out_i = out[i]
-        for j in range(i):
-            out_i[j] = out[j][i] = row[j] * num // den
-    return out
-
-
-def _reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
-    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
-    denominators of its entries.  The gcd scan starts at the last rows, which
-    usually hold the largest denominators, and stops once nothing can cancel."""
-    g = scale
-    for row in reversed(rows):
-        g = gcd(g, *row)
-        if g == 1:
-            return rows, scale
-    return _rescaled(rows, 1, g), scale // g
-
-
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
     """Test the two-sided correctness condition of a label against a prefix.
 
@@ -355,10 +325,8 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
         raise PrefixTooShort(
             f"label has {p} elements but the prefix has {prefix.m} points"
         )
-    scale = lcm(prefix.scale, *(r.denominator for r in elements))
-    factor = scale // prefix.scale
-    d = [[v * factor for v in row[:p]] for row in prefix.rows[:p]]
-    failure = katetov_failure(d, range(p), _scaled(elements, scale), two_sided=True)
+    d, radii, _ = common_scale([row[:p] for row in prefix.rows[:p]], prefix.scale, elements)
+    failure = katetov_failure(d, range(p), radii, two_sided=True)
     return (True, None) if failure is None else (False, failure[0])
 
 
@@ -400,19 +368,18 @@ def build_prefix(
 
     start = 1 if resume is None else resume.m
     labels = [mode.label_for_step(step) for step in range(start, m)]
-    base_scale = 1 if resume is None else resume.scale
-    scale = lcm(base_scale, *(r.denominator for label in labels for r in label.elements))
     if resume is None:
-        rows: list[list[int]] = [[0]]
-        log: list[StepRecord] = []
-        maxima = [Fraction(0)]
-        top = 0
+        base, base_scale, log, maxima = [[0]], 1, [], [Fraction(0)]
     else:
-        factor = scale // base_scale
-        rows = [list(row) for row in resume.rows] if factor == 1 else _rescaled(resume.rows, factor, 1)
-        log = list(resume.log)
-        maxima = list(resume.running_max)
-        top = _scaled([maxima[-1]], scale)[0]
+        base, base_scale = resume.rows, resume.scale
+        log, maxima = list(resume.log), list(resume.running_max)
+    # One scale for the prior rows, their largest distance and every label.
+    elements = [maxima[-1]] + [r for label in labels for r in label.elements]
+    rows, scaled, scale = common_scale(base, base_scale, elements)
+    if rows is base:  # the scale stays, so copy the prior rows once here
+        rows = [list(row) for row in base]
+    scaled = iter(scaled)
+    top = next(scaled)
 
     tops = []
     for step, label in enumerate(labels, start=start):
@@ -421,7 +388,7 @@ def build_prefix(
             raise PrefixTooShort(
                 f"step {step}: label needs {p} points but only {step} exist"
             )
-        radii = _scaled(label.elements, scale)
+        radii = [next(scaled) for _ in label.elements]
         failure = katetov_failure(rows, range(p), radii, two_sided=True)
         if failure is None:
             new_row = katetov_row(rows, range(p), radii)
@@ -438,7 +405,7 @@ def build_prefix(
         tops.append(top)
         log.append(StepRecord(step=step, label=label, correctly_defined=failure is None))
 
-    rows, canonical = _reduced(rows, scale)
+    rows, canonical = reduced(rows, scale)
     return PrefixState(
         m=m,
         rows=tuple(map(tuple, rows)),
@@ -456,7 +423,7 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         raise ValueError(f"cannot truncate a {state.m}-point prefix to {m}")
     if m == state.m:
         return state
-    rows, scale = _reduced([row[:m] for row in state.rows[:m]], state.scale)
+    rows, scale = reduced([row[:m] for row in state.rows[:m]], state.scale)
     return PrefixState(
         m=m,
         rows=tuple(map(tuple, rows)),

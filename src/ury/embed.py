@@ -132,6 +132,7 @@ def extend_partial_isometry(
     Returns None when no point of the prefix can serve as the image (the
     prefix is too short to contain one).
     """
+    new_source = point_index(new_source)
     if not 0 <= new_source < p.prefix.m:
         raise InvalidPartialIsometry("index {} out of range", new_source)
     if any(s == new_source for s, _ in p.pairs):

@@ -26,7 +26,7 @@ from .errors import (
     Inadmissible,
     PairwiseInfeasible,
 )
-from .metric import FiniteMetricSpace, katetov_failure, katetov_row, point_index
+from .metric import FiniteMetricSpace, common_scale, katetov_failure, katetov_row, point_index
 from .rational import as_rational
 
 
@@ -72,22 +72,28 @@ class AdmissibilityResult:
 
 def admissible(req: ExtensionRequest) -> AdmissibilityResult:
     """Check |a_i - a_j| <= d(x_i, x_j) <= a_i + a_j on every support pair."""
-    failure = katetov_failure(req.base.matrix, req.support, req.radii, two_sided=True)
+    d, radii, _ = common_scale(req.base.rows, req.base.scale, req.radii)
+    failure = katetov_failure(d, req.support, radii, two_sided=True)
     if failure is None:
         return AdmissibilityResult(True)
     return AdmissibilityResult(False, *failure)
 
 
+def _extended_rows(req: ExtensionRequest) -> tuple[list[tuple[int, ...]], int]:
+    # Only the new row is computed; the base rows are rescaled only if the radii need it.
+    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
+    new_row = katetov_row(d, req.support, radii)
+    return [(*row, v) for row, v in zip(d, new_row)] + [(*new_row, 0)], scale
+
+
 def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
-    """The (n+1)x(n+1) matrix obtained by adjoining the new point last.
+    """The (n+1)x(n+1) Fraction matrix of :func:`extend_one_point`, new point last.
 
     Does not check admissibility; exposed for equivalence testing
     (admissible <=> this matrix is a metric).
     """
-    new_row = katetov_row(req.base.matrix, req.support, req.radii)
-    matrix = [list(row) + [new_row[i]] for i, row in enumerate(req.base.matrix)]
-    matrix.append(new_row + [Fraction(0)])
-    return matrix
+    rows, scale = _extended_rows(req)
+    return [[Fraction(v, scale) for v in row] for row in rows]
 
 
 def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
@@ -100,7 +106,7 @@ def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
     check = admissible(req)
     if not check.ok:
         raise Inadmissible(check.pair, check.side)
-    return FiniteMetricSpace._trusted(extended_matrix(req))
+    return FiniteMetricSpace._trusted(*_extended_rows(req))
 
 
 class Ball(NamedTuple):
@@ -147,15 +153,6 @@ class ReductionTrace:
     removals: tuple[RemovalRecord, ...]
 
 
-def _check_pairwise_feasible(family: BallFamily) -> None:
-    centers, radii = zip(*family.balls)
-    failure = katetov_failure(family.base.matrix, centers, radii, two_sided=False)
-    if failure is not None:
-        (i, j), _ = failure
-        lhs = family.base.distance(centers[i], centers[j])
-        raise PairwiseInfeasible((i, j), lhs, radii[i] + radii[j])
-
-
 def reduce_ball_family(family: BallFamily) -> ReductionTrace:
     """Discard containing balls until the two-sided condition holds pairwise.
 
@@ -165,10 +162,14 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
     removes the lowest-index removable ball and rescans, which makes the
     trace deterministic.
     """
-    _check_pairwise_feasible(family)
-    d = family.base.matrix
-    balls = family.balls
-    survivors = list(range(len(balls)))
+    centers, radii = zip(*family.balls)
+    d, r, scale = common_scale(family.base.rows, family.base.scale, radii)
+    failure = katetov_failure(d, centers, r, two_sided=False)
+    if failure is not None:
+        (i, j), _ = failure
+        lhs = family.base.distance(centers[i], centers[j])
+        raise PairwiseInfeasible((i, j), lhs, radii[i] + radii[j])
+    survivors = list(range(len(r)))
     removals: list[RemovalRecord] = []
     while True:
         removal = None
@@ -176,9 +177,9 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
             for j in survivors:
                 if j == i:
                     continue
-                bound = d[balls[i].center][balls[j].center] + balls[j].radius
-                if balls[i].radius > bound:
-                    removal = RemovalRecord(i, j, balls[i].radius, bound)
+                bound = d[centers[i]][centers[j]] + r[j]
+                if r[i] > bound:
+                    removal = RemovalRecord(i, j, radii[i], Fraction(bound, scale))
                     break
             if removal:
                 break

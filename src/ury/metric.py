@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -61,9 +61,9 @@ class ValidationReport:
 
 def _scaled_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     """``(rows, scale)`` with ``matrix[i][j] == rows[i][j] / scale`` and
-    ``scale`` the lcm of the entries' denominators: the one place that
-    chooses a distance matrix's common denominator.  Raises
-    :class:`NonSquareInput` for inputs that are not square."""
+    ``scale`` the lcm of the entries' denominators: the common denominator
+    of a Fraction matrix (:func:`common_scale` is the one of integer rows
+    and values).  Raises :class:`NonSquareInput` for non-square inputs."""
     entries = [[as_rational(v) for v in row] for row in matrix]
     n = len(entries)
     if n == 0:
@@ -74,6 +74,40 @@ def _scaled_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     scale = lcm(*denominators)
     factor = {q: scale // q for q in denominators}
     return tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in entries), scale
+
+
+def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
+    """``rows[i][j] * num // den`` for a symmetric matrix with a zero diagonal.
+    Each pair is computed once and the same int stored at ``(i, j)`` and
+    ``(j, i)``, so the copy costs no more memory than the original."""
+    out = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        out_i = out[i]
+        for j in range(i):
+            out_i[j] = out[j][i] = row[j] * num // den
+    return out
+
+
+def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
+    denominators of its entries.  The gcd scan starts at the last rows, which
+    usually hold the largest denominators, and stops once nothing can cancel."""
+    g = scale
+    for row in reversed(rows):
+        g = gcd(g, *row)
+        if g == 1:
+            return rows, scale
+    return _rescaled(rows, 1, g), scale // g
+
+
+def common_scale(rows, scale: int, values: Sequence[Fraction]) -> tuple[Sequence, list[int], int]:
+    """The symmetric matrix ``rows / scale`` and the Fractions ``values`` (radii
+    or function values) as integers over ``common``, the lcm of their scales:
+    ``(rows', ints, common)``, with ``rows' is rows`` when the scale stays."""
+    common = lcm(scale, *(v.denominator for v in values))
+    if common != scale:
+        rows = _rescaled(rows, common // scale, 1)
+    return rows, [v.numerator * (common // v.denominator) for v in values], common
 
 
 def fraction_rows(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -222,11 +256,12 @@ class FiniteMetricSpace:
         object.__setattr__(self, "scale", scale)
 
     @classmethod
-    def _trusted(cls, matrix) -> "FiniteMetricSpace":
-        """A space over a matrix proven to be a metric, without validation."""
+    def _trusted(cls, rows, scale: int) -> "FiniteMetricSpace":
+        """The space ``rows / scale``, proven a metric: put on its canonical scale, not validated."""
+        rows, scale = reduced(rows, scale)
         space = object.__new__(cls)
-        for name, value in zip(("rows", "scale"), _scaled_matrix(matrix)):
-            object.__setattr__(space, name, value)
+        object.__setattr__(space, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(space, "scale", scale)
         return space
 
     @cached_property

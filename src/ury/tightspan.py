@@ -36,7 +36,7 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .metric import FiniteMetricSpace, katetov_failure, katetov_row, point_index
+from .metric import FiniteMetricSpace, common_scale, katetov_failure, katetov_row, point_index
 from .rational import as_rational
 
 TIGHT_SPAN_MAX_POINTS = 6
@@ -65,21 +65,21 @@ class KatetovFunction:
 
 def is_admissible_function(f: KatetovFunction) -> tuple[bool, tuple[int, int] | None]:
     """True iff d(x,y) <= f(x) + f(y) everywhere; else the first bad pair."""
-    failure = katetov_failure(f.space.matrix, f.space.points(), f.values, two_sided=False)
+    d, values, _ = common_scale(f.space.rows, f.space.scale, f.values)
+    failure = katetov_failure(d, f.space.points(), values, two_sided=False)
     return (True, None) if failure is None else (False, failure[0])
 
 
 def is_extremal(f: KatetovFunction) -> bool:
     """Admissible and pointwise minimal (single-coordinate pinning test)."""
-    ok, _ = is_admissible_function(f)
-    if not ok:
+    d, values, _ = common_scale(f.space.rows, f.space.scale, f.values)
+    if katetov_failure(d, f.space.points(), values, two_sided=False) is not None:
         return False
-    d = f.space.matrix
     n = f.space.n
     for x in range(n):
-        if f.values[x] == 0:
+        if values[x] == 0:
             continue
-        if not any(f.values[x] + f.values[y] == d[x][y] for y in range(n) if y != x):
+        if not any(values[x] + values[y] == d[x][y] for y in range(n) if y != x):
             return False
     return True
 
@@ -92,30 +92,29 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
     changes nothing.  Values never increase, admissibility is preserved
     throughout, and extremal inputs are returned unchanged.
     """
-    ok, pair = is_admissible_function(g)
-    if not ok:
-        raise NotAdmissible(pair)
-    d = g.space.matrix
+    d, values, scale = common_scale(g.space.rows, g.space.scale, g.values)
+    failure = katetov_failure(d, g.space.points(), values, two_sided=False)
+    if failure is not None:
+        raise NotAdmissible(failure[0])
     n = g.space.n
-    values = list(g.values)
     changed = True
     while changed:
         changed = False
         for x in range(n):
-            floor = max(
-                (d[x][y] - values[y] for y in range(n) if y != x),
-                default=Fraction(0),
-            )
-            target = max(Fraction(0), floor)
+            target = max(0, max((d[x][y] - values[y] for y in range(n) if y != x), default=0))
             if target != values[x]:
                 values[x] = target
                 changed = True
-    return KatetovFunction(g.space, values)
+    return KatetovFunction(g.space, [Fraction(v, scale) for v in values])
 
 
 def kuratowski(space: FiniteMetricSpace, a: int) -> KatetovFunction:
-    """The distance function ``f_a = d(a, .)``; always extremal."""
-    return KatetovFunction(space, space.matrix[a])
+    """The distance function ``f_a = d(a, .)``; always extremal.  Raises
+    :class:`ValueError` when ``a`` is not a point of ``space``."""
+    a = point_index(a)
+    if not 0 <= a < space.n:
+        raise ValueError(f"point index {a} out of range")
+    return KatetovFunction(space, [Fraction(v, space.scale) for v in space.rows[a]])
 
 
 def sup_distance(f: KatetovFunction, g: KatetovFunction) -> Fraction:
@@ -145,10 +144,11 @@ def extend_radius_function(
         raise ValueError("subset index out of range")
     if any(v <= 0 for v in r):
         raise ValueError("radii must be positive")
-    failure = katetov_failure(space.matrix, subset, r, two_sided=False)
+    d, radii, scale = common_scale(space.rows, space.scale, r)
+    failure = katetov_failure(d, subset, radii, two_sided=False)
     if failure is not None:
         raise NotAdmissibleOnSubset(failure[0])
-    return KatetovFunction(space, katetov_row(space.matrix, subset, r))
+    return KatetovFunction(space, [Fraction(v, scale) for v in katetov_row(d, subset, radii)])
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +249,13 @@ def tripod_center(space: FiniteMetricSpace) -> KatetovFunction:
     ((d_ab + d_ac - d_bc)/2, ...)."""
     if space.n != 3:
         raise ValueError("tripod center is defined for 3-point spaces")
-    d = space.matrix
+    d = space.rows
     legs = [
-        (d[0][1] + d[0][2] - d[1][2]) / 2,
-        (d[0][1] + d[1][2] - d[0][2]) / 2,
-        (d[0][2] + d[1][2] - d[0][1]) / 2,
+        d[0][1] + d[0][2] - d[1][2],
+        d[0][1] + d[1][2] - d[0][2],
+        d[0][2] + d[1][2] - d[0][1],
     ]
-    return KatetovFunction(space, legs)
+    return KatetovFunction(space, [Fraction(leg, 2 * space.scale) for leg in legs])
 
 
 # ---------------------------------------------------------------------------

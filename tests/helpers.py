@@ -394,3 +394,94 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
         ):
             found.add(tuple(solution))
     return sorted(found)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles for the integer Katetov layer (extension, tightspan).
+# Each reads the Fraction view ``space.matrix``, which the library never does.
+# ---------------------------------------------------------------------------
+
+def _oracle_min_plus_row(d, points, radii) -> list[Fraction]:
+    row = [min(r + d[x][z] for x, r in zip(points, radii)) for z in range(len(d))]
+    for x, r in zip(points, radii):
+        row[x] = r
+    return row
+
+
+def oracle_extended_matrix(space: FiniteMetricSpace, support, radii) -> list[list[Fraction]]:
+    """The one-point extension's (n+1)x(n+1) Fraction matrix, new point last."""
+    d = space.matrix
+    new_row = _oracle_min_plus_row(d, support, radii)
+    return [list(row) + [new_row[i]] for i, row in enumerate(d)] + [new_row + [Fraction(0)]]
+
+
+def oracle_admissible(space: FiniteMetricSpace, support, radii):
+    """``((i, j), side)`` for the first two-sided failure of the radii, or None."""
+    return oracle_katetov_failure(space.matrix, support, radii, two_sided=True)
+
+
+def oracle_reduce_ball_family(family):
+    """``("infeasible", pair, d, radius sum)`` for the first pair of balls
+    that cannot meet, else ``("reduced", survivors, removals)`` with each
+    removal ``(removed, dominating, lhs, rhs)`` by the lowest-index rescan."""
+    d = family.base.matrix
+    centers, radii = zip(*family.balls)
+    failure = oracle_katetov_failure(d, centers, radii, two_sided=False)
+    if failure is not None:
+        (i, j), _ = failure
+        return "infeasible", (i, j), d[centers[i]][centers[j]], radii[i] + radii[j]
+    survivors = list(range(len(radii)))
+    removals = []
+    while True:
+        removal = next(
+            (
+                (i, j, radii[i], d[centers[i]][centers[j]] + radii[j])
+                for i in survivors
+                for j in survivors
+                if j != i and radii[i] > d[centers[i]][centers[j]] + radii[j]
+            ),
+            None,
+        )
+        if removal is None:
+            return "reduced", tuple(survivors), tuple(removals)
+        survivors.remove(removal[0])
+        removals.append(removal)
+
+
+def oracle_extremal_below(space: FiniteMetricSpace, values) -> tuple[Fraction, ...] | None:
+    """Cyclic coordinate descent in Fractions to an extremal function below
+    ``values``; None when ``values`` is not admissible."""
+    d = space.matrix
+    n = space.n
+    if oracle_katetov_failure(d, range(n), values, two_sided=False) is not None:
+        return None
+    values = list(values)
+    changed = True
+    while changed:
+        changed = False
+        for x in range(n):
+            target = max([Fraction(0)] + [d[x][y] - values[y] for y in range(n) if y != x])
+            if target != values[x]:
+                values[x] = target
+                changed = True
+    return tuple(values)
+
+
+def oracle_extend_radius_function(space: FiniteMetricSpace, subset, r):
+    """``(values, None)`` with ``R(z) = min_a (r(a) + d(z, a))`` in Fractions,
+    pinned to ``r`` on the subset; or ``(None, pair)`` for the first pair
+    where the data break d <= r_a + r_b."""
+    failure = oracle_katetov_failure(space.matrix, subset, r, two_sided=False)
+    if failure is not None:
+        return None, failure[0]
+    return tuple(_oracle_min_plus_row(space.matrix, subset, r)), None
+
+
+def oracle_tripod_center(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
+    """The three leg lengths ``(d_ab + d_ac - d_bc) / 2`` in Fractions."""
+    d = space.matrix
+    return (
+        (d[0][1] + d[0][2] - d[1][2]) / 2,
+        (d[0][1] + d[1][2] - d[0][2]) / 2,
+        (d[0][2] + d[1][2] - d[0][1]) / 2,
+    )

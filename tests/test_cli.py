@@ -237,6 +237,36 @@ def test_extend_rejects_decimal_radii(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("support", ["1_0", "+1,2", "\u0661,2", " 1,2"])
+def test_extend_rejects_a_support_that_is_not_ascii_digits(tmp_path, capsys, support):
+    # int() reads "1_0" as 10, and "+1", " 1" and Arabic-Indic "\u0661" as 1.
+    f = tmp_path / "t.dmat"
+    f.write_text(T345)
+    code, stdout, stderr = run(capsys, "extend", "--dmat", str(f), "--radii", "1,2", "--support", support)
+    assert (code, stdout) == (2, "")
+    assert "expected comma-separated integers" in stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--pairs", "\u0661:2", "--source", "3"], ["--pairs", "1:1", "--source", "\u0663"]],
+    ids=["pairs", "source"],
+)
+def test_isom_extend_rejects_indices_that_are_not_ascii_digits(tmp_path, capsys, argv):
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "10", "--out", str(cache))
+    code, stdout, _ = run(capsys, "isom-extend", "--prefix", str(cache), *argv)
+    assert (code, stdout) == (2, "")
+
+
+def test_tightspan_kuratowski_off_the_space_is_a_value_error(tmp_path, capsys):
+    f = tmp_path / "t.dmat"
+    f.write_text(T345)
+    code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--kuratowski", "9")
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1 and json.loads(stderr)["error"] == "ValueError"
+
+
 def test_unknown_flag_is_an_error(capsys):
     code, _, _ = run(capsys, "verify", "--dmat", "x", "--frobnicate")
     assert code == 2

@@ -313,6 +313,14 @@ def test_partial_isometry_rejects_an_index_that_is_not_an_integer(prefix50, pair
         PartialIsometry(prefix50, [pair])
 
 
+@pytest.mark.parametrize("source", [True, 1.0, "1"])
+def test_extend_rejects_a_source_that_is_not_an_integer(prefix50, source):
+    # True and 1.0 would pass the range check as point 1 and then be
+    # reported as a mapped source.
+    with pytest.raises(TypeError):
+        extend_partial_isometry(PartialIsometry(prefix50, [(1, 1)]), source)
+
+
 def test_extend_rejects_mapped_source(prefix50):
     p = PartialIsometry(prefix50, [(0, 0)])
     with pytest.raises(InvalidPartialIsometry):

@@ -136,6 +136,20 @@ def test_kuratowski_values():
             assert is_extremal(f)
 
 
+@pytest.mark.parametrize("a", [-1, 3, 9])
+def test_kuratowski_rejects_an_index_off_the_space(a):
+    # A negative index would silently pick a row from the end.
+    with pytest.raises(ValueError):
+        kuratowski(T345, a)
+
+
+@pytest.mark.parametrize("a", [True, 1.0, "1"])
+def test_kuratowski_rejects_an_index_that_is_not_an_integer(a):
+    # True would silently pick row 1.
+    with pytest.raises(TypeError):
+        kuratowski(T345, a)
+
+
 def test_kuratowski_isometry():
     rng = random.Random(59)
     for _ in range(60):
