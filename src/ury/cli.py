@@ -26,7 +26,14 @@ import sys
 from fractions import Fraction
 
 from . import construct, embed, extension, linf, metric, tightspan
-from .errors import InvalidMode, InvalidPartialIsometry, PairwiseInfeasible, ParseError, UryError
+from .errors import (
+    Inadmissible,
+    InvalidMode,
+    InvalidPartialIsometry,
+    PairwiseInfeasible,
+    ParseError,
+    UryError,
+)
 from .rational import format_rational, parse_rational
 
 BUILTIN_HULLS = {
@@ -206,16 +213,16 @@ def cmd_extend(args) -> int:
     support_1b = args.support if args.support else list(range(1, space.n + 1))
     support = [i - 1 for i in support_1b]
     req = extension.ExtensionRequest(space, support, args.radii)
-    check = extension.admissible(req)
-    if not check.ok:
-        i, j = check.pair
+    try:
+        ext = extension.extend_one_point(req)
+    except Inadmissible as exc:
+        i, j = exc.pair
         return _fail(
             "Inadmissible",
-            f"radii at points {support_1b[i]} and {support_1b[j]} fail the {check.side} bound",
+            f"radii at points {support_1b[i]} and {support_1b[j]} fail the {exc.side} bound",
             points=[support_1b[i], support_1b[j]],
-            side=check.side,
+            side=exc.side,
         )
-    ext = extension.extend_one_point(req)
     new_row = [ext.distance(space.n, z) for z in range(space.n)]
     print(" ".join(format_rational(v) for v in new_row))
     if args.out:

@@ -79,11 +79,10 @@ def admissible(req: ExtensionRequest) -> AdmissibilityResult:
     return AdmissibilityResult(False, *failure)
 
 
-def _extended_rows(req: ExtensionRequest) -> tuple[list[tuple[int, ...]], int]:
-    # Only the new row is computed; the base rows are rescaled only if the radii need it.
-    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
-    new_row = katetov_row(d, req.support, radii)
-    return [(*row, v) for row, v in zip(d, new_row)] + [(*new_row, 0)], scale
+def _extended_rows(d, support: Sequence[int], radii: Sequence[int]) -> list[tuple[int, ...]]:
+    # Only the new row is computed; the base rows ``d`` are reused as they are.
+    new_row = katetov_row(d, support, radii)
+    return [(*row, v) for row, v in zip(d, new_row)] + [(*new_row, 0)]
 
 
 def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
@@ -92,8 +91,8 @@ def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
     Does not check admissibility; exposed for equivalence testing
     (admissible <=> this matrix is a metric).
     """
-    rows, scale = _extended_rows(req)
-    return [[Fraction(v, scale) for v in row] for row in rows]
+    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
+    return [[Fraction(v, scale) for v in row] for row in _extended_rows(d, req.support, radii)]
 
 
 def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
@@ -101,12 +100,14 @@ def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
 
     Raises :class:`Inadmissible` when the radii fail the two-sided check.
     Admissible radii always give a metric (Katetov), so the result is not
-    re-validated: the cost is O(n^2), not the O(n^3) triangle scan.
+    re-validated: the cost is O(n^2), not the O(n^3) triangle scan.  The base
+    is put on the radii's common scale once, for the check and the new row.
     """
-    check = admissible(req)
-    if not check.ok:
-        raise Inadmissible(check.pair, check.side)
-    return FiniteMetricSpace._trusted(*_extended_rows(req))
+    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
+    failure = katetov_failure(d, req.support, radii, two_sided=True)
+    if failure is not None:
+        raise Inadmissible(*failure)
+    return FiniteMetricSpace._trusted(_extended_rows(d, req.support, radii), scale)
 
 
 class Ball(NamedTuple):

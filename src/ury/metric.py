@@ -30,10 +30,8 @@ import numpy as np
 from .errors import MetricViolation, NonSquareInput, ParseError
 from .rational import as_rational, format_ratio, format_rational
 
-# From this size on the triangle scan runs in numpy int64 when the scaled
-# entries provably fit; below it the plain Python-int loop is as fast, since
-# array setup dominates (the two are level at about 16 points).
-_SCALED_MIN_N = 16
+# The triangle scan shifts entries right until they lie below this bound, so
+# that a sum of two of them fits in int64.
 _INT64_LIMIT = 2**62
 
 
@@ -137,52 +135,36 @@ def _violations(rows: tuple[tuple[int, ...], ...], scale: int) -> tuple[Violatio
         ]
     if found or n < 3:
         return tuple(found)
-    # Positive entries on a zero diagonal: the largest one bounds every sum.
-    if n >= _SCALED_MIN_N and max(map(max, rows)) < _INT64_LIMIT:
-        triples = _triangle_scan_int64(rows)
-    else:
-        triples = _triangle_scan(rows)
     return tuple(
         Violation("triangle", (a, mid, b), q(rows[a][b]), q(rows[a][mid] + rows[mid][b]))
-        for a, b, mid in sorted(triples)
+        for a, b, mid in sorted(_triangle_scan(rows))
     )
 
 
 def _triangle_scan(rows) -> list[tuple[int, int, int]]:
-    # Emits (a, b, mid) for every failing d(a,b) <= d(a,mid) + d(mid,b),
-    # visiting each unordered triple once, in Python ints of any size.
-    n = len(rows)
+    # Emits (a, b, mid), a < b, for every failing d(a,b) <= d(a,mid) + d(mid,b),
+    # on positive entries with a zero diagonal.  The int64 scan runs on the
+    # entries shifted right by s bits, the least s that puts them all below
+    # _INT64_LIMIT, so no sum of two can wrap.  Flooring keeps every violation
+    # (x > y + z implies x>>s >= (y>>s) + (z>>s)), so for s > 0 the filter is
+    # (x>>s) + 1 > (y>>s) + (z>>s).  It may also flag tight triangles, so each
+    # flagged triple is rechecked in Python ints.  The shifted diagonal is 1,
+    # so that no pair flags against one of its own ends.
+    s = max(0, max(map(max, rows)).bit_length() - _INT64_LIMIT.bit_length() + 1)
+    if s:
+        d = np.array([[v >> s for v in row] for row in rows], dtype=np.int64)
+        np.fill_diagonal(d, 1)
+        lhs = d + 1
+    else:
+        d = lhs = np.array(rows, dtype=np.int64)
     found = []
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            rj = rows[j]
-            dij = ri[j]
-            for k in range(j + 1, n):
-                dik = ri[k]
-                djk = rj[k]
-                if dik > dij + djk:
-                    found.append((i, k, j))
-                if dij > dik + djk:
-                    found.append((i, j, k))
-                if djk > dij + dik:
-                    found.append((j, k, i))
-    return found
-
-
-def _triangle_scan_int64(rows) -> list[tuple[int, int, int]]:
-    # Exact integer arithmetic: values are bounded so int64 sums cannot wrap.
-    # The diagonal is zero (checked earlier), so row and column ``mid`` never
-    # exceed and need no masking.
-    d = np.array(rows, dtype=np.int64)
-    n = d.shape[0]
-    found = []
-    for mid in range(n):
-        excess = d > d[:, mid : mid + 1] + d[mid : mid + 1, :]
+    for mid in range(len(rows)):
+        excess = lhs > d[:, mid : mid + 1] + d[mid : mid + 1, :]
         if not excess.any():
             continue
-        for a, b in np.argwhere(np.triu(excess, k=1)):
-            found.append((int(a), int(b), mid))
+        for a, b in np.argwhere(np.triu(excess, k=1)).tolist():
+            if rows[a][b] > rows[a][mid] + rows[mid][b]:
+                found.append((a, b, mid))
     return found
 
 
@@ -192,7 +174,9 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     Axioms are checked in stages — diagonal/symmetry, then positivity, then
     the triangle inequality — and a stage only runs when the previous ones
     hold, so each reported witness is meaningful on its own.  Every stage
-    runs on integers over the common denominator.  Raises
+    runs on integers over the common denominator; the triangle stage is one
+    int64 scan on the entries shifted to fit, with each triple it flags
+    rechecked exactly.  Raises
     :class:`NonSquareInput` for inputs that are not square matrices.
     """
     violations = _violations(*_scaled_matrix(matrix))

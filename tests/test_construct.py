@@ -521,7 +521,6 @@ def test_label_index_matches_step(prefix50):
         assert rec.label == QLabel(index=rec.step, elements=subset_of_index(rec.step).elements)
 
 
-@pytest.mark.slow
 def test_metric_validity_up_to_500():
     state = build_prefix(500)
     assert validate_metric(state.rho).ok

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import ury.extension as extension_mod
 import ury.metric as metric_mod
 from ury import (
     BallFamily,
@@ -126,7 +127,7 @@ def test_extension_and_witness_run_no_triangle_scan(monkeypatch):
     rng = random.Random(41)
     spaces = [random_metric_space(rng, n) for n in (3, 5, 6)]
     families = [random_feasible_family(rng, space, 4) for space in spaces]
-    calls = record_calls(monkeypatch, metric_mod, ["_violations", "_triangle_scan", "_triangle_scan_int64"])
+    calls = record_calls(monkeypatch, metric_mod, ["_violations", "_triangle_scan"])
     for space, family in zip(spaces, families):
         ext = extend_one_point(ExtensionRequest(space, [0, 1], [space.distance(0, 1)] * 2))
         assert ext.n == space.n + 1
@@ -134,6 +135,25 @@ def test_extension_and_witness_run_no_triangle_scan(monkeypatch):
     assert calls == []
     FiniteMetricSpace(ext.matrix)  # the validating constructor is seen
     assert calls == ["_violations", "_triangle_scan"]
+
+
+def test_extend_one_point_puts_the_base_on_scale_once(monkeypatch):
+    # Admissibility and the new row share one common scale: radii on the
+    # base's scale, off it (a 1/1009 offset), and inadmissible ones alike.
+    rng = random.Random(43)
+    calls = record_calls(monkeypatch, extension_mod, ["common_scale"])
+    for n in (2, 4, 7):
+        space = random_metric_space(rng, n)
+        d = space.distance(0, 1)
+        for radii in ([d, d], [d / 2 + Fraction(1, 1009)] * 2):
+            ext = extend_one_point(ExtensionRequest(space, [0, 1], radii))
+            assert ext.distance(n, 0) == radii[0]
+            assert calls == ["common_scale"]
+            calls.clear()
+        with pytest.raises(Inadmissible):
+            extend_one_point(ExtensionRequest(space, [0, 1], [d / 3, d / 3]))
+        assert calls == ["common_scale"]
+        calls.clear()
 
 
 def test_midpoints_always_admissible():

@@ -128,14 +128,15 @@ def test_non_square_inputs():
         validate_metric([])
 
 
-def test_scaled_paths_match_small_path(monkeypatch):
+def test_shifted_scan_matches_oracle(monkeypatch):
     # Seeded spaces with a few stretched pairs, so most break triangles in
-    # several places (some at once through one pair).  Each is validated by
-    # the Python-int loop, then through int64 and big ints by dropping the
-    # size threshold and the int64 limit; each report must equal the plain
-    # Fraction oracle's, violation for violation.
+    # several places (some at once through one pair).  Each is validated at
+    # its natural shift, then with the int64 bound lowered to 2, 4 and 8 bits,
+    # which shifts the entries and makes the filter flag tight and near-tight
+    # triangles that the exact recheck must drop.  Every report must equal
+    # the plain Fraction oracle's, violation for violation.
     rng = random.Random(3)
-    broken = 0
+    broken = shifted = 0
     for _ in range(240):
         n = rng.randint(3, 12)
         rows = [list(r) for r in random_metric_space(rng, n).matrix]
@@ -144,20 +145,38 @@ def test_scaled_paths_match_small_path(monkeypatch):
             rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
         expected = oracle_violations(rows)
         oracle = ValidationReport(not expected, expected)
-        with monkeypatch.context() as patch:
-            scans = record_calls(patch, metric_mod, ["_triangle_scan", "_triangle_scan_int64"])
-            small = metric_mod.validate_metric(rows)
-            patch.setattr(metric_mod, "_SCALED_MIN_N", 2)
-            via_numpy = metric_mod.validate_metric(rows)
-            patch.setattr(metric_mod, "_INT64_LIMIT", 1)
-            via_bigint = metric_mod.validate_metric(rows)
-        assert scans == ["_triangle_scan", "_triangle_scan_int64", "_triangle_scan"]
-        assert small == oracle
-        assert via_numpy == oracle
-        assert via_bigint == oracle
-        assert small.ok == oracle_is_metric(rows)
-        broken += not small.ok
+        assert metric_mod.validate_metric(rows) == oracle
+        for limit in (2**2, 2**4, 2**8):
+            with monkeypatch.context() as patch:
+                patch.setattr(metric_mod, "_INT64_LIMIT", limit)
+                assert metric_mod.validate_metric(rows) == oracle
+        assert oracle.ok == oracle_is_metric(rows)
+        broken += not oracle.ok
+        shifted += max(map(max, metric_mod._scaled_matrix(rows)[0])) >= 2**8
     assert 100 < broken < 240
+    assert shifted > 150  # most spaces are shifted even at the 8-bit bound
+
+
+@pytest.mark.parametrize("bits", [62, 63, 64, 65, 80, 127, 200, 300])
+def test_shifted_scan_floor_rule(bits):
+    # d(0,2) = a against d(0,1) + d(1,2) = b + c with a = b + c - 1, b + c and
+    # b + c + 1, the largest entry about ``bits`` bits long.  From 63 bits on
+    # the entries are shifted: the filter must flag every real violation
+    # (a = b + c + 1, even when the floors of b and c lose a carry) and the
+    # exact recheck must drop the tight and strict triangles it also flags.
+    # A fourth point at distance b + c from all three keeps every other
+    # triangle strict.
+    rng = random.Random(bits)
+    for _ in range(40):
+        b = rng.getrandbits(bits - 1) | 1 << (bits - 2)
+        c = rng.getrandbits(bits - 1) | 1 << (bits - 2)
+        for delta in (-1, 0, 1):
+            a = b + c + delta
+            far = b + c
+            rows = [[0, b, a, far], [b, 0, c, far], [a, c, 0, far], [far, far, far, 0]]
+            assert metric_mod._triangle_scan(rows) == ([(0, 2, 1)] if delta > 0 else [])
+            expected = oracle_violations(rows)
+            assert validate_metric(rows) == ValidationReport(not expected, expected)
 
 
 @pytest.mark.parametrize(
