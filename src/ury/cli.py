@@ -127,6 +127,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _parse_space(text: str) -> metric.FiniteMetricSpace:
+    """A ``.dmat`` input as a validated space, bounded like a prefix."""
+    return metric.parse_distance_matrix(text, construct.PREFIX_MAX_POINTS)
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -193,8 +198,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows = metric.parse_matrix_text(_read_text(args.dmat))
-    report = metric.validate_metric(rows)
+    rows, scale = metric.parse_scaled_matrix(_read_text(args.dmat), construct.PREFIX_MAX_POINTS)
+    report = metric.validate_scaled_matrix(rows, scale)
     if report.ok:
         print(f"OK: metric on {len(rows)} points")
         return 0
@@ -209,7 +214,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    space = metric.parse_distance_matrix(_read_text(args.dmat))
+    space = _parse_space(_read_text(args.dmat))
     support_1b = args.support if args.support else list(range(1, space.n + 1))
     support = [i - 1 for i in support_1b]
     req = extension.ExtensionRequest(space, support, args.radii)
@@ -234,7 +239,7 @@ def cmd_balls(args) -> int:
     data = _json_value(json.loads(_read_text(args.family)), dict, "the family")
     dmat = _json_value(data["dmat"], str, '"dmat"')
     text = dmat if "\n" in dmat else _read_text(dmat)
-    space = metric.parse_distance_matrix(text)
+    space = _parse_space(text)
     balls = [
         (_json_value(b["center"], int, "a center") - 1, parse_rational(str(b["radius"])))
         for b in _json_items(data["balls"], dict, '"balls"')
@@ -288,7 +293,7 @@ def cmd_tightspan(args) -> int:
         head = text.split("\n", 1)[0].rstrip("\r")
         if head.isascii() and head.isdigit():
             tightspan.check_vertex_limit(int(head))
-    space = metric.parse_distance_matrix(text)
+    space = _parse_space(text)
     if args.vertices:
         result = tightspan.tight_span_vertices(space)
         for f in result.vertices:
@@ -361,7 +366,7 @@ def cmd_c0_demo(args) -> int:
 
 def cmd_embed(args) -> int:
     state = construct.load_prefix(args.prefix, args.limit)
-    target = metric.parse_distance_matrix(_read_text(args.target))
+    target = _parse_space(_read_text(args.target))
     result = embed.find_isometric_embedding(target, state)
     payload = {
         "status": result.status,

@@ -18,6 +18,7 @@ All indices in the public API are 0-based; external formats render them
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MetricViolation, NonSquareInput, ParseError
-from .rational import as_rational, format_ratio, format_rational
+from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge
+from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 # The triangle scan shifts entries right until they lie below this bound, so
 # that a sum of two of them fits in int64.
@@ -179,7 +180,12 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     rechecked exactly.  Raises
     :class:`NonSquareInput` for inputs that are not square matrices.
     """
-    violations = _violations(*_scaled_matrix(matrix))
+    return validate_scaled_matrix(*_scaled_matrix(matrix))
+
+
+def validate_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> ValidationReport:
+    """:func:`validate_metric` on the square matrix ``rows[i][j] / scale``."""
+    violations = _violations(rows, scale)
     return ValidationReport(not violations, violations)
 
 
@@ -210,8 +216,11 @@ def katetov_failure(
 
 def katetov_row(d, points: Sequence[int], radii: Sequence[Fraction]) -> list[Fraction]:
     """The min-plus extension ``min_l (r_l + d(x_l, z))`` for every z, with each
-    ``points[l]`` pinned to ``radii[l]`` (a no-op when the lower side holds)."""
-    row = [min(r + d[x][z] for x, r in zip(points, radii)) for z in range(len(d))]
+    ``points[l]`` pinned to ``radii[l]`` (a no-op when the lower side holds).
+    One shifted row ``r_l + d(x_l, .)`` per point, then their column-wise
+    minimum; a single point's shifted row is the answer itself."""
+    sums = [[r + v for v in d[x]] for x, r in zip(points, radii)]
+    row = sums[0] if len(sums) == 1 else list(map(min, *sums))
     for x, r in zip(points, radii):
         row[x] = r
     return row
@@ -232,12 +241,21 @@ class FiniteMetricSpace:
     scale: int
 
     def __init__(self, matrix):
-        rows, scale = _scaled_matrix(matrix)
-        violations = _violations(rows, scale)
-        if violations:
-            raise MetricViolation(ValidationReport(False, violations))
+        self._set_validated(*_scaled_matrix(matrix))
+
+    def _set_validated(self, rows: tuple[tuple[int, ...], ...], scale: int) -> None:
+        report = validate_scaled_matrix(rows, scale)
+        if not report.ok:
+            raise MetricViolation(report)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "scale", scale)
+
+    @classmethod
+    def _validated(cls, rows: tuple[tuple[int, ...], ...], scale: int) -> "FiniteMetricSpace":
+        """The space ``rows / scale``, given on its canonical scale; validated."""
+        space = object.__new__(cls)
+        space._set_validated(rows, scale)
+        return space
 
     @classmethod
     def _trusted(cls, rows, scale: int) -> "FiniteMetricSpace":
@@ -286,9 +304,20 @@ def _matrix_from_triangle(triangle: Sequence[Sequence]) -> list[list[Fraction]]:
     return matrix
 
 
-def parse_matrix_text(text: str) -> list[list[Fraction]]:
-    """Parse ``.dmat`` syntax into a raw symmetric matrix, without validating
-    the metric axioms (``validate_metric`` handles those separately)."""
+# A .dmat row that parses as it stands: unsigned integers or ``p/q`` fractions
+# of ASCII digits, single spaces between them, and no denominator of zeros.
+_ROW_RE = re.compile(r"[0-9]+(?:/[0-9]+)?(?: [0-9]+(?:/[0-9]+)?)*")
+_ZERO_DENOMINATOR_RE = re.compile(r"/0+(?: |$)")
+
+
+def parse_scaled_matrix(
+    text: str, max_points: int | None = None
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Parse ``.dmat`` syntax into ``(rows, scale)``: the symmetric matrix
+    ``rows[i][j] / scale`` on its canonical scale, as
+    :func:`_scaled_matrix` gives it, with no Fraction made and no metric
+    axiom checked.  A point count above ``max_points`` raises
+    :class:`TooLarge` before any row is read."""
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, 1, "empty input")
@@ -298,42 +327,70 @@ def parse_matrix_text(text: str) -> list[list[Fraction]]:
     n = int(head)
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")
+    if max_points is not None and n > max_points:
+        raise TooLarge(f"a distance matrix is limited to {max_points} points")
     if len(lines) > n:
         raise ParseError(n + 1, 1, "unexpected extra line")
     if len(lines) < n:
         raise ParseError(len(lines) + 1, 1, f"expected {n - 1} distance rows, got {len(lines) - 1}")
 
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    # entries[i][j] is d(i, j) as (numerator, "/" or "", denominator or "").
+    entries = [[]]
     for i in range(1, n):
         line = lines[i]
-        lineno = i + 1
-        if line != line.rstrip():
-            raise ParseError(lineno, len(line.rstrip()) + 1, "trailing whitespace")
-        tokens = line.split(" ")
-        if tokens != [t for t in tokens if t]:
-            raise ParseError(lineno, 1, "empty field (double space?)")
-        if len(tokens) != i:
-            raise ParseError(lineno, 1, f"expected {i} entries, got {len(tokens)}")
-        col = 1
-        for j, token in enumerate(tokens):
-            if token.startswith("-"):
-                raise ParseError(lineno, col, "negative distance")
-            try:
-                value = as_rational(token)
-            except ValueError as exc:
-                raise ParseError(lineno, col, str(exc)) from None
-            matrix[i][j] = matrix[j][i] = value
-            col += len(token) + 1
-    return matrix
+        if _ROW_RE.fullmatch(line) is None or _ZERO_DENOMINATOR_RE.search(line):
+            raise _row_error(line, i + 1, i)
+        entries.append([token.partition("/") for token in line.split(" ")])
+        if len(entries[i]) != i:
+            raise ParseError(i + 1, 1, f"expected {i} entries, got {len(entries[i])}")
+    denominators = {q for row in entries for _, _, q in row}
+    scale = lcm(*(int(q) for q in denominators if q))
+    factor = {q: scale // int(q or 1) for q in denominators}
+    lower = [[int(p) * factor[q] for p, _, q in row] for row in entries]
+    # Column i of the lower triangle, padded with zeros, is row i's upper part.
+    columns = list(zip(*(row + [0] * (n - i) for i, row in enumerate(lower))))
+    rows, scale = reduced([(*lower[i], *columns[i][i:]) for i in range(n)], scale)
+    return tuple(map(tuple, rows)), scale
 
 
-def parse_distance_matrix(text: str) -> FiniteMetricSpace:
+def _row_error(line: str, lineno: int, count: int) -> ParseError:
+    # The first fault of a row that _ROW_RE refused or that has a zero
+    # denominator, checked in order: trailing whitespace, an empty field, the
+    # entry count, then each entry from the left.
+    if line != line.rstrip():
+        return ParseError(lineno, len(line.rstrip()) + 1, "trailing whitespace")
+    tokens = line.split(" ")
+    if "" in tokens:
+        return ParseError(lineno, 1, "empty field (double space?)")
+    if len(tokens) != count:
+        return ParseError(lineno, 1, f"expected {count} entries, got {len(tokens)}")
+    col = 1
+    for token in tokens:
+        if token.startswith("-"):
+            return ParseError(lineno, col, "negative distance")
+        try:
+            parse_rational(token)
+        except ValueError as exc:
+            return ParseError(lineno, col, str(exc))
+        col += len(token) + 1
+    raise AssertionError(f"line {lineno} is a well-formed row")
+
+
+def parse_matrix_text(text: str) -> list[list[Fraction]]:
+    """Parse ``.dmat`` syntax into a raw symmetric Fraction matrix, without
+    validating the metric axioms (``validate_metric`` handles those
+    separately): a view of :func:`parse_scaled_matrix`."""
+    return [list(row) for row in fraction_rows(*parse_scaled_matrix(text))]
+
+
+def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMetricSpace:
     """Parse and validate a ``.dmat`` document.
 
-    Raises :class:`ParseError` for malformed syntax and
-    :class:`MetricViolation` when the parsed matrix is not a metric.
+    Raises :class:`ParseError` for malformed syntax, :class:`TooLarge` for a
+    point count above ``max_points``, and :class:`MetricViolation` when the
+    parsed matrix is not a metric.
     """
-    return FiniteMetricSpace(parse_matrix_text(text))
+    return FiniteMetricSpace._validated(*parse_scaled_matrix(text, max_points))
 
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:

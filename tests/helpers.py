@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from ury import FiniteMetricSpace, Violation
+from ury import FiniteMetricSpace, ParseError, Violation, as_rational
 from ury.construct import ALL_PRIOR, DEFAULT_MODE, ConstructionMode, PrefixState, StepRecord
 from ury.tightspan import KatetovFunction
 
@@ -401,7 +401,9 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
 # Each reads the Fraction view ``space.matrix``, which the library never does.
 # ---------------------------------------------------------------------------
 
-def _oracle_min_plus_row(d, points, radii) -> list[Fraction]:
+def oracle_katetov_row(d, points, radii) -> list:
+    """The min-plus row ``min_l (r_l + d(x_l, z))``, one ``z`` at a time, with
+    each ``points[l]`` pinned to ``radii[l]``; over ints or Fractions."""
     row = [min(r + d[x][z] for x, r in zip(points, radii)) for z in range(len(d))]
     for x, r in zip(points, radii):
         row[x] = r
@@ -411,7 +413,7 @@ def _oracle_min_plus_row(d, points, radii) -> list[Fraction]:
 def oracle_extended_matrix(space: FiniteMetricSpace, support, radii) -> list[list[Fraction]]:
     """The one-point extension's (n+1)x(n+1) Fraction matrix, new point last."""
     d = space.matrix
-    new_row = _oracle_min_plus_row(d, support, radii)
+    new_row = oracle_katetov_row(d, support, radii)
     return [list(row) + [new_row[i]] for i, row in enumerate(d)] + [new_row + [Fraction(0)]]
 
 
@@ -474,7 +476,7 @@ def oracle_extend_radius_function(space: FiniteMetricSpace, subset, r):
     failure = oracle_katetov_failure(space.matrix, subset, r, two_sided=False)
     if failure is not None:
         return None, failure[0]
-    return tuple(_oracle_min_plus_row(space.matrix, subset, r)), None
+    return tuple(oracle_katetov_row(space.matrix, subset, r)), None
 
 
 def oracle_tripod_center(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
@@ -485,3 +487,44 @@ def oracle_tripod_center(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
         (d[0][1] + d[1][2] - d[0][2]) / 2,
         (d[0][2] + d[1][2] - d[0][1]) / 2,
     )
+
+
+def oracle_parse_matrix(text: str) -> list[list[Fraction]]:
+    """The ``.dmat`` text as a symmetric Fraction matrix, one Fraction per
+    entry, with the library's ParseError (line, column, reason) for each fault."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, 1, "empty input")
+    head = lines[0]
+    if not (head.isascii() and head.isdigit()):
+        raise ParseError(1, 1, f"invalid point count {head!r}")
+    n = int(head)
+    if n < 1:
+        raise ParseError(1, 1, "point count must be at least 1")
+    if len(lines) > n:
+        raise ParseError(n + 1, 1, "unexpected extra line")
+    if len(lines) < n:
+        raise ParseError(len(lines) + 1, 1, f"expected {n - 1} distance rows, got {len(lines) - 1}")
+
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(1, n):
+        line = lines[i]
+        lineno = i + 1
+        if line != line.rstrip():
+            raise ParseError(lineno, len(line.rstrip()) + 1, "trailing whitespace")
+        tokens = line.split(" ")
+        if tokens != [t for t in tokens if t]:
+            raise ParseError(lineno, 1, "empty field (double space?)")
+        if len(tokens) != i:
+            raise ParseError(lineno, 1, f"expected {i} entries, got {len(tokens)}")
+        col = 1
+        for j, token in enumerate(tokens):
+            if token.startswith("-"):
+                raise ParseError(lineno, col, "negative distance")
+            try:
+                value = as_rational(token)
+            except ValueError as exc:
+                raise ParseError(lineno, col, str(exc)) from None
+            matrix[i][j] = matrix[j][i] = value
+            col += len(token) + 1
+    return matrix

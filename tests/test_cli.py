@@ -463,6 +463,40 @@ def test_replaying_a_cache_over_the_point_bound_is_refused(tmp_path, capsys, mon
     assert json.loads(stderr) == {"error": "TooLarge", "detail": "a prefix is limited to 11 points"}
 
 
+@pytest.mark.parametrize("command", ["verify", "extend", "balls", "balls-inline", "tightspan", "embed"])
+def test_a_dmat_over_the_point_bound_is_refused_before_its_rows(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(construct, "PREFIX_MAX_POINTS", 11)
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "11", "--out", str(cache))
+    at_bound = tmp_path / "at.dmat"
+    run(capsys, "export", "--cache", str(cache), "--out", str(at_bound))
+    # Twelve points, and rows that would be a parse error (exit 2) if read.
+    over = tmp_path / "over.dmat"
+    over.write_text("12\nx\n")
+
+    def argv(dmat: Path) -> list[str]:
+        family = tmp_path / f"family-{dmat.stem}.json"
+        inline = command == "balls-inline"
+        balls = [{"center": 1, "radius": "1"}]
+        family.write_text(json.dumps({"dmat": dmat.read_text() if inline else str(dmat), "balls": balls}))
+        return {
+            "verify": ["verify", "--dmat", str(dmat)],
+            "extend": ["extend", "--dmat", str(dmat), "--support", "1", "--radii", "1"],
+            "balls": ["balls", "--family", str(family)],
+            "balls-inline": ["balls", "--family", str(family)],
+            "tightspan": ["tightspan", "--dmat", str(dmat), "--kuratowski", "1"],
+            "embed": ["embed", "--target", str(dmat), "--prefix", str(cache)],
+        }[command]
+
+    assert run(capsys, *argv(at_bound))[0] == 0
+    code, stdout, stderr = run(capsys, *argv(over))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "TooLarge",
+        "detail": "a distance matrix is limited to 11 points",
+    }
+
+
 def test_hull_check_builtins(capsys):
     for name in ("h1", "h2", "segment"):
         code, stdout, _ = run(capsys, "hull-check", "--builtin", name)

@@ -29,6 +29,8 @@ from helpers import (
     oracle_is_metric,
     oracle_violations,
     oracle_katetov_failure,
+    oracle_katetov_row,
+    oracle_parse_matrix,
     prefix_state,
     record_calls,
     rand_rational,
@@ -291,6 +293,77 @@ def test_parse_normalizes_then_serializes_canonically():
 
 def test_missing_final_newline_tolerated():
     assert parse_distance_matrix("2\n1") == parse_distance_matrix("2\n1\n")
+
+
+def _spelled(rng: random.Random, value: Fraction) -> str:
+    # value as a valid but often non-canonical .dmat token: 2/4, 007, 0/3, ...
+    k = rng.choice((1, 1, 2, 3, 10))
+    num = str(value.numerator * k).zfill(rng.choice((0, 0, 2, 3)))
+    den = value.denominator * k
+    return num if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
+
+
+def test_integer_parse_matches_the_fraction_oracle():
+    rng = random.Random(1010)
+    texts = ["1\n", "2\n2/4\n", "2\n007\n", "2\n0\n", "2\n0/3\n", "3\n0/3\n0 0/5\n", "2\r\n1/2\r\n"]
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        values = [[rand_rational(rng, Fraction(0), Fraction(3)) for _ in range(i)] for i in range(n)]
+        texts.append(f"{n}\n" + "".join(" ".join(_spelled(rng, v) for v in row) + "\n" for row in values[1:]))
+    for text in texts:
+        oracle = oracle_parse_matrix(text)
+        assert metric_mod.parse_scaled_matrix(text) == metric_mod._scaled_matrix(oracle), text
+        assert metric_mod.parse_matrix_text(text) == oracle
+
+
+MALFORMED = [
+    "", "\n", "x\n", "0\n", "+3\n", "\u00b2\n1\n", " 2\n1\n",
+    "2\n1\nextra\n", "3\n1\n", "4\n1\n1 1\n", "2\n",
+    "2\n1 \n", "3\n1\n1 1\t\n", "3\n1\n1  1\n", "2\n 1\n", "3\n1\n\n",
+    "2\n1 2\n", "3\n1\n1/2\n", "3\n1\n1/0\n", "3\n1\n1 1 1\n",
+    "2\n-1\n", "3\n1\n1 -x\n", "2\n1.5\n", "2\n1e3\n", "2\n1/0\n", "3\n1\n2 1/00\n",
+    "2\n1/\n", "2\n/2\n", "2\n1//2\n", "2\n1/2/3\n", "2\n\u0661\n", "3\n1\n1 1/\u0661\n",
+    "2\n+1\n", "2\n1_0\n", "2\n\t1\n", "3\n1/0\n1 x\n", "3\n1\n1/0 x\n",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_integer_parse_errors_match_the_fraction_oracle(text):
+    with pytest.raises(ParseError) as expected:
+        oracle_parse_matrix(text)
+    with pytest.raises(ParseError) as got:
+        metric_mod.parse_scaled_matrix(text)
+    assert (got.value.line, got.value.column, got.value.reason) == (
+        expected.value.line, expected.value.column, expected.value.reason
+    )
+
+
+# ---------------------------------------------------------------------------
+# Katetov row: the column-wise kernel against the per-z oracle
+# ---------------------------------------------------------------------------
+
+def test_katetov_row_matches_the_per_point_oracle():
+    rng = random.Random(777)
+    pinned = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        space = random_metric_space(rng, n)
+        for p in range(1, n + 1):
+            points = rng.sample(range(n), p) if rng.random() < 0.5 else range(p)
+            # Small radii from a short list make ties common; most miss the
+            # lower side |r_i - r_j| <= d, so the pins change the row.
+            radii = [rng.choice((Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(4))) for _ in points]
+            if rng.random() < 0.3:
+                radii = [space.matrix[points[0]][x] + Fraction(1, 4) for x in points]
+            expected = oracle_katetov_row(space.matrix, points, radii)
+            assert metric_mod.katetov_row(space.matrix, points, radii) == expected
+            d, ints, scale = metric_mod.common_scale(space.rows, space.scale, radii)
+            row = metric_mod.katetov_row(d, points, ints)
+            assert [Fraction(v, scale) for v in row] == expected
+            assert all(type(v) is int for v in row)
+            unpinned = [min(r + space.matrix[x][z] for x, r in zip(points, radii)) for z in range(n)]
+            pinned += unpinned != expected
+    assert pinned >= 100
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""Paired benchmark runs of two checkouts, written to one BENCH_*.json file.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \
+        --workload prefix_pipeline --seeds 13,14 --out BENCH_x.json
+
+For each seed, ``perfbench/run.py`` runs once in each checkout (traced with
+``--trace 1``) at the ``run_seconds`` of ``BENCHMARK.json``, one run at a
+time, the side that goes first alternating from seed to seed.  The file
+keeps, per run, the seed, the side, the pass count and the report and
+result lines that run.py printed, then the per-metric median and
+quartiles of each side and the number of pairs the change won.  Run again
+with the same ``--out`` to append runs of another workload or seed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
+    report, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    return report, result
+
+
+def head(root: Path) -> str:
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE, text=True)
+    return proc.stdout.strip() or "unknown"
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0]] * 2
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per workload (traced runs apart) and metric: each side's median and
+    quartiles, and the pairs the change won."""
+    out: dict = {}
+    for workload, trace in sorted({(r["workload"], r["trace"]) for r in runs}):
+        mine = [r for r in runs if (r["workload"], r["trace"]) == (workload, trace)]
+        pairs = {}
+        for r in mine:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
+        pairs = [p for p in pairs.values() if len(p) == 2]
+        metrics = {}
+        for name in pairs[0]["parent"] if pairs else ():
+            parent = [p["parent"][name]["value"] for p in pairs]
+            change = [p["change"][name]["value"] for p in pairs]
+            metrics[name] = {
+                "parent_median": statistics.median(parent),
+                "parent_quartiles": quartiles(parent),
+                "change_median": statistics.median(change),
+                "change_quartiles": quartiles(change),
+                "change_lower_in": sum(c < p for p, c in zip(parent, change)),
+                "pairs": len(pairs),
+            }
+        digests = {}
+        for r in mine:
+            digests.setdefault(r["seed"], set()).add(r["report"]["output_sha256"])
+        out[workload + (" traced" if trace else "")] = {
+            "metrics": metrics,
+            "same_output_sha256_per_seed": all(len(d) == 1 for d in digests.values()),
+            "failed": sum(r["result"]["failed"] for r in mine),
+        }
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    seconds = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
+    data = json.loads(args.out.read_text()) if args.out.exists() else {
+        "parent_commit": head(args.parent), "seconds": seconds, "runs": []}
+    sides = {"parent": args.parent, "change": args.change}
+    for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            report, result = run_side(sides[side], args.workload, seed, seconds, args.trace)
+            data["runs"].append({
+                "workload": args.workload, "trace": args.trace, "seed": seed, "side": side,
+                "passes": report["passes"], "report": report, "result": result,
+            })
+            print(side, seed, file=sys.stderr)
+            data["summary"] = summarize(data["runs"])
+            args.out.write_text(json.dumps(data, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
