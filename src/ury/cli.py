@@ -123,7 +123,9 @@ def _violation_dict(v: metric.Violation) -> dict:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # Line ends stay as written, so that a .dmat line may end in LF or CRLF
+    # and in nothing else (a lone CR is not turned into a line break).
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.read()
 
 
@@ -198,10 +200,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rows, scale = metric.parse_scaled_matrix(_read_text(args.dmat), construct.PREFIX_MAX_POINTS)
-    report = metric.validate_scaled_matrix(rows, scale)
+    lower, scale = metric.parse_lower_triangle(_read_text(args.dmat), construct.PREFIX_MAX_POINTS)
+    report = metric.validate_lower_triangle(lower, scale)
     if report.ok:
-        print(f"OK: metric on {len(rows)} points")
+        print(f"OK: metric on {len(lower)} points")
         return 0
     for v in report.violations:
         d = _violation_dict(v)
@@ -290,9 +292,7 @@ def cmd_tightspan(args) -> int:
     text = _read_text(args.dmat)
     if args.vertices:
         # Refuse an oversized space on its header, before the O(n^3) validation.
-        head = text.split("\n", 1)[0].rstrip("\r")
-        if head.isascii() and head.isdigit():
-            tightspan.check_vertex_limit(int(head))
+        tightspan.check_vertex_limit(metric.dmat_point_count(text))
     space = _parse_space(text)
     if args.vertices:
         result = tightspan.tight_span_vertices(space)

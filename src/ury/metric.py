@@ -4,7 +4,8 @@ Provides metric-axiom validation with exact witnesses, the immutable
 :class:`FiniteMetricSpace` value type, and the ``.dmat`` text format
 (canonical, byte-stable, shared by the whole toolkit).
 
-``.dmat`` format (UTF-8, LF line endings):
+``.dmat`` format (UTF-8; lines end in LF or CRLF, and no other character
+breaks a line):
 
 * line 1: the point count ``n`` (a positive integer);
 * lines 2..n: row ``i`` (for ``i = 2..n``, 1-based) holding the ``i - 1``
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -115,8 +116,10 @@ def fraction_rows(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Frac
     return tuple(tuple(values[v] for v in row) for row in rows)
 
 
-def _violations(rows: tuple[tuple[int, ...], ...], scale: int) -> tuple[Violation, ...]:
+def _violations(rows: Sequence[Sequence[int]], scale: int) -> tuple[Violation, ...]:
     # validate_metric's stages on the integers; only witnesses become Fractions.
+    # The diagonal and symmetry stages need the square matrix; the rest runs
+    # on its lower triangle.
     n = len(rows)
 
     def q(v: int) -> Fraction:
@@ -129,43 +132,83 @@ def _violations(rows: tuple[tuple[int, ...], ...], scale: int) -> tuple[Violatio
         Violation("symmetry", (i, j), q(rows[i][j]), q(rows[j][i]))
         for i, j in combinations(range(n), 2) if rows[i][j] != rows[j][i]
     ]
-    if not found:
-        found = [
-            Violation("positivity", (i, j), q(rows[i][j]), Fraction(0))
-            for i, j in combinations(range(n), 2) if rows[i][j] <= 0
-        ]
-    if found or n < 3:
+    if found:
         return tuple(found)
+    return _lower_violations([row[:i] for i, row in enumerate(rows)], scale)
+
+
+def _lower_violations(lower: Sequence[Sequence[int]], scale: int) -> tuple[Violation, ...]:
+    # The positivity stage, then the triangle stage, on lower[i][j] = d(i, j)
+    # for j < i.  Witness pairs (j, i) come out in (j, i) order, as on the
+    # square matrix.
+    def q(v: int) -> Fraction:
+        return Fraction(v, scale)
+
+    nonpositive = sorted(
+        (j, i)
+        for i, row in enumerate(lower) if min(row, default=1) <= 0
+        for j, v in enumerate(row) if v <= 0
+    )
+    if nonpositive:
+        return tuple(
+            Violation("positivity", (j, i), q(lower[i][j]), Fraction(0)) for j, i in nonpositive
+        )
+    if len(lower) < 3:
+        return ()
+
+    def at(i: int, j: int) -> int:
+        return lower[i][j] if i > j else lower[j][i]
+
     return tuple(
-        Violation("triangle", (a, mid, b), q(rows[a][b]), q(rows[a][mid] + rows[mid][b]))
-        for a, b, mid in sorted(_triangle_scan(rows))
+        Violation("triangle", (a, mid, b), q(lower[b][a]), q(at(a, mid) + at(mid, b)))
+        for a, b, mid in _triangle_scan(lower)
     )
 
 
-def _triangle_scan(rows) -> list[tuple[int, int, int]]:
-    # Emits (a, b, mid), a < b, for every failing d(a,b) <= d(a,mid) + d(mid,b),
-    # on positive entries with a zero diagonal.  The int64 scan runs on the
-    # entries shifted right by s bits, the least s that puts them all below
-    # _INT64_LIMIT, so no sum of two can wrap.  Flooring keeps every violation
-    # (x > y + z implies x>>s >= (y>>s) + (z>>s)), so for s > 0 the filter is
-    # (x>>s) + 1 > (y>>s) + (z>>s).  It may also flag tight triangles, so each
-    # flagged triple is rechecked in Python ints.  The shifted diagonal is 1,
-    # so that no pair flags against one of its own ends.
-    s = max(0, max(map(max, rows)).bit_length() - _INT64_LIMIT.bit_length() + 1)
-    if s:
-        d = np.array([[v >> s for v in row] for row in rows], dtype=np.int64)
-        np.fill_diagonal(d, 1)
-        lhs = d + 1
-    else:
-        d = lhs = np.array(rows, dtype=np.int64)
+# The triangle scan checks the rows in tiles of this many, each tile against
+# every mid, so that a tile and its two buffers stay in cache.
+_TILE = 64
+
+
+def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    # Every (a, b, mid) with a < b and d(a,b) > d(a,mid) + d(mid,b), sorted, on
+    # the positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points.
+    # The int64 scan runs on the entries shifted right by s bits, the least s
+    # that puts them all below _INT64_LIMIT, so no sum of two can wrap.
+    # Flooring keeps every violation (x > y + z implies x>>s >= (y>>s) +
+    # (z>>s)), so for s > 0 the filter is >=.  It may also flag tight
+    # triangles, so each flagged triple is rechecked in Python ints.  The
+    # shifted diagonal is 1, so that no pair flags against one of its own
+    # ends.  A tile of rows a >= t is scanned over the columns b >= t only:
+    # each pair a < b is checked once, in the tile of a.
+    n = len(lower)
+    s = max(0, max(map(max, lower[1:])).bit_length() - _INT64_LIMIT.bit_length() + 1)
+    d = np.empty((n, n), dtype=np.int64)
+    for i, row in enumerate(lower):
+        d[i, :i] = [v >> s for v in row] if s else row
+        d[:i, i] = d[i, :i]
+    np.fill_diagonal(d, 1 if s else 0)
+    flags = np.greater_equal if s else np.greater
+    sums = np.empty((_TILE, n), dtype=np.int64)
+    hits = np.empty((_TILE, n), dtype=bool)
+    flagged = []
+    for t in range(0, n, _TILE):
+        h = min(_TILE, n - t)
+        tile, tile_sums, tile_hits = d[t : t + h, t:], sums[:h, : n - t], hits[:h, : n - t]
+        for mid in range(n):
+            np.add(d[mid, t : t + h, None], d[mid, t:], out=tile_sums)
+            flags(tile, tile_sums, out=tile_hits)
+            if tile_hits.any():
+                flagged.append((mid, t, np.argwhere(tile_hits)))
     found = []
-    for mid in range(len(rows)):
-        excess = lhs > d[:, mid : mid + 1] + d[mid : mid + 1, :]
-        if not excess.any():
-            continue
-        for a, b in np.argwhere(np.triu(excess, k=1)).tolist():
-            if rows[a][b] > rows[a][mid] + rows[mid][b]:
-                found.append((a, b, mid))
+    columns = {}
+    for mid, t, pairs in flagged:
+        if mid not in columns:
+            columns[mid] = [*lower[mid], 0, *(lower[k][mid] for k in range(mid + 1, n))]
+        col = columns[mid]
+        pairs = pairs[pairs[:, 0] < pairs[:, 1]] + t
+        found += [(a, b, mid) for a, b in pairs.tolist() if lower[b][a] > col[a] + col[b]]
+    found.sort()
     return found
 
 
@@ -186,6 +229,14 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
 def validate_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> ValidationReport:
     """:func:`validate_metric` on the square matrix ``rows[i][j] / scale``."""
     violations = _violations(rows, scale)
+    return ValidationReport(not violations, violations)
+
+
+def validate_lower_triangle(lower: Sequence[Sequence[int]], scale: int) -> ValidationReport:
+    """:func:`validate_metric` on the symmetric matrix with a zero diagonal
+    whose entries ``d(i, j)``, ``j < i``, are ``lower[i][j] / scale``: only
+    the positivity and triangle stages, which are all that can fail."""
+    violations = _lower_violations(lower, scale)
     return ValidationReport(not violations, violations)
 
 
@@ -310,6 +361,76 @@ _ROW_RE = re.compile(r"[0-9]+(?:/[0-9]+)?(?: [0-9]+(?:/[0-9]+)?)*")
 _ZERO_DENOMINATOR_RE = re.compile(r"/0+(?: |$)")
 
 
+def _dmat_lines(text: str) -> Iterator[str]:
+    # The lines of .dmat text: split on LF only, one CR dropped from the end
+    # of each, and no empty line after a final LF.
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        line = text[start:stop]
+        yield line[:-1] if line.endswith("\r") else line
+        start = stop + 1
+
+
+def _point_count(head: str | None, max_points: int | None) -> int:
+    if head is None:
+        raise ParseError(1, 1, "empty input")
+    if not (head.isascii() and head.isdigit()):
+        raise ParseError(1, 1, f"invalid point count {head!r}")
+    n = int(head)
+    if n < 1:
+        raise ParseError(1, 1, "point count must be at least 1")
+    if max_points is not None and n > max_points:
+        raise TooLarge(f"a distance matrix is limited to {max_points} points")
+    return n
+
+
+def dmat_point_count(text: str) -> int:
+    """The point count on the first line of ``.dmat`` text, checked as the
+    parse checks it, with no distance row read."""
+    return _point_count(next(_dmat_lines(text), None), None)
+
+
+class _Denominators(dict):
+    # One int per distinct denominator string; "" (no slash) is 1.
+    def __missing__(self, q: str) -> int:
+        value = self[q] = int(q or 1)
+        return value
+
+
+def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list[list[int]], int]:
+    """Parse ``.dmat`` syntax into ``(lower, scale)``: ``lower[i][j] / scale``
+    is ``d(i, j)`` for ``j < i``, with ``scale`` the lcm of the denominators
+    written (not reduced), and no metric axiom checked.  Each row is turned
+    into ints as soon as it is read.  A point count above ``max_points``
+    raises :class:`TooLarge` before any row is read."""
+    lines = _dmat_lines(text)
+    n = _point_count(next(lines, None), max_points)
+    count = text.count("\n") + (not text.endswith("\n"))
+    if count > n:
+        raise ParseError(n + 1, 1, "unexpected extra line")
+    if count < n:
+        raise ParseError(count + 1, 1, f"expected {n - 1} distance rows, got {count - 1}")
+
+    # rows[i] is d(i, .) as (numerators, denominators) until all are read.
+    denominators = _Denominators()
+    rows = [([], [])]
+    for i, line in enumerate(lines, 1):
+        if _ROW_RE.fullmatch(line) is None or _ZERO_DENOMINATOR_RE.search(line):
+            raise _row_error(line, i + 1, i)
+        tokens = [token.partition("/") for token in line.split(" ")]
+        if len(tokens) != i:
+            raise ParseError(i + 1, 1, f"expected {i} entries, got {len(tokens)}")
+        rows.append(([int(p) for p, _, _ in tokens], [denominators[q] for _, _, q in tokens]))
+    scale = lcm(*denominators.values())
+    factor = {q: scale // q for q in denominators.values()}
+    for i, (nums, dens) in enumerate(rows):
+        rows[i] = [p * factor[q] for p, q in zip(nums, dens)]
+    return rows, scale
+
+
 def parse_scaled_matrix(
     text: str, max_points: int | None = None
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -318,35 +439,8 @@ def parse_scaled_matrix(
     :func:`_scaled_matrix` gives it, with no Fraction made and no metric
     axiom checked.  A point count above ``max_points`` raises
     :class:`TooLarge` before any row is read."""
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, 1, "empty input")
-    head = lines[0]
-    if not (head.isascii() and head.isdigit()):
-        raise ParseError(1, 1, f"invalid point count {head!r}")
-    n = int(head)
-    if n < 1:
-        raise ParseError(1, 1, "point count must be at least 1")
-    if max_points is not None and n > max_points:
-        raise TooLarge(f"a distance matrix is limited to {max_points} points")
-    if len(lines) > n:
-        raise ParseError(n + 1, 1, "unexpected extra line")
-    if len(lines) < n:
-        raise ParseError(len(lines) + 1, 1, f"expected {n - 1} distance rows, got {len(lines) - 1}")
-
-    # entries[i][j] is d(i, j) as (numerator, "/" or "", denominator or "").
-    entries = [[]]
-    for i in range(1, n):
-        line = lines[i]
-        if _ROW_RE.fullmatch(line) is None or _ZERO_DENOMINATOR_RE.search(line):
-            raise _row_error(line, i + 1, i)
-        entries.append([token.partition("/") for token in line.split(" ")])
-        if len(entries[i]) != i:
-            raise ParseError(i + 1, 1, f"expected {i} entries, got {len(entries[i])}")
-    denominators = {q for row in entries for _, _, q in row}
-    scale = lcm(*(int(q) for q in denominators if q))
-    factor = {q: scale // int(q or 1) for q in denominators}
-    lower = [[int(p) * factor[q] for p, _, q in row] for row in entries]
+    lower, scale = parse_lower_triangle(text, max_points)
+    n = len(lower)
     # Column i of the lower triangle, padded with zeros, is row i's upper part.
     columns = list(zip(*(row + [0] * (n - i) for i, row in enumerate(lower))))
     rows, scale = reduced([(*lower[i], *columns[i][i:]) for i in range(n)], scale)

@@ -192,6 +192,21 @@ def test_verify_violations_golden(name, capsys):
     assert stderr == (GOLDEN / f"{name}.err").read_text()
 
 
+@pytest.mark.parametrize("text", ["3\x1c1\x1c2 3", "3\u20281\u20282 3\n", "3\r1\r2 3\r"])
+def test_verify_breaks_lines_on_lf_only(tmp_path, capsys, text):
+    f = tmp_path / "breaks.dmat"
+    f.write_bytes(text.encode())
+    code, stdout, stderr = run(capsys, "verify", "--dmat", str(f))
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr)["error"] == "ParseError"
+
+
+def test_verify_accepts_crlf_lines(tmp_path, capsys):
+    f = tmp_path / "crlf.dmat"
+    f.write_bytes(T345.replace("\n", "\r\n").encode())
+    assert run(capsys, "verify", "--dmat", str(f)) == (0, "OK: metric on 3 points\n", "")
+
+
 def test_verify_parse_error_exit_two(tmp_path, capsys):
     f = tmp_path / "mangled.dmat"
     f.write_text("2\n-1\n")
@@ -368,6 +383,22 @@ def test_tightspan_vertices_refuses_seven_points_before_parsing(tmp_path, capsys
     payload = json.loads(stderr)
     assert payload["error"] == "TooLarge"
     assert payload["detail"] == "vertex enumeration is limited to 6 points"
+
+
+def test_tightspan_vertices_refuses_a_one_line_header_before_parsing(tmp_path, capsys, monkeypatch):
+    # Seven points with their rows separated by \x1c: one line, so the header
+    # is no point count, and the refusal comes before the matrix is parsed.
+    from ury import metric
+
+    def unexpected(text):
+        raise AssertionError("the distance matrix was parsed")
+
+    monkeypatch.setattr(metric, "parse_distance_matrix", unexpected)
+    f = tmp_path / "seven.dmat"
+    f.write_bytes(("7\x1c" + "\x1c".join(" ".join(["1"] * i) for i in range(1, 7))).encode())
+    code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr)["error"] == "ParseError"
 
 
 def test_tightspan_project_and_kuratowski(tmp_path, capsys):

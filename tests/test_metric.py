@@ -130,28 +130,38 @@ def test_non_square_inputs():
         validate_metric([])
 
 
+def _stretched_lower(rng: random.Random, n: int) -> tuple[list[list[Fraction]], list[list[int]], int]:
+    # A seeded n-point space with a few pairs stretched (most break some
+    # triangles), as a Fraction matrix and as its integer lower triangle.
+    rows = [list(r) for r in random_metric_space(rng, n).matrix]
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
+    ints, scale = metric_mod._scaled_matrix(rows)
+    return rows, [list(row[:i]) for i, row in enumerate(ints)], scale
+
+
 def test_shifted_scan_matches_oracle(monkeypatch):
     # Seeded spaces with a few stretched pairs, so most break triangles in
     # several places (some at once through one pair).  Each is validated at
     # its natural shift, then with the int64 bound lowered to 2, 4 and 8 bits,
     # which shifts the entries and makes the filter flag tight and near-tight
-    # triangles that the exact recheck must drop.  Every report must equal
-    # the plain Fraction oracle's, violation for violation.
+    # triangles that the exact recheck must drop.  Every report, also that
+    # of the lower-triangle validator verify runs, must equal the plain
+    # Fraction oracle's, violation for violation.
     rng = random.Random(3)
     broken = shifted = 0
     for _ in range(240):
-        n = rng.randint(3, 12)
-        rows = [list(r) for r in random_metric_space(rng, n).matrix]
-        for _ in range(rng.randint(0, 3)):
-            i, j = rng.sample(range(n), 2)
-            rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
+        rows, lower, scale = _stretched_lower(rng, rng.randint(3, 12))
         expected = oracle_violations(rows)
         oracle = ValidationReport(not expected, expected)
         assert metric_mod.validate_metric(rows) == oracle
+        assert metric_mod.validate_lower_triangle(lower, scale) == oracle
         for limit in (2**2, 2**4, 2**8):
             with monkeypatch.context() as patch:
                 patch.setattr(metric_mod, "_INT64_LIMIT", limit)
                 assert metric_mod.validate_metric(rows) == oracle
+                assert metric_mod.validate_lower_triangle(lower, scale) == oracle
         assert oracle.ok == oracle_is_metric(rows)
         broken += not oracle.ok
         shifted += max(map(max, metric_mod._scaled_matrix(rows)[0])) >= 2**8
@@ -176,9 +186,48 @@ def test_shifted_scan_floor_rule(bits):
             a = b + c + delta
             far = b + c
             rows = [[0, b, a, far], [b, 0, c, far], [a, c, 0, far], [far, far, far, 0]]
-            assert metric_mod._triangle_scan(rows) == ([(0, 2, 1)] if delta > 0 else [])
+            lower = [row[:i] for i, row in enumerate(rows)]
+            assert metric_mod._triangle_scan(lower) == ([(0, 2, 1)] if delta > 0 else [])
             expected = oracle_violations(rows)
             assert validate_metric(rows) == ValidationReport(not expected, expected)
+
+
+@pytest.mark.parametrize("tile", [4, 8])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2t+1"])
+def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
+    # Tile size minus one, the tile size, one more, and two tiles plus one,
+    # so that violations cross tile boundaries in both directions.
+    n = 2 * tile + 1 if extra == "2t+1" else tile + extra
+    rng = random.Random(tile * 100 + n)
+    monkeypatch.setattr(metric_mod, "_TILE", tile)
+    broken = 0
+    for _ in range(30):
+        rows, lower, scale = _stretched_lower(rng, n)
+        expected = oracle_violations(rows)
+        broken += bool(expected)
+        for limit in (metric_mod._INT64_LIMIT, 2**4):
+            monkeypatch.setattr(metric_mod, "_INT64_LIMIT", limit)
+            assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
+            assert validate_metric(rows).violations == expected
+    assert broken > 5
+
+
+def test_negative_distance_is_a_positivity_violation():
+    rows = [[0, -1, 2], [-1, 0, 2], [2, 2, 0]]
+    report = validate_metric(rows)
+    assert report.violations == oracle_violations(rows)
+    assert [(v.kind, v.indices, v.lhs) for v in report.violations] == [("positivity", (0, 1), -1)]
+
+
+def test_positivity_witnesses_come_in_pair_order():
+    # Zeros at (1, 2) and (0, 3): the lower triangle meets (2, 1) first, but
+    # the witnesses are ordered by pair, as on the square matrix.
+    rows = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]
+    expected = oracle_violations(rows)
+    assert [v.indices for v in expected] == [(0, 3), (1, 2)]
+    assert validate_metric(rows).violations == expected
+    lower = [row[:i] for i, row in enumerate(rows)]
+    assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
 
 
 @pytest.mark.parametrize(
@@ -314,6 +363,45 @@ def test_integer_parse_matches_the_fraction_oracle():
         oracle = oracle_parse_matrix(text)
         assert metric_mod.parse_scaled_matrix(text) == metric_mod._scaled_matrix(oracle), text
         assert metric_mod.parse_matrix_text(text) == oracle
+
+
+def test_lower_triangle_parse_holds_the_values_written():
+    # Each entry over the lcm of the denominators written, not reduced.
+    assert metric_mod.parse_lower_triangle("3\n2/4\n1 3/2\n") == ([[], [2], [4, 6]], 4)
+    rng = random.Random(1011)
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        values = [[rand_rational(rng, Fraction(0), Fraction(3)) for _ in range(i)] for i in range(n)]
+        text = f"{n}\n" + "".join(" ".join(_spelled(rng, v) for v in row) + "\n" for row in values[1:])
+        lower, scale = metric_mod.parse_lower_triangle(text)
+        assert [[Fraction(v, scale) for v in row] for row in lower] == values
+
+
+@pytest.mark.parametrize(
+    "text,lines",
+    [
+        ("", []),
+        ("\n", [""]),
+        ("2\n1", ["2", "1"]),
+        ("2\n1\n", ["2", "1"]),
+        ("2\r\n1\r\n", ["2", "1"]),
+        ("2\n1\r", ["2", "1"]),
+        ("2\r\r\n1\n\n", ["2\r", "1", ""]),
+        ("\r\n\r", ["", ""]),
+        ("3\x1c1\x1c2 3", ["3\x1c1\x1c2 3"]),
+        ("3\u20281\u2028\x852\x0b3\x0c\n", ["3\u20281\u2028\x852\x0b3\x0c"]),
+    ],
+)
+def test_dmat_lines_break_on_lf_only(text, lines):
+    assert list(metric_mod._dmat_lines(text)) == lines
+
+
+@pytest.mark.parametrize("text", ["3\x1c1\x1c2 3", "3\u20281\u20282 3\n", "2\n1\x1d", "2\r1\r"])
+def test_other_line_breaks_are_parse_errors(text):
+    with pytest.raises(ParseError):
+        metric_mod.parse_lower_triangle(text)
+    with pytest.raises(ParseError):
+        parse_distance_matrix(text)
 
 
 MALFORMED = [
