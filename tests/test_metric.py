@@ -199,13 +199,14 @@ def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
     # so that violations cross tile boundaries in both directions.
     n = 2 * tile + 1 if extra == "2t+1" else tile + extra
     rng = random.Random(tile * 100 + n)
+    limits = (metric_mod._INT64_LIMIT, 2**4)
     monkeypatch.setattr(metric_mod, "_TILE", tile)
     broken = 0
     for _ in range(30):
         rows, lower, scale = _stretched_lower(rng, n)
         expected = oracle_violations(rows)
         broken += bool(expected)
-        for limit in (metric_mod._INT64_LIMIT, 2**4):
+        for limit in limits:
             monkeypatch.setattr(metric_mod, "_INT64_LIMIT", limit)
             assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
             assert validate_metric(rows).violations == expected

@@ -5,13 +5,15 @@
     python3 tools/verify_sizes.py --src ../other/src  # another checkout's library
 
 A child process builds one prefix of the largest size and exports it,
-truncated, to a temporary ``.dmat`` per size.  Each export is then verified by ``ury
-verify`` in a fresh child process, which also times the calls that the
-command makes into ``ury.metric``: ``parse_s`` is the time inside its
-``parse_*`` functions and ``validate_s`` the time inside its
-``validate_*`` functions (outermost calls only, raw wall clock).  The
-child's ``ru_maxrss`` is read with ``os.wait4``.  One JSON line is printed
-per size; the exit status is 1 unless every export verified as a metric.
+truncated, to a temporary ``.dmat`` per size.  Each export is then
+verified by ``ury verify`` in a fresh child process, which also times the
+calls that the command makes into ``ury.metric``: ``parse_s`` is the time
+inside its ``parse_*`` functions and ``validate_s`` the time inside its
+``validate_*`` functions (outermost calls only), ``verify_s`` the whole
+command; ``wall_s`` adds the interpreter's start.  All times are raw wall
+clock.  ``maxrss_mib`` is the child's ``ru_maxrss``, read with
+``os.wait4``.  One JSON line is printed per size; the exit status is 1
+unless every export verified as a metric.
 """
 
 from __future__ import annotations
