@@ -193,7 +193,7 @@ def cmd_build(args) -> int:
 
 def cmd_export(args) -> int:
     state = construct.load_prefix(args.cache, args.points)
-    text = metric.serialize_scaled_matrix(state.rows, state.scale)
+    text = metric.serialize_scaled_matrix(state.lower, state.scale)
     _write_text(args.out, text)
     print(f"wrote {state.m}-point distance matrix to {args.out}")
     return 0

@@ -110,11 +110,11 @@ class PartialIsometry:
                 raise InvalidPartialIsometry("index {} out of range", value)
         if len(set(sources)) != len(sources) or len(set(images)) != len(images):
             raise InvalidPartialIsometry("pairing must be injective on both sides")
-        rows = prefix.rows
+        lower = prefix.lower
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
-                lhs = rows[pairs[i][0]][pairs[j][0]]
-                rhs = rows[pairs[i][1]][pairs[j][1]]
+                lhs = _scaled_distance(lower, pairs[i][0], pairs[j][0])
+                rhs = _scaled_distance(lower, pairs[i][1], pairs[j][1])
                 if lhs != rhs:
                     lhs, rhs = format_ratio(lhs, prefix.scale), format_ratio(rhs, prefix.scale)
                     raise InvalidPartialIsometry(
@@ -137,11 +137,18 @@ def extend_partial_isometry(
         raise InvalidPartialIsometry("index {} out of range", new_source)
     if any(s == new_source for s, _ in p.pairs):
         raise InvalidPartialIsometry("source {} already mapped", new_source)
-    rows = p.prefix.rows
+    lower = p.prefix.lower
+    wanted = [(t, _scaled_distance(lower, new_source, s)) for s, t in p.pairs]
     images = {t for _, t in p.pairs}
     for candidate in range(p.prefix.m):
         if candidate in images:
             continue
-        if all(rows[new_source][s] == rows[candidate][t] for s, t in p.pairs):
+        row = lower[candidate]
+        if all((row[t] if t < candidate else lower[t][candidate]) == d for t, d in wanted):
             return PartialIsometry(p.prefix, p.pairs + ((new_source, candidate),))
     return None
+
+
+def _scaled_distance(lower, i: int, j: int) -> int:
+    """``d(i, j)`` over the prefix's scale, read from its lower triangle."""
+    return lower[i][j] if j < i else lower[j][i] if i < j else 0

@@ -88,16 +88,41 @@ def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[in
     return out
 
 
-def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
-    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
-    denominators of its entries.  The gcd scan starts at the last rows, which
-    usually hold the largest denominators, and stops once nothing can cancel."""
+def _common_divisor(rows: Sequence[Sequence[int]], scale: int) -> int:
+    # The gcd of scale and every entry.  The scan starts at the last rows,
+    # which usually hold the largest denominators, and stops once nothing
+    # can cancel.
     g = scale
     for row in reversed(rows):
         g = gcd(g, *row)
         if g == 1:
-            return rows, scale
-    return _rescaled(rows, 1, g), scale // g
+            break
+    return g
+
+
+def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
+    denominators of its entries."""
+    g = _common_divisor(rows, scale)
+    return (rows, scale) if g == 1 else (_rescaled(rows, 1, g), scale // g)
+
+
+def reduced_lower(lower: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """:func:`reduced` for a lower triangle, ``lower[i][j] / scale`` for
+    ``j < i``: each entry is divided once, and the shape is kept."""
+    g = _common_divisor(lower, scale)
+    return (lower, scale) if g == 1 else (rescaled_lower(lower, 1, g), scale // g)
+
+
+def rescaled_lower(lower: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
+    """``lower[i][j] * num // den`` for every entry of a lower triangle."""
+    return [[v * num // den for v in row] for row in lower]
+
+
+def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
+    """Row ``x`` of the symmetric matrix with a zero diagonal whose entries
+    ``d(i, j)``, ``j < i``, are ``lower[i][j]``: ``d(x, j)`` for every j."""
+    return [*lower[x], 0, *(lower[k][x] for k in range(x + 1, len(lower)))]
 
 
 def common_scale(rows, scale: int, values: Sequence[Fraction]) -> tuple[Sequence, list[int], int]:
@@ -204,7 +229,7 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     columns = {}
     for mid, t, pairs in flagged:
         if mid not in columns:
-            columns[mid] = [*lower[mid], 0, *(lower[k][mid] for k in range(mid + 1, n))]
+            columns[mid] = symmetric_row(lower, mid)
         col = columns[mid]
         pairs = pairs[pairs[:, 0] < pairs[:, 1]] + t
         found += [(a, b, mid) for a, b in pairs.tolist() if lower[b][a] > col[a] + col[b]]
@@ -374,11 +399,17 @@ def _dmat_lines(text: str) -> Iterator[str]:
         start = stop + 1
 
 
+# An invalid header is quoted up to this many characters, then "...": a file
+# without line breaks is one header line, which is not echoed back whole.
+_QUOTED_HEADER = 40
+
+
 def _point_count(head: str | None, max_points: int | None) -> int:
     if head is None:
         raise ParseError(1, 1, "empty input")
     if not (head.isascii() and head.isdigit()):
-        raise ParseError(1, 1, f"invalid point count {head!r}")
+        cut = "..." if len(head) > _QUOTED_HEADER else ""
+        raise ParseError(1, 1, f"invalid point count {head[:_QUOTED_HEADER]!r}{cut}")
     n = int(head)
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")

@@ -156,8 +156,8 @@ def prefix_state(matrix, log=(), mode_tag: str = DEFAULT_MODE.tag) -> PrefixStat
     canonical scale (the lcm of the entries' denominators).  Its
     ``running_max`` comes from the state's own scan."""
     scale = lcm(*(v.denominator for row in matrix for v in row))
-    rows = tuple(tuple(int(v * scale) for v in row) for row in matrix)
-    return PrefixState(m=len(rows), rows=rows, scale=scale, log=tuple(log), mode_tag=mode_tag)
+    lower = tuple(tuple(int(v * scale) for v in row[:i]) for i, row in enumerate(matrix))
+    return PrefixState(m=len(lower), lower=lower, scale=scale, log=tuple(log), mode_tag=mode_tag)
 
 
 @dataclass(frozen=True)

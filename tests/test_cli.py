@@ -7,13 +7,14 @@ import pytest
 from ury import (
     build_prefix,
     construct,
+    embed,
     find_isometric_embedding,
     load_prefix,
     serialize_distance_matrix,
     truncate_prefix,
 )
 from ury.cli import main
-from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix
+from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix, serialize_scaled_matrix
 
 from helpers import oracle_build_prefix, v1_cache_text
 
@@ -199,6 +200,22 @@ def test_verify_breaks_lines_on_lf_only(tmp_path, capsys, text):
     code, stdout, stderr = run(capsys, "verify", "--dmat", str(f))
     assert (code, stdout) == (2, "")
     assert json.loads(stderr)["error"] == "ParseError"
+
+
+def test_verify_quotes_a_bounded_prefix_of_a_one_line_file(tmp_path, capsys):
+    # The 1000-point export, 6.1 MB, with its line breaks replaced: the whole
+    # file is one header line, and the error quotes only its first 40
+    # characters.
+    state = build_prefix(1000)
+    lines = serialize_scaled_matrix(state.lower, state.scale).splitlines()
+    for sep in (" ", "\x1c"):
+        f = tmp_path / "one-line.dmat"
+        f.write_bytes(sep.join(lines).encode())
+        code, stdout, stderr = run(capsys, "verify", "--dmat", str(f))
+        assert (code, stdout) == (2, "")
+        assert stderr.count("\n") == 1 and len(stderr) < 200
+        detail = f"line 1, column 1: invalid point count {sep.join(lines)[:40]!r}..."
+        assert json.loads(stderr) == {"error": "ParseError", "detail": detail}
 
 
 def test_verify_accepts_crlf_lines(tmp_path, capsys):
@@ -668,3 +685,32 @@ def test_legacy_build_max_distance_matches_the_exported_matrix(tmp_path, capsys,
 
 def test_missing_subcommand_usage_error(capsys):
     assert main([]) == 2
+
+
+def test_no_command_reads_the_full_matrix_view(tmp_path, capsys, monkeypatch):
+    # PrefixState holds its lower triangle; the full matrix PrefixState.rows
+    # is a view for tests.  A read of it is counted, across the commands
+    # that build or load a prefix and the library calls they make.
+    reads = []
+    full = construct.PrefixState.rows.func
+    monkeypatch.setattr(
+        construct.PrefixState, "rows", property(lambda self: reads.append(self.m) or full(self))
+    )
+    cache, dmat, target = tmp_path / "p.ury", tmp_path / "p.dmat", tmp_path / "t.dmat"
+    target.write_text(T345)
+    commands = [
+        ["build", "--points", "40"],
+        ["build", "--points", "60", "--out", str(cache)],  # resumed from the cache
+        ["build", "--points", "50", "--case1-scope", "labels-only"],
+        ["export", "--cache", str(cache), "--points", "45", "--out", str(dmat)],
+        ["embed", "--target", str(target), "--prefix", str(cache)],
+        ["isom-extend", "--prefix", str(cache), "--pairs", "1:1,2:2", "--source", "3"],
+    ]
+    for argv in commands:
+        assert run(capsys, *argv)[0] in (0, 1), argv
+    state = load_prefix(cache)
+    find_isometric_embedding(FiniteMetricSpace.from_lower_triangle([[1], [1, 1]]), state)
+    extended = embed.extend_partial_isometry(embed.PartialIsometry(state, [(0, 0), (1, 1)]), 2)
+    assert extended.pairs == ((0, 0), (1, 1), (2, 2))
+    assert reads == []
+    assert state.rows and reads == [60]  # the counter works

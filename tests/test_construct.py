@@ -300,13 +300,56 @@ def test_integer_kernel_matches_the_fraction_oracle(mode):
     assert_matches_oracle(load_prefix_text(dump_prefix_text(state), 37), oracle)
 
 
-def test_resume_shares_each_rescaled_pair(prefix50):
+def oracle_lower(oracle, state):
+    """The oracle's first ``state.m`` points as a lower triangle over ``state.scale``."""
+    return tuple(tuple(v * state.scale for v in row[:i]) for i, row in enumerate(oracle.rho[: state.m]))
+
+
+def test_lower_holds_each_pair_once(prefix50):
+    oracle = oracle_build_prefix(50)
     short = truncate_prefix(prefix50, 20)
     resumed = build_prefix(50, resume=short)
     assert short.scale != resumed.scale
-    assert all(
-        resumed.rows[i][j] is resumed.rows[j][i] for i in range(50) for j in range(i)
-    )
+    for state in (prefix50, short, resumed):
+        assert [len(row) for row in state.lower] == list(range(state.m))
+        assert state.lower == oracle_lower(oracle, state)
+
+
+def wide_override():
+    """Canonical labels for steps 1..29, then two labels wider than any
+    canonical label up to 60 points (which has at most 5 elements): at step
+    30 a correctly defined one of 20 elements (radii within 2/10^5 of 100,
+    closer together than any two points and each larger than half of every
+    distance), at step 31 one of 23 tiny radii that breaks the upper bound."""
+    near_100 = tuple(100 + Fraction(i, 10**6) for i in range(1, 21))
+    tiny = tuple(Fraction(i, 1000) for i in range(1, 24))
+    return tuple(subset_of_index(step).elements for step in range(1, 30)) + (near_100, tiny)
+
+
+@pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
+def test_head_rows_match_the_oracle(scope):
+    # A step reads full rows only for the points below its label's
+    # cardinality.  These are the cases where that set of rows must grow:
+    # a label wider than every canonical one (and, resumed from up to 20
+    # points, wider than the short state itself); a resume from 1, 2 or 3
+    # points, whose next labels reach 4 and 5 elements (steps 16 and 32); and
+    # resumes whose scale grows.
+    canonical = ConstructionMode(case1_scope=scope)
+    wide = ConstructionMode(case1_scope=scope, q_override=wide_override())
+    assert max(subset_of_index(step).cardinality for step in range(1, 60)) == 5
+    for mode in (canonical, wide):
+        oracle = oracle_build_prefix(60, mode)
+        state = build_prefix(60, mode)
+        assert_matches_oracle(state, oracle)
+        assert state.lower == oracle_lower(oracle, state)
+        for k in (1, 2, 3, 5, 12, 25, 30, 31, 45):
+            short = truncate_prefix(state, k)
+            resumed = build_prefix(60, mode, resume=short)
+            assert_matches_oracle(resumed, oracle)
+            assert resumed.lower == state.lower
+        assert any(truncate_prefix(state, k).scale < state.scale for k in (2, 3, 5, 12, 25))
+    flags = [(rec.label.cardinality, rec.correctly_defined) for rec in state.log[29:31]]
+    assert flags == [(20, True), (23, False)]
 
 
 def test_scale_is_the_lcm_of_the_entry_denominators(prefix300):

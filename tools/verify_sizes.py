@@ -40,7 +40,10 @@ sizes = [int(n) for n in sys.argv[2:]]
 state = construct.build_prefix(max(sizes))
 for n in sizes:
     part = construct.truncate_prefix(state, n)
-    Path(sys.argv[1], f"p{n}.dmat").write_text(metric.serialize_scaled_matrix(part.rows, part.scale))
+    # The serialiser reads only the lower triangle; a library whose prefix
+    # holds no ``lower`` has its full ``rows`` as a field.
+    lower = getattr(part, "lower", None) or part.rows
+    Path(sys.argv[1], f"p{n}.dmat").write_text(metric.serialize_scaled_matrix(lower, part.scale))
 """
 
 # Run in the child: wrap the parse and validate functions of ury.metric,
