@@ -41,7 +41,7 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge
+from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge, quoted
 from .metric import (
     common_scale,
     fraction_rows,
@@ -400,7 +400,7 @@ def build_prefix(
     # One scale for the prior rows, their largest distance and every label.
     elements = [maxima[-1]] + [r for label in labels for r in label.elements]
     scale = lcm(base_scale, *(r.denominator for r in elements))
-    lower = list(base) if scale == base_scale else rescaled_lower(base, scale // base_scale, 1)
+    lower = list(base) if scale == base_scale else rescaled_lower(base, scale // base_scale)
     scaled = (r.numerator * (scale // r.denominator) for r in elements)
     top = next(scaled)
     # A step reads only the full rows d(x, .) of its label's points x < p, so
@@ -494,8 +494,13 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     if len(header) != 3 or header[0] != "URY0" or header[1] not in ("v1", "v2"):
         raise ParseError(1, 1, "missing 'URY0 v1' or 'URY0 v2' header")
     tag = header[2].split(",")
-    if len(tag) != 3 or tag[2] not in (ENUMERATION_VERSION, "override"):
-        raise ParseError(1, 9, f"malformed mode tag {header[2]!r}")
+    if (
+        len(tag) != 3
+        or tag[0] not in (SET_COLLAPSE, LEGACY_MULTISET)
+        or tag[1] not in (ALL_PRIOR, LABELS_ONLY)
+        or tag[2] not in (ENUMERATION_VERSION, "override")
+    ):
+        raise ParseError(1, 9, f"malformed mode tag {quoted(header[2])}")
     fields = 4 if header[1] == "v1" else 3
 
     labels = []
@@ -505,9 +510,9 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
             raise ParseError(lineno, 1, f"expected {fields} fields separated by ' | '")
         step_text, elements_text, flag = parts[:3]
         if not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1:
-            raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {step_text!r}")
+            raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {quoted(step_text)}")
         if flag not in ("C", "I"):
-            raise ParseError(lineno, 1, f"flag must be C or I, got {flag!r}")
+            raise ParseError(lineno, 1, f"flag must be C or I, got {quoted(flag)}")
         try:
             elements = tuple(as_rational(t) for t in elements_text.split(" "))
         except ValueError as exc:

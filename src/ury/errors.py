@@ -7,6 +7,17 @@ the CLI) can distinguish domain failures from programming mistakes.
 from __future__ import annotations
 
 
+# A piece of input quoted in an error message is cut to this many characters,
+# then "...": a malformed token or line is never echoed back whole.
+_QUOTED = 40
+
+
+def quoted(text: str) -> str:
+    """``repr`` of the first 40 characters of ``text``, then ``...`` if any
+    were cut: how an error message quotes a piece of its input."""
+    return f"{text[:_QUOTED]!r}{'...' if len(text) > _QUOTED else ''}"
+
+
 class UryError(Exception):
     """Base class of all library-specific errors."""
 

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge
+from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted
 from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 # The triangle scan shifts entries right until they lie below this bound, so
@@ -111,12 +111,12 @@ def reduced_lower(lower: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[
     """:func:`reduced` for a lower triangle, ``lower[i][j] / scale`` for
     ``j < i``: each entry is divided once, and the shape is kept."""
     g = _common_divisor(lower, scale)
-    return (lower, scale) if g == 1 else (rescaled_lower(lower, 1, g), scale // g)
+    return (lower, scale) if g == 1 else ([[v // g for v in row] for row in lower], scale // g)
 
 
-def rescaled_lower(lower: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
-    """``lower[i][j] * num // den`` for every entry of a lower triangle."""
-    return [[v * num // den for v in row] for row in lower]
+def rescaled_lower(lower: Sequence[Sequence[int]], factor: int) -> list[list[int]]:
+    """``lower[i][j] * factor`` for every entry of a lower triangle."""
+    return [[v * factor for v in row] for row in lower]
 
 
 def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
@@ -191,8 +191,31 @@ def _lower_violations(lower: Sequence[Sequence[int]], scale: int) -> tuple[Viola
 
 
 # The triangle scan checks the rows in tiles of this many, each tile against
-# every mid, so that a tile and its two buffers stay in cache.
+# the mids that can break one of its pairs, so that a tile and its buffer stay
+# in cache.
 _TILE = 64
+
+
+def _candidates(lower: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    # The nearest-neighbour distances m[x] = min_{y != x} d(x, y) of the
+    # positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points, as an
+    # object array of Python ints, and the n x n bool array whose entry
+    # [b, a] is d(a, b) > m[a] + m[b] for a < b (False on and above the
+    # diagonal).  A triangle d(a,b) > d(a,mid) + d(mid,b) can break only on
+    # such a pair, as d(a,mid) >= m[a] and d(mid,b) >= m[b].  Both are exact:
+    # the object arrays compare and add the ints themselves, one row at a
+    # time.  m is a running minimum of the columns, from the last row up.
+    n = len(lower)
+    m = np.empty(n, dtype=object)
+    m[:-1] = lower[-1]
+    m[-1] = min(lower[-1])
+    for x in range(n - 2, 0, -1):
+        m[x] = min(m[x], min(lower[x]))
+        np.minimum(m[:x], np.array(lower[x], dtype=object), out=m[:x])
+    candidate = np.zeros((n, n), dtype=bool)
+    for b in range(1, n):
+        np.greater(np.array(lower[b], dtype=object), m[:b] + m[b], out=candidate[b, :b])
+    return m, candidate
 
 
 def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
@@ -204,9 +227,26 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     # (z>>s)), so for s > 0 the filter is >=.  It may also flag tight
     # triangles, so each flagged triple is rechecked in Python ints.  The
     # shifted diagonal is 1, so that no pair flags against one of its own
-    # ends.  A tile of rows a >= t is scanned over the columns b >= t only:
-    # each pair a < b is checked once, in the tile of a.
+    # ends.
+    # Only a candidate pair (see _candidates) can break, and only through a
+    # mid with d(a,b) > 2 m[mid].  A tile of rows a is skipped unless one of
+    # its pairs a < b is a candidate; otherwise its rows and columns b that
+    # hold a candidate make a block, scanned against the mids whose shifted
+    # 2 m[mid] passes the filter against the block's largest entry.  The
+    # mids go in chunks that fill one buffer: per mid and row, the largest
+    # d(a,b) - d(mid,b) is checked against d(a,mid), and only the chunks
+    # where one passes are searched for their triples, which are rechecked
+    # at once.  The n x n candidate
+    # flags are reduced to each tile's rows and columns before the int64
+    # matrix is made, and without a candidate no matrix is made.
     n = len(lower)
+    m, candidate = _candidates(lower)
+    tile_rows = candidate.any(axis=0)
+    if not tile_rows.any():
+        return []
+    starts = range(0, n, _TILE)
+    tile_cols = np.logical_or.reduceat(candidate, starts, axis=1)
+    del candidate
     s = max(0, max(map(max, lower[1:])).bit_length() - _INT64_LIMIT.bit_length() + 1)
     d = np.empty((n, n), dtype=np.int64)
     for i, row in enumerate(lower):
@@ -214,25 +254,36 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
         d[:i, i] = d[i, :i]
     np.fill_diagonal(d, 1 if s else 0)
     flags = np.greater_equal if s else np.greater
-    sums = np.empty((_TILE, n), dtype=np.int64)
-    hits = np.empty((_TILE, n), dtype=bool)
-    flagged = []
-    for t in range(0, n, _TILE):
-        h = min(_TILE, n - t)
-        tile, tile_sums, tile_hits = d[t : t + h, t:], sums[:h, : n - t], hits[:h, : n - t]
-        for mid in range(n):
-            np.add(d[mid, t : t + h, None], d[mid, t:], out=tile_sums)
-            flags(tile, tile_sums, out=tile_hits)
-            if tile_hits.any():
-                flagged.append((mid, t, np.argwhere(tile_hits)))
+    twice = 2 * (m >> s).astype(np.int64)
+    buffer = np.empty(_TILE * n, dtype=np.int64)
     found = []
     columns = {}
-    for mid, t, pairs in flagged:
-        if mid not in columns:
-            columns[mid] = symmetric_row(lower, mid)
-        col = columns[mid]
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]] + t
-        found += [(a, b, mid) for a, b in pairs.tolist() if lower[b][a] > col[a] + col[b]]
+    for k, t in enumerate(starts):
+        rows = np.flatnonzero(tile_rows[t : t + _TILE]) + t
+        if not len(rows):
+            continue
+        cols = np.flatnonzero(tile_cols[:, k])
+        block = d[rows[:, None], cols]
+        mids = np.flatnonzero(flags(block.max(), twice))
+        h, w = block.shape
+        # A chunk fills at most the buffer, and its rows gathered from d at
+        # most an eighth of it.
+        step = max(1, min(len(buffer) // (h * w), len(buffer) // (8 * (h + w))))
+        for j in range(0, len(mids), step):
+            chunk = mids[j : j + step]
+            to_rows, to_cols = d[chunk[:, None], rows], d[chunk[:, None], cols]
+            rest = buffer[: len(chunk) * h * w].reshape(len(chunk), h, w)
+            np.subtract(block, to_cols[:, None, :], out=rest)
+            if not flags(rest.max(axis=2), to_rows).any():
+                continue
+            at, x, y = np.nonzero(flags(rest, to_rows[:, :, None]))
+            a, b = rows[x], cols[y]
+            keep = a < b
+            for a, b, mid in zip(a[keep].tolist(), b[keep].tolist(), chunk[at[keep]].tolist()):
+                if mid not in columns:
+                    columns[mid] = symmetric_row(lower, mid)
+                if lower[b][a] > columns[mid][a] + columns[mid][b]:
+                    found.append((a, b, mid))
     found.sort()
     return found
 
@@ -399,17 +450,11 @@ def _dmat_lines(text: str) -> Iterator[str]:
         start = stop + 1
 
 
-# An invalid header is quoted up to this many characters, then "...": a file
-# without line breaks is one header line, which is not echoed back whole.
-_QUOTED_HEADER = 40
-
-
 def _point_count(head: str | None, max_points: int | None) -> int:
     if head is None:
         raise ParseError(1, 1, "empty input")
     if not (head.isascii() and head.isdigit()):
-        cut = "..." if len(head) > _QUOTED_HEADER else ""
-        raise ParseError(1, 1, f"invalid point count {head[:_QUOTED_HEADER]!r}{cut}")
+        raise ParseError(1, 1, f"invalid point count {quoted(head)}")
     n = int(head)
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")

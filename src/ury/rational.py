@@ -14,6 +14,8 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from .errors import quoted
+
 Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
@@ -28,13 +30,13 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(f"not a rational literal: {quoted(text)}")
     sign, num, den = m.groups()
     if den is None:
         value = Fraction(int(num))
     else:
         if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
+            raise ValueError(f"zero denominator: {quoted(text)}")
         value = Fraction(int(num), int(den))
     return -value if sign else value
 

@@ -497,7 +497,9 @@ def oracle_parse_matrix(text: str) -> list[list[Fraction]]:
         raise ParseError(1, 1, "empty input")
     head = lines[0]
     if not (head.isascii() and head.isdigit()):
-        raise ParseError(1, 1, f"invalid point count {head!r}")
+        # Quoted up to 40 characters, then "...", as every piece of input is.
+        cut = "..." if len(head) > 40 else ""
+        raise ParseError(1, 1, f"invalid point count {head[:40]!r}{cut}")
     n = int(head)
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")

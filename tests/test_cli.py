@@ -218,6 +218,18 @@ def test_verify_quotes_a_bounded_prefix_of_a_one_line_file(tmp_path, capsys):
         assert json.loads(stderr) == {"error": "ParseError", "detail": detail}
 
 
+def test_verify_quotes_a_bounded_prefix_of_a_bad_token(tmp_path, capsys):
+    # A 2-point file whose one distance is a 1 000 000-character bad token.
+    token = "1" * 999_999 + "x"
+    f = tmp_path / "long-token.dmat"
+    f.write_text(f"2\n{token}\n")
+    code, stdout, stderr = run(capsys, "verify", "--dmat", str(f))
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1 and len(stderr.encode()) < 200
+    detail = f"line 2, column 1: not a rational literal: {token[:40]!r}..."
+    assert json.loads(stderr) == {"error": "ParseError", "detail": detail}
+
+
 def test_verify_accepts_crlf_lines(tmp_path, capsys):
     f = tmp_path / "crlf.dmat"
     f.write_bytes(T345.replace("\n", "\r\n").encode())

@@ -498,6 +498,26 @@ def test_cache_parse_errors(text):
         load_prefix_text(text)
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "URY0 v2 set-collapse,all-prior,cw1" + "x" * 100,
+        "URY0 v2 " + "x" * 100 + ",all-prior,cw1",
+        "1 | " + "1" * 100 + "x | C",
+        "1 | 1/" + "0" * 100 + " | C",
+        "x" * 100 + " | 1 | C",
+        "1 | 1 | " + "C" * 100,
+    ],
+)
+def test_cache_parse_errors_quote_a_bounded_prefix(line):
+    # A bad tag, label token, step or flag is quoted up to 40 characters.
+    header = "URY0 v2 set-collapse,all-prior,cw1"
+    text = (line if line.startswith("URY0") else f"{header}\n{line}") + "\n"
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text)
+    assert exc.value.reason.endswith("'...") and len(exc.value.reason) < 100
+
+
 def test_save_is_atomic_when_the_write_fails(prefix50, tmp_path, monkeypatch):
     path = tmp_path / "prefix.ury"
     save_prefix(truncate_prefix(prefix50, 10), path)

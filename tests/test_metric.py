@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ury.metric as metric_mod
@@ -211,6 +212,124 @@ def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
             assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
             assert validate_metric(rows).violations == expected
     assert broken > 5
+
+
+def _brute_candidates(lower):
+    # The nearest-neighbour distances and the candidate pairs (a, b), a < b,
+    # by their definitions, one pair at a time.
+    n = len(lower)
+
+    def at(i, j):
+        return lower[max(i, j)][min(i, j)]
+
+    m = [min(at(x, y) for y in range(n) if y != x) for x in range(n)]
+    return m, {(a, b) for b in range(n) for a in range(b) if at(a, b) > m[a] + m[b]}
+
+
+def _star(radii, bumps=()):
+    # Leaves 0..k-1 at the given distances from the centre k, and d(i, j) =
+    # r_i + r_j between leaves: every leaf pair sits exactly on m_i + m_j.
+    # Each bump (i, j, delta) moves d(i, j) by delta.
+    k = len(radii)
+    lower = [[radii[i] + radii[j] for j in range(i)] for i in range(k)] + [list(radii)]
+    for i, j, delta in bumps:
+        lower[max(i, j)][min(i, j)] += delta
+    return lower
+
+
+def _path(n, scale=1):
+    return [[(i - j) * scale for j in range(i)] for i in range(n)]
+
+
+def _assert_scan_matches_oracle(lower, monkeypatch):
+    rows = [metric_mod.symmetric_row(lower, x) for x in range(len(lower))]
+    expected = oracle_violations(rows)
+    for limit in (metric_mod._INT64_LIMIT, 2**4):
+        monkeypatch.setattr(metric_mod, "_INT64_LIMIT", limit)
+        assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
+    return expected
+
+
+def test_candidates_match_their_definition():
+    rng = random.Random(13)
+    for _ in range(60):
+        _, lower, _ = _stretched_lower(rng, rng.randint(2, 14))
+        m, candidate = metric_mod._candidates(lower)
+        brute_m, pairs = _brute_candidates(lower)
+        assert m.tolist() == brute_m
+        assert {(a, b) for b, a in np.argwhere(candidate).tolist()} == pairs
+
+
+def test_every_violation_lies_on_a_candidate_pair():
+    rng = random.Random(14)
+    broken = 0
+    for _ in range(60):
+        rows, lower, _ = _stretched_lower(rng, rng.randint(3, 14))
+        _, pairs = _brute_candidates(lower)
+        violations = oracle_violations(rows)
+        broken += bool(violations)
+        assert {(v.indices[0], v.indices[2]) for v in violations} <= pairs
+    assert broken > 20
+
+
+@pytest.mark.parametrize("scale", [1, 2**80], ids=["unscaled", "scaled-2^80"])
+def test_scan_at_the_candidate_bound(monkeypatch, scale):
+    # Stars whose leaf pairs sit exactly on d(a,b) = m_a + m_b (no candidate,
+    # every triangle through the centre tight), with pairs moved one unit
+    # above the bound (a violation through the centre only) or below it, at
+    # both shifts and with tiles of 4.  Equal radii that are multiples of
+    # 2^s put a bumped pair's shifted distance exactly on 2 m_mid of the
+    # centre, so the mid filter must keep its floor rule.
+    monkeypatch.setattr(metric_mod, "_TILE", 4)
+    rng = random.Random(scale.bit_length())
+    broken = 0
+    for _ in range(40):
+        k = rng.randint(2, 13)
+        radii = [rng.choice([1, 2, 3, 7]) * scale for _ in range(k)]
+        if rng.random() < 0.3:
+            radii = [2**10 * scale] * k
+        bumps = [(*rng.sample(range(k), 2), rng.choice([1, -1])) for _ in range(rng.randint(0, 3))]
+        lower = _star(radii, bumps)
+        _, pairs = _brute_candidates(lower)
+        assert pairs <= {(min(i, j), max(i, j)) for i, j, delta in bumps if delta > 0}
+        expected = _assert_scan_matches_oracle(lower, monkeypatch)
+        broken += bool(expected)
+        assert {v.indices[1] for v in expected} <= {k}
+    assert broken > 10
+
+
+@pytest.mark.parametrize(
+    "lower,candidates,stretch,mids",
+    [
+        # The path prunes only the pairs at distance 1 and 2; the equilateral
+        # space and the star have no candidate pair, every one on the bound.
+        # Each stretch (b, a, delta) moves one pair just past its triangles:
+        # through every point between the ends of the path, every other
+        # point of the equilateral space, or the centre of the star.
+        pytest.param(_path(30), 29 * 30 // 2 - 29 - 28, (29, 0, 1), range(1, 29), id="path"),
+        pytest.param(
+            _path(30, 2**80), 29 * 30 // 2 - 29 - 28, (29, 0, 1), range(1, 29), id="path-2^80"
+        ),
+        pytest.param([[5] * i for i in range(17)], 0, (16, 0, 6), range(1, 16), id="equilateral"),
+        pytest.param(_star([1, 2, 3, 5, 8, 13, 21, 34, 55, 89]), 0, (1, 0, 1), [10], id="star"),
+    ],
+)
+def test_scan_on_spaces_the_prefilter_cannot_prune(monkeypatch, lower, candidates, stretch, mids):
+    monkeypatch.setattr(metric_mod, "_TILE", 4)
+    assert int(metric_mod._candidates(lower)[1].sum()) == candidates
+    assert _assert_scan_matches_oracle(lower, monkeypatch) == ()
+    b, a, delta = stretch
+    lower = [list(row) for row in lower]
+    lower[b][a] += delta
+    found = _assert_scan_matches_oracle(lower, monkeypatch)
+    assert [v.indices for v in found] == [(a, mid, b) for mid in mids]
+
+
+def test_few_pairs_of_a_prefix_are_candidates(prefix300):
+    n = len(prefix300.lower)
+    _, candidate = metric_mod._candidates(prefix300.lower)
+    assert 0 < candidate.sum() < 0.01 * n * (n - 1) / 2
+    assert metric_mod._triangle_scan(prefix300.lower) == []
 
 
 def test_negative_distance_is_a_positivity_violation():
@@ -425,6 +544,26 @@ def test_integer_parse_errors_match_the_fraction_oracle(text):
     assert (got.value.line, got.value.column, got.value.reason) == (
         expected.value.line, expected.value.column, expected.value.reason
     )
+
+
+@pytest.mark.parametrize(
+    "text,bad",
+    [
+        ("x" * 41 + "\n", "x" * 41),
+        ("2\n" + "1" * 60 + "x\n", "1" * 60 + "x"),
+        ("3\n1\n1 1/" + "0" * 60 + "\n", "1/" + "0" * 60),
+        ("2\n" + "9" * 39 + "x\n", "9" * 39 + "x"),
+    ],
+)
+def test_long_bad_input_is_quoted_to_a_bounded_prefix(text, bad):
+    # A bad header or token is quoted up to 40 characters, then "...".
+    with pytest.raises(ParseError) as expected:
+        oracle_parse_matrix(text)
+    with pytest.raises(ParseError) as got:
+        metric_mod.parse_scaled_matrix(text)
+    assert got.value.reason == expected.value.reason
+    cut = "..." if len(bad) > 40 else ""
+    assert got.value.reason.endswith(f"{bad[:40]!r}{cut}")
 
 
 # ---------------------------------------------------------------------------

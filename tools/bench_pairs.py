@@ -8,8 +8,11 @@ For each seed, ``perfbench/run.py`` runs once in each checkout (traced with
 time, the side that goes first alternating from seed to seed.  The file
 keeps, per run, the seed, the side, the pass count and the report and
 result lines that run.py printed, then the per-metric median and
-quartiles of each side and the number of pairs the change won.  Run again
-with the same ``--out`` to append runs of another workload or seed.
+quartiles of each side (over the seeds where both runs completed) and the
+number of pairs the change won.  A run that exits nonzero or prints no
+report and result is kept with its exit code and the last line of its
+standard error, counted under ``failed``, and the series goes on.  Run
+again with the same ``--out`` to append runs of another workload or seed.
 """
 
 from __future__ import annotations
@@ -22,12 +25,20 @@ import sys
 from pathlib import Path
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
+def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One run.py run: its pass count, report and result, or, if it failed,
+    its exit code and the last line of its standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True)
-    report, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
-    return report, result
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        report, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+        if proc.returncode == 0:
+            return {"passes": report["passes"], "report": report, "result": result}
+    except (ValueError, KeyError, TypeError):
+        pass
+    lines = proc.stderr.strip().splitlines()
+    return {"exit": proc.returncode, "stderr": lines[-1] if lines else ""}
 
 
 def head(root: Path) -> str:
@@ -48,8 +59,9 @@ def summarize(runs: list[dict]) -> dict:
     out: dict = {}
     for workload, trace in sorted({(r["workload"], r["trace"]) for r in runs}):
         mine = [r for r in runs if (r["workload"], r["trace"]) == (workload, trace)]
+        done = [r for r in mine if "result" in r]
         pairs = {}
-        for r in mine:
+        for r in done:
             pairs.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"]
         pairs = [p for p in pairs.values() if len(p) == 2]
         metrics = {}
@@ -65,12 +77,12 @@ def summarize(runs: list[dict]) -> dict:
                 "pairs": len(pairs),
             }
         digests = {}
-        for r in mine:
+        for r in done:
             digests.setdefault(r["seed"], set()).add(r["report"]["output_sha256"])
         out[workload + (" traced" if trace else "")] = {
             "metrics": metrics,
             "same_output_sha256_per_seed": all(len(d) == 1 for d in digests.values()),
-            "failed": sum(r["result"]["failed"] for r in mine),
+            "failed": sum(r["result"]["failed"] for r in done) + len(mine) - len(done),
         }
     return out
 
@@ -91,12 +103,12 @@ def main() -> int:
     sides = {"parent": args.parent, "change": args.change}
     for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            report, result = run_side(sides[side], args.workload, seed, seconds, args.trace)
+            run = run_side(sides[side], args.workload, seed, seconds, args.trace)
             data["runs"].append({
-                "workload": args.workload, "trace": args.trace, "seed": seed, "side": side,
-                "passes": report["passes"], "report": report, "result": result,
+                "workload": args.workload, "trace": args.trace, "seed": seed, "side": side, **run,
             })
-            print(side, seed, file=sys.stderr)
+            print(side, seed, *(["failed:", run["exit"], run["stderr"]] if "exit" in run else []),
+                  file=sys.stderr)
             data["summary"] = summarize(data["runs"])
             args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
