@@ -41,7 +41,7 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge, quoted
+from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge, quoted, too_many_digits
 from .metric import (
     common_scale,
     fraction_rows,
@@ -260,6 +260,38 @@ class StepRecord:
     correctly_defined: bool
 
 
+class _DistanceBuckets(dict):
+    # Point u -> {distance: points at that distance, ascending}, each entry
+    # built from row u and column u of ``lower`` on its first read.  A read
+    # of a built entry is a plain dict lookup; ``__missing__`` runs once per
+    # point.  ``len`` and iteration cover every point, like a tuple's.
+    __slots__ = ("_lower",)
+
+    def __init__(self, lower: tuple[tuple[int, ...], ...]):
+        super().__init__()
+        self._lower = lower
+
+    def __missing__(self, u: int) -> dict[int, tuple[int, ...]]:
+        lower = self._lower
+        m = len(lower)
+        if not 0 <= u < m:
+            raise IndexError(f"point {u} out of range")
+        entry: dict[int, tuple[int, ...]] = {}
+        for v, d in enumerate(lower[u]):
+            entry[d] = entry.get(d, ()) + (v,)
+        for v in range(u + 1, m):
+            d = lower[v][u]
+            entry[d] = entry.get(d, ()) + (v,)
+        self[u] = entry
+        return entry
+
+    def __len__(self) -> int:
+        return len(self._lower)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._lower)))
+
+
 @dataclass(frozen=True)
 class PrefixState:
     """A built prefix: m points, their exact distances, and the log.
@@ -312,25 +344,16 @@ class PrefixState:
         return fraction_rows(self.rows, self.scale)
 
     @cached_property
-    def distance_buckets(self) -> tuple[dict[int, dict[int, None]], ...]:
-        """For each point u, every distance from u (as an integer over
-        ``scale``) mapped to the points at that distance, in ascending index
-        order (a dict used as an ordered set).  Built on first use and kept
-        with the state; ``lower`` is immutable, so it never goes stale.
+    def distance_buckets(self) -> _DistanceBuckets:
+        """For each point u, ``distance_buckets[u]`` maps every distance from
+        u (as an integer over ``scale``) to the tuple of points at that
+        distance, in ascending index order.  Entry u is built on its first
+        read, in O(m), and kept with the state, so a search that stops early
+        builds only the points it reached; ``lower`` is immutable, so no
+        entry goes stale.  ``len`` and iteration cover all ``m`` points.
         Callers must not mutate it.  Not a field: it takes no part in
         equality, hashing or ``repr``."""
-        # One point's buckets at a time, the points v < u from row u, then
-        # the points v > u from column u.
-        lower, m = self.lower, self.m
-        buckets = []
-        for u in range(m):
-            by_value: dict[int, dict[int, None]] = {}
-            for v, d in enumerate(lower[u]):
-                by_value.setdefault(d, {})[v] = None
-            for v in range(u + 1, m):
-                by_value.setdefault(lower[v][u], {})[v] = None
-            buckets.append(by_value)
-        return tuple(buckets)
+        return _DistanceBuckets(self.lower)
 
 
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
@@ -509,7 +532,11 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         if len(parts) != fields:
             raise ParseError(lineno, 1, f"expected {fields} fields separated by ' | '")
         step_text, elements_text, flag = parts[:3]
-        if not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1:
+        try:
+            wrong = not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1
+        except ValueError:
+            raise too_many_digits(lineno, step_text) from None
+        if wrong:
             raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {quoted(step_text)}")
         if flag not in ("C", "I"):
             raise ParseError(lineno, 1, f"flag must be C or I, got {quoted(flag)}")

@@ -4,9 +4,12 @@ Finds injective maps of a small target space into a prefix that realize all
 pairwise distances exactly, by depth-first backtracking over target points
 in order.  Candidate images for point k must already match the k previously
 established distances; candidates are served from the prefix's per-point
-distance buckets (:attr:`PrefixState.distance_buckets`, built on the first
-search and kept with the prefix), and trying prefix indices in increasing
-order makes the first complete map the lexicographically smallest one.
+distance buckets (:attr:`PrefixState.distance_buckets`).  A point's buckets
+are built the first time the search reads them and are kept with the
+prefix, so a search that finds its map among the first points builds only
+those points' buckets, and a later search reuses them.  Trying prefix
+indices in increasing order makes the first complete map the
+lexicographically smallest one.
 
 A negative search result never disproves embeddability — it only says the
 target does not fit in *this* prefix, so the result carries the searched

@@ -6,6 +6,8 @@ the CLI) can distinguish domain failures from programming mistakes.
 
 from __future__ import annotations
 
+import re
+import sys
 
 # A piece of input quoted in an error message is cut to this many characters,
 # then "...": a malformed token or line is never echoed back whole.
@@ -38,6 +40,16 @@ class ParseError(UryError):
         self.line = line
         self.column = column
         self.reason = reason
+
+
+def too_many_digits(line: int, text: str) -> ParseError:
+    """The error for line ``line``, whose ``text`` holds a run of digits
+    that ``int()`` refused: longer than the interpreter's int-string limit
+    (``sys.get_int_max_str_digits()``, a process-wide setting that is left
+    as it is).  The column is that of the first such run."""
+    limit = sys.get_int_max_str_digits()
+    run = re.search(f"[0-9]{{{limit + 1},}}", text)
+    return ParseError(line, run.start() + 1, f"integer longer than the {limit}-digit limit")
 
 
 class MetricViolation(UryError):

@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted
+from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted, too_many_digits
 from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 # The triangle scan shifts entries right until they lie below this bound, so
@@ -455,7 +455,10 @@ def _point_count(head: str | None, max_points: int | None) -> int:
         raise ParseError(1, 1, "empty input")
     if not (head.isascii() and head.isdigit()):
         raise ParseError(1, 1, f"invalid point count {quoted(head)}")
-    n = int(head)
+    try:
+        n = int(head)
+    except ValueError:
+        raise too_many_digits(1, head) from None
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")
     if max_points is not None and n > max_points:
@@ -499,7 +502,10 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
         tokens = [token.partition("/") for token in line.split(" ")]
         if len(tokens) != i:
             raise ParseError(i + 1, 1, f"expected {i} entries, got {len(tokens)}")
-        rows.append(([int(p) for p, _, _ in tokens], [denominators[q] for _, _, q in tokens]))
+        try:
+            rows.append(([int(p) for p, _, _ in tokens], [denominators[q] for _, _, q in tokens]))
+        except ValueError:
+            raise too_many_digits(i + 1, line) from None
     scale = lcm(*denominators.values())
     factor = {q: scale // q for q in denominators.values()}
     for i, (nums, dens) in enumerate(rows):

@@ -276,6 +276,23 @@ def oracle_embedding(target: FiniteMetricSpace, prefix: PrefixState):
     return extend([])
 
 
+def oracle_distance_buckets(prefix: PrefixState) -> tuple[dict[int, dict[int, None]], ...]:
+    """The whole embed index at once: for each point u, every distance from
+    u (an int over ``scale``) mapped to the points at that distance in
+    ascending index order (a dict used as an ordered set), keyed in the
+    order the points v < u, then v > u, first reach each distance."""
+    lower, m = prefix.lower, prefix.m
+    buckets = []
+    for u in range(m):
+        by_value: dict[int, dict[int, None]] = {}
+        for v, d in enumerate(lower[u]):
+            by_value.setdefault(d, {})[v] = None
+        for v in range(u + 1, m):
+            by_value.setdefault(lower[v][u], {})[v] = None
+        buckets.append(by_value)
+    return tuple(buckets)
+
+
 def oracle_katetov_failure(d, points, radii, two_sided: bool):
     """First failing pair of the Katetov condition, by listing every failure
     and taking the least ``(i, j, side)`` with ``"lower"`` ranked first.

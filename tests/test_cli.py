@@ -81,6 +81,18 @@ def test_build_rebuilds_a_cache_with_a_non_ascii_step(tmp_path, capsys):
     assert load_prefix(path) == build_prefix(5)
 
 
+def test_build_rebuilds_a_cache_with_an_over_long_step(tmp_path, capsys):
+    # A step of 5000 digits is past Python's default int-string limit; the
+    # cache is unreadable like any other and is rebuilt.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / "set-collapse,all-prior,cw1.ury"
+    path.write_text("URY0 v2 set-collapse,all-prior,cw1\n1 | 1 | C\n" + "0" * 4999 + "2 | 1/2 | C\n")
+    code, stdout, _ = run(capsys, "build", "--points", "5")
+    assert code == 0 and stdout.startswith("points=5 ")
+    assert load_prefix(path) == build_prefix(5)
+
+
 def test_build_replays_no_more_of_the_cache_than_asked(tmp_path, capsys, monkeypatch):
     run(capsys, "build", "--points", "200")
     path = tmp_path / "cache" / "set-collapse,all-prior,cw1.ury"

@@ -1,6 +1,7 @@
 import os
 import random
 import stat
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -516,6 +517,20 @@ def test_cache_parse_errors_quote_a_bounded_prefix(line):
     with pytest.raises(ParseError) as exc:
         load_prefix_text(text)
     assert exc.value.reason.endswith("'...") and len(exc.value.reason) < 100
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
+def test_a_step_past_the_int_string_limit_is_a_parse_error():
+    limit = sys.get_int_max_str_digits()
+    lines = dump_prefix_text(build_prefix(3)).splitlines()
+    lines[2] = "0" * limit + "2" + lines[2][1:]  # step 2, one digit too many
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text("\n".join(lines) + "\n")
+    assert (exc.value.line, exc.value.column) == (3, 1)
+    assert exc.value.reason == f"integer longer than the {limit}-digit limit"
+    lines[2] = lines[2][1:]  # at the limit the step reads as 2, not as its canonical text
+    with pytest.raises(ParseError, match="step 2 differs from its replay"):
+        load_prefix_text("\n".join(lines) + "\n")
 
 
 def test_save_is_atomic_when_the_write_fails(prefix50, tmp_path, monkeypatch):

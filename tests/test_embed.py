@@ -16,7 +16,7 @@ from ury import (
     load_prefix_text,
     truncate_prefix,
 )
-from helpers import oracle_embedding, random_metric_space
+from helpers import oracle_distance_buckets, oracle_embedding, random_metric_space
 
 TWO = FiniteMetricSpace.from_lower_triangle([[1]])
 
@@ -127,12 +127,58 @@ def subspace(prefix, points):
 
 
 def test_distance_buckets_list_every_point_in_ascending_order(prefix50):
-    rho, scale = prefix50.rho, prefix50.scale
-    for u, by_value in enumerate(prefix50.distance_buckets):
-        others = [v for v in range(prefix50.m) if v != u]
+    prefix = truncate_prefix(prefix50, 50)  # a fresh state, with no entry built yet
+    rho, scale = prefix.rho, prefix.scale
+    checked = 0
+    assert len(prefix.distance_buckets) == 50
+    for u, by_value in enumerate(prefix.distance_buckets):
+        others = [v for v in range(prefix.m) if v != u]
         assert {d: list(points) for d, points in by_value.items()} == {
             int(rho[u][v] * scale): [w for w in others if rho[u][w] == rho[u][v]] for v in others
         }
+        checked += 1
+    assert checked == prefix.m == 50
+
+
+def built_entries(prefix) -> list[int]:
+    """The points whose index entry has been built so far."""
+    return sorted(prefix.distance_buckets.keys())
+
+
+def test_a_search_that_stops_early_builds_few_entries(prefix300):
+    prefix = truncate_prefix(prefix300, 200)  # a fresh state, with no entry built yet
+    target = subspace(prefix, [2, 5, 9])
+    result = find_isometric_embedding(target, prefix)
+    assert result.status == "found" and result.mapping == oracle_embedding(target, prefix)
+    built = built_entries(prefix)
+    # Only the points tried as images of target points 0 and 1 are built
+    # (five of them here).
+    assert set(result.mapping[:2]) <= set(built)
+    assert 0 < len(built) < prefix.m // 10 and len(prefix.distance_buckets) == prefix.m
+    again = find_isometric_embedding(target, prefix)
+    assert again == result and built_entries(prefix) == built
+
+
+def test_a_failed_search_leaves_the_whole_index(prefix200):
+    prefix = truncate_prefix(prefix200, 60)
+    target = FiniteMetricSpace.from_lower_triangle([[1], [1, 1]])
+    assert oracle_embedding(target, prefix) is None
+    assert find_isometric_embedding(target, prefix).status == "not-found-up-to"
+    assert built_entries(prefix) == list(range(60))
+    oracle = oracle_distance_buckets(prefix)
+    index = [prefix.distance_buckets[u] for u in range(60)]
+    assert [[(d, tuple(points)) for d, points in entry.items()] for entry in oracle] == [
+        list(entry.items()) for entry in index
+    ]
+    assert all(type(points) is tuple for entry in index for points in entry.values())
+
+
+def test_an_index_refuses_points_out_of_range(prefix50):
+    prefix = truncate_prefix(prefix50, 10)
+    for u in (10, 11, -1):
+        with pytest.raises(IndexError):
+            prefix.distance_buckets[u]
+    assert built_entries(prefix) == []
 
 
 def test_repeated_searches_reuse_one_index(prefix200):

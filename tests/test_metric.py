@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -564,6 +565,40 @@ def test_long_bad_input_is_quoted_to_a_bounded_prefix(text, bad):
     assert got.value.reason == expected.value.reason
     cut = "..." if len(bad) > 40 else ""
     assert got.value.reason.endswith(f"{bad[:40]!r}{cut}")
+
+
+# Python refuses to turn more digits than this into an int (0: no limit).
+INT_DIGITS = sys.get_int_max_str_digits()
+LONG = "7" * (INT_DIGITS + 1)
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="the interpreter has no int-string limit")
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        (LONG + "\n", 1, 1),  # the point count
+        ("3\n1\n2 " + LONG + "\n", 3, 3),  # a numerator
+        ("3\n1\n2/" + LONG + " 3\n", 3, 3),  # a denominator
+        ("3\n1/" + LONG + "\n2 3\n", 2, 3),  # a denominator, first read
+    ],
+    ids=["point_count", "numerator", "denominator", "first_denominator"],
+)
+def test_integers_past_the_int_string_limit_are_parse_errors(text, line, column):
+    for parse in (metric_mod.parse_lower_triangle, metric_mod.parse_scaled_matrix):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.column) == (line, column)
+        assert exc.value.reason == f"integer longer than the {INT_DIGITS}-digit limit"
+    if line == 1:
+        with pytest.raises(ParseError):
+            metric_mod.dmat_point_count(text)
+
+
+@pytest.mark.skipif(INT_DIGITS == 0, reason="the interpreter has no int-string limit")
+def test_integers_at_the_int_string_limit_parse():
+    top = int("7" * INT_DIGITS)
+    lower, scale = metric_mod.parse_lower_triangle(f"3\n1\n{top} 1/{top}\n")
+    assert lower == [[], [top], [top * top, 1]] and scale == top
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,25 @@
     python3 tools/bench_pairs.py --parent ../parent --change . \
         --workload prefix_pipeline --seeds 13,14 --out BENCH_x.json
 
-For each seed, ``perfbench/run.py`` runs once in each checkout (traced with
-``--trace 1``) at the ``run_seconds`` of ``BENCHMARK.json``, one run at a
-time, the side that goes first alternating from seed to seed.  The file
-keeps, per run, the seed, the side, the pass count and the report and
-result lines that run.py printed, then the per-metric median and
-quartiles of each side (over the seeds where both runs completed) and the
-number of pairs the change won.  A run that exits nonzero or prints no
-report and result is kept with its exit code and the last line of its
-standard error, counted under ``failed``, and the series goes on.  Run
-again with the same ``--out`` to append runs of another workload or seed.
+Both checkouts' ``src`` and ``perfbench`` trees are byte-compiled first, so
+that neither side's workers compile modules that the other side's load
+from ``__pycache__``.  Then, for each seed, ``perfbench/run.py`` runs once
+in each checkout (traced with ``--trace 1``) at the ``run_seconds`` of
+``BENCHMARK.json``, one run at a time, the side that goes first
+alternating from seed to seed.  The file keeps, per run, the seed, the
+side, the pass count and the report and result lines that run.py printed,
+then the per-metric median and quartiles of each side (over the seeds
+where both runs completed) and the number of pairs the change won.  A run
+that exits nonzero or prints no report and result is kept with its exit
+code and the last line of its standard error, counted under ``failed``,
+and the series goes on.  Run again with the same ``--out`` to append runs
+of another workload or seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import statistics
 import subprocess
@@ -101,6 +105,10 @@ def main() -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {
         "parent_commit": head(args.parent), "seconds": seconds, "runs": []}
     sides = {"parent": args.parent, "change": args.change}
+    for root in sides.values():
+        for tree in ("src", "perfbench"):
+            if not compileall.compile_dir(root / tree, quiet=1):
+                parser.error(f"{root / tree} does not byte-compile")
     for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             run = run_side(sides[side], args.workload, seed, seconds, args.trace)

@@ -81,10 +81,12 @@ print(json.dumps({"exit": code, "verify_s": total, "parse_s": spent["parse"],
 """
 
 
-def measured(env: dict, dmat: Path) -> dict:
-    """``ury verify`` on ``dmat`` in a child: its report plus ``maxrss_mib``."""
+def measured(env: dict, child: str, *args: str) -> dict:
+    """``child`` run as a script with ``args`` in a child process: the JSON
+    report on its last stdout line, the lines before it as ``stdout``, any
+    stderr, and ``maxrss_mib``."""
     with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
-        proc = subprocess.Popen([sys.executable, "-c", CHILD, str(dmat)], env=env,
+        proc = subprocess.Popen([sys.executable, "-c", child, *args], env=env,
                                 stdout=out, stderr=err)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -116,7 +118,7 @@ def main() -> int:
         for n in sizes:
             dmat = Path(tmp) / f"p{n}.dmat"
             start = time.perf_counter()
-            result = measured(env, dmat)
+            result = measured(env, CHILD, str(dmat))
             result["wall_s"] = time.perf_counter() - start
             good = result["exit"] == 0 and result["stdout"] == f"OK: metric on {n} points"
             ok &= good
