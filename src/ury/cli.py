@@ -33,6 +33,7 @@ from .errors import (
     PairwiseInfeasible,
     ParseError,
     UryError,
+    digit_limit,
 )
 from .rational import format_rational, parse_rational
 
@@ -129,6 +130,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _json_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(digit_limit()) from None
+
+
+def _read_json(path: str):
+    """The JSON value in file ``path``.  An integer longer than the
+    interpreter's int-string limit is a ValueError with the library's
+    reason, as in every other input."""
+    return json.loads(_read_text(path), parse_int=_json_int)
+
+
 def _parse_space(text: str) -> metric.FiniteMetricSpace:
     """A ``.dmat`` input as a validated space, bounded like a prefix."""
     return metric.parse_distance_matrix(text, construct.PREFIX_MAX_POINTS)
@@ -150,7 +165,7 @@ def _cache_dir() -> str:
 def cmd_build(args) -> int:
     override = None
     if args.q_override:
-        data = _json_items(json.loads(_read_text(args.q_override)), list, "the override")
+        data = _json_items(_read_json(args.q_override), list, "the override")
         override = tuple(tuple(parse_rational(str(v)) for v in entry) for entry in data)
     mode = construct.ConstructionMode(
         duplicate_handling=args.duplicates,
@@ -238,7 +253,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_balls(args) -> int:
-    data = _json_value(json.loads(_read_text(args.family)), dict, "the family")
+    data = _json_value(_read_json(args.family), dict, "the family")
     dmat = _json_value(data["dmat"], str, '"dmat"')
     text = dmat if "\n" in dmat else _read_text(dmat)
     space = _parse_space(text)
@@ -315,7 +330,7 @@ def cmd_hull_check(args) -> int:
         breakpoints = BUILTIN_HULLS[args.builtin]
         reference = HULL_REFERENCE
     else:
-        data = _json_value(json.loads(_read_text(args.candidate)), dict, "the candidate")
+        data = _json_value(_read_json(args.candidate), dict, "the candidate")
         breakpoints = [
             (str(x), str(y)) for x, y in _json_items(data["breakpoints"], list, '"breakpoints"')
         ]

@@ -38,20 +38,29 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from itertools import chain
+from math import comb, gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
-from .errors import InvalidMode, ParseError, PrefixTooShort, TooLarge, quoted, too_many_digits
+from .errors import (
+    InvalidMode,
+    ParseError,
+    PrefixTooShort,
+    TooLarge,
+    digit_limit,
+    quoted,
+    too_many_digits,
+)
 from .metric import (
     common_scale,
     fraction_rows,
     katetov_failure,
     katetov_row,
     reduced_lower,
-    rescaled_lower,
     symmetric_row,
 )
-from .rational import as_rational, format_ratio, format_rational
+from .rational import as_rational, format_ratio, format_rational, parse_rational
 
 ENUMERATION_VERSION = "cw1"
 
@@ -259,6 +268,14 @@ class StepRecord:
     label: QLabel
     correctly_defined: bool
 
+    @cached_property
+    def text(self) -> str:
+        """The record's line in a cache file, ``n | elements | C-or-I``.  Made
+        once and kept, so a load that compares it and a save that writes it
+        share it.  Not a field."""
+        elements = " ".join(map(format_rational, self.label.elements))
+        return f"{self.step} | {elements} | {'C' if self.correctly_defined else 'I'}"
+
 
 class _DistanceBuckets(dict):
     # Point u -> {distance: points at that distance, ascending}, each entry
@@ -267,7 +284,7 @@ class _DistanceBuckets(dict):
     # point.  ``len`` and iteration cover every point, like a tuple's.
     __slots__ = ("_lower",)
 
-    def __init__(self, lower: tuple[tuple[int, ...], ...]):
+    def __init__(self, lower: Sequence[Sequence[int]]):
         super().__init__()
         self._lower = lower
 
@@ -292,6 +309,129 @@ class _DistanceBuckets(dict):
         return map(self.__getitem__, range(len(self._lower)))
 
 
+def _step_row(heads, record, i: int) -> tuple[int, ...]:
+    """Row i of the lower triangle, ``d(i, j)`` for ``j < i``, from step i's
+    record: a Case-1 distance (an int), or the Case-2 radii (a tuple), whose
+    min-plus extension reads the first ``len(radii)`` head rows."""
+    if isinstance(record, int):
+        return (record,) * i
+    p = len(record)
+    return tuple(katetov_row([head[:i] for head in heads[:p]], range(p), record))
+
+
+def _step_entry(heads, record, x: int) -> int:
+    """``d(k, x)`` from step k's record, for a point x below k that is no
+    point of its label (``x >= len(radii)``)."""
+    if isinstance(record, int):
+        return record
+    return min(r + heads[l][x] for l, r in enumerate(record))
+
+
+class _LazyLower(dict):
+    # The lower triangle of a built prefix: row i is built from the heads (the
+    # full rows of the points below the widest label) and step i's record the
+    # first time lower[i] is read, and kept.  A read of a built row is a plain
+    # dict lookup; __missing__ runs once per row.  len, iteration, ==, hash and
+    # repr are those of the tuple of all m rows, so a state made by hand with
+    # that tuple compares equal; an index outside -m..m-1 is an IndexError.
+    # There is no slicing.
+    __slots__ = ("heads", "steps")
+
+    def __init__(self, heads: tuple[tuple[int, ...], ...], steps: tuple):
+        super().__init__()
+        self.heads = heads
+        self.steps = steps
+
+    def __missing__(self, i: int) -> tuple[int, ...]:
+        m = len(self.steps) + 1
+        if not -m <= i < m:
+            raise IndexError(f"row {i} out of range")
+        if i < 0:
+            return self[i + m]
+        heads = self.heads
+        row = heads[i][:i] if i < len(heads) else _step_row(heads, self.steps[i - 1], i)
+        self[i] = row
+        return row
+
+    def __len__(self) -> int:
+        return len(self.steps) + 1
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _LazyLower)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _LazyLower, (self.heads, self.steps)
+
+
+def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
+    """Head rows and step records times ``num`` and divided by ``den``, as
+    new lists."""
+    if num == den:
+        return [list(head) for head in heads], list(steps)
+    return (
+        [[v * num // den for v in head] for head in heads],
+        [rec * num // den if isinstance(rec, int) else tuple(r * num // den for r in rec)
+         for rec in steps],
+    )
+
+
+def _built_state(heads, steps, scale: int, log, mode_tag: str, running_max) -> PrefixState:
+    """The state whose lower triangle follows from ``heads`` and ``steps``
+    over ``scale``, moved to the canonical scale.  Every entry is a min, max
+    or sum of head entries and Case-2 radii, and each of those is an entry
+    (a radius is pinned as ``d(new, a_l)``), so their gcd with ``scale`` is
+    the one of all entries."""
+    radii = (r for rec in steps if not isinstance(rec, int) for r in rec)
+    g = gcd(scale, *chain.from_iterable(heads), *radii)
+    heads, steps = _rescaled(heads, steps, 1, g)
+    return PrefixState(
+        m=len(steps) + 1,
+        lower=_LazyLower(tuple(map(tuple, heads)), tuple(steps)),
+        scale=scale // g,
+        log=tuple(log),
+        mode_tag=mode_tag,
+        running_max=tuple(running_max),
+    )
+
+
+def _parts(state: PrefixState) -> tuple[Sequence[Sequence[int]], Sequence]:
+    """The head rows and step records of ``state``, over its scale.  A state
+    made by hand with an explicit lower triangle gets them from its rows and
+    log: a Case-2 step's radii are its pinned distances to the label's
+    points, a Case-1 step's distance is any entry of its row.  Rows that do
+    not follow the log are refused."""
+    lower = state.lower
+    if isinstance(lower, _LazyLower):
+        return lower.heads, lower.steps
+    log = state.log
+    width = max([1] + [rec.label.cardinality for rec in log])
+    heads = [tuple(symmetric_row(lower, x)) for x in range(min(width, state.m))]
+    if len(log) == state.m - 1:
+        steps = [
+            tuple(lower[rec.step][: rec.label.cardinality]) if rec.correctly_defined
+            else lower[rec.step][0]
+            for rec in log
+        ]
+        if _LazyLower(heads, steps) == tuple(lower):
+            return heads, steps
+    raise InvalidMode("the state's rows do not follow its log; refusing to resume")
+
+
 @dataclass(frozen=True)
 class PrefixState:
     """A built prefix: m points, their exact distances, and the log.
@@ -304,10 +444,15 @@ class PrefixState:
     restricted to the first k points equals the k-point prefix for every k
     (incrementality).  In ``set-collapse`` mode the matrix is always a
     valid metric; ``legacy-multiset`` overrides can break it by design.
+
+    A built state holds only the full rows of the points below its widest
+    label and one record per step; ``lower`` is a read-only sequence that
+    builds row i on its first read and compares, hashes and prints as the
+    tuple of rows.  A state made by hand may pass that tuple itself.
     """
 
     m: int
-    lower: tuple[tuple[int, ...], ...]
+    lower: Sequence[tuple[int, ...]]
     scale: int
     log: tuple[StepRecord, ...] = field(repr=False)
     mode_tag: str = DEFAULT_MODE.tag
@@ -371,7 +516,7 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
         raise PrefixTooShort(
             f"label has {p} elements but the prefix has {prefix.m} points"
         )
-    block = prefix.lower[:p]
+    block = [prefix.lower[x] for x in range(p)]
     d, radii, _ = common_scale([symmetric_row(block, x) for x in range(p)], prefix.scale, elements)
     failure = katetov_failure(d, range(p), radii, two_sided=True)
     return (True, None) if failure is None else (False, failure[0])
@@ -405,33 +550,42 @@ def build_prefix(
             raise InvalidMode(
                 f"cached prefix was built as {resume.mode_tag!r}, requested {mode.tag!r}"
             )
-        for rec in resume.log:
-            if rec.label != mode.label_for_step(rec.step):
-                raise InvalidMode(
-                    f"cached step {rec.step} used a different label; refusing to resume"
-                )
+        # A state built here under a canonical mode holds that mode's labels:
+        # its tag names them.  Any other resume is checked label by label.
+        if mode.q_override is not None or not isinstance(resume.lower, _LazyLower):
+            for rec in resume.log:
+                if rec.label != mode.label_for_step(rec.step):
+                    raise InvalidMode(
+                        f"cached step {rec.step} used a different label; refusing to resume"
+                    )
         if resume.m >= m:
             return truncate_prefix(resume, m)
 
     start = 1 if resume is None else resume.m
     labels = [mode.label_for_step(step) for step in range(start, m)]
     if resume is None:
-        base, base_scale, log, maxima = [()], 1, [], [Fraction(0)]
+        heads, steps, base_scale, log, maxima = [], [], 1, [], [Fraction(0)]
     else:
-        base, base_scale = resume.lower, resume.scale
+        heads, steps = _parts(resume)
+        base_scale = resume.scale
         log, maxima = list(resume.log), list(resume.running_max)
-    # One scale for the prior rows, their largest distance and every label.
+    # One scale for the prior entries, their largest distance and every label.
     elements = [maxima[-1]] + [r for label in labels for r in label.elements]
     scale = lcm(base_scale, *(r.denominator for r in elements))
-    lower = list(base) if scale == base_scale else rescaled_lower(base, scale // base_scale)
+    heads, steps = _rescaled(heads, steps, scale // base_scale, 1)
     scaled = (r.numerator * (scale // r.denominator) for r in elements)
     top = next(scaled)
-    # A step reads only the full rows d(x, .) of its label's points x < p, so
-    # only the points below the widest label keep one, grown step by step.
-    width = max((label.cardinality for label in labels), default=0)
-    heads = [symmetric_row(lower, x) for x in range(min(width, start))]
+    # A step reads only the full rows d(x, .) of its label's points x < p, and
+    # every other row follows from those and the step's record.  So only the
+    # points below the widest label (and point 0) keep a full row, grown step
+    # by step; a resume whose labels are wider completes the missing ones.
+    width = max([1, len(heads)] + [label.cardinality for label in labels])
+    for x in range(len(heads), min(width, start)):
+        row = _step_row(heads, steps[x - 1], x) if x else ()
+        heads.append([*row, 0, *(_step_entry(heads, steps[k - 1], x) for k in range(x + 1, start))])
+    head_max = list(map(max, heads))  # the largest d(x, .) so far, per head
 
-    tops = []
+    last = top  # maxima[-1] over scale: a new Fraction only when top grows
     for step, label in enumerate(labels, start=start):
         p = label.cardinality
         if p > step:
@@ -441,30 +595,33 @@ def build_prefix(
         radii = [next(scaled) for _ in label.elements]
         failure = katetov_failure(heads, range(p), radii, two_sided=True)
         if failure is None:
-            new_row = katetov_row(heads, range(p), radii)
-            top = max(top, max(new_row))
+            record = tuple(radii)
+            # The new row's largest entry, max_z min_l (r_l + d(a_l, z)), is at
+            # most min_l (r_l + max d(a_l, .)), and equal to it for one point;
+            # only a wider label that could raise top scans its row.
+            bound = min(map(add, radii, head_max))
+            if p > 1 and bound > top:
+                bound = max(_step_row(heads, record, step))
+            top = max(top, bound)
         elif mode.case1_scope == ALL_PRIOR:
-            new_row = [top] * step
+            record = top
         else:  # a distance among the first p points, so at most top
-            new_row = [max(heads[i][k] for i in range(p) for k in range(i + 1, p))] * step
+            record = max(heads[i][k] for i in range(p) for k in range(i + 1, p))
 
+        full = step < width  # the new point keeps a full row
+        new_row = _step_row(heads, record, step if full else len(heads))
         for head, dist in zip(heads, new_row):
             head.append(dist)
-        if step < width:
-            heads.append(new_row + [0])
-        lower.append(tuple(new_row))
-        tops.append(top)
+        head_max = list(map(max, head_max, new_row))
+        if full:
+            heads.append([*new_row, 0])
+            head_max.append(max(new_row))
+        steps.append(record)
+        maxima.append(maxima[-1] if top == last else Fraction(top, scale))
+        last = top
         log.append(StepRecord(step=step, label=label, correctly_defined=failure is None))
 
-    lower, canonical = reduced_lower(lower, scale)
-    return PrefixState(
-        m=m,
-        lower=tuple(map(tuple, lower)),
-        scale=canonical,
-        log=tuple(log),
-        mode_tag=mode.tag,
-        running_max=tuple(maxima) + tuple(Fraction(t, scale) for t in tops),
-    )
+    return _built_state(heads, steps, scale, log, mode.tag, maxima)
 
 
 def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
@@ -474,6 +631,10 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         raise ValueError(f"cannot truncate a {state.m}-point prefix to {m}")
     if m == state.m:
         return state
+    if isinstance(state.lower, _LazyLower):
+        heads = [head[:m] for head in state.lower.heads[:m]]
+        return _built_state(heads, state.lower.steps[: m - 1], state.scale, state.log[: m - 1],
+                            state.mode_tag, state.running_max[:m])
     lower, scale = reduced_lower(state.lower[:m], state.scale)
     return PrefixState(
         m=m,
@@ -493,14 +654,9 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
 _CACHE_MAGIC = "URY0 v2"
 
 
-def _record_text(rec: StepRecord) -> str:
-    elements = " ".join(format_rational(r) for r in rec.label.elements)
-    return f"{rec.step} | {elements} | {'C' if rec.correctly_defined else 'I'}"
-
-
 def dump_prefix_text(state: PrefixState) -> str:
     """Render a prefix as its construction log: the labels and C/I flags."""
-    lines = [f"{_CACHE_MAGIC} {state.mode_tag}"] + [_record_text(rec) for rec in state.log]
+    lines = [f"{_CACHE_MAGIC} {state.mode_tag}"] + [rec.text for rec in state.log]
     return "\n".join(lines) + "\n"
 
 
@@ -525,6 +681,18 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     ):
         raise ParseError(1, 9, f"malformed mode tag {quoted(header[2])}")
     fields = 4 if header[1] == "v1" else 3
+    # A canonical log follows from its mode tag alone, so a whole v2 file that
+    # is exactly the replay's text needs no parse.  Any other file takes the
+    # checks below, which find its first fault.
+    if (
+        fields == 3
+        and (tag[0], tag[2]) == (SET_COLLAPSE, ENUMERATION_VERSION)
+        and m in (None, len(lines))
+        and len(lines) <= PREFIX_MAX_POINTS
+    ):
+        state = build_prefix(len(lines), ConstructionMode(case1_scope=tag[1]))
+        if [rec.text for rec in state.log] == lines[1:]:
+            return state
 
     labels = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -541,8 +709,10 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         if flag not in ("C", "I"):
             raise ParseError(lineno, 1, f"flag must be C or I, got {quoted(flag)}")
         try:
-            elements = tuple(as_rational(t) for t in elements_text.split(" "))
+            elements = tuple(map(parse_rational, elements_text.split(" ")))
         except ValueError as exc:
+            if str(exc) == digit_limit():
+                raise too_many_digits(lineno, line) from None
             raise ParseError(lineno, 1, str(exc)) from None
         if len(elements) >= lineno or min(elements) <= 0:
             raise ParseError(lineno, 1, f"label must be 1..{lineno - 1} positive rationals")
@@ -557,7 +727,7 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         raise ParseError(1, 9, str(exc)) from None
     state = build_prefix(m, mode)
     for rec in state.log:
-        replay = _record_text(rec)
+        replay = rec.text
         if fields == 4:
             replay += " | " + " ".join(
                 format_ratio(v, state.scale) for v in state.lower[rec.step]

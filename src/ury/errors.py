@@ -42,14 +42,19 @@ class ParseError(UryError):
         self.reason = reason
 
 
+def digit_limit() -> str:
+    """The reason given for a run of digits that ``int()`` refused: longer
+    than the interpreter's int-string limit (``sys.get_int_max_str_digits()``,
+    a process-wide setting that is left as it is)."""
+    return f"integer longer than the {sys.get_int_max_str_digits()}-digit limit"
+
+
 def too_many_digits(line: int, text: str) -> ParseError:
     """The error for line ``line``, whose ``text`` holds a run of digits
-    that ``int()`` refused: longer than the interpreter's int-string limit
-    (``sys.get_int_max_str_digits()``, a process-wide setting that is left
-    as it is).  The column is that of the first such run."""
-    limit = sys.get_int_max_str_digits()
-    run = re.search(f"[0-9]{{{limit + 1},}}", text)
-    return ParseError(line, run.start() + 1, f"integer longer than the {limit}-digit limit")
+    that ``int()`` refused (:func:`digit_limit`).  The column is that of the
+    first such run."""
+    run = re.search(f"[0-9]{{{sys.get_int_max_str_digits() + 1},}}", text)
+    return ParseError(line, run.start() + 1, digit_limit())
 
 
 class MetricViolation(UryError):

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 from typing import Iterator, Sequence
 
@@ -112,11 +112,6 @@ def reduced_lower(lower: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[
     ``j < i``: each entry is divided once, and the shape is kept."""
     g = _common_divisor(lower, scale)
     return (lower, scale) if g == 1 else ([[v // g for v in row] for row in lower], scale // g)
-
-
-def rescaled_lower(lower: Sequence[Sequence[int]], factor: int) -> list[list[int]]:
-    """``lower[i][j] * factor`` for every entry of a lower triangle."""
-    return [[v * factor for v in row] for row in lower]
 
 
 def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
@@ -247,7 +242,7 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     starts = range(0, n, _TILE)
     tile_cols = np.logical_or.reduceat(candidate, starts, axis=1)
     del candidate
-    s = max(0, max(map(max, lower[1:])).bit_length() - _INT64_LIMIT.bit_length() + 1)
+    s = max(0, max(map(max, islice(lower, 1, None))).bit_length() - _INT64_LIMIT.bit_length() + 1)
     d = np.empty((n, n), dtype=np.int64)
     for i, row in enumerate(lower):
         d[i, :i] = [v >> s for v in row] if s else row

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import quoted
+from .errors import digit_limit, quoted
 
 Rational = Fraction
 
@@ -24,7 +24,9 @@ _RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 def parse_rational(text: str) -> Fraction:
     """Parse a canonical-style rational literal (``p`` or ``p/q``).
 
-    Raises ValueError for anything else, including decimal notation.
+    Raises ValueError for anything else, including decimal notation, and
+    for a run of digits longer than the interpreter's int-string limit
+    (with the reason :func:`ury.errors.digit_limit` gives).
     Non-canonical but unambiguous forms such as ``2/4`` are accepted and
     normalised.
     """
@@ -32,12 +34,13 @@ def parse_rational(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"not a rational literal: {quoted(text)}")
     sign, num, den = m.groups()
-    if den is None:
-        value = Fraction(int(num))
-    else:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {quoted(text)}")
-        value = Fraction(int(num), int(den))
+    try:
+        num, den = int(num), den and int(den)
+    except ValueError:
+        raise ValueError(digit_limit()) from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {quoted(text)}")
+    value = Fraction(num, den) if den else Fraction(num)
     return -value if sign else value
 
 
