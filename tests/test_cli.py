@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -738,3 +739,47 @@ def test_no_command_reads_the_full_matrix_view(tmp_path, capsys, monkeypatch):
     assert extended.pairs == ((0, 0), (1, 1), (2, 2))
     assert reads == []
     assert state.rows and reads == [60]  # the counter works
+
+
+def test_commands_build_only_the_rows_they_read(tmp_path, capsys, monkeypatch):
+    # A built prefix makes row i of its lower triangle on the first read of
+    # lower[i]; each such build is counted.  build prints a count and the
+    # running maximum, which follow from the heads and step records, so it
+    # builds no row, cold, resumed from the cache or under labels-only.
+    built = []
+    missing = construct._LazyLower.__missing__
+    monkeypatch.setattr(construct._LazyLower, "__missing__", lambda self, i: built.append(i) or missing(self, i))
+    cache = tmp_path / "p.ury"
+    for argv in (
+        ["build", "--points", "40"],
+        ["build", "--points", "60", "--out", str(cache)],  # resumed from the cache
+        ["build", "--points", "50", "--case1-scope", "labels-only"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    assert built == []
+    # isom-extend reads the rows of the pair points and of each candidate
+    # image in turn: the image of point 53 under 1 -> 1, 3 -> 5 is point 13.
+    code, stdout, _ = run(capsys, "isom-extend", "--prefix", str(cache), "--pairs", "1:1,3:5", "--source", "53")
+    assert code == 0 and json.loads(stdout)["new_pair"] == [53, 13]
+    assert set(built) <= set(range(13)) | {52} and {2, 4, 12, 52} <= set(built)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
+@pytest.mark.parametrize("label", ["run", "bare"], ids=["string", "json-number"])
+def test_a_q_override_label_past_the_int_string_limit_is_a_usage_error(tmp_path, capsys, label):
+    limit = sys.get_int_max_str_digits()
+    run_ = "7" * (limit + 1)
+    labels = tmp_path / "labels.json"
+    labels.write_text(f'[["1"], ["{run_}"]]' if label == "run" else f"[[1], [{run_}]]")
+    code, stdout, stderr = run(capsys, "build", "--points", "3", "--q-override", str(labels))
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr) == {"error": "ValueError", "detail": f"integer longer than the {limit}-digit limit"}
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
+def test_a_c0_radius_past_the_int_string_limit_is_a_usage_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, stdout, stderr = run(capsys, "c0-demo", "--n", "4", "--radius", "7" * (limit + 1))
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(f"argument --radius: integer longer than the {limit}-digit limit\n")
+    assert "set_int_max_str_digits" not in stderr

@@ -1,7 +1,9 @@
 import os
+import pickle
 import random
 import stat
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -29,7 +31,8 @@ from ury import (
     truncate_prefix,
     validate_metric,
 )
-from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
+from ury import construct as construct_mod
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, PrefixState, colex_rank, colex_unrank
 
 from helpers import oracle_build_prefix, prefix_state, v1_cache_text
 
@@ -612,3 +615,157 @@ def test_build_over_the_point_bound_is_refused_before_any_step(monkeypatch, pref
     for resume in (None, prefix50):
         with pytest.raises(TooLarge, match=f"limited to {PREFIX_MAX_POINTS} points"):
             build_prefix(PREFIX_MAX_POINTS + 1, resume=resume)
+
+
+# ---------------------------------------------------------------------------
+# Lazy rows: a built state holds the full rows of the points below its widest
+# label and one record per step; lower[i] is built on its first read.
+# ---------------------------------------------------------------------------
+
+def built_rows(state):
+    """The rows of ``state.lower`` built so far (``len`` counts all m)."""
+    return dict.__len__(state.lower)
+
+
+def explicit_state(oracle, m, mode_tag):
+    """The oracle's first m points as a state made by hand: a tuple of
+    integer rows over the lcm of the entries' denominators, with the
+    running maxima of the state's own scan."""
+    rho = oracle.rho
+    scale = lcm(*{v.denominator for row in rho[:m] for v in row[:m]})
+    lower = tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row[:i]) for i, row in enumerate(rho[:m])
+    )
+    return PrefixState(m=m, lower=lower, scale=scale, log=oracle.log[: m - 1], mode_tag=mode_tag)
+
+
+def assert_as_explicit(state, oracle):
+    """``state`` reads, compares, hashes and prints as the state made by hand
+    from the oracle's first ``state.m`` points, and has its scale and
+    running maxima."""
+    expected = explicit_state(oracle, state.m, state.mode_tag)
+    assert isinstance(expected.lower, tuple)
+    assert state.scale == expected.scale
+    assert state.running_max == expected.running_max == oracle.running_max[: state.m]
+    assert tuple(state.lower) == expected.lower
+    assert state.lower == expected.lower and expected.lower == state.lower
+    assert not state.lower != expected.lower
+    assert state == expected and expected == state
+    assert hash(state) == hash(expected)
+    assert repr(state) == repr(expected)
+
+
+@pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
+def test_lazy_rows_match_the_oracle(scope):
+    # 130 points pass step 128, the first label of 7 elements.
+    mode = ConstructionMode(case1_scope=scope)
+    state = build_prefix(130, mode)
+    assert built_rows(state) == 0
+    assert_as_explicit(state, oracle_build_prefix(130, mode))
+    assert built_rows(state) == 130
+
+
+@pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
+def test_lazy_rows_of_a_wide_legacy_override(scope):
+    # The remark's {1/2, 1/2} read as two elements (Case 1), then canonical
+    # labels, then a correctly defined label of 20 elements at step 30 and a
+    # Case-1 label of 23 at step 31.
+    mode = ConstructionMode("legacy-multiset", scope, REMARK_OVERRIDE + wide_override()[4:])
+    oracle = oracle_build_prefix(60, mode)
+    state = build_prefix(60, mode)
+    assert [rec.correctly_defined for rec in state.log[3:4] + state.log[29:31]] == [False, True, False]
+    assert_as_explicit(state, oracle)
+    for k in (4, 5, 30, 31, 32):
+        assert_as_explicit(build_prefix(60, mode, resume=truncate_prefix(state, k)), oracle)
+
+
+def test_a_resume_across_a_width_increase_matches_the_oracle():
+    # A 500-point state keeps the rows of points below 8 (its widest label,
+    # step 256); steps 512 and 1024 have the first labels of 9 and 10
+    # elements, so the resume completes the rows of points 8 and 9 first.
+    oracle = oracle_build_prefix(1100)
+    short = build_prefix(500)
+    assert len(short.lower.heads) == 8
+    resumed = build_prefix(1100, resume=short)
+    assert built_rows(resumed) == 0 and len(resumed.lower.heads) == 10
+    assert_as_explicit(resumed, oracle)
+    assert resumed == build_prefix(1100)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_resumes_from_states_made_by_hand_and_every_truncation(mode):
+    oracle = oracle_build_prefix(60, mode)
+    state = build_prefix(60, mode)
+    for k in range(1, 61):
+        short = truncate_prefix(state, k)
+        assert built_rows(short) == 0
+        assert_as_explicit(short, oracle)
+        by_hand = explicit_state(oracle, k, mode.tag)
+        assert_as_explicit(truncate_prefix(by_hand, max(1, k - 7)), oracle)
+        resumed = build_prefix(60, mode, resume=by_hand)
+        assert resumed is by_hand if k == 60 else built_rows(resumed) == 0
+        assert_as_explicit(resumed, oracle)
+
+
+def test_a_state_made_by_hand_whose_rows_break_its_log_is_not_resumed(prefix50):
+    oracle = oracle_build_prefix(12)
+    good = explicit_state(oracle, 12, DEFAULT_MODE.tag)
+    assert build_prefix(20, resume=good) == truncate_prefix(prefix50, 20)
+    rows = list(good.lower)
+    rows[11] = rows[11][:-1] + (rows[11][-1] + 1,)
+    for bad in (replace(good, lower=tuple(rows)), replace(good, log=good.log[:-1])):
+        with pytest.raises(InvalidMode, match="rows do not follow its log"):
+            build_prefix(20, resume=bad)
+
+
+def test_a_v1_load_has_lazy_rows_matching_the_oracle(prefix50):
+    # A v1 record's row is compared with the replayed row, so a v1 load
+    # builds the row of every point but the first; a v2 load builds none.
+    oracle = oracle_build_prefix(50)
+    v1 = load_prefix_text(v1_cache_text(prefix50))
+    assert built_rows(v1) == 49
+    assert_as_explicit(v1, oracle)
+    v2 = load_prefix_text(dump_prefix_text(prefix50))
+    assert built_rows(v2) == 0
+    assert_as_explicit(v2, oracle)
+
+
+def test_lower_reads_like_a_tuple(prefix50):
+    state = truncate_prefix(prefix50, 20)
+    lower, rows = state.lower, tuple(state.lower)
+    assert len(lower) == 20 and list(lower) == list(rows)
+    assert lower[-1] == rows[-1] and lower[-20] == rows[0] == ()
+    for i in (20, -21):
+        with pytest.raises(IndexError):
+            lower[i]
+    assert pickle.loads(pickle.dumps(state)) == state
+    assert bool(build_prefix(1).lower) and build_prefix(1).lower == ((),)
+
+
+def test_a_whole_canonical_cache_loads_without_a_parse(monkeypatch, prefix50):
+    # Its text is compared with the replay's; a partial load, an override and
+    # a file that is not the replay's text are parsed.
+    parsed = []
+    parse = construct_mod.parse_rational
+    monkeypatch.setattr(construct_mod, "parse_rational", lambda t: parsed.append(t) or parse(t))
+    text = dump_prefix_text(prefix50)
+    assert load_prefix_text(text) == prefix50 and parsed == []
+    assert load_prefix_text(text, 30) == truncate_prefix(prefix50, 30) and parsed
+    # The parse finds its faults first: a malformed token on line 9 is
+    # reported, not the changed label on line 6 before it.
+    bad = text.replace("\n5 | 1/3 | C\n", "\n5 | 1/4 | C\n").replace("\n8 | 1/2 1 2 | I\n", "\n8 | 1/2 1 x | I\n")
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(bad)
+    assert exc.value.line == 9
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
+@pytest.mark.parametrize("token,column", [("{run}", 5), ("1/{run}", 7), ("1 {run}", 7)])
+def test_a_label_past_the_int_string_limit_is_a_parse_error(token, column):
+    limit = sys.get_int_max_str_digits()
+    lines = dump_prefix_text(build_prefix(3)).splitlines()
+    lines[2] = f"2 | {token.format(run='7' * (limit + 1))} | C"
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text("\n".join(lines) + "\n")
+    assert (exc.value.line, exc.value.column) == (3, column)
+    assert exc.value.reason == f"integer longer than the {limit}-digit limit"

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -53,3 +54,13 @@ def test_as_rational_accepts_exact_forms():
     assert as_rational(3) == Fraction(3)
     assert as_rational("3/9") == Fraction(1, 3)
     assert as_rational(Fraction(5, 7)) == Fraction(5, 7)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
+@pytest.mark.parametrize("template", ["{run}", "1/{run}", "-{run}/3"])
+def test_a_run_past_the_int_string_limit_has_the_library_reason(template):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as exc:
+        parse_rational(template.format(run="7" * (limit + 1)))
+    assert str(exc.value) == f"integer longer than the {limit}-digit limit"
+    assert parse_rational(template.format(run="7" * limit)) != 0
