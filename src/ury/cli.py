@@ -33,9 +33,8 @@ from .errors import (
     PairwiseInfeasible,
     ParseError,
     UryError,
-    digit_limit,
 )
-from .rational import format_rational, parse_rational
+from .rational import format_rational, parse_int, parse_rational
 
 BUILTIN_HULLS = {
     "h1": [("0", "0"), ("1", "1")],
@@ -130,18 +129,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _json_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(digit_limit()) from None
-
-
 def _read_json(path: str):
     """The JSON value in file ``path``.  An integer longer than the
     interpreter's int-string limit is a ValueError with the library's
     reason, as in every other input."""
-    return json.loads(_read_text(path), parse_int=_json_int)
+    return json.loads(_read_text(path), parse_int=parse_int)
 
 
 def _parse_space(text: str) -> metric.FiniteMetricSpace:

@@ -400,11 +400,10 @@ def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
 def _built_state(heads, steps, scale: int, log, mode_tag: str, running_max) -> PrefixState:
     """The state whose lower triangle follows from ``heads`` and ``steps``
     over ``scale``, moved to the canonical scale.  Every entry is a min, max
-    or sum of head entries and Case-2 radii, and each of those is an entry
-    (a radius is pinned as ``d(new, a_l)``), so their gcd with ``scale`` is
-    the one of all entries."""
-    radii = (r for rec in steps if not isinstance(rec, int) for r in rec)
-    g = gcd(scale, *chain.from_iterable(heads), *radii)
+    or sum of head entries and Case-2 radii, and a radius is a head entry
+    too (it is pinned as ``d(new, a_l)``, in the head row of ``a_l``), so
+    the gcd of ``scale`` and the head entries is the one of all entries."""
+    g = gcd(scale, *chain.from_iterable(heads))
     heads, steps = _rescaled(heads, steps, 1, g)
     return PrefixState(
         m=len(steps) + 1,

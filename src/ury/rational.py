@@ -34,14 +34,21 @@ def parse_rational(text: str) -> Fraction:
     if m is None:
         raise ValueError(f"not a rational literal: {quoted(text)}")
     sign, num, den = m.groups()
-    try:
-        num, den = int(num), den and int(den)
-    except ValueError:
-        raise ValueError(digit_limit()) from None
+    num, den = parse_int(num), den and parse_int(den)
     if den == 0:
         raise ValueError(f"zero denominator: {quoted(text)}")
     value = Fraction(num, den) if den else Fraction(num)
     return -value if sign else value
+
+
+def parse_int(text: str) -> int:
+    """``int(text)``, but a run of digits longer than the interpreter's
+    int-string limit is a ValueError with the library's reason
+    (:func:`ury.errors.digit_limit`), not the interpreter's."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(digit_limit()) from None
 
 
 def format_rational(q: Fraction) -> str:

@@ -368,6 +368,13 @@ def test_scale_is_the_lcm_of_the_entry_denominators(prefix300):
     assert not state.log[-1].correctly_defined
     assert state.scale == entry_scale(state) == 1
     assert_matches_oracle(state, oracle_build_prefix(3, mode))
+    # A Case-2 label's second radius brings a denominator that no distance
+    # from the first point has: d(2, 1) = 3/2, while d(0, .) is 1, 1.
+    mode = ConstructionMode(q_override=(("1",), ("1", "3/2")))
+    state = build_prefix(3, mode)
+    assert state.log[-1].correctly_defined
+    assert state.scale == entry_scale(state) == 2
+    assert_matches_oracle(state, oracle_build_prefix(3, mode))
 
 
 def test_resume_rejects_other_mode(prefix50):
@@ -769,3 +776,13 @@ def test_a_label_past_the_int_string_limit_is_a_parse_error(token, column):
         load_prefix_text("\n".join(lines) + "\n")
     assert (exc.value.line, exc.value.column) == (3, column)
     assert exc.value.reason == f"integer longer than the {limit}-digit limit"
+
+
+def test_a_two_point_label_whose_bound_overshoots_has_its_row_scanned():
+    # Step 3's label {2, 3} is correctly defined.  min_l (r_l + max d(a_l, .))
+    # is 4, above the largest distance so far (5/2), but the row peaks at 3.
+    mode = ConstructionMode(q_override=(("2",), ("1/2",), ("2", "3")))
+    state = build_prefix(4, mode)
+    assert state.log[-1].correctly_defined
+    assert state.running_max == oracle_build_prefix(4, mode).running_max
+    assert state.running_max[-1] == 3
