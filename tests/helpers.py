@@ -155,8 +155,10 @@ def prefix_state(matrix, log=(), mode_tag: str = DEFAULT_MODE.tag) -> PrefixStat
     """A :class:`PrefixState` made by hand from a Fraction matrix, at the
     canonical scale (the lcm of the entries' denominators).  Its
     ``running_max`` comes from the state's own scan."""
-    scale = lcm(*(v.denominator for row in matrix for v in row))
-    lower = tuple(tuple(int(v * scale) for v in row[:i]) for i, row in enumerate(matrix))
+    scale = lcm(*{v.denominator for row in matrix for v in row})
+    lower = tuple(
+        tuple(v.numerator * (scale // v.denominator) for v in row[:i]) for i, row in enumerate(matrix)
+    )
     return PrefixState(m=len(lower), lower=lower, scale=scale, log=tuple(log), mode_tag=mode_tag)
 
 

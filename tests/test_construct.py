@@ -32,7 +32,7 @@ from ury import (
     validate_metric,
 )
 from ury import construct as construct_mod
-from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, PrefixState, colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
 
 from helpers import oracle_build_prefix, prefix_state, v1_cache_text
 
@@ -635,15 +635,9 @@ def built_rows(state):
 
 
 def explicit_state(oracle, m, mode_tag):
-    """The oracle's first m points as a state made by hand: a tuple of
-    integer rows over the lcm of the entries' denominators, with the
-    running maxima of the state's own scan."""
-    rho = oracle.rho
-    scale = lcm(*{v.denominator for row in rho[:m] for v in row[:m]})
-    lower = tuple(
-        tuple(v.numerator * (scale // v.denominator) for v in row[:i]) for i, row in enumerate(rho[:m])
-    )
-    return PrefixState(m=m, lower=lower, scale=scale, log=oracle.log[: m - 1], mode_tag=mode_tag)
+    """The oracle's first m points as a state made by hand, with a tuple
+    ``lower`` and the running maxima of the state's own scan."""
+    return prefix_state([row[:m] for row in oracle.rho[:m]], oracle.log[: m - 1], mode_tag)
 
 
 def assert_as_explicit(state, oracle):
