@@ -35,7 +35,7 @@ the triangle inequality (see ``demos/02_urysohn_prefix.py``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -57,7 +57,6 @@ from .metric import (
     fraction_rows,
     katetov_failure,
     katetov_row,
-    reduced_lower,
     symmetric_row,
 )
 from .rational import as_rational, format_ratio, format_rational, parse_rational
@@ -213,6 +212,18 @@ def index_of_subset(elements: Iterable) -> int:
 # Construction state and modes
 # ---------------------------------------------------------------------------
 
+def _label_elements(entry) -> list[Fraction]:
+    """The elements of a label set as Fractions, in the given order.  A label
+    set is nonempty and its elements are positive: anything else is a
+    :class:`ValueError`."""
+    values = [as_rational(v) for v in entry]
+    if not values:
+        raise ValueError("override label sets must be nonempty")
+    if any(v <= 0 for v in values):
+        raise ValueError("override label elements must be positive")
+    return values
+
+
 @dataclass(frozen=True)
 class ConstructionMode:
     """Settings for :func:`build_prefix`.
@@ -241,11 +252,7 @@ class ConstructionMode:
             raise InvalidMode("legacy-multiset requires an explicit q_override")
 
     def _canonical_elements(self, entry) -> tuple[Fraction, ...]:
-        values = [as_rational(v) for v in entry]
-        if not values:
-            raise ValueError("override label sets must be nonempty")
-        if any(v <= 0 for v in values):
-            raise ValueError("override label elements must be positive")
+        values = _label_elements(entry)
         if self.duplicate_handling == SET_COLLAPSE:
             values = sorted(set(values))
         else:
@@ -332,12 +339,11 @@ def _step_entry(heads, record, x: int) -> int:
 
 
 class _LazyLower(dict):
-    # The lower triangle of a built prefix: row i is built from the heads (the
+    # The lower triangle of a prefix state: row i is built from the heads (the
     # full rows of the points below the widest label) and step i's record the
     # first time lower[i] is read, and kept.  A read of a built row is a plain
-    # dict lookup; __missing__ runs once per row.  len, iteration, ==, hash and
-    # repr are those of the tuple of all m rows, so a state made by hand with
-    # that tuple compares equal; an index outside -m..m-1 is an IndexError.
+    # dict lookup; __missing__ runs once per row.  len and iteration cover all
+    # m rows, like a tuple's; an index outside -m..m-1 is an IndexError.
     # There is no slicing.
     __slots__ = ("heads", "steps")
 
@@ -363,22 +369,10 @@ class _LazyLower(dict):
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def __eq__(self, other):
-        if isinstance(other, (tuple, _LazyLower)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-    def __reduce__(self):
-        return _LazyLower, (self.heads, self.steps)
+    # A view equals only itself: a dict's == would compare only the rows
+    # built so far.  States compare by their fields.
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
 def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
@@ -399,43 +393,24 @@ def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
 
 def _built_state(heads, steps, scale: int, log, mode_tag: str, running_max) -> PrefixState:
     """The state whose lower triangle follows from ``heads`` and ``steps``
-    over ``scale``, moved to the canonical scale.  Every entry is a min, max
-    or sum of head entries and Case-2 radii, and a radius is a head entry
-    too (it is pinned as ``d(new, a_l)``, in the head row of ``a_l``), so
-    the gcd of ``scale`` and the head entries is the one of all entries."""
+    over ``scale``, with the full rows of the points below its widest label
+    only, moved to the canonical scale.  Every entry is a min, max or sum of
+    head entries and Case-2 radii, and a radius is a head entry too (it is
+    pinned as ``d(new, a_l)``, in the head row of ``a_l``), so the gcd of
+    ``scale`` and the head entries is the one of all entries."""
+    m = len(steps) + 1
+    width = max([1] + [rec.label.cardinality for rec in log])
+    heads = [head[:m] for head in heads[:width]]
     g = gcd(scale, *chain.from_iterable(heads))
     heads, steps = _rescaled(heads, steps, 1, g)
     return PrefixState(
-        m=len(steps) + 1,
-        lower=_LazyLower(tuple(map(tuple, heads)), tuple(steps)),
+        heads=tuple(map(tuple, heads)),
+        steps=tuple(steps),
         scale=scale // g,
         log=tuple(log),
         mode_tag=mode_tag,
         running_max=tuple(running_max),
     )
-
-
-def _parts(state: PrefixState) -> tuple[Sequence[Sequence[int]], Sequence]:
-    """The head rows and step records of ``state``, over its scale.  A state
-    made by hand with an explicit lower triangle gets them from its rows and
-    log: a Case-2 step's radii are its pinned distances to the label's
-    points, a Case-1 step's distance is any entry of its row.  Rows that do
-    not follow the log are refused."""
-    lower = state.lower
-    if isinstance(lower, _LazyLower):
-        return lower.heads, lower.steps
-    log = state.log
-    width = max([1] + [rec.label.cardinality for rec in log])
-    heads = [tuple(symmetric_row(lower, x)) for x in range(min(width, state.m))]
-    if len(log) == state.m - 1:
-        steps = [
-            tuple(lower[rec.step][: rec.label.cardinality]) if rec.correctly_defined
-            else lower[rec.step][0]
-            for rec in log
-        ]
-        if _LazyLower(heads, steps) == tuple(lower):
-            return heads, steps
-    raise InvalidMode("the state's rows do not follow its log; refusing to resume")
 
 
 @dataclass(frozen=True)
@@ -445,54 +420,95 @@ class PrefixState:
     Distances are integers over one common denominator, one per pair:
     ``lower[i][j] / scale`` is ``rho(a_i, a_j)`` for ``j < i``, so
     ``lower[i]`` has ``i`` entries.  ``scale`` is the lcm of the
-    denominators of the distances, so it is canonical and two states are
-    equal exactly when their metrics, logs and modes are.  ``rho``
-    restricted to the first k points equals the k-point prefix for every k
+    denominators of the distances, so it is canonical.  ``rho`` restricted
+    to the first k points equals the k-point prefix for every k
     (incrementality).  In ``set-collapse`` mode the matrix is always a
     valid metric; ``legacy-multiset`` overrides can break it by design.
 
-    A built state holds only the full rows of the points below its widest
-    label and one record per step; ``lower`` is a read-only sequence that
-    builds row i on its first read and compares, hashes and prints as the
-    tuple of rows.  A state made by hand may pass that tuple itself.
+    The state holds ``heads``, the full rows of the points below its widest
+    label, and ``steps``, one record per step: the Case-2 radii (a tuple) or
+    the Case-1 distance (an int).  Both are canonical, so two states are
+    equal exactly when their metrics, logs and modes are, and equality,
+    hashing, ``repr`` and pickling read no row.  ``lower`` is a read-only
+    sequence that builds row i from them on its first read.  A state is
+    made by :func:`build_prefix`, :func:`truncate_prefix`, a cache load, or
+    :meth:`from_lower` from the rows of a lower triangle.
     """
 
-    m: int
-    lower: Sequence[tuple[int, ...]]
+    m: int = field(init=False)
+    heads: tuple[tuple[int, ...], ...] = field(repr=False)
+    steps: tuple = field(repr=False)
     scale: int
     log: tuple[StepRecord, ...] = field(repr=False)
-    mode_tag: str = DEFAULT_MODE.tag
+    mode_tag: str
     # running_max[k] is the largest distance among the first k + 1 points.
-    # build_prefix keeps it as it goes; a state made by hand gets a scan.
-    running_max: tuple[Fraction, ...] = field(default=(), repr=False, compare=False)
+    running_max: tuple[Fraction, ...] = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.running_max) != self.m:
-            top = 0
-            maxima = []
-            for k in range(self.m):
-                top = max(top, max(self.lower[k], default=top))
-                maxima.append(Fraction(top, self.scale))
-            object.__setattr__(self, "running_max", tuple(maxima))
+        object.__setattr__(self, "m", len(self.steps) + 1)
+
+    def __getstate__(self):
+        # The fields only: the cached views below are rebuilt on demand.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_lower(cls, lower: Sequence[Sequence], log: Iterable[StepRecord], mode_tag: str) -> PrefixState:
+        """The state whose distances ``rho(a_i, a_j)``, ``j < i``, are the
+        rationals ``lower[i][j]``, built by the steps of ``log`` under the
+        mode ``mode_tag``.  Its heads are the rows of the points below the
+        widest label; a Case-2 step's record is its distances to the
+        label's points, a Case-1 step's is any entry of its row.
+
+        Raises :class:`InvalidMode` unless the log has one record per step
+        after the first point, numbered from 1, every row follows from the
+        heads and its step's record, and, under a canonical (``cw1``) tag,
+        every label is the enumeration's label of its step.
+        """
+        log = tuple(log)
+        entries = [[as_rational(v) for v in row] for row in lower]
+        scale = lcm(*(v.denominator for row in entries for v in row))
+        rows = [tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries]
+        m = len(rows)
+        if (
+            len(log) != m - 1
+            or any(rec.step != k for k, rec in enumerate(log, start=1))
+            or any(len(row) != i for i, row in enumerate(rows))
+        ):
+            raise InvalidMode("the state's rows do not follow its log")
+        if mode_tag.split(",")[-1] == ENUMERATION_VERSION:
+            for rec in log:
+                if rec.label != subset_of_index(rec.step):
+                    raise InvalidMode(f"step {rec.step} does not have its {ENUMERATION_VERSION} label")
+        width = max([1] + [rec.label.cardinality for rec in log])
+        heads = [symmetric_row(rows, x) for x in range(min(width, m))]
+        steps = [
+            rows[rec.step][: rec.label.cardinality] if rec.correctly_defined else rows[rec.step][0]
+            for rec in log
+        ]
+        if any(_step_row(heads, rec, k) != rows[k] for k, rec in enumerate(steps, start=1)):
+            raise InvalidMode("the state's rows do not follow its log")
+        top, maxima = 0, []
+        for row in rows:
+            top = max([top, *row])
+            maxima.append(Fraction(top, scale))
+        return _built_state(heads, steps, scale, log, mode_tag, maxima)
+
+    @cached_property
+    def lower(self) -> Sequence[tuple[int, ...]]:
+        """The lower triangle over ``scale``: row i is made from the heads
+        and step i's record on its first read, and kept.  Not a field."""
+        return _LazyLower(self.heads, self.steps)
 
     def distance(self, i: int, j: int) -> Fraction:
         i, j = max(i, j), min(i, j)
         return Fraction(self.lower[i][j] if i != j else 0, self.scale)
 
     @cached_property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The full symmetric matrix over ``scale``, ``rows[i][j]`` for every
-        i and j.  A view made on first access and kept with the state, at
-        O(m^2) time and memory, so the library itself never reads it.  Not a
-        field."""
-        return tuple(tuple(symmetric_row(self.lower, x)) for x in range(self.m))
-
-    @cached_property
     def rho(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The distance matrix as Fractions, ``rho[i][j] ==
-        Fraction(rows[i][j], scale)``.  A view like :attr:`rows`, made on
-        first access and kept with the state.  Not a field."""
-        return fraction_rows(self.rows, self.scale)
+        """The full distance matrix as Fractions, ``rho[i][j]`` for every i
+        and j.  A view made on first access and kept with the state, at
+        O(m^2) time and memory, so no command reads it.  Not a field."""
+        return fraction_rows([symmetric_row(self.lower, x) for x in range(self.m)], self.scale)
 
     @cached_property
     def distance_buckets(self) -> _DistanceBuckets:
@@ -510,13 +526,13 @@ class PrefixState:
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
     """Test the two-sided correctness condition of a label against a prefix.
 
-    ``label`` may be a :class:`QLabel` or a plain sequence of rationals.
-    Returns ``(True, None)`` or ``(False, (i, k))`` with the lexicographically
-    first violating pair of element positions (0-based).
+    ``label`` may be a :class:`QLabel` or a plain sequence of rationals; an
+    empty label or one with an element that is not positive is a
+    :class:`ValueError`.  Returns ``(True, None)`` or ``(False, (i, k))``
+    with the lexicographically first violating pair of element positions
+    (0-based).
     """
-    elements = label.elements if isinstance(label, QLabel) else tuple(
-        as_rational(v) for v in label
-    )
+    elements = _label_elements(label.elements if isinstance(label, QLabel) else label)
     p = len(elements)
     if p > prefix.m:
         raise PrefixTooShort(
@@ -535,10 +551,11 @@ def build_prefix(
 ) -> PrefixState:
     """Build the m-point prefix deterministically under ``mode``.
 
-    ``resume`` may supply a previously built (possibly cached) state; it must
-    have been produced under the same mode and enumeration, otherwise
+    ``resume`` may supply any earlier state (built, loaded from a cache or
+    made by :meth:`PrefixState.from_lower`); it must carry the same mode
+    tag, and under an override the same labels, otherwise
     :class:`InvalidMode` is raised — a cache is never silently reused across
-    settings.
+    settings.  The build continues from its heads and step records.
 
     Every step runs in integers over the lcm of the denominators of all
     labels used; the result is then reduced to the canonical scale.  It
@@ -559,9 +576,10 @@ def build_prefix(
             raise InvalidMode(
                 f"cached prefix was built as {resume.mode_tag!r}, requested {mode.tag!r}"
             )
-        # A state built here under a canonical mode holds that mode's labels:
-        # its tag names them.  Any other resume is checked label by label.
-        if mode.q_override is not None or not isinstance(resume.lower, _LazyLower):
+        # A state under a canonical mode holds that mode's labels: its tag
+        # names them, and from_lower checks them.  An override is checked
+        # label by label.
+        if mode.q_override is not None:
             for rec in resume.log:
                 if rec.label != mode.label_for_step(rec.step):
                     raise InvalidMode(
@@ -575,7 +593,7 @@ def build_prefix(
     if resume is None:
         heads, steps, base_scale, log, maxima = [], [], 1, [], [Fraction(0)]
     else:
-        heads, steps = _parts(resume)
+        heads, steps = resume.heads, resume.steps
         base_scale = resume.scale
         log, maxima = list(resume.log), list(resume.running_max)
     # One scale for the prior entries, their largest distance and every label.
@@ -640,19 +658,8 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         raise ValueError(f"cannot truncate a {state.m}-point prefix to {m}")
     if m == state.m:
         return state
-    if isinstance(state.lower, _LazyLower):
-        heads = [head[:m] for head in state.lower.heads[:m]]
-        return _built_state(heads, state.lower.steps[: m - 1], state.scale, state.log[: m - 1],
-                            state.mode_tag, state.running_max[:m])
-    lower, scale = reduced_lower(state.lower[:m], state.scale)
-    return PrefixState(
-        m=m,
-        lower=tuple(map(tuple, lower)),
-        scale=scale,
-        log=state.log[: m - 1],
-        mode_tag=state.mode_tag,
-        running_max=state.running_max[:m],
-    )
+    return _built_state(state.heads, state.steps[: m - 1], state.scale, state.log[: m - 1],
+                        state.mode_tag, state.running_max[:m])
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,9 @@ def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[in
     return out
 
 
-def _common_divisor(rows: Sequence[Sequence[int]], scale: int) -> int:
+def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
+    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
+    denominators of its entries."""
     # The gcd of scale and every entry.  The scan starts at the last rows,
     # which usually hold the largest denominators, and stops once nothing
     # can cancel.
@@ -96,22 +98,8 @@ def _common_divisor(rows: Sequence[Sequence[int]], scale: int) -> int:
     for row in reversed(rows):
         g = gcd(g, *row)
         if g == 1:
-            break
-    return g
-
-
-def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
-    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
-    denominators of its entries."""
-    g = _common_divisor(rows, scale)
-    return (rows, scale) if g == 1 else (_rescaled(rows, 1, g), scale // g)
-
-
-def reduced_lower(lower: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
-    """:func:`reduced` for a lower triangle, ``lower[i][j] / scale`` for
-    ``j < i``: each entry is divided once, and the shape is kept."""
-    g = _common_divisor(lower, scale)
-    return (lower, scale) if g == 1 else ([[v // g for v in row] for row in lower], scale // g)
+            return rows, scale
+    return _rescaled(rows, 1, g), scale // g
 
 
 def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from types import SimpleNamespace
 
 from ury import FiniteMetricSpace, ParseError, Violation, as_rational
 from ury.construct import ALL_PRIOR, DEFAULT_MODE, ConstructionMode, PrefixState, StepRecord
@@ -151,15 +152,16 @@ def v1_cache_text(state: PrefixState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def prefix_state(matrix, log=(), mode_tag: str = DEFAULT_MODE.tag) -> PrefixState:
-    """A :class:`PrefixState` made by hand from a Fraction matrix, at the
-    canonical scale (the lcm of the entries' denominators).  Its
-    ``running_max`` comes from the state's own scan."""
+def prefix_stand_in(matrix) -> SimpleNamespace:
+    """A stand-in for a :class:`PrefixState` over a Fraction matrix that no
+    construction log produces, with only ``m``, ``scale`` (the lcm of the
+    entries' denominators) and ``lower``: all that
+    :func:`ury.construct.is_correctly_defined` reads."""
     scale = lcm(*{v.denominator for row in matrix for v in row})
     lower = tuple(
         tuple(v.numerator * (scale // v.denominator) for v in row[:i]) for i, row in enumerate(matrix)
     )
-    return PrefixState(m=len(lower), lower=lower, scale=scale, log=tuple(log), mode_tag=mode_tag)
+    return SimpleNamespace(m=len(lower), scale=scale, lower=lower)
 
 
 @dataclass(frozen=True)

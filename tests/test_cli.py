@@ -713,13 +713,14 @@ def test_missing_subcommand_usage_error(capsys):
 
 
 def test_no_command_reads_the_full_matrix_view(tmp_path, capsys, monkeypatch):
-    # PrefixState holds its lower triangle; the full matrix PrefixState.rows
-    # is a view for tests.  A read of it is counted, across the commands
-    # that build or load a prefix and the library calls they make.
+    # PrefixState holds its heads and step records; the full matrix
+    # PrefixState.rho is a view for tests.  A read of it is counted, across
+    # the commands that build or load a prefix and the library calls they
+    # make.
     reads = []
-    full = construct.PrefixState.rows.func
+    full = construct.PrefixState.rho.func
     monkeypatch.setattr(
-        construct.PrefixState, "rows", property(lambda self: reads.append(self.m) or full(self))
+        construct.PrefixState, "rho", property(lambda self: reads.append(self.m) or full(self))
     )
     cache, dmat, target = tmp_path / "p.ury", tmp_path / "p.dmat", tmp_path / "t.dmat"
     target.write_text(T345)
@@ -738,7 +739,7 @@ def test_no_command_reads_the_full_matrix_view(tmp_path, capsys, monkeypatch):
     extended = embed.extend_partial_isometry(embed.PartialIsometry(state, [(0, 0), (1, 1)]), 2)
     assert extended.pairs == ((0, 0), (1, 1), (2, 2))
     assert reads == []
-    assert state.rows and reads == [60]  # the counter works
+    assert state.rho and reads == [60]  # the counter works
 
 
 def test_commands_build_only_the_rows_they_read(tmp_path, capsys, monkeypatch):

