@@ -141,11 +141,6 @@ def _parse_space(text: str) -> metric.FiniteMetricSpace:
     return metric.parse_distance_matrix(text, construct.PREFIX_MAX_POINTS)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -200,8 +195,7 @@ def cmd_build(args) -> int:
 
 def cmd_export(args) -> int:
     state = construct.load_prefix(args.cache, args.points)
-    text = metric.serialize_scaled_matrix(state.lower, state.scale)
-    _write_text(args.out, text)
+    construct.write_atomically(args.out, construct.export_lines(state))
     print(f"wrote {state.m}-point distance matrix to {args.out}")
     return 0
 
@@ -240,7 +234,7 @@ def cmd_extend(args) -> int:
     new_row = [ext.distance(space.n, z) for z in range(space.n)]
     print(" ".join(format_rational(v) for v in new_row))
     if args.out:
-        _write_text(args.out, metric.serialize_distance_matrix(ext))
+        construct.write_atomically(args.out, [metric.serialize_distance_matrix(ext)])
     return 0
 
 
@@ -291,7 +285,7 @@ def cmd_balls(args) -> int:
     out = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(out)
     if args.out:
-        _write_text(args.out, out)
+        construct.write_atomically(args.out, [out])
     return 0
 
 

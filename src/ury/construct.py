@@ -38,10 +38,10 @@ import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from math import comb, gcd, lcm
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, floordiv
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidMode,
@@ -662,6 +662,39 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
                         state.mode_tag, state.running_max[:m])
 
 
+class _DenominatorText(dict):
+    # The gcd g of an entry and scale -> the text after the entry's reduced
+    # numerator: "/" and its denominator scale // g, or "" when that is 1.
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, g: int) -> str:
+        den = self.scale // g
+        text = self[g] = f"/{den}" if den != 1 else ""
+        return text
+
+
+def export_lines(state: PrefixState) -> Iterator[str]:
+    """The ``.dmat`` text of ``state``, one line at a time, each ending in
+    LF: together the text of ``metric.serialize_scaled_matrix(state.lower,
+    state.scale)``.  Each row is made for its line from a head row or its
+    step's record and dropped after it: ``lower`` is never read."""
+    scale, heads, steps = state.scale, state.heads, state.steps
+    denominator = _DenominatorText(scale)
+    yield f"{state.m}\n"
+    for i, record in enumerate(steps, start=1):
+        if isinstance(record, int):  # a Case-1 row repeats one distance
+            yield " ".join([format_ratio(record, scale)] * i) + "\n"
+            continue
+        row = heads[i][:i] if i < len(heads) else _step_row(heads, record, i)
+        g = list(map(gcd, row, repeat(scale, i)))
+        numerators = map(str, map(floordiv, row, g))
+        yield " ".join(map(add, numerators, map(denominator.__getitem__, g))) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Cache file format: header "URY0 v2 <mode-tag>" then "n | elements | C-or-I"
 # per step.  Rows are derived data: loading replays the construction.
@@ -753,24 +786,34 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     return state
 
 
-def save_prefix(state: PrefixState, path) -> None:
-    """Write via a sibling ``.tmp`` file and ``os.replace``: a crash part-way
-    leaves the old file intact, never a torn one that may still parse.
-    Symlinks are followed; a device or pipe is written in place."""
+def write_atomically(path, lines: Iterable[str]) -> None:
+    """Write the strings ``lines`` to ``path`` via a sibling ``.tmp`` file
+    and ``os.replace``: a failure part-way, in the writing or in making the
+    lines, leaves the old file intact and no ``.tmp`` file, never a torn
+    file that may still parse.  Symlinks are followed; a device or pipe is
+    written in place."""
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dump_prefix_text(state))
+            for line in lines:
+                fh.write(line)
         return
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
         with fh:
-            fh.write(dump_prefix_text(state))
+            for line in lines:
+                fh.write(line)
         os.replace(tmp, path)
     except BaseException:
         os.remove(tmp)
         raise
+
+
+def save_prefix(state: PrefixState, path) -> None:
+    """Write the cache text of ``state`` to ``path`` with
+    :func:`write_atomically`."""
+    write_atomically(path, [dump_prefix_text(state)])
 
 
 def load_prefix(path, m: int | None = None) -> PrefixState:

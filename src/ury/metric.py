@@ -25,12 +25,13 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 from math import gcd, lcm
-from typing import Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted, too_many_digits
 from .rational import as_rational, format_ratio, format_rational, parse_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The triangle scan shifts entries right until they lie below this bound, so
 # that a sum of two of them fits in int64.
@@ -180,6 +181,10 @@ _TILE = 64
 
 
 def _candidates(lower: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    # numpy is imported by the two functions that use it, so that a command
+    # that validates nothing does not load it.
+    import numpy as np
+
     # The nearest-neighbour distances m[x] = min_{y != x} d(x, y) of the
     # positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points, as an
     # object array of Python ints, and the n x n bool array whose entry
@@ -222,6 +227,8 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     # at once.  The n x n candidate
     # flags are reduced to each tile's rows and columns before the int64
     # matrix is made, and without a candidate no matrix is made.
+    import numpy as np
+
     n = len(lower)
     m, candidate = _candidates(lower)
     tile_rows = candidate.any(axis=0)
@@ -414,10 +421,13 @@ def _matrix_from_triangle(triangle: Sequence[Sequence]) -> list[list[Fraction]]:
     return matrix
 
 
-# A .dmat row that parses as it stands: unsigned integers or ``p/q`` fractions
-# of ASCII digits, single spaces between them, and no denominator of zeros.
-_ROW_RE = re.compile(r"[0-9]+(?:/[0-9]+)?(?: [0-9]+(?:/[0-9]+)?)*")
-_ZERO_DENOMINATOR_RE = re.compile(r"/0+(?: |$)")
+# A .dmat entry that parses as it stands: an unsigned integer or a ``p/q``
+# fraction of ASCII digits whose denominator is not all zeros; and a row of
+# such entries with single spaces between them.  The fraction part is an
+# alternative with an empty branch, not ``?``, which ``re`` matches slower.
+_TOKEN = r"[0-9]+(?:/0*[1-9][0-9]*|)"
+_TOKEN_RE = re.compile(_TOKEN)
+_ROW_RE = re.compile(f"{_TOKEN}(?: {_TOKEN})*")
 
 
 def _dmat_lines(text: str) -> Iterator[str]:
@@ -476,23 +486,39 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
     if count < n:
         raise ParseError(count + 1, 1, f"expected {n - 1} distance rows, got {count - 1}")
 
-    # rows[i] is d(i, .) as (numerators, denominators) until all are read.
+    # rows[i] is d(i, .) as (numerators, denominators) until all are read:
+    # two lists, or one int each for a row that repeats one entry.
     denominators = _Denominators()
+    den = denominators.__getitem__
     rows = [([], [])]
     for i, line in enumerate(lines, 1):
-        if _ROW_RE.fullmatch(line) is None or _ZERO_DENOMINATOR_RE.search(line):
+        # A row that repeats one entry is checked and converted once.
+        first = line.partition(" ")[0]
+        repeated = len(line) == i * (len(first) + 1) - 1 and line == " ".join([first] * i)
+        if not (_TOKEN_RE.fullmatch(first) if repeated else _ROW_RE.fullmatch(line)):
             raise _row_error(line, i + 1, i)
-        tokens = [token.partition("/") for token in line.split(" ")]
-        if len(tokens) != i:
-            raise ParseError(i + 1, 1, f"expected {i} entries, got {len(tokens)}")
+        count = line.count(" ") + 1
+        if count != i:
+            raise ParseError(i + 1, 1, f"expected {i} entries, got {count}")
         try:
-            rows.append(([int(p) for p, _, _ in tokens], [denominators[q] for _, _, q in tokens]))
+            if repeated:
+                p, _, q = first.partition("/")
+                rows.append((int(p), den(q)))
+            elif line.count("/") == i:  # every entry is a fraction
+                parts = line.replace("/", " ").split(" ")
+                rows.append((list(map(int, parts[::2])), list(map(den, parts[1::2]))))
+            else:
+                tokens = [token.partition("/") for token in line.split(" ")]
+                rows.append(([int(p) for p, _, _ in tokens], [den(q) for _, _, q in tokens]))
         except ValueError:
             raise too_many_digits(i + 1, line) from None
     scale = lcm(*denominators.values())
     factor = {q: scale // q for q in denominators.values()}
     for i, (nums, dens) in enumerate(rows):
-        rows[i] = [p * factor[q] for p, q in zip(nums, dens)]
+        if isinstance(dens, int):
+            rows[i] = [nums * factor[dens]] * i
+        else:
+            rows[i] = list(map(operator.mul, nums, map(factor.__getitem__, dens)))
     return rows, scale
 
 
@@ -513,9 +539,9 @@ def parse_scaled_matrix(
 
 
 def _row_error(line: str, lineno: int, count: int) -> ParseError:
-    # The first fault of a row that _ROW_RE refused or that has a zero
-    # denominator, checked in order: trailing whitespace, an empty field, the
-    # entry count, then each entry from the left.
+    # The first fault of a row that _ROW_RE refused, checked in order:
+    # trailing whitespace, an empty field, the entry count, then each entry
+    # from the left.
     if line != line.rstrip():
         return ParseError(lineno, len(line.rstrip()) + 1, "trailing whitespace")
     tokens = line.split(" ")

@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -133,13 +135,59 @@ def test_export_roundtrip(tmp_path, capsys):
 
 
 def test_export_matches_the_fraction_oracle(tmp_path, capsys):
-    cache = tmp_path / "p.ury"
+    legacy = construct.ConstructionMode(
+        duplicate_handling="legacy-multiset", q_override=((2,), (3,), (4,), (Fraction(1, 2), Fraction(1, 2)))
+    )
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps([list(map(str, entry)) for entry in legacy.q_override]))
     dmat = tmp_path / "p.dmat"
-    run(capsys, "build", "--points", "90", "--out", str(cache))
-    oracle = oracle_build_prefix(90)
-    for k in (1, 2, 45, 90):
-        assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
-        assert dmat.read_text() == serialize_matrix([row[:k] for row in oracle.rho[:k]])
+    for mode in (construct.DEFAULT_MODE, construct.ConstructionMode(case1_scope="labels-only"), legacy):
+        cache = tmp_path / f"{mode.tag}.ury"
+        flags = ["--duplicates", mode.duplicate_handling, "--case1-scope", mode.case1_scope]
+        if mode.q_override is not None:
+            flags += ["--q-override", str(labels)]
+        assert run(capsys, "build", "--points", "90", "--out", str(cache), *flags)[0] == 0
+        oracle = oracle_build_prefix(90, mode)
+        for k in (1, 2, 45, 90):
+            assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
+            assert dmat.read_text() == serialize_matrix([row[:k] for row in oracle.rho[:k]]), (mode, k)
+
+
+def test_a_failed_export_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    # The export is written line by line; a fault while its rows are made
+    # leaves the file it was to replace as it was, and no .tmp file.
+    cache, dmat = tmp_path / "p.ury", tmp_path / "p.dmat"
+    run(capsys, "build", "--points", "60", "--out", str(cache))
+    assert run(capsys, "export", "--cache", str(cache), "--points", "20", "--out", str(dmat))[0] == 0
+    old = dmat.read_bytes()
+    step_row = construct._step_row
+
+    def failing(heads, record, i):
+        if i == 50:
+            raise OSError("disk full")
+        return step_row(heads, record, i)
+
+    monkeypatch.setattr(construct, "_step_row", failing)
+    code, stdout, stderr = run(capsys, "export", "--cache", str(cache), "--out", str(dmat))
+    assert (code, stdout, json.loads(stderr)) == (2, "", {"error": "OSError", "detail": "disk full"})
+    assert dmat.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "p.dmat", "p.ury"]
+
+
+def test_build_and_export_do_not_load_numpy(tmp_path):
+    # Only the triangle scan uses numpy, and neither command validates.
+    child = (
+        "import sys\n"
+        "from ury.cli import main\n"
+        "assert main(['build', '--points', '60', '--out', 'p.ury']) == 0\n"
+        "assert main(['export', '--cache', 'p.ury', '--out', 'p.dmat']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "URY_CACHE_DIR": str(tmp_path / "cache")}
+    result = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 # Asking for more points than a cache holds: exit code and error kind as
@@ -755,6 +803,8 @@ def test_commands_build_only_the_rows_they_read(tmp_path, capsys, monkeypatch):
         ["build", "--points", "40"],
         ["build", "--points", "60", "--out", str(cache)],  # resumed from the cache
         ["build", "--points", "50", "--case1-scope", "labels-only"],
+        # export makes each row for its line from the heads and step records
+        ["export", "--cache", str(cache), "--out", str(tmp_path / "p.dmat")],
     ):
         assert run(capsys, *argv)[0] == 0, argv
     assert built == []

@@ -465,11 +465,14 @@ def test_missing_final_newline_tolerated():
     assert parse_distance_matrix("2\n1") == parse_distance_matrix("2\n1\n")
 
 
-def _spelled(rng: random.Random, value: Fraction) -> str:
+def _spelled(rng: random.Random, value: Fraction, slash: bool = False) -> str:
     # value as a valid but often non-canonical .dmat token: 2/4, 007, 0/3, ...
+    # With slash, always p/q, and q sometimes with leading zeros: 1/01.
     k = rng.choice((1, 1, 2, 3, 10))
     num = str(value.numerator * k).zfill(rng.choice((0, 0, 2, 3)))
     den = value.denominator * k
+    if slash:
+        return f"{num}/{str(den).zfill(rng.choice((0, 0, 2)))}"
     return num if den == 1 and rng.random() < 0.5 else f"{num}/{den}"
 
 
@@ -533,6 +536,12 @@ MALFORMED = [
     "2\n-1\n", "3\n1\n1 -x\n", "2\n1.5\n", "2\n1e3\n", "2\n1/0\n", "3\n1\n2 1/00\n",
     "2\n1/\n", "2\n/2\n", "2\n1//2\n", "2\n1/2/3\n", "2\n\u0661\n", "3\n1\n1 1/\u0661\n",
     "2\n+1\n", "2\n1_0\n", "2\n\t1\n", "3\n1/0\n1 x\n", "3\n1\n1/0 x\n",
+    # rows that repeat one entry
+    "3\n1\n1/0 1/0\n", "3\n1\n1/ 1/\n", "3\n1\nx x\n", "3\n1\n-1 -1\n", "3\n1\n1/00 1/00\n",
+    "3\n1\n2/3 2/3 2/3\n", "4\n1\n1 1\n1 1\n", "3\n1\n\u0661 \u0661\n", "2\n0/0\n",
+    # rows whose every entry holds a slash
+    "3\n1\n1/2 1/0\n", "3\n1\n1/2 3/4/5\n", "3\n1\n1//2 3/4\n", "3\n1\n1/2 /4\n",
+    "3\n1\n1/2 1/3 1/4\n", "3\n1\n1/2 3/\u0661\n", "3\n1\n1/2/3 4\n",
 ]
 
 
@@ -545,6 +554,52 @@ def test_integer_parse_errors_match_the_fraction_oracle(text):
     assert (got.value.line, got.value.column, got.value.reason) == (
         expected.value.line, expected.value.column, expected.value.reason
     )
+
+
+# Entries that are no .dmat entry, each refused with its own reason.
+BAD_ENTRIES = ["1/0", "0/00", "1/", "/2", "x", "-1", "1//2", "1/2/3", "\u0661", "1.5", "+1"]
+
+
+def test_parse_matches_the_oracle_on_repeated_all_slash_and_mixed_rows():
+    # Random rows of three shapes, each parsed on its own path; every second
+    # text has one fault: a bad entry, a whole row of them, or an entry too
+    # many or too few.
+    rng = random.Random(1012)
+    for trial in range(400):
+        n = rng.randint(2, 10)
+        rows = []
+        for i in range(1, n):
+            shape = rng.choice(("repeated", "all-slash", "mixed"))
+            values = [rand_rational(rng, Fraction(0), Fraction(3)) for _ in range(i)]
+            if shape == "repeated":
+                rows.append([_spelled(rng, values[0], rng.random() < 0.5)] * i)
+            else:
+                rows.append([_spelled(rng, v, shape == "all-slash") for v in values])
+        if trial % 2:
+            row, bad = rng.choice(rows), rng.choice(BAD_ENTRIES)
+            fault = rng.choice(("entry", "row", "extra", "missing"))
+            if fault == "entry":
+                row[rng.randrange(len(row))] = bad
+            elif fault == "row":
+                row[:] = [bad] * len(row)
+            elif fault == "extra":
+                row.append(row[-1])
+            else:
+                row.pop()
+        text = f"{n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+        try:
+            oracle = oracle_parse_matrix(text)
+        except ParseError as expected:
+            with pytest.raises(ParseError) as got:
+                metric_mod.parse_lower_triangle(text)
+            assert (got.value.line, got.value.column, got.value.reason) == (
+                expected.line, expected.column, expected.reason
+            ), text
+            continue
+        lower, scale = metric_mod.parse_lower_triangle(text)
+        assert [[Fraction(v, scale) for v in row] for row in lower] == [
+            row[:i] for i, row in enumerate(oracle)
+        ], text
 
 
 @pytest.mark.parametrize(
@@ -580,8 +635,12 @@ LONG = "7" * (INT_DIGITS + 1)
         ("3\n1\n2 " + LONG + "\n", 3, 3),  # a numerator
         ("3\n1\n2/" + LONG + " 3\n", 3, 3),  # a denominator
         ("3\n1/" + LONG + "\n2 3\n", 2, 3),  # a denominator, first read
+        ("3\n1\n" + LONG + " " + LONG + "\n", 3, 1),  # a repeated numerator
+        ("3\n1\n1/" + LONG + " 1/" + LONG + "\n", 3, 3),  # a repeated denominator
+        ("3\n1\n1/2 3/" + LONG + "\n", 3, 7),  # a denominator of an all-slash row
     ],
-    ids=["point_count", "numerator", "denominator", "first_denominator"],
+    ids=["point_count", "numerator", "denominator", "first_denominator", "repeated_numerator",
+         "repeated_denominator", "all_slash_denominator"],
 )
 def test_integers_past_the_int_string_limit_are_parse_errors(text, line, column):
     for parse in (metric_mod.parse_lower_triangle, metric_mod.parse_scaled_matrix):

@@ -1,19 +1,22 @@
-"""Time and peak memory of ``ury verify`` on prefix exports of several sizes.
+"""Time and peak memory of ``ury export`` and ``ury verify`` on prefixes of
+several sizes.
 
     python3 tools/verify_sizes.py                     # 350, 450, 1000, 2000 points
     python3 tools/verify_sizes.py --points 350,450
     python3 tools/verify_sizes.py --src ../other/src  # another checkout's library
 
-A child process builds one prefix of the largest size and exports it,
-truncated, to a temporary ``.dmat`` per size.  Each export is then
-verified by ``ury verify`` in a fresh child process, which also times the
-calls that the command makes into ``ury.metric``: ``parse_s`` is the time
-inside its ``parse_*`` functions and ``validate_s`` the time inside its
-``validate_*`` functions (outermost calls only), ``verify_s`` the whole
-command; ``wall_s`` adds the interpreter's start.  All times are raw wall
-clock.  ``maxrss_mib`` is the child's ``ru_maxrss``, read with
-``os.wait4``.  One JSON line is printed per size; the exit status is 1
-unless every export verified as a metric.
+A child process runs ``ury build`` once, at the largest size, into a
+temporary cache.  For each size, ``ury export --points N`` writes the
+``.dmat`` in a fresh child (``export_s`` is the command, ``export_maxrss_mib``
+the child's peak), and ``ury verify`` checks it in another fresh child,
+which also times the calls that the command makes into ``ury.metric``:
+``parse_s`` is the time inside its ``parse_*`` functions and
+``validate_s`` the time inside its ``validate_*`` functions (outermost
+calls only), ``verify_s`` the whole command; ``wall_s`` adds the
+interpreter's start.  All times are raw wall clock.  ``maxrss_mib`` is the
+verify child's ``ru_maxrss``, read with ``os.wait4``.  One JSON line is
+printed per size; the exit status is 1 unless every export succeeded and
+verified as a metric.
 """
 
 from __future__ import annotations
@@ -29,21 +32,16 @@ from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Run in a child, so that the measuring process stays small: build one prefix
-# of the largest size and write the export of each size to the directory.
-BUILD = """
-import sys
-from pathlib import Path
-from ury import construct, metric
+# Run in a child: one CLI command, timed inside the process.
+COMMAND = """
+import json, sys, time
+from ury import cli
 
-sizes = [int(n) for n in sys.argv[2:]]
-state = construct.build_prefix(max(sizes))
-for n in sizes:
-    part = construct.truncate_prefix(state, n)
-    # The serialiser reads only the lower triangle; a library whose prefix
-    # holds no ``lower`` has its full ``rows`` as a field.
-    lower = getattr(part, "lower", None) or part.rows
-    Path(sys.argv[1], f"p{n}.dmat").write_text(metric.serialize_scaled_matrix(lower, part.scale))
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+total = time.perf_counter() - start
+sys.stdout.flush()
+print(json.dumps({"exit": code, "command_s": total}))
 """
 
 # Run in the child: wrap the parse and validate functions of ury.metric,
@@ -111,19 +109,31 @@ def main() -> int:
     args = parser.parse_args()
     sizes = sorted({int(p) for p in args.points.split(",")})
 
-    env = {**os.environ, "PYTHONPATH": str(args.src)}
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([sys.executable, "-c", BUILD, tmp, *map(str, sizes)], env=env, check=True)
+        env = {**os.environ, "PYTHONPATH": str(args.src), "URY_CACHE_DIR": tmp}
+        cache = str(Path(tmp) / "prefix.ury")
+        built = measured(env, COMMAND, "build", "--points", str(sizes[-1]), "--out", cache)
+        if built["exit"] != 0:
+            print(json.dumps({"build": built}), flush=True)
+            return 1
         for n in sizes:
             dmat = Path(tmp) / f"p{n}.dmat"
+            export = measured(env, COMMAND, "export", "--cache", cache, "--points", str(n),
+                              "--out", str(dmat))
+            if export["exit"] != 0:
+                ok = False
+                print(json.dumps({"points": n, "ok": False, "export": export}), flush=True)
+                continue
             start = time.perf_counter()
             result = measured(env, CHILD, str(dmat))
             result["wall_s"] = time.perf_counter() - start
             good = result["exit"] == 0 and result["stdout"] == f"OK: metric on {n} points"
             ok &= good
-            print(json.dumps({"points": n, "bytes": dmat.stat().st_size, "ok": good, **result}),
-                  flush=True)
+            print(json.dumps({"points": n, "bytes": dmat.stat().st_size, "ok": good,
+                              "export_s": export["command_s"],
+                              "export_maxrss_mib": export["maxrss_mib"], **result}), flush=True)
+            dmat.unlink()
     return 0 if ok else 1
 
 
