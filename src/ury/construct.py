@@ -66,9 +66,13 @@ ENUMERATION_VERSION = "cw1"
 # A build keeps O(m·w) ints for labels of at most w elements (w <= 11 below
 # 4000 points): `ury build --points 4000` takes 0.12 s and 36 MiB peak RSS in
 # a fresh process, cold, and 0.18 s and 39 MiB resumed from 3600 points
-# (tools/prefix_sizes.py).  A command that reads every row holds one int per
-# pair: `ury isom-extend` whose image is the last point takes 1.7 s and
-# 584 MiB at 4000 points.
+# (tools/prefix_sizes.py).  No row is kept: `ury isom-extend` whose image is
+# the last point takes 0.03 / 0.08 / 0.15 s and 18 / 20 / 24 MiB at 1000 /
+# 2000 / 4000 points in the same script, and `ury embed` that finds its map
+# among the first points searches for 0.003 / 0.007 / 0.012 s and peaks at
+# 31 / 33 / 37 MiB (tools/embed_sizes.py).  An `embed` that finds nothing
+# builds its whole index, one position per ordered pair of points: 0.9 /
+# 4.3 / 25 s and 160 / 613 / 2574 MiB.
 PREFIX_MAX_POINTS = 4000
 
 SET_COLLAPSE = "set-collapse"
@@ -288,38 +292,6 @@ class StepRecord:
         return f"{self.step} | {elements} | {'C' if self.correctly_defined else 'I'}"
 
 
-class _DistanceBuckets(dict):
-    # Point u -> {distance: points at that distance, ascending}, each entry
-    # built from row u and column u of ``lower`` on its first read.  A read
-    # of a built entry is a plain dict lookup; ``__missing__`` runs once per
-    # point.  ``len`` and iteration cover every point, like a tuple's.
-    __slots__ = ("_lower",)
-
-    def __init__(self, lower: Sequence[Sequence[int]]):
-        super().__init__()
-        self._lower = lower
-
-    def __missing__(self, u: int) -> dict[int, tuple[int, ...]]:
-        lower = self._lower
-        m = len(lower)
-        if not 0 <= u < m:
-            raise IndexError(f"point {u} out of range")
-        entry: dict[int, tuple[int, ...]] = {}
-        for v, d in enumerate(lower[u]):
-            entry[d] = entry.get(d, ()) + (v,)
-        for v in range(u + 1, m):
-            d = lower[v][u]
-            entry[d] = entry.get(d, ()) + (v,)
-        self[u] = entry
-        return entry
-
-    def __len__(self) -> int:
-        return len(self._lower)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self._lower)))
-
-
 def _step_row(heads, record, i: int) -> tuple[int, ...]:
     """Row i of the lower triangle, ``d(i, j)`` for ``j < i``, from step i's
     record: a Case-1 distance (an int), or the Case-2 radii (a tuple), whose
@@ -338,41 +310,51 @@ def _step_entry(heads, record, x: int) -> int:
     return min(r + heads[l][x] for l, r in enumerate(record))
 
 
-class _LazyLower(dict):
-    # The lower triangle of a prefix state: row i is built from the heads (the
-    # full rows of the points below the widest label) and step i's record the
-    # first time lower[i] is read, and kept.  A read of a built row is a plain
-    # dict lookup; __missing__ runs once per row.  len and iteration cover all
-    # m rows, like a tuple's; an index outside -m..m-1 is an IndexError.
-    # There is no slicing.
-    __slots__ = ("heads", "steps")
+def _row(heads, steps, i: int) -> tuple[int, ...]:
+    """Row i of the lower triangle: a head slice, or step i's row."""
+    return heads[i][:i] if i < len(heads) else _step_row(heads, steps[i - 1], i)
 
-    def __init__(self, heads: tuple[tuple[int, ...], ...], steps: tuple):
+
+class _DistanceBuckets(dict):
+    # Point u -> {distance: points at that distance, ascending}, each entry
+    # built on its first read from row u and then column u, whose entry
+    # d(v, u) for each later point v comes from step v's record.  It holds the
+    # heads and records, not the state, which holds it.  A read of a built
+    # entry is a plain dict lookup; ``__missing__`` runs once per point.
+    # ``len`` and iteration cover every point, like a tuple's.
+    __slots__ = ("_heads", "_steps")
+
+    def __init__(self, heads, steps):
         super().__init__()
-        self.heads = heads
-        self.steps = steps
+        self._heads = heads
+        self._steps = steps
 
-    def __missing__(self, i: int) -> tuple[int, ...]:
-        m = len(self.steps) + 1
-        if not -m <= i < m:
-            raise IndexError(f"row {i} out of range")
-        if i < 0:
-            return self[i + m]
-        heads = self.heads
-        row = heads[i][:i] if i < len(heads) else _step_row(heads, self.steps[i - 1], i)
-        self[i] = row
-        return row
+    def __missing__(self, u: int) -> dict[int, tuple[int, ...]]:
+        heads, steps = self._heads, self._steps
+        if not 0 <= u < len(self):
+            raise IndexError(f"point {u} out of range")
+        if u < len(heads):
+            column = heads[u][u + 1:]
+        else:
+            below = [head[u] for head in heads]  # d(l, u) for each head l
+            first = below[0]
+            column = [
+                rec if isinstance(rec, int)
+                else rec[0] + first if len(rec) == 1  # a singleton label, the common step
+                else min(map(add, rec, below))
+                for rec in steps[u:]
+            ]
+        entry: dict[int, tuple[int, ...]] = {}
+        for v, d in chain(enumerate(_row(heads, steps, u)), enumerate(column, start=u + 1)):
+            entry[d] = entry.get(d, ()) + (v,)
+        self[u] = entry
+        return entry
 
     def __len__(self) -> int:
-        return len(self.steps) + 1
+        return len(self._steps) + 1
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
-
-    # A view equals only itself: a dict's == would compare only the rows
-    # built so far.  States compare by their fields.
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
 
 
 def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
@@ -418,21 +400,20 @@ class PrefixState:
     """A built prefix: m points, their exact distances, and the log.
 
     Distances are integers over one common denominator, one per pair:
-    ``lower[i][j] / scale`` is ``rho(a_i, a_j)`` for ``j < i``, so
-    ``lower[i]`` has ``i`` entries.  ``scale`` is the lcm of the
-    denominators of the distances, so it is canonical.  ``rho`` restricted
-    to the first k points equals the k-point prefix for every k
-    (incrementality).  In ``set-collapse`` mode the matrix is always a
-    valid metric; ``legacy-multiset`` overrides can break it by design.
+    ``entry(i, j) / scale`` is ``rho(a_i, a_j)``.  ``scale`` is the lcm of
+    the denominators of the distances, so it is canonical.  ``rho``
+    restricted to the first k points equals the k-point prefix for every k
+    (incrementality).  In ``set-collapse`` mode the matrix is always a valid
+    metric; ``legacy-multiset`` overrides can break it by design.
 
     The state holds ``heads``, the full rows of the points below its widest
     label, and ``steps``, one record per step: the Case-2 radii (a tuple) or
-    the Case-1 distance (an int).  Both are canonical, so two states are
-    equal exactly when their metrics, logs and modes are, and equality,
-    hashing, ``repr`` and pickling read no row.  ``lower`` is a read-only
-    sequence that builds row i from them on its first read.  A state is
-    made by :func:`build_prefix`, :func:`truncate_prefix`, a cache load, or
-    :meth:`from_lower` from the rows of a lower triangle.
+    the Case-1 distance (an int).  Every distance is read from them, by
+    :meth:`row` or :meth:`entry`, and none is kept.  Both fields are
+    canonical, so two states are equal exactly when their metrics, logs and
+    modes are, and equality, hashing, ``repr`` and pickling read no row.  A
+    state is made by :func:`build_prefix`, :func:`truncate_prefix`, a cache
+    load, or :meth:`from_lower` from the rows of a lower triangle.
     """
 
     m: int = field(init=False)
@@ -455,19 +436,16 @@ class PrefixState:
     def from_lower(cls, lower: Sequence[Sequence], log: Iterable[StepRecord], mode_tag: str) -> PrefixState:
         """The state whose distances ``rho(a_i, a_j)``, ``j < i``, are the
         rationals ``lower[i][j]``, built by the steps of ``log`` under the
-        mode ``mode_tag``.  Its heads are the rows of the points below the
-        widest label; a Case-2 step's record is its distances to the
-        label's points, a Case-1 step's is any entry of its row.
+        mode ``mode_tag``: the replay of ``log`` under that mode, with the
+        log's labels under an ``override`` tag.
 
         Raises :class:`InvalidMode` unless the log has one record per step
-        after the first point, numbered from 1, every row follows from the
-        heads and its step's record, and, under a canonical (``cw1``) tag,
-        every label is the enumeration's label of its step.
+        after the first point, numbered from 1, under a canonical (``cw1``)
+        tag every label is the enumeration's label of its step, and the
+        replay gives the same log, C/I flags included, and the same rows.
         """
         log = tuple(log)
-        entries = [[as_rational(v) for v in row] for row in lower]
-        scale = lcm(*(v.denominator for row in entries for v in row))
-        rows = [tuple(v.numerator * (scale // v.denominator) for v in row) for row in entries]
+        rows = [[as_rational(v) for v in row] for row in lower]
         m = len(rows)
         if (
             len(log) != m - 1
@@ -475,52 +453,65 @@ class PrefixState:
             or any(len(row) != i for i, row in enumerate(rows))
         ):
             raise InvalidMode("the state's rows do not follow its log")
-        if mode_tag.split(",")[-1] == ENUMERATION_VERSION:
-            for rec in log:
-                if rec.label != subset_of_index(rec.step):
-                    raise InvalidMode(f"step {rec.step} does not have its {ENUMERATION_VERSION} label")
-        width = max([1] + [rec.label.cardinality for rec in log])
-        heads = [symmetric_row(rows, x) for x in range(min(width, m))]
-        steps = [
-            rows[rec.step][: rec.label.cardinality] if rec.correctly_defined else rows[rec.step][0]
-            for rec in log
-        ]
-        if any(_step_row(heads, rec, k) != rows[k] for k, rec in enumerate(steps, start=1)):
+        canonical = mode_tag.endswith("," + ENUMERATION_VERSION)
+        for rec in log if canonical else ():
+            if rec.label != subset_of_index(rec.step):
+                raise InvalidMode(f"step {rec.step} does not have its {ENUMERATION_VERSION} label")
+        override = None if canonical else tuple(rec.label.elements for rec in log)
+        mode = ConstructionMode(*mode_tag.split(",")[:2], override)
+        if mode.tag != mode_tag:
+            raise InvalidMode(f"unknown mode tag {mode_tag!r}")
+        state = build_prefix(m, mode)
+        scale = state.scale
+        if state.log != log or any(
+            [v * scale for v in row] != list(state.row(i)) for i, row in enumerate(rows)
+        ):
             raise InvalidMode("the state's rows do not follow its log")
-        top, maxima = 0, []
-        for row in rows:
-            top = max([top, *row])
-            maxima.append(Fraction(top, scale))
-        return _built_state(heads, steps, scale, log, mode_tag, maxima)
+        return state
 
-    @cached_property
-    def lower(self) -> Sequence[tuple[int, ...]]:
-        """The lower triangle over ``scale``: row i is made from the heads
-        and step i's record on its first read, and kept.  Not a field."""
-        return _LazyLower(self.heads, self.steps)
+    def row(self, i: int) -> tuple[int, ...]:
+        """Row i of the lower triangle over ``scale``, ``d(i, j)`` for
+        ``j < i``: a head slice, or made from step i's record in O(i·p).
+        Not kept.  An index outside ``0..m-1`` is an :class:`IndexError`."""
+        if not 0 <= i < self.m:
+            raise IndexError(f"row {i} out of range")
+        return _row(self.heads, self.steps, i)
+
+    def entry(self, i: int, j: int) -> int:
+        """``d(i, j)`` over ``scale``: a head entry when i or j is a head
+        point, else read from the record of step ``max(i, j)`` in O(p).  An
+        index outside ``0..m-1`` is an :class:`IndexError`."""
+        if not (0 <= i < self.m and 0 <= j < self.m):
+            raise IndexError(f"pair ({i}, {j}) out of range")
+        i, j = max(i, j), min(i, j)
+        heads = self.heads
+        if j < len(heads):
+            return heads[j][i]
+        return _step_entry(heads, self.steps[i - 1], j) if i != j else 0
 
     def distance(self, i: int, j: int) -> Fraction:
-        i, j = max(i, j), min(i, j)
-        return Fraction(self.lower[i][j] if i != j else 0, self.scale)
+        return Fraction(self.entry(i, j), self.scale)
 
     @cached_property
     def rho(self) -> tuple[tuple[Fraction, ...], ...]:
         """The full distance matrix as Fractions, ``rho[i][j]`` for every i
         and j.  A view made on first access and kept with the state, at
         O(m^2) time and memory, so no command reads it.  Not a field."""
-        return fraction_rows([symmetric_row(self.lower, x) for x in range(self.m)], self.scale)
+        lower = list(map(self.row, range(self.m)))
+        return fraction_rows([symmetric_row(lower, x) for x in range(self.m)], self.scale)
 
     @cached_property
     def distance_buckets(self) -> _DistanceBuckets:
         """For each point u, ``distance_buckets[u]`` maps every distance from
         u (as an integer over ``scale``) to the tuple of points at that
         distance, in ascending index order.  Entry u is built on its first
-        read, in O(m), and kept with the state, so a search that stops early
-        builds only the points it reached; ``lower`` is immutable, so no
-        entry goes stale.  ``len`` and iteration cover all ``m`` points.
-        Callers must not mutate it.  Not a field: it takes no part in
-        equality, hashing or ``repr``."""
-        return _DistanceBuckets(self.lower)
+        read from row u and the step records of the later points, in
+        O(m·p), and kept with the state, so a search that stops early builds
+        only the points it reached; the state is immutable, so no entry goes
+        stale.  ``len`` and iteration cover all ``m`` points.  Callers must
+        not mutate it.  Not a field: it takes no part in equality, hashing or
+        ``repr``."""
+        return _DistanceBuckets(self.heads, self.steps)
 
 
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
@@ -538,7 +529,7 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
         raise PrefixTooShort(
             f"label has {p} elements but the prefix has {prefix.m} points"
         )
-    block = [prefix.lower[x] for x in range(p)]
+    block = list(map(prefix.row, range(p)))
     d, radii, _ = common_scale([symmetric_row(block, x) for x in range(p)], prefix.scale, elements)
     failure = katetov_failure(d, range(p), radii, two_sided=True)
     return (True, None) if failure is None else (False, failure[0])
@@ -560,9 +551,9 @@ def build_prefix(
     Every step runs in integers over the lcm of the denominators of all
     labels used; the result is then reduced to the canonical scale.  It
     keeps the full rows of the points below the widest label and one record
-    per step, O(m·w) work for labels of at most w elements; the rows of
-    ``lower`` are built from those when they are first read.  m above
-    :data:`PREFIX_MAX_POINTS` raises :class:`TooLarge` before any work.
+    per step, O(m·w) work for labels of at most w elements, and every
+    distance is read from those.  m above :data:`PREFIX_MAX_POINTS` raises
+    :class:`TooLarge` before any work.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -576,9 +567,9 @@ def build_prefix(
             raise InvalidMode(
                 f"cached prefix was built as {resume.mode_tag!r}, requested {mode.tag!r}"
             )
-        # A state under a canonical mode holds that mode's labels: its tag
-        # names them, and from_lower checks them.  An override is checked
-        # label by label.
+        # A state under a canonical mode holds that mode's labels: every state
+        # is a build, or a replay under its tag.  An override is checked label
+        # by label.
         if mode.q_override is not None:
             for rec in resume.log:
                 if rec.label != mode.label_for_step(rec.step):
@@ -679,17 +670,17 @@ class _DenominatorText(dict):
 
 def export_lines(state: PrefixState) -> Iterator[str]:
     """The ``.dmat`` text of ``state``, one line at a time, each ending in
-    LF: together the text of ``metric.serialize_scaled_matrix(state.lower,
-    state.scale)``.  Each row is made for its line from a head row or its
-    step's record and dropped after it: ``lower`` is never read."""
-    scale, heads, steps = state.scale, state.heads, state.steps
+    LF: together the text of ``metric.serialize_scaled_matrix`` of its rows
+    and ``state.scale``.  Each row is made for its line by
+    :meth:`PrefixState.row` and dropped after it."""
+    scale = state.scale
     denominator = _DenominatorText(scale)
     yield f"{state.m}\n"
-    for i, record in enumerate(steps, start=1):
+    for i, record in enumerate(state.steps, start=1):
         if isinstance(record, int):  # a Case-1 row repeats one distance
             yield " ".join([format_ratio(record, scale)] * i) + "\n"
             continue
-        row = heads[i][:i] if i < len(heads) else _step_row(heads, record, i)
+        row = state.row(i)
         g = list(map(gcd, row, repeat(scale, i)))
         numerators = map(str, map(floordiv, row, g))
         yield " ".join(map(add, numerators, map(denominator.__getitem__, g))) + "\n"
@@ -714,13 +705,15 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     text logs, by replaying the construction under the logged mode.
 
     A record the replay does not reproduce is a :class:`ParseError` at its
-    line.  ``URY0 v1`` records carry a fourth field, the distance row; it
-    is compared as canonical text with the replayed row, never parsed.
+    line.  Only version 2 is read: any other version is a
+    :class:`ParseError` at line 1 that names it.
     """
     lines = text.splitlines()
     header = lines[0].split(" ") if lines else []
-    if len(header) != 3 or header[0] != "URY0" or header[1] not in ("v1", "v2"):
-        raise ParseError(1, 1, "missing 'URY0 v1' or 'URY0 v2' header")
+    if len(header) != 3 or header[0] != "URY0":
+        raise ParseError(1, 1, f"missing '{_CACHE_MAGIC}' header")
+    if header[1] != "v2":
+        raise ParseError(1, 6, f"unsupported cache version {quoted(header[1])}: only v2 is read")
     tag = header[2].split(",")
     if (
         len(tag) != 3
@@ -729,13 +722,11 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         or tag[2] not in (ENUMERATION_VERSION, "override")
     ):
         raise ParseError(1, 9, f"malformed mode tag {quoted(header[2])}")
-    fields = 4 if header[1] == "v1" else 3
-    # A canonical log follows from its mode tag alone, so a whole v2 file that
+    # A canonical log follows from its mode tag alone, so a whole file that
     # is exactly the replay's text needs no parse.  Any other file takes the
     # checks below, which find its first fault.
     if (
-        fields == 3
-        and (tag[0], tag[2]) == (SET_COLLAPSE, ENUMERATION_VERSION)
+        (tag[0], tag[2]) == (SET_COLLAPSE, ENUMERATION_VERSION)
         and m in (None, len(lines))
         and len(lines) <= PREFIX_MAX_POINTS
     ):
@@ -746,9 +737,9 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
     labels = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(" | ")
-        if len(parts) != fields:
-            raise ParseError(lineno, 1, f"expected {fields} fields separated by ' | '")
-        step_text, elements_text, flag = parts[:3]
+        if len(parts) != 3:
+            raise ParseError(lineno, 1, "expected 3 fields separated by ' | '")
+        step_text, elements_text, flag = parts
         try:
             wrong = not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1
         except ValueError:
@@ -776,12 +767,7 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         raise ParseError(1, 9, str(exc)) from None
     state = build_prefix(m, mode)
     for rec in state.log:
-        replay = rec.text
-        if fields == 4:
-            replay += " | " + " ".join(
-                format_ratio(v, state.scale) for v in state.lower[rec.step]
-            )
-        if lines[rec.step] != replay:
+        if lines[rec.step] != rec.text:
             raise ParseError(rec.step + 1, 1, f"step {rec.step} differs from its replay")
     return state
 

@@ -113,11 +113,10 @@ class PartialIsometry:
                 raise InvalidPartialIsometry("index {} out of range", value)
         if len(set(sources)) != len(sources) or len(set(images)) != len(images):
             raise InvalidPartialIsometry("pairing must be injective on both sides")
-        lower = prefix.lower
         for i in range(len(pairs)):
             for j in range(i + 1, len(pairs)):
-                lhs = _scaled_distance(lower, pairs[i][0], pairs[j][0])
-                rhs = _scaled_distance(lower, pairs[i][1], pairs[j][1])
+                lhs = prefix.entry(pairs[i][0], pairs[j][0])
+                rhs = prefix.entry(pairs[i][1], pairs[j][1])
                 if lhs != rhs:
                     lhs, rhs = format_ratio(lhs, prefix.scale), format_ratio(rhs, prefix.scale)
                     raise InvalidPartialIsometry(
@@ -132,26 +131,23 @@ def extend_partial_isometry(
 ) -> PartialIsometry | None:
     """Extend by one source point to the smallest compatible image.
 
-    Returns None when no point of the prefix can serve as the image (the
-    prefix is too short to contain one).
+    The image is the smallest point of the intersection of the buckets
+    ``distance_buckets[t][d(new_source, s)]`` over the pairs (s, t); no
+    bucket of t holds t, so no image is taken twice.  With no pairs it is
+    point 0.  Returns None when no point of the prefix can serve as the
+    image (the prefix is too short to contain one).
     """
+    prefix = p.prefix
     new_source = point_index(new_source)
-    if not 0 <= new_source < p.prefix.m:
+    if not 0 <= new_source < prefix.m:
         raise InvalidPartialIsometry("index {} out of range", new_source)
     if any(s == new_source for s, _ in p.pairs):
         raise InvalidPartialIsometry("source {} already mapped", new_source)
-    lower = p.prefix.lower
-    wanted = [(t, _scaled_distance(lower, new_source, s)) for s, t in p.pairs]
-    images = {t for _, t in p.pairs}
-    for candidate in range(p.prefix.m):
-        if candidate in images:
-            continue
-        row = lower[candidate]
-        if all((row[t] if t < candidate else lower[t][candidate]) == d for t, d in wanted):
-            return PartialIsometry(p.prefix, p.pairs + ((new_source, candidate),))
-    return None
-
-
-def _scaled_distance(lower, i: int, j: int) -> int:
-    """``d(i, j)`` over the prefix's scale, read from its lower triangle."""
-    return lower[i][j] if j < i else lower[j][i] if i < j else 0
+    image = 0
+    if p.pairs:
+        buckets = prefix.distance_buckets
+        first, *rest = [buckets[t].get(prefix.entry(new_source, s), ()) for s, t in p.pairs]
+        image = next((v for v in first if all(v in bucket for bucket in rest)), None)
+        if image is None:
+            return None
+    return PartialIsometry(prefix, p.pairs + ((new_source, image),))

@@ -141,27 +141,16 @@ def record_calls(monkeypatch, module, names) -> list[str]:
     return calls
 
 
-def v1_cache_text(state: PrefixState) -> str:
-    """The ``URY0 v1`` cache text of a prefix: each record also carries the
-    new point's distance row, rendered here with plain ``str``."""
-    lines = [f"URY0 v1 {state.mode_tag}"]
-    for rec in state.log:
-        elements = " ".join(str(r) for r in rec.label.elements)
-        row = " ".join(str(v) for v in state.rho[rec.step][: rec.step])
-        lines.append(f"{rec.step} | {elements} | {'C' if rec.correctly_defined else 'I'} | {row}")
-    return "\n".join(lines) + "\n"
-
-
 def prefix_stand_in(matrix) -> SimpleNamespace:
     """A stand-in for a :class:`PrefixState` over a Fraction matrix that no
     construction log produces, with only ``m``, ``scale`` (the lcm of the
-    entries' denominators) and ``lower``: all that
+    entries' denominators) and ``row``: all that
     :func:`ury.construct.is_correctly_defined` reads."""
     scale = lcm(*{v.denominator for row in matrix for v in row})
     lower = tuple(
         tuple(v.numerator * (scale // v.denominator) for v in row[:i]) for i, row in enumerate(matrix)
     )
-    return SimpleNamespace(m=len(lower), scale=scale, lower=lower)
+    return SimpleNamespace(m=len(lower), scale=scale, row=lower.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -280,19 +269,18 @@ def oracle_embedding(target: FiniteMetricSpace, prefix: PrefixState):
     return extend([])
 
 
-def oracle_distance_buckets(prefix: PrefixState) -> tuple[dict[int, dict[int, None]], ...]:
-    """The whole embed index at once: for each point u, every distance from
-    u (an int over ``scale``) mapped to the points at that distance in
-    ascending index order (a dict used as an ordered set), keyed in the
-    order the points v < u, then v > u, first reach each distance."""
-    lower, m = prefix.lower, prefix.m
+def oracle_distance_buckets(rho, scale: int) -> tuple[dict[int, dict[int, None]], ...]:
+    """The whole embed index at once, from a full Fraction matrix ``rho``
+    (an oracle's, not the code under test's): for each point u, every
+    distance from u (an int over ``scale``) mapped to the points at that
+    distance in ascending index order (a dict used as an ordered set), keyed
+    in the order the points v < u, then v > u, first reach each distance."""
     buckets = []
-    for u in range(m):
+    for u, row in enumerate(rho):
         by_value: dict[int, dict[int, None]] = {}
-        for v, d in enumerate(lower[u]):
-            by_value.setdefault(d, {})[v] = None
-        for v in range(u + 1, m):
-            by_value.setdefault(lower[v][u], {})[v] = None
+        for v, d in enumerate(row):
+            if v != u:
+                by_value.setdefault(int(d * scale), {})[v] = None
         buckets.append(by_value)
     return tuple(buckets)
 

@@ -19,7 +19,7 @@ from ury import (
 from ury.cli import main
 from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix, serialize_scaled_matrix
 
-from helpers import oracle_build_prefix, v1_cache_text
+from helpers import oracle_build_prefix
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -58,27 +58,27 @@ def test_build_reuses_and_extends_cache(tmp_path, capsys):
 
 
 def test_build_rebuilds_a_corrupt_v1_cache(tmp_path, capsys):
-    # A 12-point v1 cache whose last token, 19/12, was cut to 19/1: the line
-    # still parses, so resuming from it would extend a wrong prefix.
-    text = v1_cache_text(build_prefix(12))
-    assert text.endswith(" 19/12\n")
+    # A v1 cache, whose records also carry the new point's row, here with
+    # its last token 3/2 cut to 3/1: no v1 file is read, so build rebuilds
+    # over it and writes a v2 cache.
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "set-collapse,all-prior,cw1.ury").write_text(text[: -len("2\n")] + "\n")
+    path = cache / "set-collapse,all-prior,cw1.ury"
+    path.write_text("URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n2 | 1/2 | C | 1/2 3/1\n")
     out, dmat = tmp_path / "p.ury", tmp_path / "p.dmat"
     code, stdout, _ = run(capsys, "build", "--points", "14", "--out", str(out))
     assert code == 0 and stdout.startswith("points=14 ")
     assert run(capsys, "export", "--cache", str(out), "--out", str(dmat))[0] == 0
     assert run(capsys, "verify", "--dmat", str(dmat))[:2] == (0, "OK: metric on 14 points\n")
     assert parse_matrix_text(dmat.read_text()) == [list(row) for row in build_prefix(14).rho]
-    assert load_prefix(cache / "set-collapse,all-prior,cw1.ury") == build_prefix(14)
+    assert load_prefix(path) == build_prefix(14)
 
 
 def test_build_rebuilds_a_cache_with_a_non_ascii_step(tmp_path, capsys):
     cache = tmp_path / "cache"
     cache.mkdir()
     path = cache / "set-collapse,all-prior,cw1.ury"
-    path.write_text("URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n\u00b2 | 1/2 | C | 1/2 3/2\n")
+    path.write_text("URY0 v2 set-collapse,all-prior,cw1\n1 | 1 | C\n\u00b2 | 1/2 | C\n")
     code, stdout, _ = run(capsys, "build", "--points", "5")
     assert code == 0 and stdout.startswith("points=5 ")
     assert load_prefix(path) == build_prefix(5)
@@ -268,7 +268,7 @@ def test_verify_quotes_a_bounded_prefix_of_a_one_line_file(tmp_path, capsys):
     # file is one header line, and the error quotes only its first 40
     # characters.
     state = build_prefix(1000)
-    lines = serialize_scaled_matrix(state.lower, state.scale).splitlines()
+    lines = serialize_scaled_matrix(list(map(state.row, range(state.m))), state.scale).splitlines()
     for sep in (" ", "\x1c"):
         f = tmp_path / "one-line.dmat"
         f.write_bytes(sep.join(lines).encode())
@@ -791,30 +791,39 @@ def test_no_command_reads_the_full_matrix_view(tmp_path, capsys, monkeypatch):
 
 
 def test_commands_build_only_the_rows_they_read(tmp_path, capsys, monkeypatch):
-    # A built prefix makes row i of its lower triangle on the first read of
-    # lower[i]; each such build is counted.  build prints a count and the
-    # running maximum, which follow from the heads and step records, so it
-    # builds no row, cold, resumed from the cache or under labels-only.
-    built = []
-    missing = construct._LazyLower.__missing__
-    monkeypatch.setattr(construct._LazyLower, "__missing__", lambda self, i: built.append(i) or missing(self, i))
-    cache = tmp_path / "p.ury"
-    for argv in (
-        ["build", "--points", "40"],
-        ["build", "--points", "60", "--out", str(cache)],  # resumed from the cache
-        ["build", "--points", "50", "--case1-scope", "labels-only"],
-        # export makes each row for its line from the heads and step records
-        ["export", "--cache", str(cache), "--out", str(tmp_path / "p.dmat")],
+    # A row past a prefix's heads is made from its step record by
+    # construct._step_row; each call after the command's load is counted.
+    # On a 400-point prefix, embed and isom-extend read the index entries of
+    # the points they try, and each entry makes at most its own row, so
+    # neither makes a row per point.
+    cache, target = tmp_path / "p.ury", tmp_path / "t.dmat"
+    assert run(capsys, "build", "--points", "400", "--out", str(cache))[0] == 0
+    state = build_prefix(400)
+    points = (2, 5, 9)
+    target.write_text(serialize_matrix([[state.distance(a, b) for b in points] for a in points]))
+    loaded, built = [], []
+    load, step_row = construct.load_prefix, construct._step_row
+
+    def counted_load(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    monkeypatch.setattr(construct, "load_prefix", counted_load)
+    monkeypatch.setattr(
+        construct, "_step_row", lambda heads, record, i: loaded and built.append(i) or step_row(heads, record, i)
+    )
+    for argv, payload in (
+        (["embed", "--target", str(target), "--prefix", str(cache)], {"mapping": [3, 6, 10]}),
+        (["isom-extend", "--prefix", str(cache), "--pairs", "1:1,2:2", "--source", "400"], {"new_pair": [400, 400]}),
+        (["isom-extend", "--prefix", str(cache), "--pairs", "1:1,3:5", "--source", "53"], {"new_pair": [53, 13]}),
     ):
-        assert run(capsys, *argv)[0] == 0, argv
-    assert built == []
-    # isom-extend reads the rows of the pair points and of each candidate
-    # image in turn: the image of point 53 under 1 -> 1, 3 -> 5 is point 13.
-    code, stdout, _ = run(capsys, "isom-extend", "--prefix", str(cache), "--pairs", "1:1,3:5", "--source", "53")
-    assert code == 0 and json.loads(stdout)["new_pair"] == [53, 13]
-    assert set(built) <= set(range(13)) | {52} and {2, 4, 12, 52} <= set(built)
-
-
+        loaded.clear()
+        built.clear()
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and payload.items() <= json.loads(stdout).items(), argv
+        entries = set(loaded[0].distance_buckets.keys())  # the entries built
+        assert set(built) <= entries and len(built) == len(set(built)) and len(entries) < 10, argv
+    assert built == [] and entries == {0, 4}  # the images of 1 and 3, both head points
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")
 @pytest.mark.parametrize("label", ["run", "bare"], ids=["string", "json-number"])
 def test_a_q_override_label_past_the_int_string_limit_is_a_usage_error(tmp_path, capsys, label):

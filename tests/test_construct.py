@@ -34,7 +34,7 @@ from ury import (
 from ury import construct as construct_mod
 from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, PrefixState, colex_rank, colex_unrank
 
-from helpers import oracle_build_prefix, v1_cache_text
+from helpers import oracle_build_prefix
 
 REMARK_OVERRIDE = (("2",), ("3",), ("4",), ("1/2", "1/2"))
 
@@ -318,14 +318,37 @@ def oracle_lower(oracle, state):
     return tuple(tuple(v * state.scale for v in row[:i]) for i, row in enumerate(oracle.rho[: state.m]))
 
 
+def lower_rows(state):
+    """Every row of ``state``'s lower triangle, by :meth:`PrefixState.row`."""
+    return tuple(map(state.row, range(state.m)))
+
+
 def test_lower_holds_each_pair_once(prefix50):
     oracle = oracle_build_prefix(50)
     short = truncate_prefix(prefix50, 20)
     resumed = build_prefix(50, resume=short)
     assert short.scale != resumed.scale
     for state in (prefix50, short, resumed):
-        assert [len(row) for row in state.lower] == list(range(state.m))
-        assert tuple(state.lower) == oracle_lower(oracle, state)
+        assert [len(row) for row in lower_rows(state)] == list(range(state.m))
+        assert lower_rows(state) == oracle_lower(oracle, state)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+def test_row_and_entry_match_the_oracle_on_every_pair(mode):
+    oracle = oracle_build_prefix(60, mode)
+    state = build_prefix(60, mode)
+    scale = state.scale
+    assert lower_rows(state) == oracle_lower(oracle, state)
+    for i in range(60):
+        for j in range(60):
+            assert state.entry(i, j) == oracle.rho[i][j] * scale
+            assert state.distance(i, j) == oracle.rho[i][j]
+    for i in (60, 61, -1, -60):
+        with pytest.raises(IndexError):
+            state.row(i)
+        for pair in ((i, 0), (0, i), (i, i)):
+            with pytest.raises(IndexError):
+                state.entry(*pair)
 
 
 def wide_override():
@@ -354,12 +377,12 @@ def test_head_rows_match_the_oracle(scope):
         oracle = oracle_build_prefix(60, mode)
         state = build_prefix(60, mode)
         assert_matches_oracle(state, oracle)
-        assert tuple(state.lower) == oracle_lower(oracle, state)
+        assert lower_rows(state) == oracle_lower(oracle, state)
         for k in (1, 2, 3, 5, 12, 25, 30, 31, 45):
             short = truncate_prefix(state, k)
             resumed = build_prefix(60, mode, resume=short)
             assert_matches_oracle(resumed, oracle)
-            assert tuple(resumed.lower) == tuple(state.lower)
+            assert lower_rows(resumed) == lower_rows(state)
         assert any(truncate_prefix(state, k).scale < state.scale for k in (2, 3, 5, 12, 25))
     flags = [(rec.label.cardinality, rec.correctly_defined) for rec in state.log[29:31]]
     assert flags == [(20, True), (23, False)]
@@ -428,29 +451,18 @@ def test_cache_header_and_records():
     ]
 
 
-def test_cache_v1_golden_loads():
+def test_a_v1_cache_is_a_parse_error_that_names_its_version():
+    # A v1 record also carried the new point's row.  No v1 file is read: the
+    # header is refused before any record.
     text = "URY0 v1 set-collapse,all-prior,cw1\n1 | 1 | C | 1\n2 | 1/2 | C | 1/2 3/2\n"
-    assert load_prefix_text(text) == build_prefix(3)
-
-
-def test_cache_v1_rows_are_certified(prefix50):
-    legacy = build_prefix(5, ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE))
-    for state in (prefix50, legacy):
-        assert load_prefix_text(v1_cache_text(state)) == state
-    # The last token of a 12-point cache, 19/12, cut to 19/1: the line still
-    # parses, but the replayed row differs.
-    text = v1_cache_text(truncate_prefix(prefix50, 12))
-    assert text.endswith(" 19/12\n")
     with pytest.raises(ParseError) as exc:
-        load_prefix_text(text[: -len("2\n")] + "\n")
-    assert exc.value.line == 12
+        load_prefix_text(text)
+    assert (exc.value.line, exc.value.column) == (1, 6)
+    assert exc.value.reason == "unsupported cache version 'v1': only v2 is read"
 
 
-@pytest.mark.parametrize("version", ["v1", "v2"])
-def test_cache_flipped_flag_is_a_parse_error(prefix50, version):
-    state = truncate_prefix(prefix50, 12)
-    text = v1_cache_text(state) if version == "v1" else dump_prefix_text(state)
-    lines = text.splitlines(keepends=True)
+def test_cache_flipped_flag_is_a_parse_error(prefix50):
+    lines = dump_prefix_text(truncate_prefix(prefix50, 12)).splitlines(keepends=True)
     assert lines[8].startswith("8 | 1/2 1 2 | I")
     lines[8] = lines[8].replace(" | I", " | C", 1)
     with pytest.raises(ParseError) as exc:
@@ -634,18 +646,14 @@ def test_build_over_the_point_bound_is_refused_before_any_step(monkeypatch, pref
 
 
 # ---------------------------------------------------------------------------
-# Lazy rows: a built state holds the full rows of the points below its widest
-# label and one record per step; lower[i] is built on its first read.
+# Head rows and step records: a state holds the full rows of the points below
+# its widest label and one record per step, and reads every distance from
+# them.
 # ---------------------------------------------------------------------------
 
-def built_rows(state):
-    """The rows of ``state.lower`` built so far (``len`` counts all m)."""
-    return dict.__len__(state.lower)
-
-
 def explicit_state(oracle, m, mode_tag):
-    """The oracle's first m points as a state made by hand from its rows,
-    with the running maxima of the scan in ``from_lower``."""
+    """The oracle's first m points as a state made by hand from its rows:
+    :meth:`PrefixState.from_lower` certifies them by a replay."""
     return PrefixState.from_lower([row[:i] for i, row in enumerate(oracle.rho[:m])], oracle.log[: m - 1], mode_tag)
 
 
@@ -660,7 +668,7 @@ def assert_as_explicit(state, oracle):
     assert repr(state) == repr(expected)
     assert state.scale == expected.scale == entry_scale(expected)
     assert state.running_max == expected.running_max == oracle.running_max[: state.m]
-    assert tuple(state.lower) == tuple(expected.lower) == oracle_lower(oracle, state)
+    assert lower_rows(state) == lower_rows(expected) == oracle_lower(oracle, state)
 
 
 @pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
@@ -668,9 +676,8 @@ def test_lazy_rows_match_the_oracle(scope):
     # 130 points pass step 128, the first label of 7 elements.
     mode = ConstructionMode(case1_scope=scope)
     state = build_prefix(130, mode)
-    assert built_rows(state) == 0
+    assert len(state.heads) == 7
     assert_as_explicit(state, oracle_build_prefix(130, mode))
-    assert built_rows(state) == 130
 
 
 @pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
@@ -695,7 +702,7 @@ def test_a_resume_across_a_width_increase_matches_the_oracle():
     short = build_prefix(500)
     assert len(short.heads) == 8
     resumed = build_prefix(1100, resume=short)
-    assert built_rows(resumed) == 0 and len(resumed.heads) == 10
+    assert len(resumed.heads) == 10
     assert_as_explicit(resumed, oracle)
     assert resumed == build_prefix(1100)
 
@@ -706,12 +713,11 @@ def test_resumes_from_states_made_by_hand_and_every_truncation(mode):
     state = build_prefix(60, mode)
     for k in range(1, 61):
         short = truncate_prefix(state, k)
-        assert built_rows(short) == 0
         assert_as_explicit(short, oracle)
         by_hand = explicit_state(oracle, k, mode.tag)
         assert_as_explicit(truncate_prefix(by_hand, max(1, k - 7)), oracle)
         resumed = build_prefix(60, mode, resume=by_hand)
-        assert resumed is by_hand if k == 60 else built_rows(resumed) == 0
+        assert resumed is by_hand or k < 60
         assert_as_explicit(resumed, oracle)
 
 
@@ -742,48 +748,49 @@ def test_a_state_made_by_hand_whose_rows_break_its_log_is_not_resumed(prefix50):
     assert PrefixState.from_lower(rows, wrong, override.tag) == build_prefix(6, override)
 
 
-def test_a_v1_load_has_lazy_rows_matching_the_oracle(prefix50):
-    # A v1 record's row is compared with the replayed row, so a v1 load
-    # builds the row of every point but the first; a v2 load builds none.
-    oracle = oracle_build_prefix(50)
-    v1 = load_prefix_text(v1_cache_text(prefix50))
-    assert built_rows(v1) == 49
-    assert_as_explicit(v1, oracle)
-    v2 = load_prefix_text(dump_prefix_text(prefix50))
-    assert built_rows(v2) == 0
-    assert_as_explicit(v2, oracle)
+def test_a_state_made_by_hand_whose_flag_the_construction_would_not_give_is_refused():
+    # Step 8 of the 12-point prefix has the label {1/2, 1, 2} and is Case 1.
+    # Flagged C instead, with the rows kept, or with its row made the label's
+    # min-plus row and rows 9-11 made again from their records over it, so
+    # that every row follows the log: the construction flags step 8 I, so the
+    # replay refuses both.
+    oracle = oracle_build_prefix(12)
+    rho = [list(row) for row in oracle.rho]
+    log = list(oracle.log)
+    assert (log[7].label.elements, log[7].correctly_defined) == ((Fraction(1, 2), 1, 2), False)
+    log[7] = replace(log[7], correctly_defined=True)
+    with pytest.raises(InvalidMode, match="rows do not follow its log"):
+        PrefixState.from_lower([row[:i] for i, row in enumerate(rho)], log, DEFAULT_MODE.tag)
+    for k in range(8, 12):
+        radii = log[k - 1].label.elements
+        if log[k - 1].correctly_defined:
+            rho[k][:k] = [min(r + rho[l][z] for l, r in enumerate(radii)) for z in range(k)]
+        for z in range(k):
+            rho[z][k] = rho[k][z]
+    assert rho[8] != list(oracle.rho[8])
+    with pytest.raises(InvalidMode, match="rows do not follow its log"):
+        PrefixState.from_lower([row[:i] for i, row in enumerate(rho)], log, DEFAULT_MODE.tag)
 
 
-def test_equality_hashing_repr_and_pickling_build_no_row():
-    state = build_prefix(1100)
-    assert state == build_prefix(1100) and not state != build_prefix(1100)
-    assert hash(state) == hash(build_prefix(1100))
+def test_equality_hashing_repr_and_pickling_build_no_row(monkeypatch):
+    state, twin = build_prefix(1100), build_prefix(1100)
+    built = []
+    step_row = construct_mod._step_row
+    monkeypatch.setattr(construct_mod, "_step_row", lambda *args: built.append(args[-1]) or step_row(*args))
+    assert state == twin and not state != twin
+    assert hash(state) == hash(twin)
     assert repr(state) == f"PrefixState(m=1100, scale={state.scale}, mode_tag={state.mode_tag!r})"
     data = pickle.dumps(state)
     copy = pickle.loads(data)
     assert copy == state and hash(copy) == hash(state)
-    assert built_rows(state) == 0 and built_rows(copy) == 0
-    # A pickle holds the fields, not the rows read so far.
-    assert tuple(state.lower) == tuple(copy.lower) and pickle.dumps(state) == data
+    assert built == []
+    # A pickle holds the fields, not the views read so far.
+    assert lower_rows(state) == lower_rows(copy) and state.distance_buckets[0]
+    assert pickle.dumps(state) == data
     # A truncation keeps the heads of its own widest label, as a cold build does.
     short, cold = truncate_prefix(build_prefix(100), 20), build_prefix(20)
     assert short == cold and hash(short) == hash(cold)
     assert len(short.heads) == len(cold.heads) == 4
-
-
-def test_lower_reads_like_a_tuple(prefix50):
-    state = truncate_prefix(prefix50, 20)
-    lower, rows = state.lower, tuple(state.lower)
-    assert len(lower) == 20 and list(lower) == list(rows)
-    assert lower[-1] == rows[-1] and lower[-20] == rows[0] == ()
-    for i in (20, -21):
-        with pytest.raises(IndexError):
-            lower[i]
-    assert pickle.loads(pickle.dumps(state)) == state
-    assert bool(build_prefix(1).lower) and tuple(build_prefix(1).lower) == ((),)
-    # A view equals only itself, never a tuple or another state's view.
-    assert lower == lower and not lower != lower
-    assert lower != rows and build_prefix(5).lower != build_prefix(7).lower
 
 
 def test_a_whole_canonical_cache_loads_without_a_parse(monkeypatch, prefix50):

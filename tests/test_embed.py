@@ -16,7 +16,7 @@ from ury import (
     load_prefix_text,
     truncate_prefix,
 )
-from helpers import oracle_distance_buckets, oracle_embedding, random_metric_space
+from helpers import oracle_build_prefix, oracle_distance_buckets, oracle_embedding, random_metric_space
 
 TWO = FiniteMetricSpace.from_lower_triangle([[1]])
 
@@ -165,7 +165,7 @@ def test_a_failed_search_leaves_the_whole_index(prefix200):
     assert oracle_embedding(target, prefix) is None
     assert find_isometric_embedding(target, prefix).status == "not-found-up-to"
     assert built_entries(prefix) == list(range(60))
-    oracle = oracle_distance_buckets(prefix)
+    oracle = oracle_distance_buckets(oracle_build_prefix(60).rho, prefix.scale)
     index = [prefix.distance_buckets[u] for u in range(60)]
     assert [[(d, tuple(points)) for d, points in entry.items()] for entry in oracle] == [
         list(entry.items()) for entry in index

@@ -327,10 +327,11 @@ def test_scan_on_spaces_the_prefilter_cannot_prune(monkeypatch, lower, candidate
 
 
 def test_few_pairs_of_a_prefix_are_candidates(prefix300):
-    n = len(prefix300.lower)
-    _, candidate = metric_mod._candidates(prefix300.lower)
+    n = prefix300.m
+    lower = list(map(prefix300.row, range(n)))
+    _, candidate = metric_mod._candidates(lower)
     assert 0 < candidate.sum() < 0.01 * n * (n - 1) / 2
-    assert metric_mod._triangle_scan(prefix300.lower) == []
+    assert metric_mod._triangle_scan(lower) == []
 
 
 def test_negative_distance_is_a_positivity_violation():

@@ -45,7 +45,7 @@ from ury.rational import format_ratio
 
 state = construct.build_prefix(int(sys.argv[2]))
 construct.save_prefix(state, Path(sys.argv[1], "p.ury"))
-d = lambda i, j: format_ratio(state.lower[i][j], state.scale)
+d = lambda i, j: format_ratio(state.entry(i, j), state.scale)
 Path(sys.argv[1], "early.dmat").write_text(f"3\\n{d(5, 2)}\\n{d(9, 2)} {d(9, 5)}\\n")
 Path(sys.argv[1], "never.dmat").write_text("3\\n10000\\n10000 10000\\n")
 """
