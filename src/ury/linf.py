@@ -132,28 +132,28 @@ def c0_counterexample(N: int, radius=Fraction(1, 2)) -> C0Report:
     """Intersect the balls ``B(e_n, radius)``, n = 1..N, in dimension N.
 
     At the critical radius 1/2 the intersection is the single point with
-    every coordinate 1/2.  All basis pairs are at distance 1, so the first
-    pair gives it.  N above :data:`C0_MAX_DIMENSION` raises :class:`TooLarge`.
+    every coordinate 1/2.  All basis pairs are at distance 1.  The report
+    is built in closed form, in O(N): for N >= 2 every coordinate k meets
+    the interval [1 - r, 1 + r] of ``B(e_k, r)`` and [-r, r] of every other
+    ball, so the intersection is [1 - r, r] on each coordinate, empty when
+    r < 1/2.  N above :data:`C0_MAX_DIMENSION` raises :class:`TooLarge`.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
     if N > C0_MAX_DIMENSION:
         raise TooLarge(f"the null-sequence demo is limited to N <= {C0_MAX_DIMENSION}")
     radius = as_rational(radius)
-    basis = [
-        tuple(Fraction(1) if k == n else Fraction(0) for k in range(N))
-        for n in range(N)
-    ]
-    pairwise = max_norm_distance(basis[0], basis[1])
-    balls = [max_norm_ball(e, radius) for e in basis]
-    result = box_intersection(balls)
-    unique = result.box is not None and result.box.is_single_point()
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    pairwise = Fraction(1)
+    lo = 1 - radius
+    box = Box([(lo, radius)] * N) if lo <= radius else None
     return C0Report(
         N=N,
         pairwise_distance=pairwise,
         pairwise_feasible=pairwise <= radius + radius,
-        witness=result.witness,
-        witness_tail_value=min(result.witness) if result.witness else None,
-        conclusion="unique-linf-witness" if unique else "none",
-        intersection=result.box,
+        witness=box.lower_corner if box is not None else None,
+        witness_tail_value=lo if box is not None else None,
+        conclusion="unique-linf-witness" if lo == radius else "none",
+        intersection=box,
     )

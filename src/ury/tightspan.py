@@ -182,8 +182,18 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     every other structure is singular.  A depth-first search over the
     constraints (loops, then pairs) skips any that would close an even cycle
     or give a component a second cycle, so it visits only such sets.  Point
-    t holds ``x_t = sign_t * x_root + off_t``; closing an odd cycle anchors
-    its component, which is pruned if it turns out negative or inadmissible.
+    t holds ``x_t = sign_t * x + off_t``, x the value at its component's
+    root.  The search prunes a branch by two necessary conditions, so the
+    vertex set is that of the unpruned search:
+
+    - closing an odd cycle anchors its component; the branch is dropped if
+      a newly anchored point is negative or inadmissible against an
+      anchored point (pairs of earlier anchored points were checked when
+      those were anchored);
+    - merging two free components bounds ``2 * x`` of the merged one from
+      below and above, by ``x_t >= 0`` and every pair constraint inside the
+      component or against an anchored point; the branch is dropped when
+      the bounds cross, since every leaf below it would meet them all.
 
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
     space's common denominator ``space.scale``: every coordinate is half an
@@ -193,20 +203,40 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 6;
     larger spaces are rejected, never approximated.
     """
-    n = space.n
-    check_vertex_limit(n)
+    check_vertex_limit(space.n)
     scale = 2 * space.scale
-    w = [[2 * v for v in row] for row in space.rows]
-    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
-    constraints = [(i, i, 0) for i in range(n)]
-    constraints += [(i, j, w[i][j]) for i, j in combinations(range(n), 2)]
-    found: set[tuple[int, ...]] = set()
+    found, _ = _vertex_search([[2 * v for v in row] for row in space.rows])
+    vertices = tuple(
+        KatetovFunction(space, [Fraction(x, scale) for x in v]) for v in sorted(found)
+    )
+    return TightSpanVertexSet(space, vertices)
 
-    def visit(start: int, depth: int, root: list, sign: list, off: list) -> None:
-        # sign[t] == 0 marks an anchored component: there x_t == off[t].
+
+def _vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
+    """The vertices of :func:`tight_span_vertices` on the even integer
+    matrix ``w``, and the number of constraint sets the search visits.
+
+    The search keeps an explicit stack, not a recursive closure: a closure
+    that refers to itself is a reference cycle, which outlives the call
+    until the cycle collector runs.
+    """
+    n = len(w)
+    points = range(n)
+    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
+    constraints = [(i, i, 0) for i in points]
+    constraints += [(i, j, w[i][j]) for i, j in combinations(points, 2)]
+    found: set[tuple[int, ...]] = set()
+    visited = 0
+    # Each entry is (next constraint, constraints taken, root, sign, off);
+    # sign[t] == 0 marks an anchored component: there x_t == off[t].
+    stack = [(0, 0, list(points), [1] * n, [0] * n)]
+    while stack:
+        start, depth, root, sign, off = stack.pop()
+        visited += 1
         if depth == n:
             found.add(tuple(off))
-            return
+            continue
+        anchored = [a for a in points if sign[a] == 0]
         for k in range(start, len(constraints) - n + depth + 1):
             u, v, b = constraints[k]
             rest = b - off[u] - off[v]
@@ -221,27 +251,59 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
                 if sign[v] == 0:
                     continue  # two anchored components
                 factor, shift = -sign[u] * sign[v], sign[v] * rest
-            group = root[v]
+            group, keep = root[v], root[u]
             root2, sign2, off2 = root[:], sign[:], off[:]
-            for t in range(n):
-                if root[t] == group:
-                    root2[t] = root[u]
-                    sign2[t] = sign[t] * factor
-                    off2[t] += sign[t] * shift
+            moved = [t for t in points if root[t] == group]
+            for t in moved:
+                root2[t] = keep
+                sign2[t] = sign[t] * factor
+                off2[t] += sign[t] * shift
             if factor == 0:
-                fixed = [t for t in range(n) if sign2[t] == 0]
-                values = [off2[t] for t in fixed]
-                if min(values) < 0 or katetov_failure(
-                    w, fixed, values, two_sided=False
-                ) is not None:
+                if not _anchoring_fits(w, moved, anchored + moved, off2):
                     continue
-            visit(k + 1, depth + 1, root2, sign2, off2)
+            else:
+                members = [t for t in points if root[t] == keep] + moved
+                if not _merge_fits(w, members, anchored, sign2, off2):
+                    continue
+            stack.append((k + 1, depth + 1, root2, sign2, off2))
+    return found, visited
 
-    visit(0, 0, list(range(n)), [1] * n, [0] * n)
-    vertices = tuple(
-        KatetovFunction(space, [Fraction(x, scale) for x in v]) for v in sorted(found)
-    )
-    return TightSpanVertexSet(space, vertices)
+
+def _anchoring_fits(w, moved: list[int], anchored: list[int], off: list[int]) -> bool:
+    """Whether the newly anchored points ``moved`` are nonnegative and
+    admissible against every anchored point."""
+    for t in moved:
+        x, row = off[t], w[t]
+        if x < 0 or any(row[a] > x + off[a] for a in anchored):
+            return False
+    return True
+
+
+def _merge_fits(
+    w, members: list[int], anchored: list[int], sign: list[int], off: list[int]
+) -> bool:
+    """Whether some root value x keeps every point of a free component
+    nonnegative and admissible inside it and against every anchored point.
+
+    Each constraint reads ``s * 2x >= c``: from a pair t, t' of one sign s,
+    ``c = w_tt' - off_t - off_t'`` (with t' = t it is ``x_t >= 0``); from a
+    point t and an anchored a, ``c = 2 * (w_ta - off_t - off_a)``.  A pair of
+    opposite signs does not involve x.  Without a point of sign -1 nothing
+    bounds x from above.
+    """
+    if all(sign[t] > 0 for t in members):
+        return True
+    bounds = {1: [], -1: []}  # the c of each sign's constraints
+    for i, t in enumerate(members):
+        s, x, row = sign[t], off[t], w[t]
+        for t2 in members[i:]:
+            if sign[t2] == s:
+                bounds[s].append(row[t2] - x - off[t2])
+            elif row[t2] > x + off[t2]:
+                return False
+        if anchored:
+            bounds[s].append(2 * (max([row[a] - off[a] for a in anchored]) - x))
+    return max(bounds[1]) <= -max(bounds[-1])
 
 
 def tripod_center(space: FiniteMetricSpace) -> KatetovFunction:

@@ -147,7 +147,7 @@ def test_c0_requires_two_points():
 
 @pytest.mark.parametrize("n", [2, 7, 20, 100])
 def test_c0_pairwise_distance_holds_for_every_pair(n):
-    # The report reads the distance off the first pair; every pair agrees.
+    # The report states the distance in closed form; every pair agrees.
     report = c0_counterexample(n)
     basis = [tuple(Fraction(int(k == i)) for k in range(n)) for i in range(n)]
     for i in range(n):
@@ -158,3 +158,25 @@ def test_c0_pairwise_distance_holds_for_every_pair(n):
 def test_c0_dimension_limit():
     with pytest.raises(TooLarge):
         c0_counterexample(C0_MAX_DIMENSION + 1)
+
+
+@pytest.mark.parametrize("radius", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(2)])
+def test_c0_closed_form_matches_the_ball_intersection(radius):
+    for n in range(2, 31):
+        basis = [[int(k == i) for k in range(n)] for i in range(n)]
+        result = box_intersection([max_norm_ball(e, radius) for e in basis])
+        report = c0_counterexample(n, radius)
+        assert report.N == n
+        assert report.intersection == result.box
+        assert report.witness == result.witness
+        assert report.witness_tail_value == (min(result.witness) if result.witness else None)
+        assert report.pairwise_distance == max_norm_distance(basis[0], basis[1])
+        assert report.pairwise_feasible == (report.pairwise_distance <= 2 * radius)
+        unique = result.box is not None and result.box.is_single_point()
+        assert report.conclusion == ("unique-linf-witness" if unique else "none")
+
+
+@pytest.mark.parametrize("radius", [0, Fraction(-1, 2)])
+def test_c0_rejects_a_radius_that_is_not_positive(radius):
+    with pytest.raises(ValueError, match="radius must be positive"):
+        c0_counterexample(3, radius)

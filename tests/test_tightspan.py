@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from ury import (
     tripod_center,
     verify_hull_candidate,
 )
-from ury.tightspan import HULL_MAX_SAMPLES
+from ury.tightspan import HULL_MAX_SAMPLES, _vertex_search
 from helpers import (
     oracle_hull_isometry,
     oracle_is_extremal,
@@ -346,6 +347,38 @@ def test_vertices_match_oracle_six_point_sweep():
     for k in range(20):
         space = random_metric_space(rng, 6, closure=k % 2 == 1)
         assert _vertex_values(space) == oracle_tight_span_vertices(space)
+
+
+# A generic 6-point space: every triangle is strict.
+GENERIC6 = FiniteMetricSpace.from_lower_triangle([
+    [Fraction(17, 3)],
+    [8, Fraction(22, 3)],
+    [Fraction(23, 3), Fraction(28, 3), 8],
+    [Fraction(23, 3), Fraction(16, 3), Fraction(23, 3), Fraction(26, 3)],
+    [Fraction(17, 3), Fraction(26, 3), 5, Fraction(20, 3), 9],
+])
+
+
+def test_vertex_search_prunes_merged_components():
+    # The output cannot show a lost pruning, so count the constraint sets
+    # the search visits: 4257 when only anchored components are checked.
+    w = [[2 * v for v in row] for row in GENERIC6.rows]
+    found, visited = _vertex_search(w)
+    assert len(found) == 28
+    assert all(tuple(row) in found for row in w)  # the Kuratowski functions
+    assert visited <= 1000
+
+
+def test_vertices_leave_no_reference_cycle():
+    # With the cycle collector off, a search that left a reference cycle
+    # behind (a recursive closure) leaves objects only gc.collect() finds.
+    gc.collect()
+    gc.disable()
+    try:
+        tight_span_vertices(T345)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_vertices_too_large():

@@ -8,20 +8,27 @@ that neither side's workers compile modules that the other side's load
 from ``__pycache__``.  Then, for each seed, ``perfbench/run.py`` runs once
 in each checkout (traced with ``--trace 1``) at the ``run_seconds`` of
 ``BENCHMARK.json``, one run at a time, the side that goes first
-alternating from seed to seed.  The file keeps, per run, the seed, the
+alternating from seed to seed.  The file records each side's tree: its
+commit, only when the checkout is the top of a git work tree (an extract
+placed inside another checkout has none), and always ``src_sha256``, a
+digest of its ``src`` tree (every file's path and bytes, in sorted path
+order, ``__pycache__`` excluded).  It keeps, per run, the seed, the
 side, the pass count and the report and result lines that run.py printed,
 then the per-metric median and quartiles of each side (over the seeds
 where both runs completed) and the number of pairs the change won.  A run
 that exits nonzero or prints no report and result is kept with its exit
 code and the last line of its standard error, counted under ``failed``,
 and the series goes on.  Run again with the same ``--out`` to append runs
-of another workload or seed.
+of another workload or seed; appending is refused unless the file records
+the same trees (older files, which record only ``parent_commit``, are read
+as they are but cannot be appended to).
 """
 
 from __future__ import annotations
 
 import argparse
 import compileall
+import hashlib
 import json
 import statistics
 import subprocess
@@ -45,9 +52,29 @@ def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     return {"exit": proc.returncode, "stderr": lines[-1] if lines else ""}
 
 
-def head(root: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, stdout=subprocess.PIPE, text=True)
-    return proc.stdout.strip() or "unknown"
+def git(root: Path, *args: str) -> str:
+    proc = subprocess.run(["git", *args], cwd=root, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def tree(root: Path) -> dict:
+    """The checkout's commit, if ``root`` is the top of a git work tree, and
+    the sha256 of its ``src`` tree."""
+    out = {}
+    top = git(root, "rev-parse", "--show-toplevel")
+    if top and Path(top).resolve() == root.resolve():
+        out["commit"] = git(root, "rev-parse", "HEAD")
+    src = root / "src"
+    files = sorted(
+        (path.relative_to(src).as_posix(), path) for path in src.rglob("*")
+        if path.is_file() and "__pycache__" not in path.relative_to(src).parts
+    )
+    digest = hashlib.sha256()
+    for name, path in files:
+        digest.update(name.encode() + b"\0" + hashlib.sha256(path.read_bytes()).digest())
+    out["src_sha256"] = digest.hexdigest()
+    return out
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -102,13 +129,16 @@ def main() -> int:
     args = parser.parse_args()
 
     seconds = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())["run_seconds"]
-    data = json.loads(args.out.read_text()) if args.out.exists() else {
-        "parent_commit": head(args.parent), "seconds": seconds, "runs": []}
     sides = {"parent": args.parent, "change": args.change}
+    trees = {side: tree(root) for side, root in sides.items()}
+    data = json.loads(args.out.read_text()) if args.out.exists() else {
+        "trees": trees, "seconds": seconds, "runs": []}
+    if data.get("trees") != trees:
+        parser.error(f"{args.out} records other trees than these; write to a new file")
     for root in sides.values():
-        for tree in ("src", "perfbench"):
-            if not compileall.compile_dir(root / tree, quiet=1):
-                parser.error(f"{root / tree} does not byte-compile")
+        for part in ("src", "perfbench"):
+            if not compileall.compile_dir(root / part, quiet=1):
+                parser.error(f"{root / part} does not byte-compile")
     for k, seed in enumerate(int(s) for s in args.seeds.split(",")):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
             run = run_side(sides[side], args.workload, seed, seconds, args.trace)
