@@ -226,7 +226,12 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     # where one passes are searched for their triples, which are rechecked
     # at once.  The n x n candidate
     # flags are reduced to each tile's rows and columns before the int64
-    # matrix is made, and without a candidate no matrix is made.
+    # matrix is made, and without a candidate no matrix is made.  When the
+    # largest entry is at most twice the smallest, d(a,b) <= 2 min <=
+    # d(a,mid) + d(mid,b) for every triple, and numpy is not even loaded.
+    top = max(map(max, islice(lower, 1, None)))
+    if top <= 2 * min(map(min, islice(lower, 1, None))):
+        return []
     import numpy as np
 
     n = len(lower)
@@ -237,7 +242,7 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     starts = range(0, n, _TILE)
     tile_cols = np.logical_or.reduceat(candidate, starts, axis=1)
     del candidate
-    s = max(0, max(map(max, islice(lower, 1, None))).bit_length() - _INT64_LIMIT.bit_length() + 1)
+    s = max(0, top.bit_length() - _INT64_LIMIT.bit_length() + 1)
     d = np.empty((n, n), dtype=np.int64)
     for i, row in enumerate(lower):
         d[i, :i] = [v >> s for v in row] if s else row

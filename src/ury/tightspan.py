@@ -39,7 +39,7 @@ from .errors import (
 from .metric import FiniteMetricSpace, common_scale, katetov_failure, katetov_row, point_index
 from .rational import as_rational
 
-TIGHT_SPAN_MAX_POINTS = 6
+TIGHT_SPAN_MAX_POINTS = 7
 HULL_MAX_SAMPLES = 2**16
 
 
@@ -195,12 +195,20 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
       component or against an anchored point; the branch is dropped when
       the bounds cross, since every leaf below it would meet them all.
 
+    Both conditions are checked against bounds the search keeps, not
+    re-derived: each free component keeps its members and the interval
+    for ``2 * x`` that ``x_t >= 0``, its same-sign pairs and the anchored
+    points set.  An anchoring checks its root value against that interval;
+    a merge maps the moved component's interval onto the kept root's and
+    adds only the pairs across the two; pushing an anchoring narrows every
+    free component's interval by the newly anchored points.
+
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
     space's common denominator ``space.scale``: every coordinate is half an
     alternating sum of distances, so ``2 * D * f`` is an integer.  Each
     distinct vertex becomes Fractions once, at the end; no float is used.
     Every vertex is extremal, because the tight span is the union of the
-    bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 6;
+    bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 7;
     larger spaces are rejected, never approximated.
     """
     check_vertex_limit(space.n)
@@ -218,7 +226,8 @@ def _vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
 
     The search keeps an explicit stack, not a recursive closure: a closure
     that refers to itself is a reference cycle, which outlives the call
-    until the cycle collector runs.
+    until the cycle collector runs.  A child's lists are copied only when
+    it is pushed, and a list it does not change is shared with its parent.
     """
     n = len(w)
     points = range(n)
@@ -227,16 +236,18 @@ def _vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
     constraints += [(i, j, w[i][j]) for i, j in combinations(points, 2)]
     found: set[tuple[int, ...]] = set()
     visited = 0
-    # Each entry is (next constraint, constraints taken, root, sign, off);
-    # sign[t] == 0 marks an anchored component: there x_t == off[t].
-    stack = [(0, 0, list(points), [1] * n, [0] * n)]
+    # Each entry is (next constraint, constraints taken, root, sign, off,
+    # members, interval).  Point t holds x_t = sign[t] * x + off[t], x the
+    # value at its component's root; sign[t] == 0 marks an anchored point,
+    # where x_t == off[t].  A free component's root r has sign 1 and keeps
+    # its members[r] and interval[r] = (lo, hi), the bounds lo <= 2x <= hi
+    # that x_t >= 0, every same-sign pair inside it and every anchored point
+    # set (hi is None without a point of sign -1).  Its opposite-sign pairs
+    # do not involve x and were checked at the merges that built it.
+    stack = [(0, 0, list(points), [1] * n, [0] * n, [(t,) for t in points], [(0, None)] * n)]
     while stack:
-        start, depth, root, sign, off = stack.pop()
+        start, depth, root, sign, off, members, interval = stack.pop()
         visited += 1
-        if depth == n:
-            found.add(tuple(off))
-            continue
-        anchored = [a for a in points if sign[a] == 0]
         for k in range(start, len(constraints) - n + depth + 1):
             u, v, b = constraints[k]
             rest = b - off[u] - off[v]
@@ -251,59 +262,88 @@ def _vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
                 if sign[v] == 0:
                     continue  # two anchored components
                 factor, shift = -sign[u] * sign[v], sign[v] * rest
+            # v's component M joins u's, K: M's root value becomes
+            # factor * x + shift, x the value at K's root.
             group, keep = root[v], root[u]
-            root2, sign2, off2 = root[:], sign[:], off[:]
-            moved = [t for t in points if root[t] == group]
-            for t in moved:
-                root2[t] = keep
-                sign2[t] = sign[t] * factor
-                off2[t] += sign[t] * shift
+            moved = members[group]
+            lo, hi = interval[group]
             if factor == 0:
-                if not _anchoring_fits(w, moved, anchored + moved, off2):
+                # M is anchored at x = shift.
+                if 2 * shift < lo or hi is not None and 2 * shift > hi:
                     continue
+                off2 = off[:]
+                for t in moved:
+                    off2[t] += sign[t] * shift
+                if depth + 1 == n:
+                    # A leaf, counted here and not pushed.  Each constraint
+                    # taken leaves one free component fewer (a merge joins
+                    # two, an anchoring fixes one), so the n-th anchors the
+                    # last, and off2 is a vertex.
+                    visited += 1
+                    found.add(tuple(off2))
+                    continue
+                sign2 = sign[:]
+                for t in moved:
+                    sign2[t] = 0
+                # x_t >= w_ta - x_a for each newly anchored a, and w is
+                # symmetric: row a holds each w_ta.
+                rows = [[wa - off2[a] for wa in w[a]] for a in moved]
+                least = rows[0] if len(rows) == 1 else list(map(max, *rows))
+                interval2 = interval[:]
+                for t in points:
+                    if sign2[t]:
+                        # s * 2x >= c, from x_t = s * x + off_t >= least[t].
+                        r, c = root[t], 2 * (least[t] - off[t])
+                        rlo, rhi = interval2[r]
+                        if sign[t] > 0:
+                            if c > rlo:
+                                interval2[r] = (c, rhi)
+                        elif rhi is None or -c < rhi:
+                            interval2[r] = (rlo, -c)
+                stack.append((k + 1, depth + 1, root, sign2, off2, members, interval2))
+                continue
+            # M's interval through 2x_M = factor * 2x + 2 * shift, and K's.
+            if factor > 0:
+                lo, hi = lo - 2 * shift, None if hi is None else hi - 2 * shift
             else:
-                members = [t for t in points if root[t] == keep] + moved
-                if not _merge_fits(w, members, anchored, sign2, off2):
-                    continue
-            stack.append((k + 1, depth + 1, root2, sign2, off2))
+                lo, hi = None if hi is None else 2 * shift - hi, 2 * shift - lo
+            klo, khi = interval[keep]
+            if lo is None or klo > lo:
+                lo = klo
+            if hi is None or khi is not None and khi < hi:
+                hi = khi
+            if hi is not None and lo > hi:
+                continue
+            kept = members[keep]
+            shifted = [(t, sign[t] * factor, off[t] + sign[t] * shift) for t in moved]
+            # A pair of K x M of one sign s reads s * 2x >= c; one of
+            # opposite signs holds for every x, or for none.
+            fits = True
+            for t in kept:
+                s, x, row = sign[t], off[t], w[t]
+                for t2, s2, x2 in shifted:
+                    c = row[t2] - x - x2
+                    if s != s2:
+                        if c > 0:
+                            fits = False
+                            break
+                    elif s > 0:
+                        if c > lo:
+                            lo = c
+                    elif hi is None or -c < hi:
+                        hi = -c
+                if not fits:
+                    break
+            if not fits or hi is not None and lo > hi:
+                continue
+            root2, sign2, off2 = root[:], sign[:], off[:]
+            for t, s, x in shifted:
+                root2[t], sign2[t], off2[t] = keep, s, x
+            members2, interval2 = members[:], interval[:]
+            members2[keep] = kept + moved
+            interval2[keep] = (lo, hi)
+            stack.append((k + 1, depth + 1, root2, sign2, off2, members2, interval2))
     return found, visited
-
-
-def _anchoring_fits(w, moved: list[int], anchored: list[int], off: list[int]) -> bool:
-    """Whether the newly anchored points ``moved`` are nonnegative and
-    admissible against every anchored point."""
-    for t in moved:
-        x, row = off[t], w[t]
-        if x < 0 or any(row[a] > x + off[a] for a in anchored):
-            return False
-    return True
-
-
-def _merge_fits(
-    w, members: list[int], anchored: list[int], sign: list[int], off: list[int]
-) -> bool:
-    """Whether some root value x keeps every point of a free component
-    nonnegative and admissible inside it and against every anchored point.
-
-    Each constraint reads ``s * 2x >= c``: from a pair t, t' of one sign s,
-    ``c = w_tt' - off_t - off_t'`` (with t' = t it is ``x_t >= 0``); from a
-    point t and an anchored a, ``c = 2 * (w_ta - off_t - off_a)``.  A pair of
-    opposite signs does not involve x.  Without a point of sign -1 nothing
-    bounds x from above.
-    """
-    if all(sign[t] > 0 for t in members):
-        return True
-    bounds = {1: [], -1: []}  # the c of each sign's constraints
-    for i, t in enumerate(members):
-        s, x, row = sign[t], off[t], w[t]
-        for t2 in members[i:]:
-            if sign[t2] == s:
-                bounds[s].append(row[t2] - x - off[t2])
-            elif row[t2] > x + off[t2]:
-                return False
-        if anchored:
-            bounds[s].append(2 * (max([row[a] - off[a] for a in anchored]) - x))
-    return max(bounds[1]) <= -max(bounds[-1])
 
 
 def tripod_center(space: FiniteMetricSpace) -> KatetovFunction:

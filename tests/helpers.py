@@ -366,6 +366,22 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] |
     return [m[i][n] for i in range(n)]
 
 
+def fraction_rank(rows: list[list[Fraction]]) -> int:
+    """The rank of a rational matrix, by Fraction Gaussian elimination."""
+    m = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col] / m[rank][col]
+            m[r] = [v - factor * p for v, p in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction, ...]]:
     """Vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} by brute force.
 
@@ -403,6 +419,103 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
         ):
             found.add(tuple(solution))
     return sorted(found)
+
+
+def oracle_vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
+    """The vertex search of ``tightspan._vertex_search`` as it was before
+    it kept each component's members and bounds: every candidate copies
+    ``root``, ``sign`` and ``off`` and re-derives its component's bounds
+    from every member pair and anchored point.  It visits the same
+    constraint sets, so it returns the same ``(vertices, visited)`` pair.
+
+    The search keeps an explicit stack, not a recursive closure: a closure
+    that refers to itself is a reference cycle, which outlives the call
+    until the cycle collector runs.
+    """
+    n = len(w)
+    points = range(n)
+    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
+    constraints = [(i, i, 0) for i in points]
+    constraints += [(i, j, w[i][j]) for i, j in combinations(points, 2)]
+    found: set[tuple[int, ...]] = set()
+    visited = 0
+    # Each entry is (next constraint, constraints taken, root, sign, off);
+    # sign[t] == 0 marks an anchored component: there x_t == off[t].
+    stack = [(0, 0, list(points), [1] * n, [0] * n)]
+    while stack:
+        start, depth, root, sign, off = stack.pop()
+        visited += 1
+        if depth == n:
+            found.add(tuple(off))
+            continue
+        anchored = [a for a in points if sign[a] == 0]
+        for k in range(start, len(constraints) - n + depth + 1):
+            u, v, b = constraints[k]
+            rest = b - off[u] - off[v]
+            if root[u] == root[v]:
+                if sign[u] == 0 or sign[u] != sign[v]:
+                    continue  # a second cycle, or an even one
+                # Exact: a free component's offsets are sums of the even W entries.
+                factor, shift = 0, sign[u] * rest // 2
+            else:
+                if sign[v] == 0:
+                    u, v = v, u
+                if sign[v] == 0:
+                    continue  # two anchored components
+                factor, shift = -sign[u] * sign[v], sign[v] * rest
+            group, keep = root[v], root[u]
+            root2, sign2, off2 = root[:], sign[:], off[:]
+            moved = [t for t in points if root[t] == group]
+            for t in moved:
+                root2[t] = keep
+                sign2[t] = sign[t] * factor
+                off2[t] += sign[t] * shift
+            if factor == 0:
+                if not _anchoring_fits(w, moved, anchored + moved, off2):
+                    continue
+            else:
+                members = [t for t in points if root[t] == keep] + moved
+                if not _merge_fits(w, members, anchored, sign2, off2):
+                    continue
+            stack.append((k + 1, depth + 1, root2, sign2, off2))
+    return found, visited
+
+
+def _anchoring_fits(w, moved: list[int], anchored: list[int], off: list[int]) -> bool:
+    """Whether the newly anchored points ``moved`` are nonnegative and
+    admissible against every anchored point."""
+    for t in moved:
+        x, row = off[t], w[t]
+        if x < 0 or any(row[a] > x + off[a] for a in anchored):
+            return False
+    return True
+
+
+def _merge_fits(
+    w, members: list[int], anchored: list[int], sign: list[int], off: list[int]
+) -> bool:
+    """Whether some root value x keeps every point of a free component
+    nonnegative and admissible inside it and against every anchored point.
+
+    Each constraint reads ``s * 2x >= c``: from a pair t, t' of one sign s,
+    ``c = w_tt' - off_t - off_t'`` (with t' = t it is ``x_t >= 0``); from a
+    point t and an anchored a, ``c = 2 * (w_ta - off_t - off_a)``.  A pair of
+    opposite signs does not involve x.  Without a point of sign -1 nothing
+    bounds x from above.
+    """
+    if all(sign[t] > 0 for t in members):
+        return True
+    bounds = {1: [], -1: []}  # the c of each sign's constraints
+    for i, t in enumerate(members):
+        s, x, row = sign[t], off[t], w[t]
+        for t2 in members[i:]:
+            if sign[t2] == s:
+                bounds[s].append(row[t2] - x - off[t2])
+            elif row[t2] > x + off[t2]:
+                return False
+        if anchored:
+            bounds[s].append(2 * (max([row[a] - off[a] for a in anchored]) - x))
+    return max(bounds[1]) <= -max(bounds[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,25 @@ def test_build_and_export_do_not_load_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
+def test_tightspan_vertices_on_an_equilateral_space_does_not_load_numpy(tmp_path):
+    # No triangle can break when the largest distance is at most twice the
+    # smallest, so the validation ends before the numpy scan.
+    (tmp_path / "e.dmat").write_text("4\n1\n1 1\n1 1 1\n")
+    child = (
+        "import sys\n"
+        "from ury.cli import main\n"
+        "assert main(['tightspan', '--dmat', 'e.dmat', '--vertices']) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines() == [
+        "0 1 1 1", "1/2 1/2 1/2 1/2", "1 0 1 1", "1 1 0 1", "1 1 1 0", "False"
+    ]
+
+
 # Asking for more points than a cache holds: exit code and error kind as
 # before the loaders took a point count.
 def test_export_past_the_cache_size_is_a_value_error(tmp_path, capsys):
@@ -459,20 +478,20 @@ def test_tightspan_vertices_golden_six_points(tmp_path, capsys):
     assert stdout == SIX_TIGHT_VERTICES
 
 
-def test_tightspan_vertices_refuses_seven_points_before_parsing(tmp_path, capsys, monkeypatch):
+def test_tightspan_vertices_refuses_eight_points_before_parsing(tmp_path, capsys, monkeypatch):
     from ury import metric
 
     def unexpected(text):
         raise AssertionError("the distance matrix was parsed")
 
     monkeypatch.setattr(metric, "parse_distance_matrix", unexpected)
-    f = tmp_path / "seven.dmat"
-    f.write_text("7\n" + "".join(" ".join(["1"] * i) + "\n" for i in range(1, 7)))
+    f = tmp_path / "eight.dmat"
+    f.write_text("8\n" + "".join(" ".join(["1"] * i) + "\n" for i in range(1, 8)))
     code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
     assert (code, stdout) == (1, "")
     payload = json.loads(stderr)
     assert payload["error"] == "TooLarge"
-    assert payload["detail"] == "vertex enumeration is limited to 6 points"
+    assert payload["detail"] == "vertex enumeration is limited to 7 points"
 
 
 def test_tightspan_vertices_refuses_a_one_line_header_before_parsing(tmp_path, capsys, monkeypatch):

@@ -194,6 +194,19 @@ def test_shifted_scan_floor_rule(bits):
             assert validate_metric(rows) == ValidationReport(not expected, expected)
 
 
+@pytest.mark.parametrize("top,expected", [(10, []), (11, [(0, 1, 2)])], ids=["2min", "2min+1"])
+def test_triangle_scan_at_twice_the_smallest_entry(monkeypatch, top, expected):
+    # With every entry in [5, 10] no triangle can break, and the scan ends
+    # before the prefilter; one unit above, d(0,1) = 11 > d(0,2) + d(2,1)
+    # must still be found.
+    calls = record_calls(monkeypatch, metric_mod, ["_candidates"])
+    rows = [[0, top, 5, 7, 9], [top, 0, 5, 8, 6], [5, 5, 0, 10, 7], [7, 8, 10, 0, 5], [9, 6, 7, 5, 0]]
+    lower = [row[:i] for i, row in enumerate(rows)]
+    assert metric_mod._triangle_scan(lower) == expected
+    assert calls == ([] if top == 10 else ["_candidates"])
+    assert validate_metric(rows) == ValidationReport(not expected, oracle_violations(rows))
+
+
 @pytest.mark.parametrize("tile", [4, 8])
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2t+1"])
 def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):

@@ -1,6 +1,7 @@
 import gc
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,9 +26,11 @@ from ury import (
 )
 from ury.tightspan import HULL_MAX_SAMPLES, _vertex_search
 from helpers import (
+    fraction_rank,
     oracle_hull_isometry,
     oracle_is_extremal,
     oracle_tight_span_vertices,
+    oracle_vertex_search,
     rand_rational,
     random_metric_space,
     random_tripod_space,
@@ -315,6 +318,18 @@ def _line(positions):
     return FiniteMetricSpace([[abs(p - q) for q in positions] for p in positions])
 
 
+def _path(n):
+    # Points of a line at 0, 1, 3, 6, ...: gaps 1, 2, 3, ...
+    return _line([k * (k + 1) // 2 for k in range(n)])
+
+
+def _generic(rng, n):
+    # Every distance from [11, 20], so every triangle is strict.
+    return FiniteMetricSpace.from_lower_triangle(
+        [[rng.randint(11, 20) for _ in range(i)] for i in range(1, n)]
+    )
+
+
 def _star(legs):
     # Point 0 is the center; leaves i, j sit legs[i] + legs[j] apart.
     n = len(legs) + 1
@@ -369,6 +384,61 @@ def test_vertex_search_prunes_merged_components():
     assert visited <= 1000
 
 
+def _search_corpus(group):
+    rng = random.Random(f"search:{group}")
+    if group.startswith("random"):
+        n = int(group.removeprefix("random"))
+        return [random_metric_space(rng, n, closure=k % 2 == 1) for k in range(30)]
+    if group == "degenerate":
+        return list(DEGENERATE_SPACES.values())
+    if group == "equilateral_and_path":
+        return [space for n in range(3, 8) for space in (_equilateral(n), _path(n))]
+    return [_generic(rng, 7) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "group", ["random3", "random4", "random5", "random6", "degenerate", "equilateral_and_path", "generic7"]
+)
+def test_vertex_search_matches_reference_search(group):
+    # The kept bounds must prune exactly where bounds derived afresh for
+    # every candidate do: the same vertices from the same constraint sets.
+    for space in _search_corpus(group):
+        w = [[2 * v for v in row] for row in space.rows]
+        assert _vertex_search(w) == oracle_vertex_search(w)
+
+
+SEVEN = {
+    "generic": _generic(random.Random(101), 7),
+    "closure": random_metric_space(random.Random(103), 7, closure=True),
+    "equilateral": _equilateral(7),
+    "path": _path(7),
+}
+
+
+@pytest.mark.parametrize("name", list(SEVEN))
+def test_vertices_properties_seven_points(name):
+    space = SEVEN[name]
+    n, d = space.n, space.matrix
+    values = _vertex_values(space)
+    assert values == sorted(set(values))
+    for f in values:
+        assert min(f) >= 0
+        assert all(f[x] + f[y] >= d[x][y] for x, y in combinations(range(n), 2))
+        # A vertex is the unique solution of its tight constraints.
+        tight = [[int(i == x) for i in range(n)] for x in range(n) if f[x] == 0]
+        tight += [
+            [int(i in (x, y)) for i in range(n)]
+            for x, y in combinations(range(n), 2) if f[x] + f[y] == d[x][y]
+        ]
+        assert fraction_rank(tight) == n
+    for a in space.points():
+        assert kuratowski(space, a).values in values
+    if name == "equilateral":
+        assert len(values) == 8 and (Fraction(1, 2),) * 7 in values
+    if name == "path":
+        assert len(values) == 7
+
+
 def test_vertices_leave_no_reference_cycle():
     # With the cycle collector off, a search that left a reference cycle
     # behind (a recursive closure) leaves objects only gc.collect() finds.
@@ -384,7 +454,7 @@ def test_vertices_leave_no_reference_cycle():
 def test_vertices_too_large():
     rng = random.Random(73)
     with pytest.raises(TooLarge):
-        tight_span_vertices(random_metric_space(rng, 7))
+        tight_span_vertices(random_metric_space(rng, 8))
 
 
 # ---------------------------------------------------------------------------

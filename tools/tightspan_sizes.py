@@ -1,8 +1,8 @@
-"""Time and peak memory of ``ury tightspan --vertices`` on fixed 4-, 5- and
-6-point spaces.
+"""Time and peak memory of ``ury tightspan --vertices`` on fixed 4- to
+7-point spaces.
 
     python3 tools/tightspan_sizes.py                     # 4, 5 and 6 points
-    python3 tools/tightspan_sizes.py --points 6
+    python3 tools/tightspan_sizes.py --points 4,5,6,7
     python3 tools/tightspan_sizes.py --src ../other/src  # another checkout's library
 
 For each size n, three integer spaces are written as ``.dmat`` files:
@@ -58,13 +58,13 @@ EXPECTED = {"path": lambda n: n, "equilateral": lambda n: n + 1}
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--points", default="4,5,6",
-                        help="comma-separated space sizes, each 2 to 6 (default: %(default)s)")
+                        help="comma-separated space sizes, each 2 to 7 (default: %(default)s)")
     parser.add_argument("--src", type=Path, default=DEFAULT_SRC,
                         help="the library to enumerate with (default: this checkout's)")
     args = parser.parse_args()
     sizes = sorted({int(p) for p in args.points.split(",")})
-    if sizes[0] < 2 or sizes[-1] > 6:
-        parser.error("every size must be 2 to 6")
+    if sizes[0] < 2 or sizes[-1] > 7:
+        parser.error("every size must be 2 to 7")
 
     env = {**os.environ, "PYTHONPATH": str(args.src)}
     ok = True
