@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     UryError,
 )
-from .rational import format_rational, parse_int, parse_rational
+from .rational import format_ratio, format_rational, parse_int, parse_rational
 
 BUILTIN_HULLS = {
     "h1": [("0", "0"), ("1", "1")],
@@ -136,9 +136,12 @@ def _read_json(path: str):
     return json.loads(_read_text(path), parse_int=parse_int)
 
 
-def _parse_space(text: str) -> metric.FiniteMetricSpace:
-    """A ``.dmat`` input as a validated space, bounded like a prefix."""
-    return metric.parse_distance_matrix(text, construct.PREFIX_MAX_POINTS)
+def _read_space(path: str) -> metric.FiniteMetricSpace:
+    """A ``.dmat`` file as a validated space, bounded like a prefix.  The
+    text is dropped once parsed, so that the validation does not hold it
+    too: ``verify`` does the same."""
+    lower, scale = metric.parse_lower_triangle(_read_text(path), construct.PREFIX_MAX_POINTS)
+    return metric.FiniteMetricSpace.from_scaled_lower(lower, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    space = _parse_space(_read_text(args.dmat))
+    space = _read_space(args.dmat)
     support_1b = args.support if args.support else list(range(1, space.n + 1))
     support = [i - 1 for i in support_1b]
     req = extension.ExtensionRequest(space, support, args.radii)
@@ -231,8 +234,7 @@ def cmd_extend(args) -> int:
             points=[support_1b[i], support_1b[j]],
             side=exc.side,
         )
-    new_row = [ext.distance(space.n, z) for z in range(space.n)]
-    print(" ".join(format_rational(v) for v in new_row))
+    print(" ".join(format_ratio(v, ext.scale) for v in ext.lower[space.n]))
     if args.out:
         construct.write_atomically(args.out, [metric.serialize_distance_matrix(ext)])
     return 0
@@ -241,8 +243,10 @@ def cmd_extend(args) -> int:
 def cmd_balls(args) -> int:
     data = _json_value(_read_json(args.family), dict, "the family")
     dmat = _json_value(data["dmat"], str, '"dmat"')
-    text = dmat if "\n" in dmat else _read_text(dmat)
-    space = _parse_space(text)
+    if "\n" in dmat:
+        space = metric.parse_distance_matrix(dmat, construct.PREFIX_MAX_POINTS)
+    else:
+        space = _read_space(dmat)
     balls = [
         (_json_value(b["center"], int, "a center") - 1, parse_rational(str(b["radius"])))
         for b in _json_items(data["balls"], dict, '"balls"')
@@ -290,11 +294,10 @@ def cmd_balls(args) -> int:
 
 
 def cmd_tightspan(args) -> int:
-    text = _read_text(args.dmat)
     if args.vertices:
         # Refuse an oversized space on its header, before the O(n^3) validation.
-        tightspan.check_vertex_limit(metric.dmat_point_count(text))
-    space = _parse_space(text)
+        tightspan.check_vertex_limit(metric.dmat_point_count(_read_text(args.dmat)))
+    space = _read_space(args.dmat)
     if args.vertices:
         result = tightspan.tight_span_vertices(space)
         for f in result.vertices:
@@ -367,7 +370,7 @@ def cmd_c0_demo(args) -> int:
 
 def cmd_embed(args) -> int:
     state = construct.load_prefix(args.prefix, args.limit)
-    target = _parse_space(_read_text(args.target))
+    target = _read_space(args.target)
     result = embed.find_isometric_embedding(target, state)
     payload = {
         "status": result.status,

@@ -57,7 +57,6 @@ from .metric import (
     fraction_rows,
     katetov_failure,
     katetov_row,
-    symmetric_row,
 )
 from .rational import as_rational, format_ratio, format_rational, parse_rational
 
@@ -497,8 +496,7 @@ class PrefixState:
         """The full distance matrix as Fractions, ``rho[i][j]`` for every i
         and j.  A view made on first access and kept with the state, at
         O(m^2) time and memory, so no command reads it.  Not a field."""
-        lower = list(map(self.row, range(self.m)))
-        return fraction_rows([symmetric_row(lower, x) for x in range(self.m)], self.scale)
+        return fraction_rows(list(map(self.row, range(self.m))), self.scale)
 
     @cached_property
     def distance_buckets(self) -> _DistanceBuckets:
@@ -530,7 +528,7 @@ def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, i
             f"label has {p} elements but the prefix has {prefix.m} points"
         )
     block = list(map(prefix.row, range(p)))
-    d, radii, _ = common_scale([symmetric_row(block, x) for x in range(p)], prefix.scale, elements)
+    d, radii, _ = common_scale(block, prefix.scale, range(p), elements)
     failure = katetov_failure(d, range(p), radii, two_sided=True)
     return (True, None) if failure is None else (False, failure[0])
 

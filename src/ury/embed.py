@@ -53,7 +53,7 @@ def find_isometric_embedding(
     if prefix.scale % target.scale:
         return EmbeddingResult(NOT_FOUND, None, m)
     factor = prefix.scale // target.scale
-    wanted = [[v * factor for v in row[:i]] for i, row in enumerate(target.rows)]
+    wanted = [[v * factor for v in row] for row in target.lower]
     mapping = _first_embedding(wanted, prefix.distance_buckets, m)
     if mapping is None:
         return EmbeddingResult(NOT_FOUND, None, m)

@@ -26,7 +26,14 @@ from .errors import (
     Inadmissible,
     PairwiseInfeasible,
 )
-from .metric import FiniteMetricSpace, common_scale, katetov_failure, katetov_row, point_index
+from .metric import (
+    FiniteMetricSpace,
+    common_scale,
+    fraction_rows,
+    katetov_failure,
+    katetov_row,
+    point_index,
+)
 from .rational import as_rational
 
 
@@ -72,17 +79,22 @@ class AdmissibilityResult:
 
 def admissible(req: ExtensionRequest) -> AdmissibilityResult:
     """Check |a_i - a_j| <= d(x_i, x_j) <= a_i + a_j on every support pair."""
-    d, radii, _ = common_scale(req.base.rows, req.base.scale, req.radii)
+    base = req.base
+    d, radii, _ = common_scale(base.lower, base.scale, req.support, req.radii)
     failure = katetov_failure(d, req.support, radii, two_sided=True)
     if failure is None:
         return AdmissibilityResult(True)
     return AdmissibilityResult(False, *failure)
 
 
-def _extended_rows(d, support: Sequence[int], radii: Sequence[int]) -> list[tuple[int, ...]]:
-    # Only the new row is computed; the base rows ``d`` are reused as they are.
-    new_row = katetov_row(d, support, radii)
-    return [(*row, v) for row, v in zip(d, new_row)] + [(*new_row, 0)]
+def _extended_lower(base: FiniteMetricSpace, d, support, radii, scale: int) -> tuple:
+    """The lower triangle over ``scale`` of ``base`` and, last, the new point
+    at ``radii`` from ``support``, whose rows ``d`` are on ``scale``.  Only
+    the new row is made; the base rows are reused as they are unless the
+    radii change the scale."""
+    k = scale // base.scale
+    lower = base.lower if k == 1 else tuple(tuple([v * k for v in row]) for row in base.lower)
+    return lower + (tuple(katetov_row(d, support, radii)),)
 
 
 def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
@@ -91,8 +103,10 @@ def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
     Does not check admissibility; exposed for equivalence testing
     (admissible <=> this matrix is a metric).
     """
-    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
-    return [[Fraction(v, scale) for v in row] for row in _extended_rows(d, req.support, radii)]
+    base = req.base
+    d, radii, scale = common_scale(base.lower, base.scale, req.support, req.radii)
+    lower = _extended_lower(base, d, req.support, radii, scale)
+    return [list(row) for row in fraction_rows(lower, scale)]
 
 
 def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
@@ -100,14 +114,17 @@ def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
 
     Raises :class:`Inadmissible` when the radii fail the two-sided check.
     Admissible radii always give a metric (Katetov), so the result is not
-    re-validated: the cost is O(n^2), not the O(n^3) triangle scan.  The base
-    is put on the radii's common scale once, for the check and the new row.
+    re-validated: the cost is O(n·k) for k support points, and O(n^2) only
+    when the radii change the scale, not the O(n^3) triangle scan.  The
+    result's scale is the lcm of the base's and the radii's denominators,
+    which is canonical, since every radius is an entry of the new row.
     """
-    d, radii, scale = common_scale(req.base.rows, req.base.scale, req.radii)
+    base = req.base
+    d, radii, scale = common_scale(base.lower, base.scale, req.support, req.radii)
     failure = katetov_failure(d, req.support, radii, two_sided=True)
     if failure is not None:
         raise Inadmissible(*failure)
-    return FiniteMetricSpace._trusted(_extended_rows(d, req.support, radii), scale)
+    return FiniteMetricSpace._trusted(_extended_lower(base, d, req.support, radii, scale), scale)
 
 
 class Ball(NamedTuple):
@@ -164,7 +181,7 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
     trace deterministic.
     """
     centers, radii = zip(*family.balls)
-    d, r, scale = common_scale(family.base.rows, family.base.scale, radii)
+    d, r, scale = common_scale(family.base.lower, family.base.scale, centers, radii)
     failure = katetov_failure(d, centers, r, two_sided=False)
     if failure is not None:
         (i, j), _ = failure
@@ -219,9 +236,11 @@ def ball_intersection_witness(family: BallFamily) -> WitnessResult:
     """Produce a point lying on the sphere of every non-redundant ball.
 
     Reduces the family, then extends the base by one point whose distances
-    to the surviving centers equal their radii exactly.  Membership in every
-    removed ball follows from the containment chain and is re-verified on
-    the extended matrix.
+    to the surviving centers equal their radii exactly.  The certificate is
+    read from the new row of the extension.  It holds by construction:
+    ``katetov_row`` pins each survivor's center to its radius, and each
+    removed ball contains the ball that removed it, which is removed in
+    turn or survives, so it contains a survivor's ball and the witness.
     """
     trace = reduce_ball_family(family)
     balls = family.balls
@@ -235,15 +254,10 @@ def ball_intersection_witness(family: BallFamily) -> WitnessResult:
             radii.append(balls[i].radius)
     ext = extend_one_point(ExtensionRequest(family.base, support, radii))
     y = family.base.n
-
+    row, scale = ext.lower[y], ext.scale
     survivors = set(trace.survivors)
-    certificate = []
-    for k, ball in enumerate(balls):
-        dist = ext.distance(y, ball.center)
-        on_sphere = k in survivors
-        if on_sphere:
-            assert dist == ball.radius
-        else:
-            assert dist <= ball.radius
-        certificate.append(CertificateEntry(k, ball.center, ball.radius, dist, on_sphere))
-    return WitnessResult(ext, y, trace, tuple(certificate))
+    certificate = tuple(
+        CertificateEntry(k, b.center, b.radius, Fraction(row[b.center], scale), k in survivors)
+        for k, b in enumerate(balls)
+    )
+    return WitnessResult(ext, y, trace, certificate)

@@ -1,8 +1,11 @@
 """Finite metric spaces over exact rationals.
 
 Provides metric-axiom validation with exact witnesses, the immutable
-:class:`FiniteMetricSpace` value type, and the ``.dmat`` text format
-(canonical, byte-stable, shared by the whole toolkit).
+:class:`FiniteMetricSpace` value type, the Katetov kernels, and the
+``.dmat`` text format (canonical, byte-stable, shared by the whole
+toolkit).  A space is held as a prefix holds it, as its lower triangle of
+ints over one canonical scale; a kernel reads the square rows it needs
+through :func:`square_rows`, and no ``.dmat`` command builds the square.
 
 ``.dmat`` format (UTF-8; lines end in LF or CRLF, and no other character
 breaks a line):
@@ -25,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, islice
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted, too_many_digits
 from .rational import as_rational, format_ratio, format_rational, parse_rational
@@ -60,11 +63,12 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def _scaled_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(rows, scale)`` with ``matrix[i][j] == rows[i][j] / scale`` and
-    ``scale`` the lcm of the entries' denominators: the common denominator
-    of a Fraction matrix (:func:`common_scale` is the one of integer rows
-    and values).  Raises :class:`NonSquareInput` for non-square inputs."""
+def _square_input(matrix) -> tuple[tuple[tuple[int, ...], ...], int, tuple[Violation, ...]]:
+    """The lower triangle ``lower[i][j] = d(i, j)``, ``j < i``, of a square
+    matrix as integers over ``scale``, the lcm of its entries'
+    denominators, and its violations: those of the diagonal and symmetry
+    stages, which only a square matrix has, or else the triangle's.
+    Raises :class:`NonSquareInput` for non-square inputs."""
     entries = [[as_rational(v) for v in row] for row in matrix]
     n = len(entries)
     if n == 0:
@@ -74,62 +78,7 @@ def _scaled_matrix(matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     denominators = {v.denominator for row in entries for v in row}
     scale = lcm(*denominators)
     factor = {q: scale // q for q in denominators}
-    return tuple(tuple(v.numerator * factor[v.denominator] for v in row) for row in entries), scale
-
-
-def _rescaled(rows: Sequence[Sequence[int]], num: int, den: int) -> list[list[int]]:
-    """``rows[i][j] * num // den`` for a symmetric matrix with a zero diagonal.
-    Each pair is computed once and the same int stored at ``(i, j)`` and
-    ``(j, i)``, so the copy costs no more memory than the original."""
-    out = [[0] * len(rows) for _ in rows]
-    for i, row in enumerate(rows):
-        out_i = out[i]
-        for j in range(i):
-            out_i[j] = out[j][i] = row[j] * num // den
-    return out
-
-
-def reduced(rows: Sequence[Sequence[int]], scale: int) -> tuple[Sequence[Sequence[int]], int]:
-    """``rows`` over ``scale`` moved to the canonical scale, the lcm of the
-    denominators of its entries."""
-    # The gcd of scale and every entry.  The scan starts at the last rows,
-    # which usually hold the largest denominators, and stops once nothing
-    # can cancel.
-    g = scale
-    for row in reversed(rows):
-        g = gcd(g, *row)
-        if g == 1:
-            return rows, scale
-    return _rescaled(rows, 1, g), scale // g
-
-
-def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
-    """Row ``x`` of the symmetric matrix with a zero diagonal whose entries
-    ``d(i, j)``, ``j < i``, are ``lower[i][j]``: ``d(x, j)`` for every j."""
-    return [*lower[x], 0, *(lower[k][x] for k in range(x + 1, len(lower)))]
-
-
-def common_scale(rows, scale: int, values: Sequence[Fraction]) -> tuple[Sequence, list[int], int]:
-    """The symmetric matrix ``rows / scale`` and the Fractions ``values`` (radii
-    or function values) as integers over ``common``, the lcm of their scales:
-    ``(rows', ints, common)``, with ``rows' is rows`` when the scale stays."""
-    common = lcm(scale, *(v.denominator for v in values))
-    if common != scale:
-        rows = _rescaled(rows, common // scale, 1)
-    return rows, [v.numerator * (common // v.denominator) for v in values], common
-
-
-def fraction_rows(rows: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
-    """The matrix ``rows[i][j] / scale`` as Fractions, one per distinct value."""
-    values = {v: Fraction(v, scale) for v in set().union(*rows)}
-    return tuple(tuple(values[v] for v in row) for row in rows)
-
-
-def _violations(rows: Sequence[Sequence[int]], scale: int) -> tuple[Violation, ...]:
-    # validate_metric's stages on the integers; only witnesses become Fractions.
-    # The diagonal and symmetry stages need the square matrix; the rest runs
-    # on its lower triangle.
-    n = len(rows)
+    rows = [[v.numerator * factor[v.denominator] for v in row] for row in entries]
 
     def q(v: int) -> Fraction:
         return Fraction(v, scale)
@@ -141,9 +90,61 @@ def _violations(rows: Sequence[Sequence[int]], scale: int) -> tuple[Violation, .
         Violation("symmetry", (i, j), q(rows[i][j]), q(rows[j][i]))
         for i, j in combinations(range(n), 2) if rows[i][j] != rows[j][i]
     ]
-    if found:
-        return tuple(found)
-    return _lower_violations([row[:i] for i, row in enumerate(rows)], scale)
+    lower = tuple(tuple(row[:i]) for i, row in enumerate(rows))
+    return lower, scale, tuple(found) or _lower_violations(lower, scale)
+
+
+def reduced(lower: list[list[int]], scale: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The lower triangle ``lower`` over ``scale`` moved to the canonical
+    scale, the lcm of the denominators of its entries, as tuples.  Each list
+    of ``lower`` is replaced as it is read, so the rows are not held twice."""
+    # The gcd of scale and every entry.  The scan starts at the last rows,
+    # which usually hold the largest denominators, and stops once nothing
+    # can cancel.
+    g = scale
+    for row in reversed(lower):
+        g = gcd(g, *row)
+        if g == 1:
+            break
+    for i, row in enumerate(lower):
+        lower[i] = tuple([v // g for v in row] if g > 1 else row)
+    return tuple(lower), scale // g
+
+
+def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
+    """Row ``x`` of the symmetric matrix with a zero diagonal whose entries
+    ``d(i, j)``, ``j < i``, are ``lower[i][j]``: ``d(x, j)`` for every j."""
+    return [*lower[x], 0, *(lower[k][x] for k in range(x + 1, len(lower)))]
+
+
+def square_rows(
+    lower: Sequence[Sequence[int]], points: Iterable[int], factor: int = 1
+) -> dict[int, list[int]]:
+    """``{x: row}`` for each x of ``points``, with row the
+    :func:`symmetric_row` x of ``lower`` times ``factor``: the rows a
+    Katetov kernel reads, made one per point read."""
+    if factor == 1:
+        return {x: symmetric_row(lower, x) for x in points}
+    return {x: [v * factor for v in symmetric_row(lower, x)] for x in points}
+
+
+def common_scale(
+    lower: Sequence[Sequence[int]], scale: int, points: Iterable[int], values: Sequence[Fraction]
+) -> tuple[dict[int, list[int]], list[int], int]:
+    """The rows at ``points`` of the symmetric matrix ``lower / scale`` (see
+    :func:`square_rows`) and the Fractions ``values`` (radii or function
+    values) as integers over ``common``, the lcm of their scales:
+    ``(rows, ints, common)``."""
+    common = lcm(scale, *(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    return square_rows(lower, points, common // scale), ints, common
+
+
+def fraction_rows(lower: Sequence[Sequence[int]], scale: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The symmetric matrix with a zero diagonal and entries ``lower[i][j] /
+    scale``, ``j < i``, as Fractions, one per distinct value."""
+    values = {v: Fraction(v, scale) for v in set().union(*lower, (0,))}
+    return tuple(tuple(values[v] for v in symmetric_row(lower, x)) for x in range(len(lower)))
 
 
 def _lower_violations(lower: Sequence[Sequence[int]], scale: int) -> tuple[Violation, ...]:
@@ -289,17 +290,12 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     Axioms are checked in stages — diagonal/symmetry, then positivity, then
     the triangle inequality — and a stage only runs when the previous ones
     hold, so each reported witness is meaningful on its own.  Every stage
-    runs on integers over the common denominator; the triangle stage is one
-    int64 scan on the entries shifted to fit, with each triple it flags
-    rechecked exactly.  Raises
-    :class:`NonSquareInput` for inputs that are not square matrices.
+    runs on integers over the common denominator, and the stages after
+    symmetry on the lower triangle; the triangle stage is one int64 scan on
+    the entries shifted to fit, with each triple it flags rechecked exactly.
+    Raises :class:`NonSquareInput` for inputs that are not square matrices.
     """
-    return validate_scaled_matrix(*_scaled_matrix(matrix))
-
-
-def validate_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> ValidationReport:
-    """:func:`validate_metric` on the square matrix ``rows[i][j] / scale``."""
-    violations = _violations(rows, scale)
+    violations = _square_input(matrix)[2]
     return ValidationReport(not violations, violations)
 
 
@@ -350,56 +346,71 @@ def katetov_row(d, points: Sequence[int], radii: Sequence[Fraction]) -> list[Fra
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """An n-point metric space given by its exact distance matrix.
+    """An n-point metric space given by its exact distances.
 
-    Distances are integers over one common denominator,
-    ``matrix[i][j] == Fraction(rows[i][j], scale)``, with ``scale`` the lcm
-    of their denominators; so two spaces are equal, and hash equal, iff
-    their matrices are.  Construction validates all axioms and raises
-    :class:`MetricViolation` otherwise.  Instances are immutable.
+    The space holds its lower triangle, ``distance(i, j) ==
+    Fraction(lower[i][j], scale)`` for ``j < i``, as integers over one
+    common denominator, ``scale``, the lcm of their denominators; so two
+    spaces are equal, and hash equal, iff their matrices are.  Construction
+    validates all axioms and raises :class:`MetricViolation` otherwise.
+    Instances are immutable.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    lower: tuple[tuple[int, ...], ...]
     scale: int
 
     def __init__(self, matrix):
-        self._set_validated(*_scaled_matrix(matrix))
+        """The space of a square matrix; its diagonal and symmetry are
+        checked here, and only its lower triangle is kept."""
+        self._set(*_square_input(matrix))
 
-    def _set_validated(self, rows: tuple[tuple[int, ...], ...], scale: int) -> None:
-        report = validate_scaled_matrix(rows, scale)
-        if not report.ok:
-            raise MetricViolation(report)
-        object.__setattr__(self, "rows", rows)
+    def _set(self, lower, scale: int, violations: tuple[Violation, ...] = ()) -> None:
+        # Keep lower / scale, on its canonical scale, unless it has violations.
+        if violations:
+            raise MetricViolation(ValidationReport(False, violations))
+        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "scale", scale)
 
     @classmethod
-    def _validated(cls, rows: tuple[tuple[int, ...], ...], scale: int) -> "FiniteMetricSpace":
-        """The space ``rows / scale``, given on its canonical scale; validated."""
+    def from_scaled_lower(cls, lower: list, scale: int) -> "FiniteMetricSpace":
+        """The space whose distances ``d(i, j)``, ``j < i``, are the ints
+        ``lower[i][j] / scale``, as :func:`parse_lower_triangle` gives them:
+        put on its canonical scale by :func:`reduced`, which replaces the
+        rows of the list ``lower`` in place, and validated."""
+        lower, scale = reduced(lower, scale)
         space = object.__new__(cls)
-        space._set_validated(rows, scale)
+        space._set(lower, scale, _lower_violations(lower, scale))
         return space
 
     @classmethod
-    def _trusted(cls, rows, scale: int) -> "FiniteMetricSpace":
-        """The space ``rows / scale``, proven a metric: put on its canonical scale, not validated."""
-        rows, scale = reduced(rows, scale)
+    def _trusted(cls, lower: tuple[tuple[int, ...], ...], scale: int) -> "FiniteMetricSpace":
+        """The space ``lower / scale``, given on its canonical scale and
+        proven a metric: not validated."""
         space = object.__new__(cls)
-        object.__setattr__(space, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(space, "scale", scale)
+        space._set(lower, scale)
         return space
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The square matrix of integers over ``scale``: a view made on each
+        access, at O(n^2) time and memory.  Not a field."""
+        return tuple(tuple(symmetric_row(self.lower, x)) for x in self.points())
 
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distance matrix as Fractions: a view made on first access and
         kept with the space, at O(n^2) time and memory.  Not a field."""
-        return fraction_rows(self.rows, self.scale)
+        return fraction_rows(self.lower, self.scale)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.lower)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return Fraction(self.rows[i][j], self.scale)
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"pair ({i}, {j}) out of range")
+        i, j = max(i, j), min(i, j)
+        return Fraction(self.lower[i][j] if i != j else 0, self.scale)
 
     def points(self) -> range:
         return range(self.n)
@@ -407,23 +418,16 @@ class FiniteMetricSpace:
     @classmethod
     def from_lower_triangle(cls, triangle: Sequence[Sequence]) -> "FiniteMetricSpace":
         """Build a space from rows ``[d(1,0)], [d(2,0), d(2,1)], ...``."""
-        return cls(_matrix_from_triangle(triangle))
+        rows = [[as_rational(v) for v in row] for row in triangle]
+        for i, row in enumerate(rows):
+            if len(row) != i + 1:
+                raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        lower = [[v.numerator * (scale // v.denominator) for v in row] for row in [[], *rows]]
+        return cls.from_scaled_lower(lower, scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FiniteMetricSpace(n={self.n})"
-
-
-def _matrix_from_triangle(triangle: Sequence[Sequence]) -> list[list[Fraction]]:
-    rows = [[as_rational(v) for v in row] for row in triangle]
-    n = len(rows) + 1
-    for i, row in enumerate(rows):
-        if len(row) != i + 1:
-            raise NonSquareInput(f"triangle row {i} has {len(row)} entries, wanted {i + 1}")
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(1, n):
-        for j in range(i):
-            matrix[i][j] = matrix[j][i] = rows[i - 1][j]
-    return matrix
 
 
 # A .dmat entry that parses as it stands: an unsigned integer or a ``p/q``
@@ -527,22 +531,6 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
     return rows, scale
 
 
-def parse_scaled_matrix(
-    text: str, max_points: int | None = None
-) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Parse ``.dmat`` syntax into ``(rows, scale)``: the symmetric matrix
-    ``rows[i][j] / scale`` on its canonical scale, as
-    :func:`_scaled_matrix` gives it, with no Fraction made and no metric
-    axiom checked.  A point count above ``max_points`` raises
-    :class:`TooLarge` before any row is read."""
-    lower, scale = parse_lower_triangle(text, max_points)
-    n = len(lower)
-    # Column i of the lower triangle, padded with zeros, is row i's upper part.
-    columns = list(zip(*(row + [0] * (n - i) for i, row in enumerate(lower))))
-    rows, scale = reduced([(*lower[i], *columns[i][i:]) for i in range(n)], scale)
-    return tuple(map(tuple, rows)), scale
-
-
 def _row_error(line: str, lineno: int, count: int) -> ParseError:
     # The first fault of a row that _ROW_RE refused, checked in order:
     # trailing whitespace, an empty field, the entry count, then each entry
@@ -569,8 +557,8 @@ def _row_error(line: str, lineno: int, count: int) -> ParseError:
 def parse_matrix_text(text: str) -> list[list[Fraction]]:
     """Parse ``.dmat`` syntax into a raw symmetric Fraction matrix, without
     validating the metric axioms (``validate_metric`` handles those
-    separately): a view of :func:`parse_scaled_matrix`."""
-    return [list(row) for row in fraction_rows(*parse_scaled_matrix(text))]
+    separately): a view of :func:`parse_lower_triangle`."""
+    return [list(row) for row in fraction_rows(*parse_lower_triangle(text))]
 
 
 def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMetricSpace:
@@ -578,9 +566,11 @@ def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMet
 
     Raises :class:`ParseError` for malformed syntax, :class:`TooLarge` for a
     point count above ``max_points``, and :class:`MetricViolation` when the
-    parsed matrix is not a metric.
+    parsed matrix is not a metric.  The lower triangle of the parse is
+    reduced to its canonical scale and kept; only the positivity and
+    triangle stages run, as the format can express no other fault.
     """
-    return FiniteMetricSpace._validated(*parse_scaled_matrix(text, max_points))
+    return FiniteMetricSpace.from_scaled_lower(*parse_lower_triangle(text, max_points))
 
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
@@ -592,15 +582,17 @@ def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_scaled_matrix(rows: Sequence[Sequence[int]], scale: int) -> str:
-    """Render the matrix ``rows[i][j] / scale`` in ``.dmat`` syntax: the same
-    text as :func:`serialize_matrix` gives for it, with no Fraction made."""
-    lines = [str(len(rows))]
-    for i in range(1, len(rows)):
-        lines.append(" ".join(format_ratio(v, scale) for v in rows[i][:i]))
+def serialize_scaled_matrix(lower: Sequence[Sequence[int]], scale: int) -> str:
+    """Render the matrix ``lower[i][j] / scale``, ``j < i``, in ``.dmat``
+    syntax: the same text as :func:`serialize_matrix` gives for it, with no
+    Fraction made.  Entries at ``j >= i``, as in a square matrix, are not
+    read."""
+    lines = [str(len(lower))]
+    for i in range(1, len(lower)):
+        lines.append(" ".join(format_ratio(v, scale) for v in lower[i][:i]))
     return "\n".join(lines) + "\n"
 
 
 def serialize_distance_matrix(space: FiniteMetricSpace) -> str:
     """Canonical ``.dmat`` text; inverse of :func:`parse_distance_matrix`."""
-    return serialize_scaled_matrix(space.rows, space.scale)
+    return serialize_scaled_matrix(space.lower, space.scale)

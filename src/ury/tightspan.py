@@ -26,7 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -36,7 +38,15 @@ from .errors import (
     SpaceMismatch,
     TooLarge,
 )
-from .metric import FiniteMetricSpace, common_scale, katetov_failure, katetov_row, point_index
+from .metric import (
+    FiniteMetricSpace,
+    common_scale,
+    katetov_failure,
+    katetov_row,
+    point_index,
+    square_rows,
+    symmetric_row,
+)
 from .rational import as_rational
 
 TIGHT_SPAN_MAX_POINTS = 7
@@ -45,10 +55,16 @@ HULL_MAX_SAMPLES = 2**16
 
 @dataclass(frozen=True)
 class KatetovFunction:
-    """A nonnegative rational function on the points of a space."""
+    """A nonnegative rational function on the points of a space.
+
+    ``f(x) == Fraction(ints[x], scale)``, with ``scale`` the lcm of
+    ``space.scale`` and the values' denominators; so two functions are
+    equal, and hash equal, iff their spaces and values are.
+    """
 
     space: FiniteMetricSpace
-    values: tuple[Fraction, ...]
+    ints: tuple[int, ...]
+    scale: int
 
     def __init__(self, space: FiniteMetricSpace, values: Sequence):
         values = tuple(as_rational(v) for v in values)
@@ -56,23 +72,47 @@ class KatetovFunction:
             raise ValueError(f"{len(values)} values for a {space.n}-point space")
         if any(v < 0 for v in values):
             raise ValueError("values must be nonnegative")
+        scale = lcm(space.scale, *(v.denominator for v in values))
+        self._set(space, [v.numerator * (scale // v.denominator) for v in values], scale)
+
+    def _set(self, space: FiniteMetricSpace, ints: Sequence[int], scale: int) -> None:
+        # ints / scale, over a multiple of space.scale, put on the canonical scale.
+        t = gcd(scale // space.scale, *ints)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ints", tuple([v // t for v in ints] if t > 1 else ints))
+        object.__setattr__(self, "scale", scale // t)
+
+    @classmethod
+    def _trusted(cls, space: FiniteMetricSpace, ints: Sequence[int], scale: int) -> KatetovFunction:
+        """The function ``ints / scale`` that the library computed: one
+        nonnegative value per point, over a multiple of ``space.scale``.
+        Not validated."""
+        f = object.__new__(cls)
+        f._set(space, ints, scale)
+        return f
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions.  Not a field."""
+        return tuple(Fraction(v, self.scale) for v in self.ints)
 
     def __call__(self, x: int) -> Fraction:
-        return self.values[x]
+        return Fraction(self.ints[x], self.scale)
+
+    def _rows(self) -> dict[int, list[int]]:
+        """Every row ``d(x, .)`` of the space over ``scale``, the kernels' input."""
+        return square_rows(self.space.lower, self.space.points(), self.scale // self.space.scale)
 
 
 def is_admissible_function(f: KatetovFunction) -> tuple[bool, tuple[int, int] | None]:
     """True iff d(x,y) <= f(x) + f(y) everywhere; else the first bad pair."""
-    d, values, _ = common_scale(f.space.rows, f.space.scale, f.values)
-    failure = katetov_failure(d, f.space.points(), values, two_sided=False)
+    failure = katetov_failure(f._rows(), f.space.points(), f.ints, two_sided=False)
     return (True, None) if failure is None else (False, failure[0])
 
 
 def is_extremal(f: KatetovFunction) -> bool:
     """Admissible and pointwise minimal (single-coordinate pinning test)."""
-    d, values, _ = common_scale(f.space.rows, f.space.scale, f.values)
+    d, values = f._rows(), f.ints
     if katetov_failure(d, f.space.points(), values, two_sided=False) is not None:
         return False
     n = f.space.n
@@ -92,7 +132,7 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
     changes nothing.  Values never increase, admissibility is preserved
     throughout, and extremal inputs are returned unchanged.
     """
-    d, values, scale = common_scale(g.space.rows, g.space.scale, g.values)
+    d, values = g._rows(), list(g.ints)
     failure = katetov_failure(d, g.space.points(), values, two_sided=False)
     if failure is not None:
         raise NotAdmissible(failure[0])
@@ -105,7 +145,7 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
             if target != values[x]:
                 values[x] = target
                 changed = True
-    return KatetovFunction(g.space, [Fraction(v, scale) for v in values])
+    return KatetovFunction._trusted(g.space, values, g.scale)
 
 
 def kuratowski(space: FiniteMetricSpace, a: int) -> KatetovFunction:
@@ -114,7 +154,7 @@ def kuratowski(space: FiniteMetricSpace, a: int) -> KatetovFunction:
     a = point_index(a)
     if not 0 <= a < space.n:
         raise ValueError(f"point index {a} out of range")
-    return KatetovFunction(space, [Fraction(v, space.scale) for v in space.rows[a]])
+    return KatetovFunction._trusted(space, symmetric_row(space.lower, a), space.scale)
 
 
 def sup_distance(f: KatetovFunction, g: KatetovFunction) -> Fraction:
@@ -144,11 +184,11 @@ def extend_radius_function(
         raise ValueError("subset index out of range")
     if any(v <= 0 for v in r):
         raise ValueError("radii must be positive")
-    d, radii, scale = common_scale(space.rows, space.scale, r)
+    d, radii, scale = common_scale(space.lower, space.scale, subset, r)
     failure = katetov_failure(d, subset, radii, two_sided=False)
     if failure is not None:
         raise NotAdmissibleOnSubset(failure[0])
-    return KatetovFunction(space, [Fraction(v, scale) for v in katetov_row(d, subset, radii)])
+    return KatetovFunction._trusted(space, katetov_row(d, subset, radii), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -206,23 +246,23 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
     space's common denominator ``space.scale``: every coordinate is half an
     alternating sum of distances, so ``2 * D * f`` is an integer.  Each
-    distinct vertex becomes Fractions once, at the end; no float is used.
+    vertex keeps these integers, reduced to its canonical scale and not
+    re-checked, and becomes Fractions only when its ``values`` are read; no
+    float is used.
     Every vertex is extremal, because the tight span is the union of the
     bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 7;
     larger spaces are rejected, never approximated.
     """
     check_vertex_limit(space.n)
+    found, _ = _vertex_search(square_rows(space.lower, space.points(), 2))
     scale = 2 * space.scale
-    found, _ = _vertex_search([[2 * v for v in row] for row in space.rows])
-    vertices = tuple(
-        KatetovFunction(space, [Fraction(x, scale) for x in v]) for v in sorted(found)
-    )
+    vertices = tuple(KatetovFunction._trusted(space, v, scale) for v in sorted(found))
     return TightSpanVertexSet(space, vertices)
 
 
-def _vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
+def _vertex_search(w: dict[int, list[int]]) -> tuple[set[tuple[int, ...]], int]:
     """The vertices of :func:`tight_span_vertices` on the even integer
-    matrix ``w``, and the number of constraint sets the search visits.
+    matrix ``w`` (its rows by point), and the number of constraint sets the search visits.
 
     The search keeps an explicit stack, not a recursive closure: a closure
     that refers to itself is a reference cycle, which outlives the call
@@ -351,13 +391,9 @@ def tripod_center(space: FiniteMetricSpace) -> KatetovFunction:
     ((d_ab + d_ac - d_bc)/2, ...)."""
     if space.n != 3:
         raise ValueError("tripod center is defined for 3-point spaces")
-    d = space.rows
-    legs = [
-        d[0][1] + d[0][2] - d[1][2],
-        d[0][1] + d[1][2] - d[0][2],
-        d[0][2] + d[1][2] - d[0][1],
-    ]
-    return KatetovFunction(space, [Fraction(leg, 2 * space.scale) for leg in legs])
+    (ab,), (ac, bc) = space.lower[1:]
+    legs = [ab + ac - bc, ab + bc - ac, ac + bc - ab]
+    return KatetovFunction._trusted(space, legs, 2 * space.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,14 @@ def test_extension_and_witness_run_no_triangle_scan(monkeypatch):
     rng = random.Random(41)
     spaces = [random_metric_space(rng, n) for n in (3, 5, 6)]
     families = [random_feasible_family(rng, space, 4) for space in spaces]
-    calls = record_calls(monkeypatch, metric_mod, ["_violations", "_triangle_scan"])
+    calls = record_calls(monkeypatch, metric_mod, ["_lower_violations", "_triangle_scan"])
     for space, family in zip(spaces, families):
         ext = extend_one_point(ExtensionRequest(space, [0, 1], [space.distance(0, 1)] * 2))
         assert ext.n == space.n + 1
         assert ball_intersection_witness(family).space.n == space.n + 1
     assert calls == []
     FiniteMetricSpace(ext.matrix)  # the validating constructor is seen
-    assert calls == ["_violations", "_triangle_scan"]
+    assert calls == ["_lower_violations", "_triangle_scan"]
 
 
 def test_extend_one_point_puts_the_base_on_scale_once(monkeypatch):
@@ -154,6 +154,21 @@ def test_extend_one_point_puts_the_base_on_scale_once(monkeypatch):
             extend_one_point(ExtensionRequest(space, [0, 1], [d / 3, d / 3]))
         assert calls == ["common_scale"]
         calls.clear()
+
+
+def test_extension_shares_the_base_rows_when_the_scale_stays():
+    # Radii on the base's scale add one row and reuse every base row object;
+    # radii off it (a 1/1009 offset) put every row on the new scale.
+    rng = random.Random(47)
+    for n in (2, 3, 6, 9):
+        space = random_metric_space(rng, n)
+        far = max(space.distance(0, x) for x in space.points())
+        for radii, kept in (([far + 1], True), ([far + Fraction(1, 1009)], False)):
+            ext = extend_one_point(ExtensionRequest(space, [0], radii))
+            assert len(ext.lower) == n + 1 and len(ext.lower[n]) == n
+            # Row 0 is the empty tuple, the same object in every space.
+            assert all(a is b for a, b in zip(ext.lower[1:], space.lower[1:])) == kept
+            assert ext == FiniteMetricSpace(extended_matrix(ExtensionRequest(space, [0], radii)))
 
 
 def test_midpoints_always_admissible():

@@ -36,6 +36,7 @@ from ury import (
     is_admissible_function,
     is_extremal,
     kuratowski,
+    parse_distance_matrix,
     reduce_ball_family,
     sup_distance,
     tight_span_vertices,
@@ -113,10 +114,36 @@ def test_extension_reduction_scans_to_the_first_row():
     assert (ext.rows, ext.scale) == (expected.rows, expected.scale) and ext.scale == 2
 
 
-def test_trusted_puts_rows_on_the_canonical_scale():
-    space = FiniteMetricSpace._trusted([[0, 2, 6], [2, 0, 4], [6, 4, 0]], 4)
-    assert (space.rows, space.scale) == (((0, 1, 3), (1, 0, 2), (3, 2, 0)), 2)
+def test_parse_and_computed_functions_are_on_the_canonical_scale():
+    space = parse_distance_matrix("3\n2/4\n6/4 4/4\n")
+    assert (space.lower, space.scale) == (((), (1,), (3, 2)), 2)
+    assert space.rows == ((0, 1, 3), (1, 0, 2), (3, 2, 0))
     assert space == FiniteMetricSpace.from_lower_triangle([["1/2"], ["3/2", 1]])
+    # The legs 2/4, 0/4 and 4/4 over twice the space's scale reduce to 2.
+    f = tripod_center(space)
+    assert (f.ints, f.scale) == ((1, 0, 2), 2)
+    assert f == KatetovFunction(space, ["1/2", 0, 1]) and hash(f) == hash(KatetovFunction(space, ["1/2", 0, 1]))
+
+
+def test_computed_functions_skip_the_validating_constructor(monkeypatch):
+    # kuratowski, extremal_below, extend_radius_function, tripod_center and
+    # every tight-span vertex come from the trusted constructor; each equals
+    # the function the validating one makes of the same values.
+    made = []
+    init = KatetovFunction.__init__
+    monkeypatch.setattr(KatetovFunction, "__init__", lambda self, *a: made.append(a) or init(self, *a))
+    rng = random.Random(113)
+    for n in (1, 3, 4, 6):
+        space = random_metric_space(rng, n)
+        g = KatetovFunction(space, [off_scale(rng, Fraction(2), Fraction(4)) for _ in space.points()])
+        made.clear()
+        results = [kuratowski(space, n - 1), extremal_below(g), *tight_span_vertices(space).vertices]
+        results.append(extend_radius_function(space, [0], [off_scale(rng, Fraction(1, 4), Fraction(3))]))
+        if n == 3:
+            results.append(tripod_center(space))
+        assert made == []
+        for f in results:
+            assert f == KatetovFunction(space, f.values) and f.scale == joint_scale(space, f.values)
 
 
 def random_family(rng: random.Random, space: FiniteMetricSpace) -> BallFamily:

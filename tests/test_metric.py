@@ -139,8 +139,8 @@ def _stretched_lower(rng: random.Random, n: int) -> tuple[list[list[Fraction]], 
     for _ in range(rng.randint(0, 3)):
         i, j = rng.sample(range(n), 2)
         rows[i][j] = rows[j][i] = rows[i][j] * rng.choice([2, 3, 50]) / rng.choice([1, 2, 7])
-    ints, scale = metric_mod._scaled_matrix(rows)
-    return rows, [list(row[:i]) for i, row in enumerate(ints)], scale
+    lower, scale, _ = metric_mod._square_input(rows)
+    return rows, list(map(list, lower)), scale
 
 
 def test_shifted_scan_matches_oracle(monkeypatch):
@@ -166,7 +166,7 @@ def test_shifted_scan_matches_oracle(monkeypatch):
                 assert metric_mod.validate_lower_triangle(lower, scale) == oracle
         assert oracle.ok == oracle_is_metric(rows)
         broken += not oracle.ok
-        shifted += max(map(max, metric_mod._scaled_matrix(rows)[0])) >= 2**8
+        shifted += max(map(max, lower[1:])) >= 2**8
     assert 100 < broken < 240
     assert shifted > 150  # most spaces are shifted even at the 8-bit bound
 
@@ -394,6 +394,10 @@ def test_space_equality_and_hash_follow_the_metric():
     assert (halves.rows, halves.scale) == (((0, 1), (1, 0)), 2)
     assert halves == same and hash(halves) == hash(same)
     assert halves != FiniteMetricSpace([[0, 1], [1, 0]])
+    assert halves.distance(1, 0) == halves.distance(0, 1) == Fraction(1, 2)
+    for pair in ((2, 2), (0, 2), (-1, 0)):
+        with pytest.raises(IndexError):
+            halves.distance(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,9 @@ def test_integer_parse_matches_the_fraction_oracle():
         texts.append(f"{n}\n" + "".join(" ".join(_spelled(rng, v) for v in row) + "\n" for row in values[1:]))
     for text in texts:
         oracle = oracle_parse_matrix(text)
-        assert metric_mod.parse_scaled_matrix(text) == metric_mod._scaled_matrix(oracle), text
+        assert metric_mod.reduced(*metric_mod.parse_lower_triangle(text)) == (
+            metric_mod._square_input(oracle)[:2]
+        ), text
         assert metric_mod.parse_matrix_text(text) == oracle
 
 
@@ -513,6 +519,29 @@ def test_lower_triangle_parse_holds_the_values_written():
         text = f"{n}\n" + "".join(" ".join(_spelled(rng, v) for v in row) + "\n" for row in values[1:])
         lower, scale = metric_mod.parse_lower_triangle(text)
         assert [[Fraction(v, scale) for v in row] for row in lower] == values
+
+
+def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch):
+    # A .dmat space runs the positivity and triangle stages on the parsed
+    # triangle, reduced to its canonical scale, and no stage or view that
+    # needs a square matrix.
+    rng = random.Random(1013)
+    for n in (1, 2, 5, 12):
+        space = random_metric_space(rng, n, closure=n > 2)
+        # The canonical text, and every entry over twice the scale.
+        doubled = f"{n}\n" + "".join(
+            " ".join(f"{2 * v}/{2 * space.scale}" for v in row) + "\n" for row in space.lower[1:]
+        )
+        names = ["parse_lower_triangle", "reduced", "_lower_violations", "_square_input",
+                 "symmetric_row", "square_rows", "fraction_rows"]
+        for source in (serialize_distance_matrix(space), doubled):
+            calls = record_calls(monkeypatch, metric_mod, names)
+            parsed = parse_distance_matrix(source)
+            assert calls == ["parse_lower_triangle", "reduced", "_lower_violations"]
+            assert parsed == space and parsed.scale == space.scale
+            assert [len(row) for row in parsed.lower] == list(range(n))
+            assert all(type(row) is tuple for row in parsed.lower)
+            monkeypatch.undo()
 
 
 @pytest.mark.parametrize(
@@ -564,7 +593,7 @@ def test_integer_parse_errors_match_the_fraction_oracle(text):
     with pytest.raises(ParseError) as expected:
         oracle_parse_matrix(text)
     with pytest.raises(ParseError) as got:
-        metric_mod.parse_scaled_matrix(text)
+        parse_distance_matrix(text)
     assert (got.value.line, got.value.column, got.value.reason) == (
         expected.value.line, expected.value.column, expected.value.reason
     )
@@ -630,7 +659,7 @@ def test_long_bad_input_is_quoted_to_a_bounded_prefix(text, bad):
     with pytest.raises(ParseError) as expected:
         oracle_parse_matrix(text)
     with pytest.raises(ParseError) as got:
-        metric_mod.parse_scaled_matrix(text)
+        parse_distance_matrix(text)
     assert got.value.reason == expected.value.reason
     cut = "..." if len(bad) > 40 else ""
     assert got.value.reason.endswith(f"{bad[:40]!r}{cut}")
@@ -657,7 +686,7 @@ LONG = "7" * (INT_DIGITS + 1)
          "repeated_denominator", "all_slash_denominator"],
 )
 def test_integers_past_the_int_string_limit_are_parse_errors(text, line, column):
-    for parse in (metric_mod.parse_lower_triangle, metric_mod.parse_scaled_matrix):
+    for parse in (metric_mod.parse_lower_triangle, parse_distance_matrix):
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.column) == (line, column)
@@ -693,7 +722,7 @@ def test_katetov_row_matches_the_per_point_oracle():
                 radii = [space.matrix[points[0]][x] + Fraction(1, 4) for x in points]
             expected = oracle_katetov_row(space.matrix, points, radii)
             assert metric_mod.katetov_row(space.matrix, points, radii) == expected
-            d, ints, scale = metric_mod.common_scale(space.rows, space.scale, radii)
+            d, ints, scale = metric_mod.common_scale(space.lower, space.scale, points, radii)
             row = metric_mod.katetov_row(d, points, ints)
             assert [Fraction(v, scale) for v in row] == expected
             assert all(type(v) is int for v in row)

@@ -1,5 +1,5 @@
-"""Time and peak memory of ``ury export`` and ``ury verify`` on prefixes of
-several sizes.
+"""Time and peak memory of ``ury export``, ``ury verify`` and the two other
+``.dmat`` commands on prefixes of several sizes.
 
     python3 tools/verify_sizes.py                     # 350, 450, 1000, 2000 points
     python3 tools/verify_sizes.py --points 350,450
@@ -13,10 +13,14 @@ which also times the calls that the command makes into ``ury.metric``:
 ``parse_s`` is the time inside its ``parse_*`` functions and
 ``validate_s`` the time inside its ``validate_*`` functions (outermost
 calls only), ``verify_s`` the whole command; ``wall_s`` adds the
-interpreter's start.  All times are raw wall clock.  ``maxrss_mib`` is the
-verify child's ``ru_maxrss``, read with ``os.wait4``.  One JSON line is
-printed per size; the exit status is 1 unless every export succeeded and
-verified as a metric.
+interpreter's start.  Then ``ury tightspan --kuratowski 1`` and ``ury extend
+--support 1 --radii 1`` each read the same file in a fresh child:
+``kuratowski_s`` and ``extend_s`` are the commands, ``kuratowski_maxrss_mib``
+and ``extend_maxrss_mib`` the children's peaks.  All times are raw wall
+clock.  ``maxrss_mib`` is the verify child's ``ru_maxrss``, read with
+``os.wait4``.  One JSON line is printed per size; the exit status is 1
+unless every export succeeded, verified as a metric, and both other
+commands exited 0.
 """
 
 from __future__ import annotations
@@ -129,6 +133,14 @@ def main() -> int:
             result = measured(env, CHILD, str(dmat))
             result["wall_s"] = time.perf_counter() - start
             good = result["exit"] == 0 and result["stdout"] == f"OK: metric on {n} points"
+            for name, flags in (("kuratowski", ["tightspan", "--kuratowski", "1"]),
+                                ("extend", ["extend", "--support", "1", "--radii", "1"])):
+                other = measured(env, COMMAND, *flags, "--dmat", str(dmat))
+                good &= other["exit"] == 0
+                result[f"{name}_s"] = other.get("command_s")
+                result[f"{name}_maxrss_mib"] = other["maxrss_mib"]
+                if other["exit"] != 0:
+                    result[f"{name}_stderr"] = other.get("stderr", "")
             ok &= good
             print(json.dumps({"points": n, "bytes": dmat.stat().st_size, "ok": good,
                               "export_s": export["command_s"],
