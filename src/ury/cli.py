@@ -32,6 +32,7 @@ from .errors import (
     InvalidPartialIsometry,
     PairwiseInfeasible,
     ParseError,
+    TooLarge,
     UryError,
 )
 from .rational import format_ratio, format_rational, parse_int, parse_rational
@@ -170,15 +171,14 @@ def cmd_build(args) -> int:
         try:
             text = _read_text(cache_path)
             # One line per point; replay no more of the cache than is asked for.
-            cached = construct.load_prefix_text(text, min(args.points, len(text.splitlines())))
-            if cached.mode_tag == mode.tag:
-                resume = cached
+            resume = construct.load_prefix_text(text, min(args.points, len(text.splitlines())))
         except (ParseError, OSError):
             resume = None
     try:
         state = construct.build_prefix(args.points, mode, resume=resume)
     except InvalidMode:
-        # Cache disagrees with the requested enumeration: rebuild from scratch.
+        # The cache's mode tag or labels disagree with the requested
+        # enumeration: rebuild from scratch.
         resume = None
         state = construct.build_prefix(args.points, mode)
 
@@ -198,7 +198,8 @@ def cmd_build(args) -> int:
 
 def cmd_export(args) -> int:
     state = construct.load_prefix(args.cache, args.points)
-    construct.write_atomically(args.out, construct.export_lines(state))
+    rows = map(state.row, range(1, state.m))
+    construct.write_atomically(args.out, metric.dmat_lines(state.m, rows, state.scale))
     print(f"wrote {state.m}-point distance matrix to {args.out}")
     return 0
 
@@ -251,6 +252,9 @@ def cmd_balls(args) -> int:
         (_json_value(b["center"], int, "a center") - 1, parse_rational(str(b["radius"])))
         for b in _json_items(data["balls"], dict, '"balls"')
     ]
+    # The reduction is O(k^2) in k balls: bound k as a prefix's points are.
+    if len(balls) > construct.PREFIX_MAX_POINTS:
+        raise TooLarge(f"a ball family is limited to {construct.PREFIX_MAX_POINTS} balls")
     family = extension.BallFamily(space, balls)
     try:
         result = extension.ball_intersection_witness(family)

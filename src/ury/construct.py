@@ -38,10 +38,10 @@ import os
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from math import comb, gcd, lcm
-from operator import add, floordiv
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .errors import (
     InvalidMode,
@@ -58,20 +58,18 @@ from .metric import (
     katetov_failure,
     katetov_row,
 )
-from .rational import as_rational, format_ratio, format_rational, parse_rational
+from .rational import as_rational, format_rational, parse_rational
 
 ENUMERATION_VERSION = "cw1"
 
 # A build keeps O(m·w) ints for labels of at most w elements (w <= 11 below
-# 4000 points): `ury build --points 4000` takes 0.12 s and 36 MiB peak RSS in
-# a fresh process, cold, and 0.18 s and 39 MiB resumed from 3600 points
-# (tools/prefix_sizes.py).  No row is kept: `ury isom-extend` whose image is
-# the last point takes 0.03 / 0.08 / 0.15 s and 18 / 20 / 24 MiB at 1000 /
-# 2000 / 4000 points in the same script, and `ury embed` that finds its map
-# among the first points searches for 0.003 / 0.007 / 0.012 s and peaks at
-# 31 / 33 / 37 MiB (tools/embed_sizes.py).  An `embed` that finds nothing
-# builds its whole index, one position per ordered pair of points: 0.9 /
-# 4.3 / 25 s and 160 / 613 / 2574 MiB.
+# 4000 points), and no row.  tools/command_sizes.py, medians of three at 1000
+# / 2000 / 4000 points: `ury build` 0.03 / 0.08 / 0.16 s and 17 / 19 / 23 MiB
+# cold, 0.04 / 0.08 / 0.17 s and 18 / 21 / 27 MiB resumed from 0.9·N points;
+# `isom-extend` to the last point 0.03 / 0.07 / 0.15 s and 18 / 19 / 24 MiB;
+# an `embed` found among the first points searches 0.003 / 0.005 / 0.010 s,
+# and one that finds nothing builds its whole index, one position per
+# ordered pair of points: 0.6 / 4.1 / 19 s and 147 / 600 / 2561 MiB.
 PREFIX_MAX_POINTS = 4000
 
 SET_COLLAPSE = "set-collapse"
@@ -649,39 +647,6 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
         return state
     return _built_state(state.heads, state.steps[: m - 1], state.scale, state.log[: m - 1],
                         state.mode_tag, state.running_max[:m])
-
-
-class _DenominatorText(dict):
-    # The gcd g of an entry and scale -> the text after the entry's reduced
-    # numerator: "/" and its denominator scale // g, or "" when that is 1.
-    __slots__ = ("scale",)
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, g: int) -> str:
-        den = self.scale // g
-        text = self[g] = f"/{den}" if den != 1 else ""
-        return text
-
-
-def export_lines(state: PrefixState) -> Iterator[str]:
-    """The ``.dmat`` text of ``state``, one line at a time, each ending in
-    LF: together the text of ``metric.serialize_scaled_matrix`` of its rows
-    and ``state.scale``.  Each row is made for its line by
-    :meth:`PrefixState.row` and dropped after it."""
-    scale = state.scale
-    denominator = _DenominatorText(scale)
-    yield f"{state.m}\n"
-    for i, record in enumerate(state.steps, start=1):
-        if isinstance(record, int):  # a Case-1 row repeats one distance
-            yield " ".join([format_ratio(record, scale)] * i) + "\n"
-            continue
-        row = state.row(i)
-        g = list(map(gcd, row, repeat(scale, i)))
-        numerators = map(str, map(floordiv, row, g))
-        yield " ".join(map(add, numerators, map(denominator.__getitem__, g))) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -174,11 +174,13 @@ class ReductionTrace:
 def reduce_ball_family(family: BallFamily) -> ReductionTrace:
     """Discard containing balls until the two-sided condition holds pairwise.
 
-    A ball ``i`` is removable when some surviving ``j`` has
-    ``r_i > d(x_i, x_j) + r_j`` (then ``B(x_j, r_j)`` lies strictly inside
-    ``B(x_i, r_i)``, so ``i`` is redundant for the intersection).  Each pass
-    removes the lowest-index removable ball and rescans, which makes the
-    trace deterministic.
+    Ball ``j`` lies strictly inside ball ``i`` when ``r_i > d(x_i, x_j) +
+    r_j``; then ``i`` is redundant.  This is a strict partial order
+    (transitive by the triangle inequality), so the rescan that removes the
+    lowest-index ball with a surviving ball inside it, which makes the trace
+    deterministic, removes exactly the non-minimal balls in index order,
+    each dominated by the lowest-index ball inside it not removed before it.
+    That trace is computed here in O(k^2) for k balls, not O(k^3).
     """
     centers, radii = zip(*family.balls)
     d, r, scale = common_scale(family.base.lower, family.base.scale, centers, radii)
@@ -187,24 +189,32 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
         (i, j), _ = failure
         lhs = family.base.distance(centers[i], centers[j])
         raise PairwiseInfeasible((i, j), lhs, radii[i] + radii[j])
-    survivors = list(range(len(r)))
-    removals: list[RemovalRecord] = []
-    while True:
-        removal = None
-        for i in survivors:
-            for j in survivors:
-                if j == i:
-                    continue
-                bound = d[centers[i]][centers[j]] + r[j]
-                if r[i] > bound:
-                    removal = RemovalRecord(i, j, radii[i], Fraction(bound, scale))
+    # first[i]: the lowest j with ball j inside ball i, or None.  A ball of
+    # the least radius has none inside it: r_i > d(x_i, x_j) + r_j >= r_j.
+    balls, low = list(zip(centers, r)), min(r)
+    first: list[int | None] = []
+    for c, r_i in balls:
+        row, j = d[c], None
+        if r_i > low:
+            for j, (x, r_j) in enumerate(balls):
+                if r_i > row[x] + r_j:
                     break
-            if removal:
-                break
-        if removal is None:
-            return ReductionTrace(tuple(survivors), tuple(removals))
-        survivors.remove(removal.removed)
-        removals.append(removal)
+            else:
+                j = None
+        first.append(j)
+    survivors, removals = [], []
+    for i, j in enumerate(first):
+        if j is None:
+            survivors.append(i)
+            continue
+        # Pass the balls inside i removed before it; a minimal one follows.
+        row, r_i = d[centers[i]], r[i]
+        while j < i and first[j] is not None:
+            j += 1
+            while not r_i > row[centers[j]] + r[j]:
+                j += 1
+        removals.append(RemovalRecord(i, j, radii[i], Fraction(row[centers[j]] + r[j], scale)))
+    return ReductionTrace(tuple(survivors), tuple(removals))
 
 
 class CertificateEntry(NamedTuple):

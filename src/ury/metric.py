@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -439,7 +439,7 @@ _TOKEN_RE = re.compile(_TOKEN)
 _ROW_RE = re.compile(f"{_TOKEN}(?: {_TOKEN})*")
 
 
-def _dmat_lines(text: str) -> Iterator[str]:
+def _split_lines(text: str) -> Iterator[str]:
     # The lines of .dmat text: split on LF only, one CR dropped from the end
     # of each, and no empty line after a final LF.
     start, end = 0, len(text)
@@ -471,7 +471,7 @@ def _point_count(head: str | None, max_points: int | None) -> int:
 def dmat_point_count(text: str) -> int:
     """The point count on the first line of ``.dmat`` text, checked as the
     parse checks it, with no distance row read."""
-    return _point_count(next(_dmat_lines(text), None), None)
+    return _point_count(next(_split_lines(text), None), None)
 
 
 class _Denominators(dict):
@@ -487,7 +487,7 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
     written (not reduced), and no metric axiom checked.  Each row is turned
     into ints as soon as it is read.  A point count above ``max_points``
     raises :class:`TooLarge` before any row is read."""
-    lines = _dmat_lines(text)
+    lines = _split_lines(text)
     n = _point_count(next(lines, None), max_points)
     count = text.count("\n") + (not text.endswith("\n"))
     if count > n:
@@ -582,17 +582,38 @@ def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def serialize_scaled_matrix(lower: Sequence[Sequence[int]], scale: int) -> str:
-    """Render the matrix ``lower[i][j] / scale``, ``j < i``, in ``.dmat``
-    syntax: the same text as :func:`serialize_matrix` gives for it, with no
-    Fraction made.  Entries at ``j >= i``, as in a square matrix, are not
-    read."""
-    lines = [str(len(lower))]
-    for i in range(1, len(lower)):
-        lines.append(" ".join(format_ratio(v, scale) for v in lower[i][:i]))
-    return "\n".join(lines) + "\n"
+class _DenominatorText(dict):
+    # The gcd g of an entry and the scale -> the text after its reduced
+    # numerator: "/" and the denominator scale // g, or "" when that is 1.
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, g: int) -> str:
+        den = self.scale // g
+        text = self[g] = f"/{den}" if den != 1 else ""
+        return text
+
+
+def dmat_lines(n: int, rows: Iterable[Sequence[int]], scale: int) -> Iterator[str]:
+    """The ``.dmat`` lines, each ending in LF, of the n-point matrix whose
+    rows 1..n-1 are ``rows`` over ``scale`` (row i holds ``d(i, j) * scale``,
+    ``j < i``): the text of :func:`serialize_matrix`, with no Fraction made.
+    A row that repeats one value is formatted once; any other entry costs
+    one gcd, its denominator text cached per gcd."""
+    denominator = _DenominatorText(scale)
+    yield f"{n}\n"
+    for row in rows:
+        if row.count(row[0]) == len(row):
+            yield " ".join([format_ratio(row[0], scale)] * len(row)) + "\n"
+            continue
+        g = list(map(gcd, row, repeat(scale, len(row))))
+        numerators = map(str, map(operator.floordiv, row, g))
+        yield " ".join(map(operator.add, numerators, map(denominator.__getitem__, g))) + "\n"
 
 
 def serialize_distance_matrix(space: FiniteMetricSpace) -> str:
     """Canonical ``.dmat`` text; inverse of :func:`parse_distance_matrix`."""
-    return serialize_scaled_matrix(space.lower, space.scale)
+    return "".join(dmat_lines(space.n, space.lower[1:], space.scale))

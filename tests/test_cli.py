@@ -1,3 +1,5 @@
+import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,13 +13,14 @@ from ury import (
     build_prefix,
     construct,
     embed,
+    extension,
     find_isometric_embedding,
     load_prefix,
     serialize_distance_matrix,
     truncate_prefix,
 )
-from ury.cli import main
-from ury.metric import FiniteMetricSpace, parse_matrix_text, serialize_matrix, serialize_scaled_matrix
+from ury.cli import build_parser, main
+from ury.metric import FiniteMetricSpace, dmat_lines, parse_matrix_text, serialize_matrix
 
 from helpers import oracle_build_prefix
 
@@ -151,6 +154,20 @@ def test_export_matches_the_fraction_oracle(tmp_path, capsys):
         for k in (1, 2, 45, 90):
             assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
             assert dmat.read_text() == serialize_matrix([row[:k] for row in oracle.rho[:k]]), (mode, k)
+
+
+def test_export_text_is_the_serialised_space_and_fraction_matrix(tmp_path, capsys):
+    # A 60-point prefix has Case-1 rows (one repeated distance) and Case-2
+    # rows; its 1- and 2-point exports have no row or one entry.
+    cache, dmat = tmp_path / "p.ury", tmp_path / "p.dmat"
+    run(capsys, "build", "--points", "60", "--out", str(cache))
+    state = load_prefix(cache)
+    assert {type(record) for record in state.steps} == {int, tuple}
+    for k in (1, 2, 60):
+        assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
+        part = truncate_prefix(state, k)
+        space = FiniteMetricSpace.from_scaled_lower([list(part.row(i)) for i in range(k)], part.scale)
+        assert dmat.read_text() == serialize_distance_matrix(space) == serialize_matrix(part.rho)
 
 
 def test_a_failed_export_leaves_the_old_file(tmp_path, capsys, monkeypatch):
@@ -287,7 +304,7 @@ def test_verify_quotes_a_bounded_prefix_of_a_one_line_file(tmp_path, capsys):
     # file is one header line, and the error quotes only its first 40
     # characters.
     state = build_prefix(1000)
-    lines = serialize_scaled_matrix(list(map(state.row, range(state.m))), state.scale).splitlines()
+    lines = "".join(dmat_lines(state.m, map(state.row, range(1, state.m)), state.scale)).splitlines()
     for sep in (" ", "\x1c"):
         f = tmp_path / "one-line.dmat"
         f.write_bytes(sep.join(lines).encode())
@@ -635,6 +652,50 @@ def test_a_dmat_over_the_point_bound_is_refused_before_its_rows(tmp_path, capsys
         "error": "TooLarge",
         "detail": "a distance matrix is limited to 11 points",
     }
+
+
+def test_a_ball_family_over_the_bound_is_refused_before_any_pair(tmp_path, capsys, monkeypatch):
+    family = tmp_path / "family.json"
+
+    def balls(k: int) -> list[str]:
+        family.write_text(json.dumps({"dmat": "2\n1\n", "balls": [{"center": 1, "radius": "1"}] * k}))
+        return ["balls", "--family", str(family)]
+
+    def no_pair(*args, **kwargs):
+        raise AssertionError("a pair of balls was checked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(construct, "PREFIX_MAX_POINTS", 11)
+        assert run(capsys, *balls(11))[0] == 0
+    monkeypatch.setattr(extension, "katetov_failure", no_pair)
+    code, stdout, stderr = run(capsys, *balls(construct.PREFIX_MAX_POINTS + 1))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "TooLarge",
+        "detail": f"a ball family is limited to {construct.PREFIX_MAX_POINTS} balls",
+    }
+
+
+def test_the_size_tool_runs_every_subcommand():
+    # Loading the tool as a module starts no child process.
+    path = Path(__file__).resolve().parents[1] / "tools" / "command_sizes.py"
+    spec = importlib.util.spec_from_file_location("command_sizes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parser = build_parser()
+    (subcommands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(tool.COMMANDS) == sorted(subcommands)
+    for command, runs in tool.COMMANDS.items():
+        assert runs
+        for _, argv in runs:
+            args = parser.parse_args([token.format(n=10, d="work") for token in argv.split()])
+            assert args.command == command
+    # Every timed name is a function of the library.
+    for command, timed in tool.TIMED.items():
+        assert command in subcommands
+        for target in timed.values():
+            module, _, prefix = target.partition(".")
+            assert any(name.startswith(prefix) for name in dir(importlib.import_module(f"ury.{module}")))
 
 
 def test_hull_check_builtins(capsys):

@@ -189,6 +189,34 @@ def test_ball_reduction_matches_the_fraction_oracle():
     assert min(seen.values()) > 30
 
 
+def test_ball_reduction_matches_the_oracle_on_structured_families():
+    # 60 balls: 20 identical ones, a nested chain of 20 (each inside the
+    # next, or inside the one before), then 20 at two centres with radii on a
+    # coarse grid.  Every radius is at least the largest distance, so every
+    # family is feasible; many balls are removed and many radii tie.
+    rng = random.Random(211)
+    removed = 0
+    for trial in range(24):
+        space = random_metric_space(rng, rng.randint(1, 5))
+        top = max([space.distance(i, j) for i in space.points() for j in range(i)], default=Fraction(1))
+        identical = [(rng.randrange(space.n), 2 * top)] * 20
+        chain = [(rng.randrange(space.n), 3 * top + k * (top + 1)) for k in range(20)]
+        if trial % 2:
+            chain.reverse()
+        centres = [rng.randrange(space.n) for _ in range(2)]
+        duplicates = [(rng.choice(centres), top * rng.randint(1, 6)) for _ in range(20)]
+        balls = identical + chain + duplicates
+        if trial % 3 == 2:
+            rng.shuffle(balls)
+        family = BallFamily(space, balls)
+        trace = reduce_ball_family(family)
+        assert ("reduced", trace.survivors, tuple(map(tuple, trace.removals))) == (
+            oracle_reduce_ball_family(family)
+        )
+        removed += len(trace.removals)
+    assert removed >= 24 * 20
+
+
 def test_tightspan_functions_match_the_fraction_oracles():
     rng = random.Random(107)
     seen = {"admissible": 0, "inadmissible": 0, "extremal": 0, "rescaled": 0}

@@ -560,7 +560,7 @@ def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch)
     ],
 )
 def test_dmat_lines_break_on_lf_only(text, lines):
-    assert list(metric_mod._dmat_lines(text)) == lines
+    assert list(metric_mod._split_lines(text)) == lines
 
 
 @pytest.mark.parametrize("text", ["3\x1c1\x1c2 3", "3\u20281\u20282 3\n", "2\n1\x1d", "2\r1\r"])
