@@ -6,6 +6,9 @@ Provides metric-axiom validation with exact witnesses, the immutable
 toolkit).  A space is held as a prefix holds it, as its lower triangle of
 ints over one canonical scale; a kernel reads the square rows it needs
 through :func:`square_rows`, and no ``.dmat`` command builds the square.
+The triangle scan of a space of fewer than ``_NUMPY_MIN_N`` points is a
+loop in Python ints, so validating a small space never loads numpy; only a
+larger one is scanned in numpy.
 
 ``.dmat`` format (UTF-8; lines end in LF or CRLF, and no other character
 breaks a line):
@@ -180,6 +183,14 @@ def _lower_violations(lower: Sequence[Sequence[int]], scale: int) -> tuple[Viola
 # in cache.
 _TILE = 64
 
+# The least point count whose triangle scan runs in numpy.  A smaller space is
+# scanned in Python ints (_small_scan), which never loads numpy.  19 is the
+# least size at which the Python loop took longer per call than the numpy
+# scan with numpy already imported, on the path metric; seeded shortest-path
+# closures and strict spaces crossed at 20 to 23 points
+# (tools/scan_crossover.py).
+_NUMPY_MIN_N = 19
+
 
 def _candidates(lower: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     # numpy is imported by the two functions that use it, so that a command
@@ -207,6 +218,39 @@ def _candidates(lower: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]
     return m, candidate
 
 
+def _small_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
+    # _triangle_scan in Python ints, read from lower itself.  m[x] is the
+    # nearest-neighbour distance of x, a running minimum of the columns from
+    # the last row up, and only a pair with d(a,b) > m[a] + m[b] can break
+    # (see _candidates).  Such a pair's mids go in three runs: below a, where
+    # both distances lie in rows a and b, between a and b, and above b.
+    n = len(lower)
+    m = [*lower[-1], min(lower[-1])]
+    for x in range(n - 2, 0, -1):
+        row = lower[x]
+        m[x] = min(m[x], *row)
+        m[:x] = map(min, m[:x], row)
+    found = []
+    for b in range(1, n):
+        row_b, m_b = lower[b], m[b]
+        for a, top in enumerate(row_b):
+            if top <= m[a] + m_b:
+                continue
+            row_a = lower[a]
+            for mid in range(a):
+                if top > row_a[mid] + row_b[mid]:
+                    found.append((a, b, mid))
+            for mid in range(a + 1, b):
+                if top > lower[mid][a] + row_b[mid]:
+                    found.append((a, b, mid))
+            for mid in range(b + 1, n):
+                row = lower[mid]
+                if top > row[a] + row[b]:
+                    found.append((a, b, mid))
+    found.sort()
+    return found
+
+
 def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     # Every (a, b, mid) with a < b and d(a,b) > d(a,mid) + d(mid,b), sorted, on
     # the positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points.
@@ -227,12 +271,16 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     # where one passes are searched for their triples, which are rechecked
     # at once.  The n x n candidate
     # flags are reduced to each tile's rows and columns before the int64
-    # matrix is made, and without a candidate no matrix is made.  When the
-    # largest entry is at most twice the smallest, d(a,b) <= 2 min <=
-    # d(a,mid) + d(mid,b) for every triple, and numpy is not even loaded.
+    # matrix is made, and without a candidate no matrix is made.
+    # numpy is loaded only for a space of _NUMPY_MIN_N points or more that
+    # can break a triangle.  When the largest entry is at most twice the
+    # smallest, d(a,b) <= 2 min <= d(a,mid) + d(mid,b) for every triple, and
+    # the scan ends here; a smaller space goes to _small_scan.
     top = max(map(max, islice(lower, 1, None)))
     if top <= 2 * min(map(min, islice(lower, 1, None))):
         return []
+    if len(lower) < _NUMPY_MIN_N:
+        return _small_scan(lower)
     import numpy as np
 
     n = len(lower)
@@ -291,8 +339,10 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     the triangle inequality — and a stage only runs when the previous ones
     hold, so each reported witness is meaningful on its own.  Every stage
     runs on integers over the common denominator, and the stages after
-    symmetry on the lower triangle; the triangle stage is one int64 scan on
-    the entries shifted to fit, with each triple it flags rechecked exactly.
+    symmetry on the lower triangle.  The triangle stage is an exact loop in
+    Python ints below ``_NUMPY_MIN_N`` points, and from there one int64 scan
+    on the entries shifted to fit, with each triple it flags rechecked
+    exactly.
     Raises :class:`NonSquareInput` for inputs that are not square matrices.
     """
     violations = _square_input(matrix)[2]

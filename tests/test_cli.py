@@ -207,23 +207,64 @@ def test_build_and_export_do_not_load_numpy(tmp_path):
     assert result.stdout.splitlines()[-1] == "False"
 
 
-def test_tightspan_vertices_on_an_equilateral_space_does_not_load_numpy(tmp_path):
-    # No triangle can break when the largest distance is at most twice the
-    # smallest, so the validation ends before the numpy scan.
-    (tmp_path / "e.dmat").write_text("4\n1\n1 1\n1 1 1\n")
+# Small .dmat inputs, each of whose largest distance is more than twice its
+# smallest except the equilateral space's: the 5-point path (points 0, 1, 3,
+# 6 and 10 of a line), a 3-point target, and a ball family on the path.
+SMALL_INPUTS = {
+    "e.dmat": "4\n1\n1 1\n1 1 1\n",
+    "path.dmat": "5\n1\n3 2\n6 5 3\n10 9 7 4\n",
+    "t.dmat": "3\n1\n3 2\n",
+    "family.json": json.dumps({"dmat": "path.dmat", "balls": [
+        {"center": 1, "radius": 2}, {"center": 5, "radius": 9}, {"center": 3, "radius": 5}]}),
+}
+
+
+@pytest.mark.parametrize(
+    "commands,stdout",
+    [
+        pytest.param(
+            [["tightspan", "--dmat", "e.dmat", "--vertices"]],
+            ["0 1 1 1", "1/2 1/2 1/2 1/2", "1 0 1 1", "1 1 0 1", "1 1 1 0"],
+            id="tightspan-equilateral",
+        ),
+        pytest.param(
+            [["tightspan", "--dmat", "path.dmat", "--vertices"]],
+            ["0 1 3 6 10", "1 0 2 5 9", "3 2 0 3 7", "6 5 3 0 4", "10 9 7 4 0"],
+            id="tightspan-path",
+        ),
+        pytest.param(
+            [["extend", "--dmat", "path.dmat", "--support", "1,5", "--radii", "1,9"]],
+            ["1 2 4 7 9"],
+            id="extend",
+        ),
+        pytest.param([["balls", "--family", "family.json"]], None, id="balls"),
+        pytest.param(
+            [["build", "--points", "60", "--out", "p.ury"],
+             ["embed", "--target", "t.dmat", "--prefix", "p.ury", "--limit", "60"]],
+            None,
+            id="embed",
+        ),
+    ],
+)
+def test_small_space_commands_do_not_load_numpy(tmp_path, commands, stdout):
+    # The triangle scan of a space this small is a loop in Python ints, and
+    # an equilateral space's scan ends before it: no command loads numpy.
+    for name, text in SMALL_INPUTS.items():
+        (tmp_path / name).write_text(text)
     child = (
         "import sys\n"
         "from ury.cli import main\n"
-        "assert main(['tightspan', '--dmat', 'e.dmat', '--vertices']) == 0\n"
+        f"assert [main(argv) for argv in {commands!r}] == {[0] * len(commands)!r}\n"
         "print('numpy' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "URY_CACHE_DIR": str(tmp_path / "cache")}
     result = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == [
-        "0 1 1 1", "1/2 1/2 1/2 1/2", "1 0 1 1", "1 1 0 1", "1 1 1 0", "False"
-    ]
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "False"
+    if stdout is not None:
+        assert lines[:-1] == stdout
 
 
 # Asking for more points than a cache holds: exit code and error kind as

@@ -1,6 +1,9 @@
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,8 +148,9 @@ def _stretched_lower(rng: random.Random, n: int) -> tuple[list[list[Fraction]], 
 
 def test_shifted_scan_matches_oracle(monkeypatch):
     # Seeded spaces with a few stretched pairs, so most break triangles in
-    # several places (some at once through one pair).  Each is validated at
-    # its natural shift, then with the int64 bound lowered to 2, 4 and 8 bits,
+    # several places (some at once through one pair).  Each is validated by
+    # the Python loop these sizes take, then by the numpy scan at its
+    # natural shift and with the int64 bound lowered to 2, 4 and 8 bits,
     # which shifts the entries and makes the filter flag tight and near-tight
     # triangles that the exact recheck must drop.  Every report, also that
     # of the lower-triangle validator verify runs, must equal the plain
@@ -159,8 +163,9 @@ def test_shifted_scan_matches_oracle(monkeypatch):
         oracle = ValidationReport(not expected, expected)
         assert metric_mod.validate_metric(rows) == oracle
         assert metric_mod.validate_lower_triangle(lower, scale) == oracle
-        for limit in (2**2, 2**4, 2**8):
+        for limit in (metric_mod._INT64_LIMIT, 2**2, 2**4, 2**8):
             with monkeypatch.context() as patch:
+                patch.setattr(metric_mod, "_NUMPY_MIN_N", 3)
                 patch.setattr(metric_mod, "_INT64_LIMIT", limit)
                 assert metric_mod.validate_metric(rows) == oracle
                 assert metric_mod.validate_lower_triangle(lower, scale) == oracle
@@ -172,15 +177,17 @@ def test_shifted_scan_matches_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("bits", [62, 63, 64, 65, 80, 127, 200, 300])
-def test_shifted_scan_floor_rule(bits):
+def test_shifted_scan_floor_rule(monkeypatch, bits):
     # d(0,2) = a against d(0,1) + d(1,2) = b + c with a = b + c - 1, b + c and
     # b + c + 1, the largest entry about ``bits`` bits long.  From 63 bits on
-    # the entries are shifted: the filter must flag every real violation
-    # (a = b + c + 1, even when the floors of b and c lose a carry) and the
-    # exact recheck must drop the tight and strict triangles it also flags.
-    # A fourth point at distance b + c from all three keeps every other
-    # triangle strict.
+    # the numpy scan shifts the entries: the filter must flag every real
+    # violation (a = b + c + 1, even when the floors of b and c lose a carry)
+    # and the exact recheck must drop the tight and strict triangles it also
+    # flags.  A fourth point at distance b + c from all three keeps every
+    # other triangle strict.  The Python loop these 4 points take, and the
+    # numpy scan, must both be exact.
     rng = random.Random(bits)
+    thresholds = (metric_mod._NUMPY_MIN_N, 4)
     for _ in range(40):
         b = rng.getrandbits(bits - 1) | 1 << (bits - 2)
         c = rng.getrandbits(bits - 1) | 1 << (bits - 2)
@@ -189,19 +196,25 @@ def test_shifted_scan_floor_rule(bits):
             far = b + c
             rows = [[0, b, a, far], [b, 0, c, far], [a, c, 0, far], [far, far, far, 0]]
             lower = [row[:i] for i, row in enumerate(rows)]
-            assert metric_mod._triangle_scan(lower) == ([(0, 2, 1)] if delta > 0 else [])
             expected = oracle_violations(rows)
-            assert validate_metric(rows) == ValidationReport(not expected, expected)
+            for numpy_min_n in thresholds:
+                monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", numpy_min_n)
+                assert metric_mod._triangle_scan(lower) == ([(0, 2, 1)] if delta > 0 else [])
+                assert validate_metric(rows) == ValidationReport(not expected, expected)
 
 
 @pytest.mark.parametrize("top,expected", [(10, []), (11, [(0, 1, 2)])], ids=["2min", "2min+1"])
 def test_triangle_scan_at_twice_the_smallest_entry(monkeypatch, top, expected):
     # With every entry in [5, 10] no triangle can break, and the scan ends
     # before the prefilter; one unit above, d(0,1) = 11 > d(0,2) + d(2,1)
-    # must still be found.
+    # must still be found: by the Python loop these 5 points take, and by
+    # the numpy scan once the threshold is below 5.
     calls = record_calls(monkeypatch, metric_mod, ["_candidates"])
     rows = [[0, top, 5, 7, 9], [top, 0, 5, 8, 6], [5, 5, 0, 10, 7], [7, 8, 10, 0, 5], [9, 6, 7, 5, 0]]
     lower = [row[:i] for i, row in enumerate(rows)]
+    assert metric_mod._triangle_scan(lower) == expected
+    assert calls == []
+    monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", 4)
     assert metric_mod._triangle_scan(lower) == expected
     assert calls == ([] if top == 10 else ["_candidates"])
     assert validate_metric(rows) == ValidationReport(not expected, oracle_violations(rows))
@@ -211,11 +224,13 @@ def test_triangle_scan_at_twice_the_smallest_entry(monkeypatch, top, expected):
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2t+1"])
 def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
     # Tile size minus one, the tile size, one more, and two tiles plus one,
-    # so that violations cross tile boundaries in both directions.
+    # so that violations cross tile boundaries in both directions.  The
+    # threshold is below every size, so that the numpy scan runs.
     n = 2 * tile + 1 if extra == "2t+1" else tile + extra
     rng = random.Random(tile * 100 + n)
     limits = (metric_mod._INT64_LIMIT, 2**4)
     monkeypatch.setattr(metric_mod, "_TILE", tile)
+    monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", 2)
     broken = 0
     for _ in range(30):
         rows, lower, scale = _stretched_lower(rng, n)
@@ -226,6 +241,40 @@ def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
             assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
             assert validate_metric(rows).violations == expected
     assert broken > 5
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_scan_on_both_sides_of_the_numpy_threshold(monkeypatch, offset):
+    # Spaces of _NUMPY_MIN_N - 1, _NUMPY_MIN_N and _NUMPY_MIN_N + 1 points:
+    # shortest-path closures, and seeded spaces with a few stretched pairs,
+    # most of which break triangles.  Each is validated at the default
+    # threshold, which takes the Python loop below _NUMPY_MIN_N points and
+    # the numpy scan from there, and with the threshold moved to send it
+    # down the other path.  Both must give the oracle's report.
+    n = metric_mod._NUMPY_MIN_N + offset
+    below = offset < 0
+    paths = [
+        (metric_mod._NUMPY_MIN_N, "_small_scan" if below else "_candidates"),
+        (n if below else n + 1, "_candidates" if below else "_small_scan"),
+    ]
+    rng = random.Random(50 + n)
+    cases = [[list(r) for r in random_metric_space(rng, n, closure=True).matrix] for _ in range(6)]
+    cases += [_stretched_lower(rng, n)[0] for _ in range(12)]
+    calls = record_calls(monkeypatch, metric_mod, ["_small_scan", "_candidates"])
+    broken = spread = 0
+    for rows in cases:
+        lower, scale, _ = metric_mod._square_input(rows)
+        expected = oracle_violations(rows)
+        broken += bool(expected)
+        scanned = max(map(max, lower[1:])) > 2 * min(map(min, lower[1:]))
+        spread += scanned
+        for threshold, name in paths:
+            monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", threshold)
+            calls.clear()
+            assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
+            assert validate_metric(rows).violations == expected
+            assert calls == [name] * 2 * scanned
+    assert broken > 5 and spread > 8
 
 
 def _brute_candidates(lower):
@@ -256,11 +305,15 @@ def _path(n, scale=1):
 
 
 def _assert_scan_matches_oracle(lower, monkeypatch):
+    # At the default threshold, then by the numpy scan at both shifts.
     rows = [metric_mod.symmetric_row(lower, x) for x in range(len(lower))]
     expected = oracle_violations(rows)
-    for limit in (metric_mod._INT64_LIMIT, 2**4):
-        monkeypatch.setattr(metric_mod, "_INT64_LIMIT", limit)
-        assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
+    assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
+    with monkeypatch.context() as patch:
+        patch.setattr(metric_mod, "_NUMPY_MIN_N", 2)
+        for limit in (metric_mod._INT64_LIMIT, 2**4):
+            patch.setattr(metric_mod, "_INT64_LIMIT", limit)
+            assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
     return expected
 
 
@@ -345,6 +398,39 @@ def test_few_pairs_of_a_prefix_are_candidates(prefix300):
     _, candidate = metric_mod._candidates(lower)
     assert 0 < candidate.sum() < 0.01 * n * (n - 1) / 2
     assert metric_mod._triangle_scan(lower) == []
+
+
+def test_small_spaces_through_the_library_do_not_load_numpy():
+    # Seeded 3- to 8-point shortest-path closures, nearly all with a largest
+    # distance above twice the smallest, validated and taken through the
+    # Katetov functions, a one-point extension, a ball witness and (up to 6
+    # points) the tight span, in a child that has not loaded numpy.
+    child = """
+import random, sys
+from helpers import random_metric_space
+from ury import (BallFamily, ExtensionRequest, FiniteMetricSpace, KatetovFunction,
+                 ball_intersection_witness, extend_one_point, extremal_below, is_extremal,
+                 kuratowski, tight_span_vertices)
+
+rng = random.Random(23)
+spread = 0
+for n in [*range(3, 9)] * 4:
+    space = FiniteMetricSpace(random_metric_space(rng, n, closure=True).matrix)
+    spread += max(map(max, space.lower[1:])) > 2 * min(map(min, space.lower[1:]))
+    g = KatetovFunction(space, [v + 1 for v in kuratowski(space, n - 1).values])
+    assert is_extremal(extremal_below(g))
+    assert extend_one_point(ExtensionRequest(space, range(n), g.values)).n == n + 1
+    assert ball_intersection_witness(BallFamily(space, enumerate(g.values))).witness == n
+    if n <= 6:
+        assert tight_span_vertices(space).vertices
+print(spread, "numpy" in sys.modules)
+"""
+    tests = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    result = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True,
+                            check=True)
+    spread, loaded = result.stdout.split()
+    assert int(spread) > 20 and loaded == "False"
 
 
 def test_negative_distance_is_a_positivity_violation():

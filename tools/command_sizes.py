@@ -44,12 +44,20 @@ The child times the command inside ``cli.main`` (``command_s``) and the
 library functions that :data:`TIMED` names for the command: outermost calls
 of every function of the module whose name starts with the given prefix.
 ``wall_s`` adds the interpreter's start; all times are raw wall clock.
-``maxrss_mib`` is the child's peak resident memory, its ``VmHWM`` (Linux).
+``maxrss_mib`` is the child's peak resident memory, its ``VmHWM`` (Linux),
+and ``numpy`` whether the child loaded numpy.  Only the triangle scan of a
+space of ``metric._NUMPY_MIN_N`` points or more loads it, so ``numpy``
+must be false for ``build-*``, ``export``, ``isom-extend``, ``embed-*``
+(whose targets have 3 points), ``c0-demo``, ``hull-check`` and every
+``tightspan-{generic,path,equilateral}``, and true for ``verify``,
+``extend``, ``balls`` and ``tightspan-kuratowski`` at 350 points and more,
+which validate the prefix; it is not checked for those four below 350.
 One JSON line is printed per size and command, with the median of each
-value over the runs and every run's value; ``points`` is N for the prefix
-commands, the space's size for ``tightspan-*``, ``--n`` for ``c0-demo``
-and k for ``hull-check``.  The exit status is 1 unless every check passes;
-a command that exits 0 must also write nothing to stderr.
+time and memory value over the runs and every run's value, and ``numpy``
+of the first run; ``points`` is N for the prefix commands, the space's
+size for ``tightspan-*``, ``--n`` for ``c0-demo`` and k for
+``hull-check``.  The exit status is 1 unless every check passes; a
+command that exits 0 must also write nothing to stderr.
 """
 
 from __future__ import annotations
@@ -173,7 +181,8 @@ sys.stdout.flush()
 # also counts the peak of the process that started this one.
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-print(json.dumps({"exit": code, "command_s": total, "maxrss_mib": round(peak / 1024, 1), **spent}))
+print(json.dumps({"exit": code, "command_s": total, "maxrss_mib": round(peak / 1024, 1),
+                  "numpy": "numpy" in sys.modules, **spent}))
 """
 
 
@@ -212,11 +221,21 @@ def spaces(n: int) -> dict[str, list[list[int]]]:
     }
 
 
+# The commands that validate the prefix they read, and so load numpy at
+# these sizes and more; every other command must not load it.
+VALIDATE_PREFIX = ("verify", "extend", "balls", "tightspan-kuratowski")
+NUMPY_FROM_POINTS = 350
+
+
 def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen: dict) -> bool:
     """Whether the run ``result`` of command ``name`` at size n is right.
     ``seen`` keeps the first build line printed at each size."""
     out, code = result.pop("stdout"), result["exit"]
     if code == 0 and "stderr" in result:
+        return False
+    if name not in VALIDATE_PREFIX and result.get("numpy") is not False:
+        return False
+    if name in VALIDATE_PREFIX and n >= NUMPY_FROM_POINTS and result.get("numpy") is not True:
         return False
     if name.startswith("build"):
         files = sorted((work / "cache").iterdir())
@@ -314,11 +333,13 @@ def main() -> int:
             for name, runs in results.items():
                 ok &= name not in errors
                 line = {"points": n, "command": name, "ok": name not in errors, "runs": len(runs)}
-                values = [k for k in runs[0] if k not in ("exit", "stderr") and all(k in r for r in runs)]
+                values = [k for k in runs[0]
+                          if k not in ("exit", "stderr", "numpy") and all(k in r for r in runs)]
                 line.update({k: median(r[k] for r in runs) for k in values})
                 if "maxrss_mib" in line:
                     line["maxrss_mib"] = round(line["maxrss_mib"], 1)
                 line.update({f"{k}_runs": [r[k] for r in runs] for k in values})
+                line["numpy"] = runs[0].get("numpy")
                 if name in errors:
                     line["error"] = errors[name]
                 print(json.dumps(line), flush=True)
