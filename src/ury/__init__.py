@@ -75,7 +75,6 @@ from .extension import (
     admissible,
     ball_intersection_witness,
     extend_one_point,
-    extended_matrix,
     reduce_ball_family,
 )
 from .linf import (

@@ -29,7 +29,6 @@ from .errors import (
 from .metric import (
     FiniteMetricSpace,
     common_scale,
-    fraction_rows,
     katetov_failure,
     katetov_row,
     point_index,
@@ -95,18 +94,6 @@ def _extended_lower(base: FiniteMetricSpace, d, support, radii, scale: int) -> t
     k = scale // base.scale
     lower = base.lower if k == 1 else tuple(tuple([v * k for v in row]) for row in base.lower)
     return lower + (tuple(katetov_row(d, support, radii)),)
-
-
-def extended_matrix(req: ExtensionRequest) -> list[list[Fraction]]:
-    """The (n+1)x(n+1) Fraction matrix of :func:`extend_one_point`, new point last.
-
-    Does not check admissibility; exposed for equivalence testing
-    (admissible <=> this matrix is a metric).
-    """
-    base = req.base
-    d, radii, scale = common_scale(base.lower, base.scale, req.support, req.radii)
-    lower = _extended_lower(base, d, req.support, radii, scale)
-    return [list(row) for row in fraction_rows(lower, scale)]
 
 
 def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:

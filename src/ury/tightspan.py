@@ -50,7 +50,6 @@ from .metric import (
 from .rational import as_rational
 
 TIGHT_SPAN_MAX_POINTS = 7
-HULL_MAX_SAMPLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -125,26 +124,24 @@ def is_extremal(f: KatetovFunction) -> bool:
 
 
 def extremal_below(g: KatetovFunction) -> KatetovFunction:
-    """An extremal function below ``g``, by cyclic coordinate descent.
+    """An extremal function below ``g``, by one sweep of coordinate descent.
 
-    Each sweep replaces f(x) with max(0, max_y (d(x,y) - f(y))), the least
-    value admissible against the current others; sweeps repeat until one
-    changes nothing.  Values never increase, admissibility is preserved
-    throughout, and extremal inputs are returned unchanged.
+    The sweep replaces each f(x) in turn with max(0, max_y (d(x,y) - f(y))),
+    the least value admissible against the current others.  Values never
+    increase and admissibility is kept.  One sweep suffices: the new f(x)
+    is 0 or tight with some z, and a later step can lower z only to
+    d(z,x) - f(x) = f(z), so z keeps its value and x stays pinned.  After
+    the sweep every coordinate is pinned, which is extremality, and a
+    further sweep would change nothing; extremal inputs are returned
+    unchanged.
     """
     d, values = g._rows(), list(g.ints)
     failure = katetov_failure(d, g.space.points(), values, two_sided=False)
     if failure is not None:
         raise NotAdmissible(failure[0])
     n = g.space.n
-    changed = True
-    while changed:
-        changed = False
-        for x in range(n):
-            target = max(0, max((d[x][y] - values[y] for y in range(n) if y != x), default=0))
-            if target != values[x]:
-                values[x] = target
-                changed = True
+    for x in range(n):
+        values[x] = max(0, max((d[x][y] - values[y] for y in range(n) if y != x), default=0))
     return KatetovFunction._trusted(g.space, values, g.scale)
 
 
@@ -453,11 +450,20 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
     Checks (i) that the polyline endpoints realize the max-norm distance of
     the reference pair and (ii) that max-norm distances between sampled
     points equal their arclength parameter differences.  ``step`` must be a
-    rational of the form 1/k; over :data:`HULL_MAX_SAMPLES` samples raise
-    :class:`TooLarge`.  By the triangle inequality, (ii) holds iff the
-    endpoints lie ``total`` apart (Burago-Burago-Ivanov, *A Course in Metric
-    Geometry*); otherwise the pair (0, total) fails, so the first violation
-    is found by one O(S) scan of ``d(start, sample_j)`` against ``param_j``.
+    rational of the form 1/k.  By the triangle inequality, (ii) holds iff
+    the endpoints lie ``total`` apart (Burago-Burago-Ivanov, *A Course in
+    Metric Geometry*); otherwise the pair (0, total) fails, and the first
+    violation is the first sample ``t`` with ``d(start, sample) != t``.
+
+    That sample has a closed form.  Each piece has max-norm speed 1, so
+    ``d(start, p(t)) <= t``, and once below ``t`` it stays below.  Along a
+    piece the distance is convex, so equality holds on all of it or only at
+    its start: it continues iff some coordinate of the offset from the
+    start has absolute value ``t`` and moves away from the start at full
+    speed, which the first piece always does.  So equality holds exactly
+    on ``[0, c]`` for a breakpoint parameter ``c``, found in one walk over
+    the pieces, and the first failing sample is at
+    ``min((c // step + 1) * step, total)``.
     """
     step = as_rational(step)
     if step <= 0 or (1 / step).denominator != 1:
@@ -469,34 +475,34 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
         raise DegeneratePath("consecutive breakpoints must be distinct")
 
     lengths = [chebyshev(bps[s], bps[s + 1]) for s in range(len(bps) - 1)]
-    cumulative = [Fraction(0)]
-    for length in lengths:
-        cumulative.append(cumulative[-1] + length)
-    total = cumulative[-1]
+    total = sum(lengths, Fraction(0))
     steps = total / step
     sample_count = int(steps) + 1 + (steps.denominator != 1)
-    if sample_count > HULL_MAX_SAMPLES:
-        raise TooLarge(f"{sample_count} samples exceed the limit of {HULL_MAX_SAMPLES}")
-
-    def point_at(t: Fraction) -> Point2:
-        for s, length in enumerate(lengths):
-            if t <= cumulative[s + 1]:
-                frac = (t - cumulative[s]) / length
-                ax, ay = bps[s]
-                bx, by = bps[s + 1]
-                return (ax + frac * (bx - ax), ay + frac * (by - ay))
-        raise AssertionError("parameter out of range")
 
     endpoint_distance = chebyshev(bps[0], bps[-1])
     isometry_ok = endpoint_distance == total
     first_violation = None
     if not isometry_ok:
-        for k in range(1, sample_count):
-            t = min(k * step, total)
-            actual = chebyshev(bps[0], point_at(t))
-            if actual != t:
-                first_violation = IsometryViolation(Fraction(0), t, t, actual)
-                break
+        start = bps[0]
+        c, s = lengths[0], 1
+        # Equality continues along piece s, which starts at parameter c: an
+        # offset of absolute value c whose coordinate moves by +-lengths[s]
+        # away from the start.  The endpoints lie less than total apart, so
+        # equality stops at some piece.
+        while any(abs(bps[s][i] - start[i]) == c
+                  and (bps[s][i] - start[i]) * (bps[s + 1][i] - bps[s][i]) == c * lengths[s]
+                  for i in (0, 1)):
+            c += lengths[s]
+            s += 1
+        t = min((c // step + 1) * step, total)
+        # Walk on to the piece that holds t.
+        while c + lengths[s] < t:
+            c += lengths[s]
+            s += 1
+        (ax, ay), (bx, by) = bps[s], bps[s + 1]
+        frac = (t - c) / lengths[s]
+        actual = chebyshev(start, (ax + frac * (bx - ax), ay + frac * (by - ay)))
+        first_violation = IsometryViolation(Fraction(0), t, t, actual)
 
     reference_distance = chebyshev(*candidate.a_points)
     endpoint_ok = endpoint_distance == reference_distance

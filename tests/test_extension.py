@@ -17,11 +17,11 @@ from ury import (
     admissible,
     ball_intersection_witness,
     extend_one_point,
-    extended_matrix,
     reduce_ball_family,
     validate_metric,
 )
 from helpers import (
+    oracle_extended_matrix,
     oracle_is_metric,
     rand_rational,
     random_feasible_family,
@@ -113,11 +113,12 @@ def test_equivalence_admissible_iff_extended_metric():
         req = ExtensionRequest(space, support, radii)
         ok = admissible(req).ok
         seen[ok, full] += 1
-        assert ok == oracle_is_metric(extended_matrix(req))
-        assert ok == validate_metric(extended_matrix(req)).ok
+        matrix = oracle_extended_matrix(space, support, radii)
+        assert ok == oracle_is_metric(matrix)
+        assert ok == validate_metric(matrix).ok
         if ok:
             ext = extend_one_point(req)
-            validated = FiniteMetricSpace(extended_matrix(req))
+            validated = FiniteMetricSpace(matrix)
             assert ext == validated and hash(ext) == hash(validated)
             assert (ext.rows, ext.scale, ext.matrix) == (validated.rows, validated.scale, validated.matrix)
     assert min(seen.values()) > 30  # both outcomes genuinely exercised, on both kinds of support
@@ -168,7 +169,7 @@ def test_extension_shares_the_base_rows_when_the_scale_stays():
             assert len(ext.lower) == n + 1 and len(ext.lower[n]) == n
             # Row 0 is the empty tuple, the same object in every space.
             assert all(a is b for a, b in zip(ext.lower[1:], space.lower[1:])) == kept
-            assert ext == FiniteMetricSpace(extended_matrix(ExtensionRequest(space, [0], radii)))
+            assert ext == FiniteMetricSpace(oracle_extended_matrix(space, [0], radii))
 
 
 def test_midpoints_always_admissible():

@@ -24,7 +24,7 @@ from ury import (
     tripod_center,
     verify_hull_candidate,
 )
-from ury.tightspan import HULL_MAX_SAMPLES, _vertex_search
+from ury.tightspan import IsometryViolation, _vertex_search
 from helpers import (
     fraction_rank,
     oracle_hull_isometry,
@@ -530,11 +530,15 @@ def test_hull_step_must_divide_one():
         verify_hull_candidate(candidate, Fraction(0))
 
 
-def test_hull_sample_limit():
-    # 2^16 + 1 samples: rejected from the sample count, before any sampling.
-    candidate = PathHullCandidate([("0", "0"), ("1", "1")], A_PAIR)
-    with pytest.raises(TooLarge):
-        verify_hull_candidate(candidate, Fraction(1, HULL_MAX_SAMPLES))
+def test_hull_first_violation_needs_no_samples():
+    # 4 * 2^64 + 1 samples: the first violation, just past the turn at 2,
+    # comes from the breakpoints alone, without visiting the samples.
+    candidate = PathHullCandidate([("0", "0"), ("2", "0"), ("0", "0")], A_PAIR)
+    step = Fraction(1, 2**64)
+    report = verify_hull_candidate(candidate, step)
+    assert report.sample_count == 4 * 2**64 + 1
+    past = Fraction(2**65 + 1, 2**64)
+    assert report.first_violation == IsometryViolation(Fraction(0), past, past, Fraction(2**65 - 1, 2**64))
 
 
 def _random_polyline(rng: random.Random):
@@ -581,7 +585,7 @@ def test_hull_scan_matches_pairwise_oracle():
     failures_seen = 0
     for _ in range(300):
         bps = _random_polyline(rng)
-        step = Fraction(1, rng.choice((1, 2, 4, 8)))
+        step = Fraction(1, rng.choice((1, 2, 3, 4, 5, 8, 12)))
         report = verify_hull_candidate(PathHullCandidate(bps, A_PAIR), step)
         ok, violation, count = oracle_hull_isometry(bps, step)
         assert report.isometry_ok == ok

@@ -37,8 +37,9 @@ line) and equilateral spaces of n = 4 to ``TIGHT_SPAN_MAX_POINTS`` points,
 written by this script, printing every Kuratowski function among its
 vertices, n of them for the path and n + 1 for the equilateral space;
 ``c0-demo --n C0_MAX_DIMENSION`` prints a witness; and ``hull-check
---builtin backtrack --step 1/k``, with k the largest step count within
-``HULL_MAX_SAMPLES``, fails (exit 1) at its first sample past the turn.
+--builtin backtrack --step 1/k``, at each k of :data:`HULL_STEPS`, fails
+(exit 1) at its first sample past the turn, ``(2k + 1)/k``, at distance
+``(2k - 1)/k``.
 
 The child times the command inside ``cli.main`` (``command_s``) and the
 library functions that :data:`TIMED` names for the command: outermost calls
@@ -78,6 +79,8 @@ from statistics import median
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 SPACES = ("generic", "path", "equilateral")
+# The hull-check runs the 4-long backtrack path at steps 1/k: 4k + 1 samples.
+HULL_STEPS = (16383, 2**40)
 EMBED = {
     "early": (0, {"status": "found", "mapping": [3, 6, 10]}),
     "never": (1, {"status": "not-found-up-to", "mapping": None}),
@@ -138,9 +141,7 @@ for f in files.values():
 d = lambda i, j: format_ratio(state.entry(i, j), state.scale)
 (work / "early.dmat").write_text(f"3\\n{d(5, 2)}\\n{d(9, 2)} {d(9, 5)}\\n")
 (work / "never.dmat").write_text("3\\n10000\\n10000 10000\\n")
-# The hull-check runs the 4-long backtrack path at steps 1/k: 4k + 1 samples.
 print(json.dumps({"tightspan": tightspan.TIGHT_SPAN_MAX_POINTS, "c0-demo": linf.C0_MAX_DIMENSION,
-                  "hull-check": (tightspan.HULL_MAX_SAMPLES - 1) // 4,
                   "column": ["0"] + [d(i, 0) for i in range(1, sizes[-1])]}))
 """
 
@@ -270,7 +271,10 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
     if name == "c0-demo":
         return code == 0 and json.loads(out)["witness"] == ["1/2"] * n
     if name == "hull-check":
-        return code == 1 and out.endswith("\nFAIL")
+        return code == 1 and out == (
+            "endpoints: distance 0 vs reference 1 -> FAIL\n"
+            f"isometry: FAIL at parameters (0, {2 * n + 1}/{n}): distance {2 * n - 1}/{n} != {2 * n + 1}/{n}\n"
+            "FAIL")
     raise ValueError(f"no check for {name}")
 
 
@@ -302,7 +306,7 @@ def main() -> int:
         # The sizes of each command that does not read a prefix; the others
         # run at every prefix size.
         own = {f"tightspan-{s}": range(4, bounds["tightspan"] + 1) for s in SPACES}
-        own.update({name: [bounds[name]] for name in ("c0-demo", "hull-check")})
+        own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS})
         groups: dict[int, list[tuple[str, str, str]]] = {}
         for command, runs in COMMANDS.items():
             for name, argv in runs:
