@@ -4,12 +4,16 @@ Finds injective maps of a small target space into a prefix that realize all
 pairwise distances exactly, by depth-first backtracking over target points
 in order.  Candidate images for point k must already match the k previously
 established distances; candidates are served from the prefix's per-point
-distance buckets (:attr:`PrefixState.distance_buckets`).  A point's buckets
-are built the first time the search reads them and are kept with the
-prefix, so a search that finds its map among the first points builds only
-those points' buckets, and a later search reuses them.  Trying prefix
-indices in increasing order makes the first complete map the
-lexicographically smallest one.
+distance buckets (:attr:`PrefixState.distance_buckets`).  A look-ahead
+filter then keeps only the candidates whose own buckets include every
+distance from k to the later target points, so a point that could not
+serve as the image of k is dropped before any later point is tried for it.
+A point's buckets are built the first time the search reads them and are
+kept with the prefix, so a search that finds its map among the first points
+builds only those points' buckets, and a later search reuses them.  Trying
+prefix indices in increasing order makes the first complete map the
+lexicographically smallest one.  A target with a distance above the
+prefix's largest (``running_max[-1]``) is refuted before any bucket is read.
 
 A negative search result never disproves embeddability — it only says the
 target does not fit in *this* prefix, so the result carries the searched
@@ -19,6 +23,8 @@ length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import ge
 
 from .construct import PrefixState
 from .errors import InvalidPartialIsometry
@@ -54,6 +60,11 @@ def find_isometric_embedding(
         return EmbeddingResult(NOT_FOUND, None, m)
     factor = prefix.scale // target.scale
     wanted = [[v * factor for v in row] for row in target.lower]
+    # A distance above the prefix's largest, running_max[-1], occurs nowhere
+    # in it: refuted before any index entry is read.
+    top = prefix.running_max[-1]
+    if max(map(max, wanted[1:]), default=0) * top.denominator > top.numerator * prefix.scale:
+        return EmbeddingResult(NOT_FOUND, None, m)
     mapping = _first_embedding(wanted, prefix.distance_buckets, m)
     if mapping is None:
         return EmbeddingResult(NOT_FOUND, None, m)
@@ -64,14 +75,28 @@ def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
     """Depth-first search with an explicit stack of candidate iterators.
 
     A candidate for target point k lies in ``buckets[mapping[i]]`` for every
-    i < k, and no bucket of u holds u, so the images are distinct without a
-    separate check.  There is no recursive closure: a closure that refers to
-    itself is a reference cycle, which would keep ``buckets`` alive after
-    the call until the cycle collector runs.
+    i < k (their :func:`_common` points), and no bucket of u holds u, so the
+    images are distinct without a separate check.  It must also have every
+    distance of ``need[k]``, the ones from k to the later target points, as
+    a key of its own entry, or no later point could be placed.  The filter
+    is lazy and runs in C-level iterators, so a candidate's entry is read
+    only when the search reaches it, and the candidates keep index order.
+    The last point's candidates are not filtered, so their entries are not
+    read.  There is no recursive closure: a closure that refers to itself
+    is a reference cycle, which would keep ``buckets`` alive after the call
+    until the cycle collector runs.
     """
     t = len(wanted)
+    need = [{row[k] for row in wanted[k + 1:]} for k in range(t)]
+    entry = buckets.__getitem__
+
+    def viable(k, candidates):
+        if k == t - 1:
+            return iter(candidates)
+        return compress(candidates, map(ge, map(dict.keys, map(entry, candidates)), repeat(need[k])))
+
     mapping: list[int] = []
-    stack = [iter(range(m))]
+    stack = [viable(0, range(m))]
     while stack:
         c = next(stack[-1], None)
         if c is None:
@@ -83,13 +108,16 @@ def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
         depth = len(mapping)
         if depth == t:
             return tuple(mapping)
-        needed = [buckets[mapping[i]].get(wanted[depth][i]) for i in range(depth)]
-        if all(needed):
-            first, rest = needed[0], needed[1:]
-            stack.append(iter([v for v in first if all(v in bucket for bucket in rest)]))
-        else:
-            mapping.pop()
+        stack.append(viable(depth, _common([entry(u)[d] for u, d in zip(mapping, wanted[depth])])))
     return None
+
+
+def _common(buckets) -> tuple[int, ...]:
+    """The points in every one of ``buckets``, in ascending index order."""
+    first, *rest = buckets
+    if not rest:
+        return first
+    return tuple([v for v in first if all(v in bucket for bucket in rest)])
 
 
 @dataclass(frozen=True)
@@ -131,11 +159,11 @@ def extend_partial_isometry(
 ) -> PartialIsometry | None:
     """Extend by one source point to the smallest compatible image.
 
-    The image is the smallest point of the intersection of the buckets
-    ``distance_buckets[t][d(new_source, s)]`` over the pairs (s, t); no
-    bucket of t holds t, so no image is taken twice.  With no pairs it is
-    point 0.  Returns None when no point of the prefix can serve as the
-    image (the prefix is too short to contain one).
+    The image is the smallest point of the intersection (:func:`_common`) of
+    the buckets ``distance_buckets[t][d(new_source, s)]`` over the pairs
+    (s, t); no bucket of t holds t, so no image is taken twice.  With no
+    pairs it is point 0.  Returns None when no point of the prefix can serve
+    as the image (the prefix is too short to contain one).
     """
     prefix = p.prefix
     new_source = point_index(new_source)
@@ -146,8 +174,8 @@ def extend_partial_isometry(
     image = 0
     if p.pairs:
         buckets = prefix.distance_buckets
-        first, *rest = [buckets[t].get(prefix.entry(new_source, s), ()) for s, t in p.pairs]
-        image = next((v for v in first if all(v in bucket for bucket in rest)), None)
-        if image is None:
+        common = _common([buckets[t].get(prefix.entry(new_source, s), ()) for s, t in p.pairs])
+        if not common:
             return None
+        image = common[0]
     return PartialIsometry(prefix, p.pairs + ((new_source, image),))

@@ -269,6 +269,35 @@ def oracle_embedding(target: FiniteMetricSpace, prefix: PrefixState):
     return extend([])
 
 
+def oracle_first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
+    """The reference index search: ``embed._first_embedding`` as it was
+    before the look-ahead filter, one level checked at a time.  ``wanted``
+    is the target's lower triangle over the prefix's scale and ``buckets``
+    the prefix's index; it reads ``buckets[c]`` for every candidate c of
+    every point but the last."""
+    t = len(wanted)
+    mapping: list[int] = []
+    stack = [iter(range(m))]
+    while stack:
+        c = next(stack[-1], None)
+        if c is None:
+            stack.pop()
+            if mapping:
+                mapping.pop()
+            continue
+        mapping.append(c)
+        depth = len(mapping)
+        if depth == t:
+            return tuple(mapping)
+        needed = [buckets[mapping[i]].get(wanted[depth][i]) for i in range(depth)]
+        if all(needed):
+            first, rest = needed[0], needed[1:]
+            stack.append(iter([v for v in first if all(v in bucket for bucket in rest)]))
+        else:
+            mapping.pop()
+    return None
+
+
 def oracle_distance_buckets(rho, scale: int) -> tuple[dict[int, dict[int, None]], ...]:
     """The whole embed index at once, from a full Fraction matrix ``rho``
     (an oracle's, not the code under test's): for each point u, every

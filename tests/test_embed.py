@@ -2,6 +2,8 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +18,16 @@ from ury import (
     load_prefix_text,
     truncate_prefix,
 )
-from helpers import oracle_build_prefix, oracle_distance_buckets, oracle_embedding, random_metric_space
+from ury.errors import MetricViolation
+from helpers import (
+    DENOMINATORS,
+    oracle_build_prefix,
+    oracle_distance_buckets,
+    oracle_embedding,
+    oracle_first_embedding,
+    rand_rational,
+    random_metric_space,
+)
 
 TWO = FiniteMetricSpace.from_lower_triangle([[1]])
 
@@ -270,6 +281,151 @@ def test_a_distance_off_the_prefix_scale_is_not_found(prefix200):
         assert (result.status, result.mapping, result.searched_prefix_length) == (
             "not-found-up-to", None, 40
         )
+        assert oracle_embedding(target, prefix) is None
+
+
+# ---------------------------------------------------------------------------
+# The look-ahead filter against the reference search
+# ---------------------------------------------------------------------------
+
+class _Reads(dict):
+    """An index that serves each entry from ``index`` and records the points
+    read, which are the entries a search would build on a fresh state."""
+
+    def __init__(self, index):
+        super().__init__()
+        self.index, self.read = index, set()
+
+    def __missing__(self, u):
+        self.read.add(u)
+        return self.index[u]
+
+
+def reference_search(target, prefix):
+    """The reference's mapping on ``prefix``, after the checks that
+    :func:`find_isometric_embedding` makes first, and the entries it reads."""
+    if target.n > prefix.m or prefix.scale % target.scale:
+        return None, set()
+    factor = prefix.scale // target.scale
+    wanted = [[v * factor for v in row] for row in target.lower]
+    index = _Reads(prefix.distance_buckets)
+    return oracle_first_embedding(wanted, index, prefix.m), index.read
+
+
+def integer_rows(rows, scale):
+    """Fraction rows as ints over ``scale``, for :func:`oracle_embedding` to
+    compare: ints compare much faster than Fractions."""
+    assert all(scale % d.denominator == 0 for row in rows for d in row)
+    return [[d.numerator * (scale // d.denominator) for d in row] for row in rows]
+
+
+def lookahead_targets(rng, prefix):
+    """302 targets drawn from ``prefix`` and around it, by kind.  Most are
+    found among the first points: a target that is not found makes the
+    search build the whole index, and the oracle scan every pair."""
+    rho, m = prefix.rho, prefix.m
+    distances = sorted({rho[i][j] for i in range(m) for j in range(i)})
+    near = sorted({rho[i][j] for i in range(30) for j in range(i)})
+    present = set(distances)
+    step = Fraction(1, prefix.scale)
+    targets = {kind: [] for kind in ("one", "two", "repeated", "absent", "subspace", "random")}
+    targets["one"] = [FiniteMetricSpace([[0]])] * 10
+    for k in range(96):
+        d = rand_rational(rng, Fraction(1, 4), Fraction(3)) if k % 6 == 0 else rng.choice(near)
+        targets["two"].append(FiniteMetricSpace.from_lower_triangle([[d]]))
+    while len(targets["repeated"]) < 70:
+        if len(targets["repeated"]) % 15:
+            # Two points at one distance from a third: a subspace.
+            u = rng.randrange(30)
+            twins = [v for v in range(60) if v != u and rho[u][v] == rho[u][rng.randrange(60)]]
+            if len(twins) >= 2:
+                targets["repeated"].append(subspace(prefix, [u, *rng.sample(twins, 2)]))
+            continue
+        a, b = rng.choice(distances), rng.choice(distances)
+        rows = [[a], [a, a]] if rng.random() < 0.5 else [[a], [a, b], [a, b, rng.choice([a, b])]]
+        try:
+            targets["repeated"].append(FiniteMetricSpace.from_lower_triangle(rows))
+        except MetricViolation:
+            pass
+    while len(targets["absent"]) < 8:
+        # A subspace with one distance moved to the nearest value on the
+        # prefix's scale that no pair of the prefix has.
+        points = rng.sample(range(m), rng.randint(2, 4))
+        matrix = [[rho[a][b] for b in points] for a in points]
+        i, j = rng.sample(range(len(points)), 2)
+        d = matrix[i][j]
+        while d in present:
+            d += step
+        matrix[i][j] = matrix[j][i] = d
+        try:
+            targets["absent"].append(FiniteMetricSpace(matrix))
+        except MetricViolation:
+            pass
+    for k in range(110):
+        points = range(30) if k % 20 < 17 else range(200) if k % 20 < 19 else range(m)
+        targets["subspace"].append(subspace(prefix, rng.sample(points, rng.randint(2, 6))))
+    for k in range(8):
+        targets["random"].append(random_metric_space(rng, 3 + k % 4))
+    return targets
+
+
+def test_lookahead_search_matches_the_reference_and_builds_no_more():
+    rng = random.Random(151)
+    base = build_prefix(301)  # so that the 300-point states are fresh too
+    scale = lcm(base.scale, *DENOMINATORS)
+    sizes = (300, 200, 60)
+    longest = truncate_prefix(base, sizes[0])
+    targets = lookahead_targets(rng, longest)
+    assert sum(map(len, targets.values())) >= 300
+    rows = integer_rows(longest.rho, scale)
+    stand_ins = {m: SimpleNamespace(m=m, rho=[row[:m] for row in rows[:m]]) for m in sizes}
+    outcomes, pruned = set(), 0
+    for kind, group in targets.items():
+        for target in group:
+            for m in sizes:
+                fresh = truncate_prefix(base, m)
+                result = find_isometric_embedding(target, fresh)
+                built = built_entries(fresh)
+                expected, reference_built = reference_search(target, fresh)
+                # The oracle's smallest map into a longer prefix is also the
+                # smallest into this one if it lies in it, and if there is
+                # none there is none here either.
+                if m == sizes[0] or (oracle is not None and max(oracle) >= m):
+                    space = SimpleNamespace(n=target.n, matrix=integer_rows(target.matrix, scale))
+                    oracle = oracle_embedding(space, stand_ins[m])
+                assert result.mapping == expected == oracle, (kind, m)
+                assert result.status == ("not-found-up-to" if expected is None else "found")
+                assert result.searched_prefix_length == m
+                assert set(built) <= reference_built, (kind, m)
+                pruned += len(built) < len(reference_built)
+                outcomes.add((kind, result.status))
+    assert outcomes >= {
+        ("one", "found"), ("two", "found"), ("repeated", "found"), ("repeated", "not-found-up-to"),
+        ("absent", "not-found-up-to"), ("subspace", "found"), ("subspace", "not-found-up-to"),
+        ("random", "found"), ("random", "not-found-up-to"),
+    }
+    assert pruned > 0
+
+
+def test_a_distance_above_the_largest_is_refuted_before_any_entry(prefix300):
+    prefix = truncate_prefix(prefix300, 120)
+    top = prefix.running_max[-1]
+    assert top == max(map(max, prefix.rho))
+    rng = random.Random(157)
+    for _ in range(10):
+        points = rng.sample(range(120), 3)
+        matrix = [[prefix.rho[a][b] for b in points] for a in points]
+        # Shift every distance up by the same amount: still a metric, and
+        # the new largest distance is above the prefix's.
+        shift = top - max(map(max, matrix)) + Fraction(1, prefix.scale)
+        matrix = [[d + shift if d else d for d in row] for row in matrix]
+        target = FiniteMetricSpace(matrix)
+        fresh = truncate_prefix(prefix300, 120)
+        result = find_isometric_embedding(target, fresh)
+        assert (result.status, result.mapping, result.searched_prefix_length) == (
+            "not-found-up-to", None, 120
+        )
+        assert built_entries(fresh) == []
         assert oracle_embedding(target, prefix) is None
 
 

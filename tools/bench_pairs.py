@@ -17,11 +17,14 @@ side, the pass count and the report and result lines that run.py printed,
 then the per-metric median and quartiles of each side (over the seeds
 where both runs completed) and the number of pairs the change won.  A run
 that exits nonzero or prints no report and result is kept with its exit
-code and the last line of its standard error, counted under ``failed``,
-and the series goes on.  Run again with the same ``--out`` to append runs
-of another workload or seed; appending is refused unless the file records
-the same trees (older files, which record only ``parent_commit``, are read
-as they are but cannot be appended to).
+code and the last 20 lines of its standard error, counted under
+``failed``, and the series goes on.  Those lines hold the worker's
+traceback next to run.py's own error, so a report that run.py read torn
+(a ``JSONDecodeError`` at a multiple of 2^16 characters) can be told
+apart from a worker that crashed.  Run again with the same ``--out`` to
+append runs of another workload or seed; appending is refused unless the
+file records the same trees (older files, which record only
+``parent_commit``, are read as they are but cannot be appended to).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 
 def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One run.py run: its pass count, report and result, or, if it failed,
-    its exit code and the last line of its standard error."""
+    its exit code and the last 20 lines of its standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -49,7 +52,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: int, trace: int) -> 
     except (ValueError, KeyError, TypeError):
         pass
     lines = proc.stderr.strip().splitlines()
-    return {"exit": proc.returncode, "stderr": lines[-1] if lines else ""}
+    return {"exit": proc.returncode, "stderr": "\n".join(lines[-20:])}
 
 
 def git(root: Path, *args: str) -> str:

@@ -11,7 +11,7 @@ build cache, its ``.dmat`` (each row written from ``PrefixState.row`` with
 ``format_ratio``, not by ``ury export``) and ``ballsN.json``: N balls, ball
 i at point i with radius i·δ, where δ is the least integer above the
 prefix's largest distance, so that each ball lies strictly inside every
-later one.  It also writes the two embed targets.  Then each run starts
+later one.  It also writes the three embed targets.  Then each run starts
 these commands at each size N, every one in a fresh child, and checks:
 
 - ``build-cold`` and ``build-resumed``, in alternating order:
@@ -27,8 +27,14 @@ these commands at each size N, every one in a fresh child, and checks:
   every z;
 - ``isom-extend``: the identity on points 1 and 2 extended to point N;
 - ``embed-early``: the subspace on points 3, 6 and 10 is found at them;
-- ``embed-never``: the equilateral space of side 10000, a distance no
-  pair of these prefixes has, is not found (exit 1) after N points.
+- ``embed-never``: the equilateral space of side 10000, a distance above
+  the largest of these prefixes, is not found (exit 1) after N points,
+  refuted before the search reads any index entry;
+- ``embed-absent``: the equilateral space whose side is the least
+  distance among the first ten points (1/3) is not found (exit 1) after N
+  points.  Its distance occurs in every prefix, so the search reads every
+  point's index entry; but the 37 pairs at 1/3 in the 4000-point prefix,
+  the library's bound, span no triangle, so no prefix holds the target.
 
 The other commands run once per run at sizes of their own, up to the
 library's bound: ``tightspan --vertices`` on the generic (distances drawn
@@ -84,6 +90,7 @@ HULL_STEPS = (16383, 2**40)
 EMBED = {
     "early": (0, {"status": "found", "mapping": [3, 6, 10]}),
     "never": (1, {"status": "not-found-up-to", "mapping": None}),
+    "absent": (1, {"status": "not-found-up-to", "mapping": None}),
 }
 
 # Every subcommand of `ury`: its runs as (name, argv), each argv token filled
@@ -141,6 +148,8 @@ for f in files.values():
 d = lambda i, j: format_ratio(state.entry(i, j), state.scale)
 (work / "early.dmat").write_text(f"3\\n{d(5, 2)}\\n{d(9, 2)} {d(9, 5)}\\n")
 (work / "never.dmat").write_text("3\\n10000\\n10000 10000\\n")
+side = format_ratio(min(state.entry(i, j) for i in range(10) for j in range(i)), state.scale)
+(work / "absent.dmat").write_text(f"3\\n{side}\\n{side} {side}\\n")
 print(json.dumps({"tightspan": tightspan.TIGHT_SPAN_MAX_POINTS, "c0-demo": linf.C0_MAX_DIMENSION,
                   "column": ["0"] + [d(i, 0) for i in range(1, sizes[-1])]}))
 """
