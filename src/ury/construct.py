@@ -651,7 +651,7 @@ def truncate_prefix(state: PrefixState, m: int) -> PrefixState:
 
 # ---------------------------------------------------------------------------
 # Cache file format: header "URY0 v2 <mode-tag>" then "n | elements | C-or-I"
-# per step.  Rows are derived data: loading replays the construction.
+# per step.  Rows are derived data: a load replays the log and compares.
 # ---------------------------------------------------------------------------
 
 _CACHE_MAGIC = "URY0 v2"
@@ -663,14 +663,40 @@ def dump_prefix_text(state: PrefixState) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
-    """Rebuild the first ``m`` points (default: all) of the prefix a cache
-    text logs, by replaying the construction under the logged mode.
+def _record_label(line: str, lineno: int) -> tuple[Fraction, ...]:
+    """The label of the cache record ``line`` at line ``lineno`` (step
+    ``lineno - 1``); a malformed record is a :class:`ParseError` there."""
+    parts = line.split(" | ")
+    if len(parts) != 3:
+        raise ParseError(lineno, 1, "expected 3 fields separated by ' | '")
+    step_text, elements_text, flag = parts
+    try:
+        wrong = not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1
+    except ValueError:
+        raise too_many_digits(lineno, step_text) from None
+    if wrong:
+        raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {quoted(step_text)}")
+    if flag not in ("C", "I"):
+        raise ParseError(lineno, 1, f"flag must be C or I, got {quoted(flag)}")
+    try:
+        elements = tuple(map(parse_rational, elements_text.split(" ")))
+    except ValueError as exc:
+        if str(exc) == digit_limit():
+            raise too_many_digits(lineno, line) from None
+        raise ParseError(lineno, 1, str(exc)) from None
+    if len(elements) >= lineno or min(elements) <= 0:
+        raise ParseError(lineno, 1, f"label must be 1..{lineno - 1} positive rationals")
+    return elements
 
-    A record the replay does not reproduce is a :class:`ParseError` at its
-    line.  Only version 2 is read: any other version is a
-    :class:`ParseError` at line 1 that names it.
-    """
+
+def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
+    """The first ``m`` points (default: all) of the prefix a cache text
+    logs: one replay under the logged mode (an ``override`` tag's labels
+    read from lines 2..m), compared with lines 2..m; no later line is read.
+    The first faulty line is a :class:`ParseError`, which names a malformed
+    record's fault.  Any version but v2 is a :class:`ParseError` at line 1
+    that names it; m past the text's lines is a :class:`ValueError`, and
+    past :data:`PREFIX_MAX_POINTS` a :class:`TooLarge`, before any record."""
     lines = text.splitlines()
     header = lines[0].split(" ") if lines else []
     if len(header) != 3 or header[0] != "URY0":
@@ -685,53 +711,24 @@ def load_prefix_text(text: str, m: int | None = None) -> PrefixState:
         or tag[2] not in (ENUMERATION_VERSION, "override")
     ):
         raise ParseError(1, 9, f"malformed mode tag {quoted(header[2])}")
-    # A canonical log follows from its mode tag alone, so a whole file that
-    # is exactly the replay's text needs no parse.  Any other file takes the
-    # checks below, which find its first fault.
-    if (
-        (tag[0], tag[2]) == (SET_COLLAPSE, ENUMERATION_VERSION)
-        and m in (None, len(lines))
-        and len(lines) <= PREFIX_MAX_POINTS
-    ):
-        state = build_prefix(len(lines), ConstructionMode(case1_scope=tag[1]))
-        if [rec.text for rec in state.log] == lines[1:]:
-            return state
-
-    labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(" | ")
-        if len(parts) != 3:
-            raise ParseError(lineno, 1, "expected 3 fields separated by ' | '")
-        step_text, elements_text, flag = parts
-        try:
-            wrong = not (step_text.isascii() and step_text.isdigit()) or int(step_text) != lineno - 1
-        except ValueError:
-            raise too_many_digits(lineno, step_text) from None
-        if wrong:
-            raise ParseError(lineno, 1, f"expected step {lineno - 1}, got {quoted(step_text)}")
-        if flag not in ("C", "I"):
-            raise ParseError(lineno, 1, f"flag must be C or I, got {quoted(flag)}")
-        try:
-            elements = tuple(map(parse_rational, elements_text.split(" ")))
-        except ValueError as exc:
-            if str(exc) == digit_limit():
-                raise too_many_digits(lineno, line) from None
-            raise ParseError(lineno, 1, str(exc)) from None
-        if len(elements) >= lineno or min(elements) <= 0:
-            raise ParseError(lineno, 1, f"label must be 1..{lineno - 1} positive rationals")
-        labels.append(elements)
-
     m = len(lines) if m is None else m
     if m > len(lines):
         raise ValueError(f"cache holds {len(lines)} points, cannot load {m}")
+    if m > PREFIX_MAX_POINTS:
+        raise TooLarge(f"a prefix is limited to {PREFIX_MAX_POINTS} points")
+    records = lines[1:m]
+    labels = list(map(_record_label, records, range(2, m + 1))) if tag[2] == "override" else None
     try:
-        mode = ConstructionMode(tag[0], tag[1], tuple(labels) if tag[2] == "override" else None)
+        mode = ConstructionMode(tag[0], tag[1], labels)
     except InvalidMode as exc:
         raise ParseError(1, 9, str(exc)) from None
     state = build_prefix(m, mode)
-    for rec in state.log:
-        if lines[rec.step] != rec.text:
-            raise ParseError(rec.step + 1, 1, f"step {rec.step} differs from its replay")
+    replay = [rec.text for rec in state.log]
+    if replay != records:
+        # The first record that differs; a malformed one names its fault.
+        lineno = next(k for k, (line, rec) in enumerate(zip(records, replay), 2) if line != rec)
+        _record_label(records[lineno - 2], lineno)
+        raise ParseError(lineno, 1, f"step {lineno - 1} differs from its replay")
     return state
 
 
@@ -766,5 +763,6 @@ def save_prefix(state: PrefixState, path) -> None:
 
 
 def load_prefix(path, m: int | None = None) -> PrefixState:
+    """:func:`load_prefix_text` of the file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_prefix_text(fh.read(), m)

@@ -729,7 +729,7 @@ def test_the_size_tool_runs_every_subcommand():
     for command, runs in tool.COMMANDS.items():
         assert runs
         for _, argv in runs:
-            args = parser.parse_args([token.format(n=10, d="work") for token in argv.split()])
+            args = parser.parse_args([token.format(n=10, h=5, d="work") for token in argv.split()])
             assert args.command == command
     # Every timed name is a function of the library.
     for command, timed in tool.TIMED.items():

@@ -793,21 +793,94 @@ def test_equality_hashing_repr_and_pickling_build_no_row(monkeypatch):
     assert len(short.heads) == len(cold.heads) == 4
 
 
-def test_a_whole_canonical_cache_loads_without_a_parse(monkeypatch, prefix50):
-    # Its text is compared with the replay's; a partial load, an override and
-    # a file that is not the replay's text are parsed.
+def counted_parses(monkeypatch) -> list[str]:
+    """The tokens the loader parses as rationals, from now on."""
     parsed = []
     parse = construct_mod.parse_rational
     monkeypatch.setattr(construct_mod, "parse_rational", lambda t: parsed.append(t) or parse(t))
-    text = dump_prefix_text(prefix50)
-    assert load_prefix_text(text) == prefix50 and parsed == []
-    assert load_prefix_text(text, 30) == truncate_prefix(prefix50, 30) and parsed
-    # The parse finds its faults first: a malformed token on line 9 is
-    # reported, not the changed label on line 6 before it.
+    return parsed
+
+
+@pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
+def test_no_cw1_load_parses_a_record_whole_or_partial(monkeypatch, scope):
+    # A cw1 log follows from its mode tag alone: its records are compared with
+    # the replay's, and only one that differs is parsed, to name its fault.
+    state = build_prefix(50, ConstructionMode(case1_scope=scope))
+    text = dump_prefix_text(state)
+    parsed = counted_parses(monkeypatch)
+    assert load_prefix_text(text) == state
+    for m in (1, 2, 30, 49):
+        assert load_prefix_text(text, m) == truncate_prefix(state, m)
+    assert parsed == []
+    # Faults are reported in line order: the changed label on line 6, not the
+    # malformed token on line 9 after it.
     bad = text.replace("\n5 | 1/3 | C\n", "\n5 | 1/4 | C\n").replace("\n8 | 1/2 1 2 | I\n", "\n8 | 1/2 1 x | I\n")
     with pytest.raises(ParseError) as exc:
         load_prefix_text(bad)
-    assert exc.value.line == 9
+    assert (exc.value.line, exc.value.reason) == (6, "step 5 differs from its replay")
+
+
+def test_an_override_load_parses_the_labels_of_its_records_only(monkeypatch):
+    mode = ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE)
+    state = build_prefix(30, mode)
+    lines = dump_prefix_text(state).splitlines()
+    parsed = counted_parses(monkeypatch)
+    for m in (1, 2, 5, 30):
+        parsed.clear()
+        assert load_prefix_text("\n".join(lines) + "\n", m) == truncate_prefix(state, m)
+        assert parsed == [token for line in lines[1:m] for token in line.split(" | ")[1].split(" ")]
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [DEFAULT_MODE, ConstructionMode("legacy-multiset", "labels-only", REMARK_OVERRIDE)],
+    ids=["cw1", "legacy-multiset-override"],
+)
+def test_a_partial_load_reads_no_record_past_its_points(mode):
+    full = build_prefix(50, mode)
+    lines = dump_prefix_text(full).splitlines()
+    lines[40] = "40 | 1 x | C"  # line 41: the record of the 41st point
+    text = "\n".join(lines) + "\n"
+    assert load_prefix_text(text, 40) == truncate_prefix(full, 40)
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text)
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (41, 1, "not a rational literal: 'x'")
+
+
+@pytest.mark.parametrize(
+    "record,reason",
+    [
+        ("8 | 1/2 1 2", "expected 3 fields separated by ' | '"),
+        ("9 | 1/2 1 2 | I", "expected step 8, got '9'"),
+        ("8 | 1/2 1 2 | X", "flag must be C or I, got 'X'"),
+        ("8 | 1/2 1 x | I", "not a rational literal: 'x'"),
+        ("8 | 1/2 1 0 | I", "label must be 1..8 positive rationals"),
+        ("8 | 1/2 1 | I", "step 8 differs from its replay"),
+    ],
+)
+def test_the_first_differing_record_names_its_fault(prefix50, record, reason):
+    lines = dump_prefix_text(prefix50).splitlines()
+    assert lines[8] == "8 | 1/2 1 2 | I"
+    lines[8] = record
+    lines[20] = "x"  # a later fault is not reached
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text("\n".join(lines) + "\n")
+    assert (exc.value.line, exc.value.column, exc.value.reason) == (9, 1, reason)
+
+
+@pytest.mark.parametrize("enumeration", ["cw1", "override"])
+def test_a_load_past_the_point_bound_is_refused_before_any_record(monkeypatch, enumeration):
+    # The records of one point more than the bound, the first of them garbage.
+    records = ["x"] + [f"{k} | 1 | C" for k in range(2, PREFIX_MAX_POINTS + 1)]
+    text = "\n".join([f"URY0 v2 set-collapse,all-prior,{enumeration}", *records]) + "\n"
+    parsed = counted_parses(monkeypatch)
+    for m in (None, PREFIX_MAX_POINTS + 1):
+        with pytest.raises(TooLarge, match=f"limited to {PREFIX_MAX_POINTS} points"):
+            load_prefix_text(text, m)
+    assert parsed == []
+    with pytest.raises(ParseError) as exc:
+        load_prefix_text(text, 3)
+    assert (exc.value.line, exc.value.reason) == (2, "expected 3 fields separated by ' | '")
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no int-string limit")

@@ -19,6 +19,9 @@ these commands at each size N, every one in a fresh child, and checks:
   0.9·N-point cache; every build prints the same line and leaves a cache
   file equal, byte for byte, to ``pN.ury``;
 - ``export``: ``ury export`` of ``pN.ury`` writes ``pN.dmat`` byte for byte;
+- ``export-half``: ``ury export --points H`` of ``pN.ury``, H = N // 2,
+  writes ``H`` and then the first H - 1 row lines of ``pN.dmat``, since a
+  canonical row does not depend on the prefix it is cut from;
 - ``verify``: prints ``OK: metric on N points``;
 - ``extend``: ``--support 1 --radii 1`` prints ``1 + d(1, z)`` for every z;
 - ``balls``: survivors ``[1]``, N - 1 removals each dominated by ball 1,
@@ -54,11 +57,12 @@ of every function of the module whose name starts with the given prefix.
 ``maxrss_mib`` is the child's peak resident memory, its ``VmHWM`` (Linux),
 and ``numpy`` whether the child loaded numpy.  Only the triangle scan of a
 space of ``metric._NUMPY_MIN_N`` points or more loads it, so ``numpy``
-must be false for ``build-*``, ``export``, ``isom-extend``, ``embed-*``
-(whose targets have 3 points), ``c0-demo``, ``hull-check`` and every
-``tightspan-{generic,path,equilateral}``, and true for ``verify``,
-``extend``, ``balls`` and ``tightspan-kuratowski`` at 350 points and more,
-which validate the prefix; it is not checked for those four below 350.
+must be false for ``build-*``, ``export``, ``export-half``,
+``isom-extend``, ``embed-*`` (whose targets have 3 points), ``c0-demo``,
+``hull-check`` and every ``tightspan-{generic,path,equilateral}``, and
+true for ``verify``, ``extend``, ``balls`` and ``tightspan-kuratowski`` at
+350 points and more, which validate the prefix; it is not checked for
+those four below 350.
 One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
@@ -94,10 +98,11 @@ EMBED = {
 }
 
 # Every subcommand of `ury`: its runs as (name, argv), each argv token filled
-# in with the size n and the work directory d.
+# in with the size n, its half h = n // 2 and the work directory d.
 COMMANDS = {
     "build": [(name, "build --points {n}") for name in ("build-cold", "build-resumed")],
-    "export": [("export", "export --cache {d}/p{n}.ury --out {d}/export.dmat")],
+    "export": [("export", "export --cache {d}/p{n}.ury --out {d}/export.dmat"),
+               ("export-half", "export --cache {d}/p{n}.ury --points {h} --out {d}/half.dmat")],
     "verify": [("verify", "verify --dmat {d}/p{n}.dmat")],
     "extend": [("extend", "extend --dmat {d}/p{n}.dmat --support 1 --radii 1")],
     "balls": [("balls", "balls --family {d}/balls{n}.json")],
@@ -253,6 +258,9 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
                 and filecmp.cmp(files[0], work / f"p{n}.ury", shallow=False))
     if name == "export":
         return code == 0 and filecmp.cmp(work / "export.dmat", work / f"p{n}.dmat", shallow=False)
+    if name == "export-half":
+        h, lines = n // 2, (work / f"p{n}.dmat").read_text().splitlines(keepends=True)
+        return code == 0 and (work / "half.dmat").read_text() == "".join([f"{h}\n", *lines[1:h]])
     if name == "verify":
         return code == 0 and out == f"OK: metric on {n} points"
     if name == "extend":
@@ -335,7 +343,7 @@ def main() -> int:
                     else:
                         (work / "cache").mkdir()
                     result = measured(env, TIMED.get(command, {}),
-                                      [token.format(n=n, d=tmp) for token in argv.split()])
+                                      [token.format(n=n, h=n // 2, d=tmp) for token in argv.split()])
                     try:
                         good = passed(name, n, result, work, column, seen)
                     except (ValueError, KeyError, TypeError, IndexError):  # malformed output
