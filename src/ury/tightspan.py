@@ -9,10 +9,10 @@ space isometrically into it.  At finite scale the interesting skeleton is
 the vertex set of the admissibility polyhedron
 ``{f >= 0 : f(x) + f(y) >= d(x,y)}``, which this module enumerates exactly.
 
-Vertex enumeration visits only the sets of n tight constraints whose graph
-(a loop per ``f(x) = 0``, an edge per ``f(x) + f(y) = d(x,y)``) is odd
-unicyclic in every component, and solves each by integer propagation on the
-scale ``2 * space.scale``; no float is used.
+The vertices with a zero coordinate are the Kuratowski functions; the others
+come from the sets of n tight pair constraints ``f(x) + f(y) = d(x,y)`` whose
+graph is odd unicyclic in every component, each solved by integer
+propagation on the scale ``2 * space.scale``; no float is used.
 
 Extremality is decided by single-coordinate pinning: ``f`` admissible is
 extremal iff every coordinate is either 0 or tight in some pair constraint.
@@ -216,25 +216,26 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     solution iff every connected component of its graph has exactly one
     cycle and that cycle is odd (a loop counts as odd): the signless
     incidence matrix of an odd unicyclic component has determinant +-2, and
-    every other structure is singular.  A depth-first search over the
-    constraints (loops, then pairs) skips any that would close an even cycle
-    or give a component a second cycle, so it visits only such sets.  Point
-    t holds ``x_t = sign_t * x + off_t``, x the value at its component's
-    root.  The search prunes a branch by two necessary conditions, so the
-    vertex set is that of the unpruned search:
+    every other structure is singular.  The vertices with a zero coordinate
+    are the Kuratowski functions ``f_a`` (``f(a) = 0`` gives ``f >= f_a``),
+    taken as they are; a depth-first search over the pair constraints finds
+    the others, skipping any that would close an even cycle or give a
+    component a second cycle.  Point t holds ``x_t = sign_t * x + off_t``,
+    x the value at its component's root.  The search prunes a branch by two
+    necessary conditions, so the vertex set is that of the unpruned search:
 
     - closing an odd cycle anchors its component; the branch is dropped if
-      a newly anchored point is negative or inadmissible against an
+      a newly anchored point is below 1 or inadmissible against an
       anchored point (pairs of earlier anchored points were checked when
       those were anchored);
     - merging two free components bounds ``2 * x`` of the merged one from
-      below and above, by ``x_t >= 0`` and every pair constraint inside the
+      below and above, by ``x_t >= 1`` and every pair constraint inside the
       component or against an anchored point; the branch is dropped when
       the bounds cross, since every leaf below it would meet them all.
 
     Both conditions are checked against bounds the search keeps, not
     re-derived: each free component keeps its members and the interval
-    for ``2 * x`` that ``x_t >= 0``, its same-sign pairs and the anchored
+    for ``2 * x`` that ``x_t >= 1``, its same-sign pairs and the anchored
     points set.  An anchoring checks its root value against that interval;
     a merge maps the moved component's interval onto the kept root's and
     adds only the pairs across the two; pushing an anchoring narrows every
@@ -242,13 +243,13 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
 
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
     space's common denominator ``space.scale``: every coordinate is half an
-    alternating sum of distances, so ``2 * D * f`` is an integer.  Each
-    vertex keeps these integers, reduced to its canonical scale and not
-    re-checked, and becomes Fractions only when its ``values`` are read; no
-    float is used.
-    Every vertex is extremal, because the tight span is the union of the
-    bounded faces of this polyhedron (Dress 1984).  Enforced limit: n <= 7;
-    larger spaces are rejected, never approximated.
+    alternating sum of distances, so ``2 * D * f`` is an integer, at least 1
+    where positive.  Each vertex keeps these integers, reduced to its
+    canonical scale and not re-checked, and becomes Fractions only when its
+    ``values`` are read; no float is used.  Every vertex is extremal,
+    because the tight span is the union of the bounded faces of this
+    polyhedron (Dress 1984).  Enforced limit: n <= 7; larger spaces are
+    rejected, never approximated.
     """
     check_vertex_limit(space.n)
     found, _ = _vertex_search(square_rows(space.lower, space.points(), 2))
@@ -268,20 +269,19 @@ def _vertex_search(w: dict[int, list[int]]) -> tuple[set[tuple[int, ...]], int]:
     """
     n = len(w)
     points = range(n)
-    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
-    constraints = [(i, i, 0) for i in points]
-    constraints += [(i, j, w[i][j]) for i, j in combinations(points, 2)]
-    found: set[tuple[int, ...]] = set()
+    # (u, v, b) is x_u + x_v = b; the rows of w are the Kuratowski vertices.
+    constraints = [(i, j, w[i][j]) for i, j in combinations(points, 2)]
+    found = {tuple(w[t]) for t in points}
     visited = 0
     # Each entry is (next constraint, constraints taken, root, sign, off,
     # members, interval).  Point t holds x_t = sign[t] * x + off[t], x the
     # value at its component's root; sign[t] == 0 marks an anchored point,
     # where x_t == off[t].  A free component's root r has sign 1 and keeps
     # its members[r] and interval[r] = (lo, hi), the bounds lo <= 2x <= hi
-    # that x_t >= 0, every same-sign pair inside it and every anchored point
+    # that x_t >= 1, every same-sign pair inside it and every anchored point
     # set (hi is None without a point of sign -1).  Its opposite-sign pairs
     # do not involve x and were checked at the merges that built it.
-    stack = [(0, 0, list(points), [1] * n, [0] * n, [(t,) for t in points], [(0, None)] * n)]
+    stack = [(0, 0, list(points), [1] * n, [0] * n, [(t,) for t in points], [(2, None)] * n)]
     while stack:
         start, depth, root, sign, off, members, interval = stack.pop()
         visited += 1

@@ -377,22 +377,34 @@ def oracle_hull_isometry(breakpoints, step: Fraction):
     return True, None, len(params)
 
 
-def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve the square system a x = b over the rationals; None if singular."""
+def _solve_fraction_free(a: list[list[int]], b: list[int]) -> tuple[list[int], int] | None:
+    """Solve the square integer system a x = b by fraction-free (Bareiss)
+    elimination: ``(X, det)`` with ``det > 0`` and ``x = X / det``, or None
+    if a is singular.
+
+    The forward pass divides each update by the previous pivot exactly, and
+    leaves ``+-det(a)`` as the last pivot.  By Cramer's rule ``det * x`` is
+    an integer vector, so each back substitution step divides exactly too.
+    """
     n = len(a)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+    m = [row + [v] for row, v in zip(a, b)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
         if pivot is None:
             return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        p = top[k]
+        for i in range(k + 1, n):
+            f = m[i][k]
+            m[i] = [(p * v - f * u) // prev for v, u in zip(m[i], top)]
+        prev = p
+    xs = [0] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        xs[i] = (row[n] * prev - sum(row[j] * xs[j] for j in range(i + 1, n))) // row[i]
+    return (xs, prev) if prev > 0 else ([-v for v in xs], -prev)
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:
@@ -415,22 +427,24 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
     """Vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} by brute force.
 
     Every n-subset of the constraints (coordinate zero or pair tightness)
-    that touches every coordinate goes through Fraction Gauss-Jordan
-    elimination; nonnegative, feasible solutions are kept.  Returns the
-    sorted, duplicate-free value tuples.  C(n(n+1)/2, n) systems: about 10 s
-    at n = 6.
+    that touches every coordinate goes through fraction-free elimination in
+    Python ints, on the system scaled by the common denominator D of the
+    Fraction matrix; nonnegative, feasible solutions are kept, and only they
+    become Fractions.  Returns the sorted, duplicate-free value tuples.
+    C(n(n+1)/2, n) systems: a few seconds at n = 6.
     """
     n = space.n
-    d = space.matrix
+    scale = lcm(*(v.denominator for row in space.matrix for v in row))
+    d = [[int(v * scale) for v in row] for row in space.matrix]
     constraints = []
     for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        constraints.append((row, Fraction(0), 1 << i))
+        row = [0] * n
+        row[i] = 1
+        constraints.append((row, 0, 1 << i))
     for i in range(n):
         for j in range(i + 1, n):
-            row = [Fraction(0)] * n
-            row[i] = row[j] = Fraction(1)
+            row = [0] * n
+            row[i] = row[j] = 1
             constraints.append((row, d[i][j], (1 << i) | (1 << j)))
 
     found = set()
@@ -440,13 +454,14 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
             mask |= m
         if mask != (1 << n) - 1:
             continue
-        solution = _solve_exact([c[0] for c in chosen], [c[1] for c in chosen])
-        if solution is None or min(solution) < 0:
+        solved = _solve_fraction_free([c[0] for c in chosen], [c[1] for c in chosen])
+        if solved is None:
             continue
-        if all(
-            solution[x] + solution[y] >= d[x][y] for x in range(n) for y in range(x + 1, n)
-        ):
-            found.add(tuple(solution))
+        xs, det = solved
+        if min(xs) < 0:
+            continue
+        if all(xs[x] + xs[y] >= det * d[x][y] for x in range(n) for y in range(x + 1, n)):
+            found.add(tuple(Fraction(v, det * scale) for v in xs))
     return sorted(found)
 
 
@@ -463,10 +478,11 @@ def oracle_vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]
     """
     n = len(w)
     points = range(n)
-    # (u, v, b) is x_u + x_v = b; the loop (i, i, 0) is x_i = 0.
-    constraints = [(i, i, 0) for i in points]
-    constraints += [(i, j, w[i][j]) for i, j in combinations(points, 2)]
-    found: set[tuple[int, ...]] = set()
+    # (u, v, b) is x_u + x_v = b.  The rows of w, the Kuratowski functions,
+    # are the vertices with a zero coordinate; at every other vertex each
+    # x_t is a positive integer, so the search keeps x_t >= 1.
+    constraints = [(i, j, w[i][j]) for i, j in combinations(points, 2)]
+    found = {tuple(row) for row in w}
     visited = 0
     # Each entry is (next constraint, constraints taken, root, sign, off);
     # sign[t] == 0 marks an anchored component: there x_t == off[t].
@@ -511,11 +527,11 @@ def oracle_vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]
 
 
 def _anchoring_fits(w, moved: list[int], anchored: list[int], off: list[int]) -> bool:
-    """Whether the newly anchored points ``moved`` are nonnegative and
+    """Whether the newly anchored points ``moved`` are at least 1 and
     admissible against every anchored point."""
     for t in moved:
         x, row = off[t], w[t]
-        if x < 0 or any(row[a] > x + off[a] for a in anchored):
+        if x < 1 or any(row[a] > x + off[a] for a in anchored):
             return False
     return True
 
@@ -524,20 +540,21 @@ def _merge_fits(
     w, members: list[int], anchored: list[int], sign: list[int], off: list[int]
 ) -> bool:
     """Whether some root value x keeps every point of a free component
-    nonnegative and admissible inside it and against every anchored point.
+    at least 1 and admissible inside it and against every anchored point.
 
     Each constraint reads ``s * 2x >= c``: from a pair t, t' of one sign s,
-    ``c = w_tt' - off_t - off_t'`` (with t' = t it is ``x_t >= 0``); from a
-    point t and an anchored a, ``c = 2 * (w_ta - off_t - off_a)``.  A pair of
-    opposite signs does not involve x.  Without a point of sign -1 nothing
-    bounds x from above.
+    ``c = w_tt' - off_t - off_t'``, and from t' = t, ``x_t >= 1``, it is
+    ``c = 2 - 2 * off_t``; from a point t and an anchored a,
+    ``c = 2 * (w_ta - off_t - off_a)``.  A pair of opposite signs does not
+    involve x.  Without a point of sign -1 nothing bounds x from above.
     """
     if all(sign[t] > 0 for t in members):
         return True
     bounds = {1: [], -1: []}  # the c of each sign's constraints
     for i, t in enumerate(members):
         s, x, row = sign[t], off[t], w[t]
-        for t2 in members[i:]:
+        bounds[s].append(2 - 2 * x)
+        for t2 in members[i + 1:]:
             if sign[t2] == s:
                 bounds[s].append(row[t2] - x - off[t2])
             elif row[t2] > x + off[t2]:

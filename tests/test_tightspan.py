@@ -376,12 +376,24 @@ GENERIC6 = FiniteMetricSpace.from_lower_triangle([
 
 def test_vertex_search_prunes_merged_components():
     # The output cannot show a lost pruning, so count the constraint sets
-    # the search visits: 4257 when only anchored components are checked.
+    # the search visits: 573, against 4257 when it also took the loop
+    # constraints and checked only anchored components.
     w = [[2 * v for v in row] for row in GENERIC6.rows]
     found, visited = _vertex_search(w)
     assert len(found) == 28
     assert all(tuple(row) in found for row in w)  # the Kuratowski functions
     assert visited <= 1000
+
+
+def test_vertex_search_seeds_the_kuratowski_vertices():
+    # On a line every triangle is tight, so with the loop constraints the
+    # search reached each Kuratowski vertex through many sets: the 7-point
+    # path visited 34 748.
+    w = [[2 * v for v in row] for row in _path(7).rows]
+    found, visited = _vertex_search(w)
+    assert len(found) == 7
+    assert all(tuple(row) in found for row in w)
+    assert visited <= 5000
 
 
 def _search_corpus(group):
@@ -405,6 +417,18 @@ def test_vertex_search_matches_reference_search(group):
     for space in _search_corpus(group):
         w = [[2 * v for v in row] for row in space.rows]
         assert _vertex_search(w) == oracle_vertex_search(w)
+
+
+@pytest.mark.parametrize("group", ["random3", "random4", "random5", "degenerate"])
+def test_vertices_with_a_zero_coordinate_are_the_kuratowski_functions(group):
+    # What the search rests on, checked on the brute-force vertices: it takes
+    # the Kuratowski functions as given, and keeps every coordinate of the
+    # others at least 1 on the scale 2 * space.scale, where each is an integer.
+    for space in _search_corpus(group):
+        vertices = oracle_tight_span_vertices(space)
+        zero = sorted(f for f in vertices if 0 in f)
+        assert zero == sorted(kuratowski(space, a).values for a in space.points())
+        assert all((2 * space.scale * v).denominator == 1 for f in vertices for v in f)
 
 
 SEVEN = {
