@@ -64,12 +64,12 @@ ENUMERATION_VERSION = "cw1"
 
 # A build keeps O(m·w) ints for labels of at most w elements (w <= 11 below
 # 4000 points), and no row.  tools/command_sizes.py, medians of three at 1000
-# / 2000 / 4000 points: `ury build` 0.03 / 0.08 / 0.16 s and 17 / 19 / 23 MiB
-# cold, 0.04 / 0.08 / 0.17 s and 18 / 21 / 27 MiB resumed from 0.9·N points;
-# `isom-extend` to the last point 0.03 / 0.07 / 0.15 s and 18 / 19 / 24 MiB;
-# an `embed` found among the first points searches 0.003 / 0.005 / 0.010 s,
+# / 2000 / 4000 points: `ury build` 0.03 / 0.06 / 0.12 s and 18 / 20 / 23 MiB
+# cold, 0.04 / 0.07 / 0.14 s and 19 / 21 / 27 MiB resumed from 0.9·N points;
+# `isom-extend` to the last point 0.02 / 0.04 / 0.14 s and 18 / 20 / 24 MiB;
+# an `embed` found among the first points searches 0.001 / 0.002 / 0.007 s,
 # and one that finds nothing builds its whole index, one position per
-# ordered pair of points: 0.6 / 4.1 / 19 s and 147 / 600 / 2561 MiB.
+# ordered pair of points: 0.5 / 2.4 / 14 s and 86 / 339 / 1481 MiB.
 PREFIX_MAX_POINTS = 4000
 
 SET_COLLAPSE = "set-collapse"
@@ -318,13 +318,18 @@ class _DistanceBuckets(dict):
     # d(v, u) for each later point v comes from step v's record.  It holds the
     # heads and records, not the state, which holds it.  A read of a built
     # entry is a plain dict lookup; ``__missing__`` runs once per point.
-    # ``len`` and iteration cover every point, like a tuple's.
-    __slots__ = ("_heads", "_steps")
+    # ``len`` and iteration cover every point, like a tuple's.  Most buckets
+    # hold one point (32 195 of the 33 645 at 200 points), so the index makes
+    # one 1-tuple (v,) per point, once, and every entry stores a bucket whose
+    # only point is v as that shared tuple; only a bucket that gets a second
+    # point becomes a tuple of its own.
+    __slots__ = ("_heads", "_steps", "_ones")
 
     def __init__(self, heads, steps):
         super().__init__()
         self._heads = heads
         self._steps = steps
+        self._ones = list(zip(range(len(steps) + 1)))  # (v,) for each point v
 
     def __missing__(self, u: int) -> dict[int, tuple[int, ...]]:
         heads, steps = self._heads, self._steps
@@ -341,9 +346,13 @@ class _DistanceBuckets(dict):
                 else min(map(add, rec, below))
                 for rec in steps[u:]
             ]
+        ones = self._ones
         entry: dict[int, tuple[int, ...]] = {}
-        for v, d in chain(enumerate(_row(heads, steps, u)), enumerate(column, start=u + 1)):
-            entry[d] = entry.get(d, ()) + (v,)
+        setdefault = entry.setdefault
+        for one, d in chain(zip(ones, _row(heads, steps, u)), zip(ones[u + 1:], column)):
+            bucket = setdefault(d, one)  # a new bucket is v's shared tuple
+            if bucket is not one:
+                entry[d] = bucket + one
         self[u] = entry
         return entry
 
@@ -504,9 +513,10 @@ class PrefixState:
         read from row u and the step records of the later points, in
         O(m·p), and kept with the state, so a search that stops early builds
         only the points it reached; the state is immutable, so no entry goes
-        stale.  ``len`` and iteration cover all ``m`` points.  Callers must
-        not mutate it.  Not a field: it takes no part in equality, hashing or
-        ``repr``."""
+        stale.  A bucket of one point v is the index's shared tuple
+        ``(v,)``, one object in every entry that has it.  ``len`` and
+        iteration cover all ``m`` points.  Callers must not mutate it.  Not a
+        field: it takes no part in equality, hashing or ``repr``."""
         return _DistanceBuckets(self.heads, self.steps)
 
 

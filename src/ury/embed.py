@@ -113,11 +113,18 @@ def _first_embedding(wanted, buckets, m: int) -> tuple[int, ...] | None:
 
 
 def _common(buckets) -> tuple[int, ...]:
-    """The points in every one of ``buckets``, in ascending index order."""
-    first, *rest = buckets
-    if not rest:
-        return first
-    return tuple([v for v in first if all(v in bucket for bucket in rest)])
+    """The points in every one of ``buckets``, in ascending index order.
+
+    It walks the shortest bucket and keeps the points that the next shortest
+    holds, and so on, so its work is bounded by the smallest bucket times
+    the others' lengths.  An empty bucket ends the walk, and a lone bucket
+    comes back as it is (the same object)."""
+    common, *rest = sorted(buckets, key=len)
+    for bucket in rest:
+        if not common:
+            break
+        common = tuple([v for v in common if v in bucket])
+    return common
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from ury import (
+    ConstructionMode,
     FiniteMetricSpace,
     InvalidPartialIsometry,
     PartialIsometry,
@@ -18,6 +19,7 @@ from ury import (
     load_prefix_text,
     truncate_prefix,
 )
+from ury.embed import _common
 from ury.errors import MetricViolation
 from helpers import (
     DENOMINATORS,
@@ -282,6 +284,47 @@ def test_a_distance_off_the_prefix_scale_is_not_found(prefix200):
             "not-found-up-to", None, 40
         )
         assert oracle_embedding(target, prefix) is None
+
+
+@pytest.mark.parametrize("m, mode", [
+    (200, None),
+    (60, ConstructionMode(case1_scope="labels-only")),
+    (60, ConstructionMode("legacy-multiset", "labels-only", (("2",), ("3",), ("4",), ("1/2", "1/2")))),
+], ids=["cw1", "labels-only", "override"])
+def test_every_one_point_bucket_of_a_point_is_one_shared_tuple(prefix300, m, mode):
+    # A fresh state: its index has no entry built yet.
+    prefix = truncate_prefix(prefix300, m) if mode is None else build_prefix(m, mode)
+    index = list(prefix.distance_buckets)  # the whole index
+    oracle = oracle_distance_buckets(prefix.rho, prefix.scale)
+    assert [[(d, tuple(points)) for d, points in entry.items()] for entry in oracle] == [
+        list(entry.items()) for entry in index
+    ]
+    buckets = [bucket for entry in index for bucket in entry.values()]
+    ones: dict[int, tuple[int]] = {}
+    for bucket in buckets:
+        if len(bucket) == 1:
+            assert ones.setdefault(bucket[0], bucket) is bucket
+    wide = sum(len(bucket) >= 2 for bucket in buckets)
+    assert len(ones) + wide < len(buckets)
+    assert len(set(map(id, buckets))) <= m + wide
+
+
+def test_common_is_the_ascending_intersection_and_keeps_a_lone_bucket():
+    rng = random.Random(163)
+    shapes = set()
+    for _ in range(2000):
+        buckets = [tuple(sorted(rng.sample(range(40), rng.choice((0, 1, 1, 2, 5, 12, 30)))))
+                   for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.2:
+            buckets.append(rng.choice(buckets))  # one object twice, as shared tuples are
+        common = _common(buckets)
+        assert type(common) is tuple
+        assert common == tuple(sorted(set(buckets[0]).intersection(*buckets[1:])))
+        if len(buckets) == 1:
+            assert common is buckets[0]
+        shapes.add((len(buckets) == 1, bool(common), min(map(len, buckets)) == 0))
+    # A lone bucket, empty or not; and many, with or without a common point, or one empty.
+    assert len(shapes) == 5
 
 
 # ---------------------------------------------------------------------------

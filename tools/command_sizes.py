@@ -67,7 +67,11 @@ One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
 size for ``tightspan-*``, ``--n`` for ``c0-demo`` and k for
-``hull-check``.  The exit status is 1 unless every check passes; a
+``hull-check``.  Each ``embed-absent`` line also has
+``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
+``embed-never`` at the same N, in bytes, over the N(N - 1) positions of
+the whole index (one per ordered pair of points), so index memory reads
+per position.  The exit status is 1 unless every check passes; a
 command that exits 0 must also write nothing to stderr.
 """
 
@@ -351,6 +355,7 @@ def main() -> int:
                     if not good:
                         errors.setdefault(name, result.get("stderr", "wrong output")[-500:])
                     results[name].append(result)
+            peaks: dict[str, float] = {}  # each median maxrss_mib printed at this size
             for name, runs in results.items():
                 ok &= name not in errors
                 line = {"points": n, "command": name, "ok": name not in errors, "runs": len(runs)}
@@ -358,7 +363,10 @@ def main() -> int:
                           if k not in ("exit", "stderr", "numpy") and all(k in r for r in runs)]
                 line.update({k: median(r[k] for r in runs) for k in values})
                 if "maxrss_mib" in line:
-                    line["maxrss_mib"] = round(line["maxrss_mib"], 1)
+                    line["maxrss_mib"] = peaks[name] = round(line["maxrss_mib"], 1)
+                if name == "embed-absent" and {name, "embed-never"} <= peaks.keys():
+                    line["index_bytes_per_pair"] = round(
+                        (peaks[name] - peaks["embed-never"]) * 2**20 / (n * (n - 1)), 1)
                 line.update({f"{k}_runs": [r[k] for r in runs] for k in values})
                 line["numpy"] = runs[0].get("numpy")
                 if name in errors:
