@@ -317,12 +317,13 @@ class _DistanceBuckets(dict):
     # built on its first read from row u and then column u, whose entry
     # d(v, u) for each later point v comes from step v's record.  It holds the
     # heads and records, not the state, which holds it.  A read of a built
-    # entry is a plain dict lookup; ``__missing__`` runs once per point.
-    # ``len`` and iteration cover every point, like a tuple's.  Most buckets
-    # hold one point (32 195 of the 33 645 at 200 points), so the index makes
-    # one 1-tuple (v,) per point, once, and every entry stores a bucket whose
-    # only point is v as that shared tuple; only a bucket that gets a second
-    # point becomes a tuple of its own.
+    # entry is a plain dict lookup; ``__missing__`` runs once per point.  The
+    # dict holds the entries built so far, so ``len`` and iteration count and
+    # list those, not the points.  Most buckets hold one point (32 195 of the
+    # 33 645 at 200 points), so the index makes one 1-tuple (v,) per point,
+    # once, and every entry stores a bucket whose only point is v as that
+    # shared tuple; only a bucket that gets a second point becomes a tuple of
+    # its own.
     __slots__ = ("_heads", "_steps", "_ones")
 
     def __init__(self, heads, steps):
@@ -333,7 +334,7 @@ class _DistanceBuckets(dict):
 
     def __missing__(self, u: int) -> dict[int, tuple[int, ...]]:
         heads, steps = self._heads, self._steps
-        if not 0 <= u < len(self):
+        if not 0 <= u < len(self._ones):
             raise IndexError(f"point {u} out of range")
         if u < len(heads):
             column = heads[u][u + 1:]
@@ -355,12 +356,6 @@ class _DistanceBuckets(dict):
                 entry[d] = bucket + one
         self[u] = entry
         return entry
-
-    def __len__(self) -> int:
-        return len(self._steps) + 1
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
 
 
 def _rescaled(heads, steps, num: int, den: int) -> tuple[list[list[int]], list]:
@@ -417,9 +412,10 @@ class PrefixState:
     the Case-1 distance (an int).  Every distance is read from them, by
     :meth:`row` or :meth:`entry`, and none is kept.  Both fields are
     canonical, so two states are equal exactly when their metrics, logs and
-    modes are, and equality, hashing, ``repr`` and pickling read no row.  A
-    state is made by :func:`build_prefix`, :func:`truncate_prefix`, a cache
-    load, or :meth:`from_lower` from the rows of a lower triangle.
+    modes are, and equality, hashing, ``repr`` and pickling read no row.
+    Every state is a build (:func:`build_prefix`), a truncation
+    (:func:`truncate_prefix`) or the replay of a ``.ury`` log
+    (:func:`load_prefix_text`).
     """
 
     m: int = field(init=False)
@@ -437,43 +433,6 @@ class PrefixState:
     def __getstate__(self):
         # The fields only: the cached views below are rebuilt on demand.
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_lower(cls, lower: Sequence[Sequence], log: Iterable[StepRecord], mode_tag: str) -> PrefixState:
-        """The state whose distances ``rho(a_i, a_j)``, ``j < i``, are the
-        rationals ``lower[i][j]``, built by the steps of ``log`` under the
-        mode ``mode_tag``: the replay of ``log`` under that mode, with the
-        log's labels under an ``override`` tag.
-
-        Raises :class:`InvalidMode` unless the log has one record per step
-        after the first point, numbered from 1, under a canonical (``cw1``)
-        tag every label is the enumeration's label of its step, and the
-        replay gives the same log, C/I flags included, and the same rows.
-        """
-        log = tuple(log)
-        rows = [[as_rational(v) for v in row] for row in lower]
-        m = len(rows)
-        if (
-            len(log) != m - 1
-            or any(rec.step != k for k, rec in enumerate(log, start=1))
-            or any(len(row) != i for i, row in enumerate(rows))
-        ):
-            raise InvalidMode("the state's rows do not follow its log")
-        canonical = mode_tag.endswith("," + ENUMERATION_VERSION)
-        for rec in log if canonical else ():
-            if rec.label != subset_of_index(rec.step):
-                raise InvalidMode(f"step {rec.step} does not have its {ENUMERATION_VERSION} label")
-        override = None if canonical else tuple(rec.label.elements for rec in log)
-        mode = ConstructionMode(*mode_tag.split(",")[:2], override)
-        if mode.tag != mode_tag:
-            raise InvalidMode(f"unknown mode tag {mode_tag!r}")
-        state = build_prefix(m, mode)
-        scale = state.scale
-        if state.log != log or any(
-            [v * scale for v in row] != list(state.row(i)) for i, row in enumerate(rows)
-        ):
-            raise InvalidMode("the state's rows do not follow its log")
-        return state
 
     def row(self, i: int) -> tuple[int, ...]:
         """Row i of the lower triangle over ``scale``, ``d(i, j)`` for
@@ -514,9 +473,11 @@ class PrefixState:
         O(m·p), and kept with the state, so a search that stops early builds
         only the points it reached; the state is immutable, so no entry goes
         stale.  A bucket of one point v is the index's shared tuple
-        ``(v,)``, one object in every entry that has it.  ``len`` and
-        iteration cover all ``m`` points.  Callers must not mutate it.  Not a
-        field: it takes no part in equality, hashing or ``repr``."""
+        ``(v,)``, one object in every entry that has it.  It is a dict of
+        the entries built so far, so ``len`` and iteration count and list
+        those, not the ``m`` points; a read of a point outside ``0..m-1`` is
+        an :class:`IndexError`.  Callers must not mutate it.  Not a field:
+        it takes no part in equality, hashing or ``repr``."""
         return _DistanceBuckets(self.heads, self.steps)
 
 
@@ -548,11 +509,11 @@ def build_prefix(
 ) -> PrefixState:
     """Build the m-point prefix deterministically under ``mode``.
 
-    ``resume`` may supply any earlier state (built, loaded from a cache or
-    made by :meth:`PrefixState.from_lower`); it must carry the same mode
-    tag, and under an override the same labels, otherwise
-    :class:`InvalidMode` is raised — a cache is never silently reused across
-    settings.  The build continues from its heads and step records.
+    ``resume`` may supply any earlier state (a build, a truncation or a
+    ``.ury`` replay); it must carry the same mode tag, and under an override
+    the same labels, otherwise :class:`InvalidMode` is raised — a cache is
+    never silently reused across settings.  The build continues from its
+    heads and step records.
 
     Every step runs in integers over the lcm of the denominators of all
     labels used; the result is then reduced to the canonical scale.  It
@@ -565,9 +526,6 @@ def build_prefix(
         raise ValueError("m must be >= 1")
     if m > PREFIX_MAX_POINTS:
         raise TooLarge(f"a prefix is limited to {PREFIX_MAX_POINTS} points")
-    if mode.duplicate_handling == LEGACY_MULTISET and mode.q_override is None:
-        raise InvalidMode("legacy-multiset requires an explicit q_override")
-
     if resume is not None:
         if resume.mode_tag != mode.tag:
             raise InvalidMode(

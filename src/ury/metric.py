@@ -440,12 +440,6 @@ class FiniteMetricSpace:
         space._set(lower, scale)
         return space
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The square matrix of integers over ``scale``: a view made on each
-        access, at O(n^2) time and memory.  Not a field."""
-        return tuple(tuple(symmetric_row(self.lower, x)) for x in self.points())
-
     @cached_property
     def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """The distance matrix as Fractions: a view made on first access and

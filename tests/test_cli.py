@@ -739,6 +739,22 @@ def test_the_size_tool_runs_every_subcommand():
             assert any(name.startswith(prefix) for name in dir(importlib.import_module(f"ury.{module}")))
 
 
+def test_every_name_the_benchmark_tracer_wraps_is_in_the_library():
+    # The traced benchmark runs wrap these names, so a deleted one would
+    # break only those runs.  The tracer imports the stdlib only; its source
+    # is run here, so no bytecode is written beside it.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer: dict = {"__name__": "tracer"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer)
+    assert tracer["TARGETS"]
+    for span, (module, attr, _) in tracer["TARGETS"].items():
+        target = importlib.import_module(f"ury.{module}")
+        for name in attr.split("."):  # a function, or Class.method
+            assert hasattr(target, name), span
+            target = getattr(target, name)
+        assert callable(target), span
+
+
 def test_hull_check_builtins(capsys):
     for name in ("h1", "h2", "segment"):
         code, stdout, _ = run(capsys, "hull-check", "--builtin", name)

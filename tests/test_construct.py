@@ -3,7 +3,6 @@ import pickle
 import random
 import stat
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -32,7 +31,7 @@ from ury import (
     validate_metric,
 )
 from ury import construct as construct_mod
-from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, PrefixState, colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
 
 from helpers import oracle_build_prefix
 
@@ -264,22 +263,6 @@ def test_running_max_matches_a_scan(mode):
     assert truncate_prefix(state, 25).running_max == expected[:25]
     assert build_prefix(40, mode, resume=truncate_prefix(state, 25)).running_max == expected
     assert load_prefix_text(dump_prefix_text(state)).running_max == expected
-
-
-def test_resume_from_a_hand_made_state_equals_a_cold_build(prefix50):
-    # A state made by hand from its rows gets its maxima from the scan in
-    # PrefixState.from_lower, and a resumed build continues from there.
-    expected = step_maxima(prefix50.rho)
-
-    def by_hand(m):
-        return PrefixState.from_lower(
-            [row[:i] for i, row in enumerate(prefix50.rho[:m])], prefix50.log[: m - 1], DEFAULT_MODE.tag
-        )
-
-    assert all(by_hand(m).running_max == expected[:m] for m in range(1, 51))
-    resumed = build_prefix(50, resume=by_hand(30))
-    assert resumed == prefix50
-    assert resumed.running_max == expected
 
 
 def entry_scale(state):
@@ -651,17 +634,11 @@ def test_build_over_the_point_bound_is_refused_before_any_step(monkeypatch, pref
 # them.
 # ---------------------------------------------------------------------------
 
-def explicit_state(oracle, m, mode_tag):
-    """The oracle's first m points as a state made by hand from its rows:
-    :meth:`PrefixState.from_lower` certifies them by a replay."""
-    return PrefixState.from_lower([row[:i] for i, row in enumerate(oracle.rho[:m])], oracle.log[: m - 1], mode_tag)
-
-
-def assert_as_explicit(state, oracle):
-    """``state`` compares, hashes and prints as the state made by hand from
-    the oracle's first ``state.m`` points, has its scale and running maxima,
-    and reads as the oracle's rows."""
-    expected = explicit_state(oracle, state.m, state.mode_tag)
+def assert_as_cold_build(state, oracle, mode):
+    """``state`` compares, hashes and prints as the cold build of its
+    ``state.m`` points under ``mode``, has its scale and running maxima, and
+    reads as the oracle's rows."""
+    expected = build_prefix(state.m, mode)
     assert state == expected and expected == state
     assert not state != expected
     assert hash(state) == hash(expected)
@@ -677,7 +654,7 @@ def test_lazy_rows_match_the_oracle(scope):
     mode = ConstructionMode(case1_scope=scope)
     state = build_prefix(130, mode)
     assert len(state.heads) == 7
-    assert_as_explicit(state, oracle_build_prefix(130, mode))
+    assert_as_cold_build(state, oracle_build_prefix(130, mode), mode)
 
 
 @pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
@@ -689,9 +666,9 @@ def test_lazy_rows_of_a_wide_legacy_override(scope):
     oracle = oracle_build_prefix(60, mode)
     state = build_prefix(60, mode)
     assert [rec.correctly_defined for rec in state.log[3:4] + state.log[29:31]] == [False, True, False]
-    assert_as_explicit(state, oracle)
+    assert_as_cold_build(state, oracle, mode)
     for k in (4, 5, 30, 31, 32):
-        assert_as_explicit(build_prefix(60, mode, resume=truncate_prefix(state, k)), oracle)
+        assert_as_cold_build(build_prefix(60, mode, resume=truncate_prefix(state, k)), oracle, mode)
 
 
 def test_a_resume_across_a_width_increase_matches_the_oracle():
@@ -703,73 +680,23 @@ def test_a_resume_across_a_width_increase_matches_the_oracle():
     assert len(short.heads) == 8
     resumed = build_prefix(1100, resume=short)
     assert len(resumed.heads) == 10
-    assert_as_explicit(resumed, oracle)
-    assert resumed == build_prefix(1100)
+    assert_as_cold_build(resumed, oracle, DEFAULT_MODE)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 def test_resumes_from_states_made_by_hand_and_every_truncation(mode):
+    # Every state is a build, a truncation or a .ury replay; the replay of
+    # each truncation stands in for a state made from outside the build.
     oracle = oracle_build_prefix(60, mode)
     state = build_prefix(60, mode)
     for k in range(1, 61):
         short = truncate_prefix(state, k)
-        assert_as_explicit(short, oracle)
-        by_hand = explicit_state(oracle, k, mode.tag)
-        assert_as_explicit(truncate_prefix(by_hand, max(1, k - 7)), oracle)
-        resumed = build_prefix(60, mode, resume=by_hand)
-        assert resumed is by_hand or k < 60
-        assert_as_explicit(resumed, oracle)
-
-
-def test_a_state_made_by_hand_whose_rows_break_its_log_is_not_resumed(prefix50):
-    # Such a state cannot be made: from_lower refuses rows that do not follow
-    # the log, a log without one record per step, and a canonical tag whose
-    # log has a label that is not the enumeration's.
-    oracle = oracle_build_prefix(12)
-    good = explicit_state(oracle, 12, DEFAULT_MODE.tag)
-    assert build_prefix(20, resume=good) == truncate_prefix(prefix50, 20)
-    rows = [list(row[:i]) for i, row in enumerate(oracle.rho)]
-    log = oracle.log
-    for k in (2, 8, 11):  # a head row, a Case-1 row and a Case-2 row
-        bad = [row[:] for row in rows]
-        bad[k][-1] += 1
-        with pytest.raises(InvalidMode, match="rows do not follow its log"):
-            PrefixState.from_lower(bad, log, DEFAULT_MODE.tag)
-    for bad_log in (log[:-1], log + log[-1:], log[1:2] + log[1:], log[:-1] + (replace(log[-1], step=12),)):
-        with pytest.raises(InvalidMode, match="rows do not follow its log"):
-            PrefixState.from_lower(rows, bad_log, DEFAULT_MODE.tag)
-    # Six points whose step 5 has the label {1/2} in place of {1/3}: the rows
-    # follow that log, and are refused under cw1 only.
-    rows = rows[:5] + [[Fraction(1, 2) + d for d in oracle.rho[0][:5]]]
-    wrong = log[:4] + (replace(log[4], label=QLabel(5, (Fraction(1, 2),))),)
-    with pytest.raises(InvalidMode, match="step 5 does not have its cw1 label"):
-        PrefixState.from_lower(rows, wrong, DEFAULT_MODE.tag)
-    override = ConstructionMode(q_override=[rec.label.elements for rec in wrong])
-    assert PrefixState.from_lower(rows, wrong, override.tag) == build_prefix(6, override)
-
-
-def test_a_state_made_by_hand_whose_flag_the_construction_would_not_give_is_refused():
-    # Step 8 of the 12-point prefix has the label {1/2, 1, 2} and is Case 1.
-    # Flagged C instead, with the rows kept, or with its row made the label's
-    # min-plus row and rows 9-11 made again from their records over it, so
-    # that every row follows the log: the construction flags step 8 I, so the
-    # replay refuses both.
-    oracle = oracle_build_prefix(12)
-    rho = [list(row) for row in oracle.rho]
-    log = list(oracle.log)
-    assert (log[7].label.elements, log[7].correctly_defined) == ((Fraction(1, 2), 1, 2), False)
-    log[7] = replace(log[7], correctly_defined=True)
-    with pytest.raises(InvalidMode, match="rows do not follow its log"):
-        PrefixState.from_lower([row[:i] for i, row in enumerate(rho)], log, DEFAULT_MODE.tag)
-    for k in range(8, 12):
-        radii = log[k - 1].label.elements
-        if log[k - 1].correctly_defined:
-            rho[k][:k] = [min(r + rho[l][z] for l, r in enumerate(radii)) for z in range(k)]
-        for z in range(k):
-            rho[z][k] = rho[k][z]
-    assert rho[8] != list(oracle.rho[8])
-    with pytest.raises(InvalidMode, match="rows do not follow its log"):
-        PrefixState.from_lower([row[:i] for i, row in enumerate(rho)], log, DEFAULT_MODE.tag)
+        assert_as_cold_build(short, oracle, mode)
+        loaded = load_prefix_text(dump_prefix_text(short))
+        assert_as_cold_build(truncate_prefix(loaded, max(1, k - 7)), oracle, mode)
+        resumed = build_prefix(60, mode, resume=loaded)
+        assert resumed is loaded or k < 60
+        assert_as_cold_build(resumed, oracle, mode)
 
 
 def test_equality_hashing_repr_and_pickling_build_no_row(monkeypatch):

@@ -142,15 +142,12 @@ def subspace(prefix, points):
 def test_distance_buckets_list_every_point_in_ascending_order(prefix50):
     prefix = truncate_prefix(prefix50, 50)  # a fresh state, with no entry built yet
     rho, scale = prefix.rho, prefix.scale
-    checked = 0
-    assert len(prefix.distance_buckets) == 50
-    for u, by_value in enumerate(prefix.distance_buckets):
+    for u in range(prefix.m):
         others = [v for v in range(prefix.m) if v != u]
-        assert {d: list(points) for d, points in by_value.items()} == {
+        assert {d: list(points) for d, points in prefix.distance_buckets[u].items()} == {
             int(rho[u][v] * scale): [w for w in others if rho[u][w] == rho[u][v]] for v in others
         }
-        checked += 1
-    assert checked == prefix.m == 50
+    assert built_entries(prefix) == list(range(50))
 
 
 def built_entries(prefix) -> list[int]:
@@ -167,7 +164,7 @@ def test_a_search_that_stops_early_builds_few_entries(prefix300):
     # Only the points tried as images of target points 0 and 1 are built
     # (five of them here).
     assert set(result.mapping[:2]) <= set(built)
-    assert 0 < len(built) < prefix.m // 10 and len(prefix.distance_buckets) == prefix.m
+    assert 0 < len(built) < prefix.m // 10
     again = find_isometric_embedding(target, prefix)
     assert again == result and built_entries(prefix) == built
 
@@ -192,6 +189,16 @@ def test_an_index_refuses_points_out_of_range(prefix50):
         with pytest.raises(IndexError):
             prefix.distance_buckets[u]
     assert built_entries(prefix) == []
+
+
+def test_an_index_is_a_dict_of_the_entries_built_so_far(prefix300):
+    # Its len and iteration count and list the entries built, not the points.
+    prefix = truncate_prefix(prefix300, 200)  # a fresh state, with no entry built yet
+    index = prefix.distance_buckets
+    assert len(index) == 0 and not index and list(index) == []
+    result = find_isometric_embedding(subspace(prefix, [2, 5, 9]), prefix)
+    assert result.status == "found"
+    assert 0 < len(index) == len(built_entries(prefix)) < prefix.m
 
 
 def test_repeated_searches_reuse_one_index(prefix200):
@@ -231,7 +238,7 @@ def test_truncated_prefix_gets_its_own_index(prefix200):
         assert result.mapping == oracle_embedding(target, short)
         outcomes.add(result.status)
     assert outcomes == {"found", "not-found-up-to"}
-    assert len(short.distance_buckets) == 60
+    assert 0 < len(built_entries(short)) and built_entries(short)[-1] < 60
 
 
 def test_building_or_loading_leaves_the_index_unbuilt(prefix50):
@@ -294,7 +301,7 @@ def test_a_distance_off_the_prefix_scale_is_not_found(prefix200):
 def test_every_one_point_bucket_of_a_point_is_one_shared_tuple(prefix300, m, mode):
     # A fresh state: its index has no entry built yet.
     prefix = truncate_prefix(prefix300, m) if mode is None else build_prefix(m, mode)
-    index = list(prefix.distance_buckets)  # the whole index
+    index = [prefix.distance_buckets[u] for u in range(m)]  # the whole index
     oracle = oracle_distance_buckets(prefix.rho, prefix.scale)
     assert [[(d, tuple(points)) for d, points in entry.items()] for entry in oracle] == [
         list(entry.items()) for entry in index

@@ -120,7 +120,9 @@ def test_equivalence_admissible_iff_extended_metric():
             ext = extend_one_point(req)
             validated = FiniteMetricSpace(matrix)
             assert ext == validated and hash(ext) == hash(validated)
-            assert (ext.rows, ext.scale, ext.matrix) == (validated.rows, validated.scale, validated.matrix)
+            square = metric_mod.square_rows
+            assert square(ext.lower, ext.points()) == square(validated.lower, validated.points())
+            assert (ext.scale, ext.matrix) == (validated.scale, validated.matrix)
     assert min(seen.values()) > 30  # both outcomes genuinely exercised, on both kinds of support
 
 

@@ -43,6 +43,7 @@ from ury import (
     verify_hull_candidate,
 )
 from ury.construct import PrefixState
+from ury.metric import square_rows
 from ury.tightspan import check_vertex_limit
 from helpers import (
     oracle_admissible,
@@ -91,7 +92,8 @@ def test_extend_one_point_matches_the_fraction_oracle():
         if check.ok:
             ext = extend_one_point(req)
             expected = FiniteMetricSpace(matrix)
-            assert (ext.rows, ext.scale) == (expected.rows, expected.scale)
+            assert square_rows(ext.lower, ext.points()) == square_rows(expected.lower, expected.points())
+            assert ext.scale == expected.scale
             assert ext == expected and hash(ext) == hash(expected)
             # Every radius is an entry of the result, so the joint scale is
             # the canonical one.
@@ -109,13 +111,14 @@ def test_extension_reduction_scans_to_the_first_row():
     req = ExtensionRequest(space, [5, 7], [2, 2])
     ext = extend_one_point(req)
     expected = FiniteMetricSpace(oracle_extended_matrix(space, [5, 7], [2, 2]))
-    assert (ext.rows, ext.scale) == (expected.rows, expected.scale) and ext.scale == 2
+    assert square_rows(ext.lower, ext.points()) == square_rows(expected.lower, expected.points())
+    assert ext.scale == expected.scale == 2
 
 
 def test_parse_and_computed_functions_are_on_the_canonical_scale():
     space = parse_distance_matrix("3\n2/4\n6/4 4/4\n")
     assert (space.lower, space.scale) == (((), (1,), (3, 2)), 2)
-    assert space.rows == ((0, 1, 3), (1, 0, 2), (3, 2, 0))
+    assert square_rows(space.lower, space.points()) == {0: [0, 1, 3], 1: [1, 0, 2], 2: [3, 2, 0]}
     assert space == FiniteMetricSpace.from_lower_triangle([["1/2"], ["3/2", 1]])
     # The legs 2/4, 0/4 and 4/4 over twice the space's scale reduce to 2.
     f = tripod_center(space)

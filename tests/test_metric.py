@@ -477,7 +477,7 @@ def test_space_over_a_prefix_matrix_has_the_prefix_rows_and_scale(prefix50):
 def test_space_equality_and_hash_follow_the_metric():
     halves = FiniteMetricSpace([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     same = FiniteMetricSpace.from_lower_triangle([["2/4"]])
-    assert (halves.rows, halves.scale) == (((0, 1), (1, 0)), 2)
+    assert (metric_mod.square_rows(halves.lower, halves.points()), halves.scale) == ({0: [0, 1], 1: [1, 0]}, 2)
     assert halves == same and hash(halves) == hash(same)
     assert halves != FiniteMetricSpace([[0, 1], [1, 0]])
     assert halves.distance(1, 0) == halves.distance(0, 1) == Fraction(1, 2)

@@ -24,6 +24,7 @@ from ury import (
     tripod_center,
     verify_hull_candidate,
 )
+from ury.metric import square_rows
 from ury.tightspan import IsometryViolation, _vertex_search
 from helpers import (
     fraction_rank,
@@ -378,7 +379,7 @@ def test_vertex_search_prunes_merged_components():
     # The output cannot show a lost pruning, so count the constraint sets
     # the search visits: 573, against 4257 when it also took the loop
     # constraints and checked only anchored components.
-    w = [[2 * v for v in row] for row in GENERIC6.rows]
+    w = list(square_rows(GENERIC6.lower, GENERIC6.points(), 2).values())
     found, visited = _vertex_search(w)
     assert len(found) == 28
     assert all(tuple(row) in found for row in w)  # the Kuratowski functions
@@ -389,7 +390,8 @@ def test_vertex_search_seeds_the_kuratowski_vertices():
     # On a line every triangle is tight, so with the loop constraints the
     # search reached each Kuratowski vertex through many sets: the 7-point
     # path visited 34 748.
-    w = [[2 * v for v in row] for row in _path(7).rows]
+    path = _path(7)
+    w = list(square_rows(path.lower, path.points(), 2).values())
     found, visited = _vertex_search(w)
     assert len(found) == 7
     assert all(tuple(row) in found for row in w)
@@ -415,7 +417,7 @@ def test_vertex_search_matches_reference_search(group):
     # The kept bounds must prune exactly where bounds derived afresh for
     # every candidate do: the same vertices from the same constraint sets.
     for space in _search_corpus(group):
-        w = [[2 * v for v in row] for row in space.rows]
+        w = list(square_rows(space.lower, space.points(), 2).values())
         assert _vertex_search(w) == oracle_vertex_search(w)
 
 
