@@ -29,7 +29,7 @@ print("label cardinalities for 1..12:", [cardinality_of_index(n) for n in range(
 # tree, so every finite set of them gets exactly one index.
 print("Calkin-Wilf order:", [str(calkin_wilf(i)) for i in range(1, 8)])
 for n in (1, 2, 3, 4, 8, 12):
-    print(f"  label {n}: {{{', '.join(str(r) for r in subset_of_index(n).elements)}}}")
+    print(f"  label {n}: {{{', '.join(str(r) for r in subset_of_index(n))}}}")
 
 # Build ten points and peek at the log.
 state = build_prefix(10)

@@ -23,14 +23,11 @@ functions, so everything here is safe to share across threads.
 from .construct import (
     ConstructionMode,
     PrefixState,
-    QLabel,
     StepRecord,
     build_prefix,
     calkin_wilf,
-    calkin_wilf_index,
     cardinality_of_index,
     dump_prefix_text,
-    index_of_subset,
     is_correctly_defined,
     load_prefix,
     load_prefix_text,
@@ -96,7 +93,7 @@ from .metric import (
     serialize_matrix,
     validate_metric,
 )
-from .rational import Rational, as_rational, format_rational, parse_rational
+from .rational import as_rational, format_rational, parse_rational
 from .tightspan import (
     HullCheckReport,
     KatetovFunction,

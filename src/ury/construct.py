@@ -41,7 +41,7 @@ from functools import cached_property
 from itertools import chain
 from math import comb, gcd, lcm
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     InvalidMode,
@@ -99,39 +99,11 @@ def calkin_wilf(i: int) -> Fraction:
     return Fraction(a, b)
 
 
-def calkin_wilf_index(q) -> int:
-    """Position of a positive rational in the Calkin-Wilf order (inverse of
-    :func:`calkin_wilf`)."""
-    q = as_rational(q)
-    if q <= 0:
-        raise ValueError(f"Calkin-Wilf order covers positive rationals only, got {q}")
-    a, b = q.numerator, q.denominator
-    bits = []
-    while (a, b) != (1, 1):
-        if a > b:
-            bits.append("1")
-            a -= b
-        else:
-            bits.append("0")
-            b -= a
-    return int("1" + "".join(reversed(bits)), 2)
-
-
-def colex_rank(indices: Sequence[int]) -> int:
-    """Colex rank of a strictly increasing tuple of positive integers."""
-    rank = 0
-    prev = 0
-    for pos, c in enumerate(indices, start=1):
-        if c <= prev:
-            raise ValueError("indices must be strictly increasing and positive")
-        rank += comb(c - 1, pos)
-        prev = c
-    return rank
-
-
 def colex_unrank(rank: int, p: int) -> tuple[int, ...]:
     """The rank-th (0-based) strictly increasing p-tuple of positive
-    integers in colex order; inverse of :func:`colex_rank`."""
+    integers in colex order: the tuple ``c_1 < ... < c_p`` whose
+    ``sum(comb(c_i - 1, i))`` is ``rank`` (the combinatorial number
+    system)."""
     if rank < 0 or p < 1:
         raise ValueError("rank must be >= 0 and p >= 1")
     out = []
@@ -156,57 +128,21 @@ def cardinality_of_index(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class QLabel:
-    """A label in the enumeration: an index and its set of positive rationals.
+def subset_of_index(n: int) -> tuple[Fraction, ...]:
+    """The n-th finite set of distinct positive rationals, as the tuple of
+    its elements in increasing order.
 
-    ``elements`` is nondecreasing; for canonical labels it is strictly
-    increasing (sets have no repeats).  ``index`` is the position in the
-    canonical enumeration, or the step ordinal when the label comes from an
-    explicit override sequence.
-    """
-
-    index: int
-    elements: tuple[Fraction, ...]
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.elements)
-
-
-def subset_of_index(n: int) -> QLabel:
-    """The n-th finite set of distinct positive rationals.
-
-    Bijective: every such set has exactly one index (see
-    :func:`index_of_subset`).
+    Bijective: a singleton ``{q}`` is at the ``k``-th index not divisible by
+    4, where ``q`` is the ``k``-th Calkin-Wilf rational, and a p-element set
+    (p >= 2) whose Calkin-Wilf positions have colex rank ``r`` is at index
+    ``(2r + 1) * 2^p``.
     """
     p = cardinality_of_index(n)
     if p == 1:
         position = 3 * (n // 4) + (n % 4) - 1
-        elements = (calkin_wilf(position + 1),)
-    else:
-        position = ((n >> p) - 1) // 2
-        cw_indices = colex_unrank(position, p)
-        elements = tuple(sorted(calkin_wilf(c) for c in cw_indices))
-    return QLabel(index=n, elements=elements)
-
-
-def index_of_subset(elements: Iterable) -> int:
-    """Index of a finite set of distinct positive rationals (inverse of
-    :func:`subset_of_index`)."""
-    values = sorted(as_rational(v) for v in elements)
-    if not values:
-        raise ValueError("the empty set is not enumerated")
-    if any(v <= 0 for v in values):
-        raise ValueError("elements must be positive")
-    if len(set(values)) != len(values):
-        raise ValueError("elements must be distinct")
-    p = len(values)
-    if p == 1:
-        position = calkin_wilf_index(values[0]) - 1
-        return 4 * (position // 3) + position % 3 + 1
-    rank = colex_rank(sorted(calkin_wilf_index(v) for v in values))
-    return (2 * rank + 1) << p
+        return (calkin_wilf(position + 1),)
+    position = ((n >> p) - 1) // 2
+    return tuple(sorted(calkin_wilf(c) for c in colex_unrank(position, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +201,10 @@ class ConstructionMode:
         enum = "override" if self.q_override is not None else ENUMERATION_VERSION
         return f"{self.duplicate_handling},{self.case1_scope},{enum}"
 
-    def label_for_step(self, step: int) -> QLabel:
+    def label_for_step(self, step: int) -> tuple[Fraction, ...]:
+        """The elements of step ``step``'s label, in nondecreasing order."""
         if self.q_override is not None and step <= len(self.q_override):
-            return QLabel(index=step, elements=self.q_override[step - 1])
+            return self.q_override[step - 1]
         return subset_of_index(step)
 
 
@@ -277,7 +214,7 @@ DEFAULT_MODE = ConstructionMode()
 @dataclass(frozen=True)
 class StepRecord:
     step: int
-    label: QLabel
+    label: tuple[Fraction, ...]  # the label's elements, nondecreasing
     correctly_defined: bool
 
     @cached_property
@@ -285,7 +222,7 @@ class StepRecord:
         """The record's line in a cache file, ``n | elements | C-or-I``.  Made
         once and kept, so a load that compares it and a save that writes it
         share it.  Not a field."""
-        elements = " ".join(map(format_rational, self.label.elements))
+        elements = " ".join(map(format_rational, self.label))
         return f"{self.step} | {elements} | {'C' if self.correctly_defined else 'I'}"
 
 
@@ -382,7 +319,7 @@ def _built_state(heads, steps, scale: int, log, mode_tag: str, running_max) -> P
     pinned as ``d(new, a_l)``, in the head row of ``a_l``), so the gcd of
     ``scale`` and the head entries is the one of all entries."""
     m = len(steps) + 1
-    width = max([1] + [rec.label.cardinality for rec in log])
+    width = max([1] + [len(rec.label) for rec in log])
     heads = [head[:m] for head in heads[:width]]
     g = gcd(scale, *chain.from_iterable(heads))
     heads, steps = _rescaled(heads, steps, 1, g)
@@ -484,13 +421,12 @@ class PrefixState:
 def is_correctly_defined(prefix: PrefixState, label) -> tuple[bool, tuple[int, int] | None]:
     """Test the two-sided correctness condition of a label against a prefix.
 
-    ``label`` may be a :class:`QLabel` or a plain sequence of rationals; an
-    empty label or one with an element that is not positive is a
-    :class:`ValueError`.  Returns ``(True, None)`` or ``(False, (i, k))``
-    with the lexicographically first violating pair of element positions
-    (0-based).
+    ``label`` is a sequence of rationals; an empty label or one with an
+    element that is not positive is a :class:`ValueError`.  Returns
+    ``(True, None)`` or ``(False, (i, k))`` with the lexicographically first
+    violating pair of element positions (0-based).
     """
-    elements = _label_elements(label.elements if isinstance(label, QLabel) else label)
+    elements = _label_elements(label)
     p = len(elements)
     if p > prefix.m:
         raise PrefixTooShort(
@@ -552,7 +488,7 @@ def build_prefix(
         base_scale = resume.scale
         log, maxima = list(resume.log), list(resume.running_max)
     # One scale for the prior entries, their largest distance and every label.
-    elements = [maxima[-1]] + [r for label in labels for r in label.elements]
+    elements = [maxima[-1]] + [r for label in labels for r in label]
     scale = lcm(base_scale, *(r.denominator for r in elements))
     heads, steps = _rescaled(heads, steps, scale // base_scale, 1)
     scaled = (r.numerator * (scale // r.denominator) for r in elements)
@@ -561,7 +497,7 @@ def build_prefix(
     # every other row follows from those and the step's record.  So only the
     # points below the widest label (and point 0) keep a full row, grown step
     # by step; a resume whose labels are wider completes the missing ones.
-    width = max([1, len(heads)] + [label.cardinality for label in labels])
+    width = max([1, len(heads)] + [len(label) for label in labels])
     for x in range(len(heads), min(width, start)):
         row = _step_row(heads, steps[x - 1], x) if x else ()
         heads.append([*row, 0, *(_step_entry(heads, steps[k - 1], x) for k in range(x + 1, start))])
@@ -569,12 +505,12 @@ def build_prefix(
 
     last = top  # maxima[-1] over scale: a new Fraction only when top grows
     for step, label in enumerate(labels, start=start):
-        p = label.cardinality
+        p = len(label)
         if p > step:
             raise PrefixTooShort(
                 f"step {step}: label needs {p} points but only {step} exist"
             )
-        radii = [next(scaled) for _ in label.elements]
+        radii = [next(scaled) for _ in label]
         failure = katetov_failure(heads, range(p), radii, two_sided=True)
         if failure is None:
             record = tuple(radii)

@@ -518,6 +518,15 @@ def dmat_point_count(text: str) -> int:
     return _point_count(next(_split_lines(text), None), None)
 
 
+# A parse under a point bound also bounds the canonical scale: the entries are
+# multiplied out over the lcm of their denominators, so the parsed triangle
+# holds about pairs x scale bits, and a file whose entries have distinct prime
+# denominators needs about n^4 of them.  The 4000-point prefix export, the
+# largest a prefix command writes, has a 298-bit scale: 7 998 000 pairs x 298
+# bits = 2.38e9, and `ury verify` on it takes 13.8 s and 814 MiB (README).
+DMAT_MAX_PAIR_BITS = 2_400_000_000
+
+
 class _Denominators(dict):
     # One int per distinct denominator string; "" (no slash) is 1.
     def __missing__(self, q: str) -> int:
@@ -530,7 +539,10 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
     is ``d(i, j)`` for ``j < i``, with ``scale`` the lcm of the denominators
     written (not reduced), and no metric axiom checked.  Each row is turned
     into ints as soon as it is read.  A point count above ``max_points``
-    raises :class:`TooLarge` before any row is read."""
+    raises :class:`TooLarge` before any row is read.  With ``max_points``
+    given, so does a scale of more than :data:`DMAT_MAX_PAIR_BITS` over the
+    number of pairs bits, before any entry is multiplied out: the lcm is
+    built one denominator at a time and not finished."""
     lines = _split_lines(text)
     n = _point_count(next(lines, None), max_points)
     count = text.count("\n") + (not text.endswith("\n"))
@@ -565,7 +577,14 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
                 rows.append(([int(p) for p, _, _ in tokens], [den(q) for _, _, q in tokens]))
         except ValueError:
             raise too_many_digits(i + 1, line) from None
-    scale = lcm(*denominators.values())
+    limit = None if max_points is None else DMAT_MAX_PAIR_BITS // max(1, n * (n - 1) // 2)
+    scale = 1
+    for q in denominators.values():
+        scale = lcm(scale, q)
+        if limit is not None and scale.bit_length() > limit:
+            raise TooLarge(
+                f"a distance matrix of {n} points is limited to a common denominator of {limit} bits"
+            )
     factor = {q: scale // q for q in denominators.values()}
     for i, (nums, dens) in enumerate(rows):
         if isinstance(dens, int):
@@ -609,7 +628,8 @@ def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMet
     """Parse and validate a ``.dmat`` document.
 
     Raises :class:`ParseError` for malformed syntax, :class:`TooLarge` for a
-    point count above ``max_points``, and :class:`MetricViolation` when the
+    point count above ``max_points`` or, with it, a scale past
+    :data:`DMAT_MAX_PAIR_BITS`, and :class:`MetricViolation` when the
     parsed matrix is not a metric.  The lower triangle of the parse is
     reduced to its canonical scale and kept; only the positivity and
     triangle stages run, as the format can express no other fault.

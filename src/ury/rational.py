@@ -16,8 +16,6 @@ from math import gcd
 
 from .errors import digit_limit, quoted
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 

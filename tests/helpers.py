@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import lcm
 from types import SimpleNamespace
 
@@ -169,8 +169,7 @@ def oracle_build_prefix(m: int, mode: ConstructionMode = DEFAULT_MODE) -> Oracle
     log = []
     maxima = [Fraction(0)]
     for step in range(1, m):
-        label = mode.label_for_step(step)
-        radii = label.elements
+        radii = mode.label_for_step(step)
         p = len(radii)
         assert p <= step, "label wider than the prefix"
         ok = oracle_katetov_failure(rho, range(p), radii, two_sided=True) is None
@@ -184,7 +183,7 @@ def oracle_build_prefix(m: int, mode: ConstructionMode = DEFAULT_MODE) -> Oracle
             rho[z].append(new_row[z])
         rho.append(new_row + [Fraction(0)])
         maxima.append(max([maxima[-1]] + new_row))
-        log.append(StepRecord(step=step, label=label, correctly_defined=ok))
+        log.append(StepRecord(step=step, label=radii, correctly_defined=ok))
     return OracleBuild(tuple(map(tuple, rho)), tuple(log), tuple(maxima))
 
 
@@ -655,6 +654,16 @@ def oracle_tripod_center(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
         (d[0][1] + d[1][2] - d[0][2]) / 2,
         (d[0][2] + d[1][2] - d[0][1]) / 2,
     )
+
+
+def prime_denominator_dmat(n: int) -> str:
+    """The n-point ``.dmat`` whose entries are ``(p + 1)/p`` for
+    distinct primes p above 2^20, row by row: every entry lies in (1, 2), so
+    it is a metric, and its scale, the product of the primes, has about 20
+    bits per pair."""
+    primes = (q for q in range(2**20, 2**21) if all(q % f for f in range(2, 1449)))
+    rows = [" ".join(f"{p + 1}/{p}" for p in islice(primes, i)) for i in range(1, n)]
+    return "".join(f"{line}\n" for line in [str(n), *rows])
 
 
 def oracle_parse_matrix(text: str) -> list[list[Fraction]]:

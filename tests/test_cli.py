@@ -16,13 +16,14 @@ from ury import (
     extension,
     find_isometric_embedding,
     load_prefix,
+    metric,
     serialize_distance_matrix,
     truncate_prefix,
 )
 from ury.cli import build_parser, main
 from ury.metric import FiniteMetricSpace, dmat_lines, parse_matrix_text, serialize_matrix
 
-from helpers import oracle_build_prefix
+from helpers import oracle_build_prefix, prime_denominator_dmat
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -661,7 +662,28 @@ def test_replaying_a_cache_over_the_point_bound_is_refused(tmp_path, capsys, mon
     assert json.loads(stderr) == {"error": "TooLarge", "detail": "a prefix is limited to 11 points"}
 
 
-@pytest.mark.parametrize("command", ["verify", "extend", "balls", "balls-inline", "tightspan", "embed"])
+DMAT_COMMANDS = ["verify", "extend", "balls", "balls-inline", "tightspan", "embed"]
+
+
+def dmat_argv(command: str, dmat: Path, cache: Path) -> list[str]:
+    """The arguments of ``command`` (one of :data:`DMAT_COMMANDS`) reading
+    ``dmat``, as a file or, for ``balls-inline``, as the text of a ball
+    family written beside it; ``embed`` searches the prefix ``cache``."""
+    family = dmat.with_name(f"family-{dmat.stem}.json")
+    inline = command == "balls-inline"
+    balls = [{"center": 1, "radius": "1"}]
+    family.write_text(json.dumps({"dmat": dmat.read_text() if inline else str(dmat), "balls": balls}))
+    return {
+        "verify": ["verify", "--dmat", str(dmat)],
+        "extend": ["extend", "--dmat", str(dmat), "--support", "1", "--radii", "1"],
+        "balls": ["balls", "--family", str(family)],
+        "balls-inline": ["balls", "--family", str(family)],
+        "tightspan": ["tightspan", "--dmat", str(dmat), "--kuratowski", "1"],
+        "embed": ["embed", "--target", str(dmat), "--prefix", str(cache)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", DMAT_COMMANDS)
 def test_a_dmat_over_the_point_bound_is_refused_before_its_rows(tmp_path, capsys, monkeypatch, command):
     monkeypatch.setattr(construct, "PREFIX_MAX_POINTS", 11)
     cache = tmp_path / "p.ury"
@@ -672,26 +694,34 @@ def test_a_dmat_over_the_point_bound_is_refused_before_its_rows(tmp_path, capsys
     over = tmp_path / "over.dmat"
     over.write_text("12\nx\n")
 
-    def argv(dmat: Path) -> list[str]:
-        family = tmp_path / f"family-{dmat.stem}.json"
-        inline = command == "balls-inline"
-        balls = [{"center": 1, "radius": "1"}]
-        family.write_text(json.dumps({"dmat": dmat.read_text() if inline else str(dmat), "balls": balls}))
-        return {
-            "verify": ["verify", "--dmat", str(dmat)],
-            "extend": ["extend", "--dmat", str(dmat), "--support", "1", "--radii", "1"],
-            "balls": ["balls", "--family", str(family)],
-            "balls-inline": ["balls", "--family", str(family)],
-            "tightspan": ["tightspan", "--dmat", str(dmat), "--kuratowski", "1"],
-            "embed": ["embed", "--target", str(dmat), "--prefix", str(cache)],
-        }[command]
-
-    assert run(capsys, *argv(at_bound))[0] == 0
-    code, stdout, stderr = run(capsys, *argv(over))
+    assert run(capsys, *dmat_argv(command, at_bound, cache))[0] == 0
+    code, stdout, stderr = run(capsys, *dmat_argv(command, over, cache))
     assert (code, stdout) == (1, "")
     assert json.loads(stderr) == {
         "error": "TooLarge",
         "detail": "a distance matrix is limited to 11 points",
+    }
+
+
+@pytest.mark.parametrize("command", DMAT_COMMANDS)
+def test_a_dmat_over_the_scale_bound_is_refused(tmp_path, capsys, monkeypatch, command):
+    # The budget patched to what the 11-point export needs: the export is
+    # read, and 11 points over 55 distinct primes are refused.
+    cache = tmp_path / "p.ury"
+    run(capsys, "build", "--points", "11", "--out", str(cache))
+    at_bound = tmp_path / "at.dmat"
+    run(capsys, "export", "--cache", str(cache), "--out", str(at_bound))
+    bits = load_prefix(cache).scale.bit_length()
+    monkeypatch.setattr(metric, "DMAT_MAX_PAIR_BITS", 55 * bits)
+    over = tmp_path / "over.dmat"
+    over.write_text(prime_denominator_dmat(11))
+
+    assert run(capsys, *dmat_argv(command, at_bound, cache))[0] == 0
+    code, stdout, stderr = run(capsys, *dmat_argv(command, over, cache))
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "TooLarge",
+        "detail": f"a distance matrix of 11 points is limited to a common denominator of {bits} bits",
     }
 
 

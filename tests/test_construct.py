@@ -14,14 +14,11 @@ from ury import (
     InvalidMode,
     ParseError,
     PrefixTooShort,
-    QLabel,
     TooLarge,
     build_prefix,
     calkin_wilf,
-    calkin_wilf_index,
     cardinality_of_index,
     dump_prefix_text,
-    index_of_subset,
     is_correctly_defined,
     load_prefix,
     load_prefix_text,
@@ -31,7 +28,7 @@ from ury import (
     validate_metric,
 )
 from ury import construct as construct_mod
-from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_rank, colex_unrank
+from ury.construct import DEFAULT_MODE, PREFIX_MAX_POINTS, colex_unrank
 
 from helpers import oracle_build_prefix
 
@@ -60,23 +57,27 @@ def test_cardinality_laws():
 
 def test_cardinality_matches_subsets():
     for n in range(1, 100_001):
-        assert subset_of_index(n).cardinality == cardinality_of_index(n)
+        assert len(subset_of_index(n)) == cardinality_of_index(n)
 
 
 # ---------------------------------------------------------------------------
 # Calkin-Wilf order and colex unranking
 # ---------------------------------------------------------------------------
 
-def test_calkin_wilf_against_bfs_oracle():
-    # Oracle: literal breadth-first traversal of the tree rooted at 1/1
-    # with children a/(a+b) and (a+b)/b.
+def bfs_calkin_wilf(count):
+    """Oracle: the first ``count`` rationals of a literal breadth-first
+    traversal of the tree rooted at 1/1 with children a/(a+b) and (a+b)/b."""
     queue = [(1, 1)]
-    for i in range(1, 2049):
-        a, b = queue[i - 1]
-        queue.append((a, a + b))
-        queue.append((a + b, b))
-        assert calkin_wilf(i) == Fraction(a, b)
-        assert calkin_wilf_index(Fraction(a, b)) == i
+    for a, b in queue:
+        if len(queue) >= count:
+            break
+        queue += [(a, a + b), (a + b, b)]
+    return [Fraction(a, b) for a, b in queue[:count]]
+
+
+def test_calkin_wilf_against_bfs_oracle():
+    for i, q in enumerate(bfs_calkin_wilf(2048), start=1):
+        assert calkin_wilf(i) == q
 
 
 def test_calkin_wilf_first_terms():
@@ -90,25 +91,31 @@ def test_colex_against_enumeration_oracle():
     for p in (2, 3, 4):
         subsets = sorted(combinations(range(1, 10), p), key=lambda t: t[::-1])
         for rank, subset in enumerate(subsets):
-            assert colex_rank(subset) == rank
             assert colex_unrank(rank, p) == subset
 
 
 def test_subset_of_index_examples():
-    assert subset_of_index(1).elements == (Fraction(1),)
-    assert subset_of_index(4).elements == (Fraction(1, 2), Fraction(1))
-    assert subset_of_index(12).elements == (Fraction(1), Fraction(2))
+    assert subset_of_index(1) == (Fraction(1),)
+    assert subset_of_index(4) == (Fraction(1, 2), Fraction(1))
+    assert subset_of_index(12) == (Fraction(1), Fraction(2))
 
 
 def test_subset_index_bijection():
+    # Injective: the first 10 000 labels are distinct increasing sets of
+    # positive rationals.  Surjective: among them is every set of at most 3
+    # elements drawn from the first 16 Calkin-Wilf rationals (the last of
+    # those 696 sets is label (2 * comb(16, 3) - 1) * 8 = 8952).
     seen = set()
     for n in range(1, 10_001):
         label = subset_of_index(n)
-        assert len(set(label.elements)) == label.cardinality
-        assert all(r > 0 for r in label.elements)
-        assert label.elements not in seen
-        seen.add(label.elements)
-        assert index_of_subset(label.elements) == n
+        assert list(label) == sorted(set(label))
+        assert all(r > 0 for r in label)
+        assert label not in seen
+        seen.add(label)
+    rationals = sorted(bfs_calkin_wilf(16))
+    wanted = {subset for p in (1, 2, 3) for subset in combinations(rationals, p)}
+    assert len(wanted) == 696
+    assert wanted <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +187,7 @@ def test_set_collapse_same_override_is_valid():
     state = build_prefix(5, ConstructionMode(q_override=REMARK_OVERRIDE))
     assert validate_metric(state.rho).ok
     # {1/2, 1/2} collapses to the singleton {1/2}: Case 2 applies.
-    assert state.log[3].label.elements == (Fraction(1, 2),)
+    assert state.log[3].label == (Fraction(1, 2),)
     assert state.rho[4][0] == Fraction(1, 2)
 
 
@@ -342,7 +349,7 @@ def wide_override():
     distance), at step 31 one of 23 tiny radii that breaks the upper bound."""
     near_100 = tuple(100 + Fraction(i, 10**6) for i in range(1, 21))
     tiny = tuple(Fraction(i, 1000) for i in range(1, 24))
-    return tuple(subset_of_index(step).elements for step in range(1, 30)) + (near_100, tiny)
+    return tuple(subset_of_index(step) for step in range(1, 30)) + (near_100, tiny)
 
 
 @pytest.mark.parametrize("scope", ["all-prior", "labels-only"])
@@ -355,7 +362,7 @@ def test_head_rows_match_the_oracle(scope):
     # resumes whose scale grows.
     canonical = ConstructionMode(case1_scope=scope)
     wide = ConstructionMode(case1_scope=scope, q_override=wide_override())
-    assert max(subset_of_index(step).cardinality for step in range(1, 60)) == 5
+    assert max(len(subset_of_index(step)) for step in range(1, 60)) == 5
     for mode in (canonical, wide):
         oracle = oracle_build_prefix(60, mode)
         state = build_prefix(60, mode)
@@ -367,7 +374,7 @@ def test_head_rows_match_the_oracle(scope):
             assert_matches_oracle(resumed, oracle)
             assert lower_rows(resumed) == lower_rows(state)
         assert any(truncate_prefix(state, k).scale < state.scale for k in (2, 3, 5, 12, 25))
-    flags = [(rec.label.cardinality, rec.correctly_defined) for rec in state.log[29:31]]
+    flags = [(len(rec.label), rec.correctly_defined) for rec in state.log[29:31]]
     assert flags == [(20, True), (23, False)]
 
 
@@ -610,7 +617,7 @@ def test_loaded_cache_resumes(prefix50):
 
 def test_label_index_matches_step(prefix50):
     for rec in prefix50.log:
-        assert rec.label == QLabel(index=rec.step, elements=subset_of_index(rec.step).elements)
+        assert rec.label == subset_of_index(rec.step)
 
 
 def test_metric_validity_up_to_500():

@@ -3,7 +3,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import ury.metric as metric_mod
 from ury import (
     BallFamily,
+    ConstructionMode,
     ExtensionRequest,
     FiniteMetricSpace,
     KatetovFunction,
@@ -19,7 +22,9 @@ from ury import (
     NotAdmissibleOnSubset,
     PairwiseInfeasible,
     ParseError,
+    TooLarge,
     admissible,
+    build_prefix,
     extend_radius_function,
     is_admissible_function,
     is_correctly_defined,
@@ -30,6 +35,7 @@ from ury import (
     validate_metric,
     ValidationReport,
 )
+from ury.construct import ALL_PRIOR, LABELS_ONLY, PREFIX_MAX_POINTS
 from helpers import (
     oracle_is_metric,
     oracle_violations,
@@ -37,6 +43,7 @@ from helpers import (
     oracle_katetov_row,
     oracle_parse_matrix,
     prefix_stand_in,
+    prime_denominator_dmat,
     record_calls,
     rand_rational,
     random_metric_space,
@@ -628,6 +635,51 @@ def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch)
             assert [len(row) for row in parsed.lower] == list(range(n))
             assert all(type(row) is tuple for row in parsed.lower)
             monkeypatch.undo()
+
+
+def test_a_scale_past_the_budget_is_refused_before_any_entry_is_multiplied(monkeypatch):
+    # 12 points, 66 pairs: the product of 66 primes above 2^20 has 1321
+    # bits, so the file needs 66 * 1321 pair-bits, and one less is refused.
+    # At 660 bits a pair the lcm stops at the 33rd prime (661 bits), with
+    # no entry multiplied out.  Without a point bound there is no scale
+    # bound either.
+    text = prime_denominator_dmat(12)
+    lower, scale = metric_mod.parse_lower_triangle(text)
+    assert scale.bit_length() == 1321
+    monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 1321)
+    assert metric_mod.parse_lower_triangle(text, 12) == (lower, scale)
+    monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 1321 - 1)
+    with pytest.raises(TooLarge):
+        metric_mod.parse_lower_triangle(text, 12)
+    assert metric_mod.parse_lower_triangle(text) == (lower, scale)
+
+    calls = []
+
+    def counted_lcm(*args):
+        calls.append(args)
+        return lcm(*args)
+
+    def no_product(*args):
+        raise AssertionError("an entry was multiplied out")
+
+    monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 660)
+    monkeypatch.setattr(metric_mod, "lcm", counted_lcm)
+    monkeypatch.setattr(metric_mod, "operator", SimpleNamespace(mul=no_product))
+    for parse in (metric_mod.parse_lower_triangle, parse_distance_matrix):
+        calls.clear()
+        with pytest.raises(TooLarge) as exc:
+            parse(text, 12)
+        assert str(exc.value) == "a distance matrix of 12 points is limited to a common denominator of 660 bits"
+        assert len(calls) == 33
+
+
+def test_the_scale_budget_passes_every_prefix_export_at_the_point_bound():
+    # A prefix's scale is the lcm of its distances' denominators, so it is
+    # the scale its export is parsed at.
+    m = PREFIX_MAX_POINTS
+    for scope in (ALL_PRIOR, LABELS_ONLY):
+        state = build_prefix(m, ConstructionMode(case1_scope=scope))
+        assert m * (m - 1) // 2 * state.scale.bit_length() <= metric_mod.DMAT_MAX_PAIR_BITS
 
 
 @pytest.mark.parametrize(

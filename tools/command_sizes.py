@@ -23,6 +23,11 @@ these commands at each size N, every one in a fresh child, and checks:
   writes ``H`` and then the first H - 1 row lines of ``pN.dmat``, since a
   canonical row does not depend on the prefix it is cut from;
 - ``verify``: prints ``OK: metric on N points``;
+- ``verify-scale``: on the least n-point ``.dmat`` whose entries
+  ``(p + 1)/p``, for distinct primes p above 2^20, have a common
+  denominator past ``metric.DMAT_MAX_PAIR_BITS`` over the n(n - 1)/2
+  pairs bits, run once per run at that n, ``verify`` exits 1 with
+  ``"error": "TooLarge"`` on stderr and without loading numpy;
 - ``extend``: ``--support 1 --radii 1`` prints ``1 + d(1, z)`` for every z;
 - ``balls``: survivors ``[1]``, N - 1 removals each dominated by ball 1,
   and the witness at point N + 1;
@@ -66,8 +71,8 @@ those four below 350.
 One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
-size for ``tightspan-*``, ``--n`` for ``c0-demo`` and k for
-``hull-check``.  Each ``embed-absent`` line also has
+size for ``tightspan-*``, ``--n`` for ``c0-demo``, k for ``hull-check``
+and n for ``verify-scale``.  Each ``embed-absent`` line also has
 ``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
 ``embed-never`` at the same N, in bytes, over the N(N - 1) positions of
 the whole index (one per ordered pair of points), so index memory reads
@@ -88,8 +93,11 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from itertools import count, islice
+from math import isqrt, prod
 from pathlib import Path
 from statistics import median
+from typing import Iterator
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 SPACES = ("generic", "path", "equilateral")
@@ -107,7 +115,7 @@ COMMANDS = {
     "build": [(name, "build --points {n}") for name in ("build-cold", "build-resumed")],
     "export": [("export", "export --cache {d}/p{n}.ury --out {d}/export.dmat"),
                ("export-half", "export --cache {d}/p{n}.ury --points {h} --out {d}/half.dmat")],
-    "verify": [("verify", "verify --dmat {d}/p{n}.dmat")],
+    "verify": [("verify", "verify --dmat {d}/p{n}.dmat"), ("verify-scale", "verify --dmat {d}/scale.dmat")],
     "extend": [("extend", "extend --dmat {d}/p{n}.dmat --support 1 --radii 1")],
     "balls": [("balls", "balls --family {d}/balls{n}.json")],
     "tightspan": [("tightspan-kuratowski", "tightspan --dmat {d}/p{n}.dmat --kuratowski 1")]
@@ -131,7 +139,7 @@ TIMED = {
 SETUP = """
 import json, sys
 from pathlib import Path
-from ury import construct, linf, tightspan
+from ury import construct, linf, metric, tightspan
 from ury.rational import format_ratio
 
 work, sizes = Path(sys.argv[1]), [int(n) for n in sys.argv[2:]]
@@ -160,6 +168,7 @@ d = lambda i, j: format_ratio(state.entry(i, j), state.scale)
 side = format_ratio(min(state.entry(i, j) for i in range(10) for j in range(i)), state.scale)
 (work / "absent.dmat").write_text(f"3\\n{side}\\n{side} {side}\\n")
 print(json.dumps({"tightspan": tightspan.TIGHT_SPAN_MAX_POINTS, "c0-demo": linf.C0_MAX_DIMENSION,
+                  "pair_bits": metric.DMAT_MAX_PAIR_BITS,
                   "column": ["0"] + [d(i, 0) for i in range(1, sizes[-1])]}))
 """
 
@@ -240,6 +249,33 @@ def spaces(n: int) -> dict[str, list[list[int]]]:
     }
 
 
+def primes_from(lo: int) -> Iterator[int]:
+    """The primes from ``lo`` (at least 2) up, ascending, sieved in the
+    segments [lo, 2 lo), [2 lo, 4 lo), ..."""
+    for start in (lo << k for k in count()):
+        sieve = bytearray([1]) * start
+        for f in range(2, isqrt(2 * start - 1) + 1):
+            first = -start % f
+            sieve[first::f] = bytes(len(range(first, start, f)))
+        yield from (start + k for k, prime in enumerate(sieve) if prime)
+
+
+def scale_dmat(pair_bits: int) -> tuple[int, str]:
+    """The least n and the n-point ``.dmat`` whose entries ``(p + 1)/p``, for
+    distinct primes p above 2^20 taken in order row by row, have a common
+    denominator (their product) of more than ``pair_bits`` over the n(n - 1)/2
+    pairs bits.  Every entry lies in (1, 2), so the file is a metric."""
+    primes = primes_from(2**20)
+    rows, product, pairs = [], 1, 0
+    while product.bit_length() <= pair_bits // max(1, pairs):
+        row = list(islice(primes, len(rows) + 1))  # row i holds i entries
+        rows.append(" ".join(f"{p + 1}/{p}" for p in row))
+        product *= prod(row)
+        pairs += len(row)
+    n = len(rows) + 1
+    return n, "".join(f"{line}\n" for line in [str(n), *rows])
+
+
 # The commands that validate the prefix they read, and so load numpy at
 # these sizes and more; every other command must not load it.
 VALIDATE_PREFIX = ("verify", "extend", "balls", "tightspan-kuratowski")
@@ -267,6 +303,8 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
         return code == 0 and (work / "half.dmat").read_text() == "".join([f"{h}\n", *lines[1:h]])
     if name == "verify":
         return code == 0 and out == f"OK: metric on {n} points"
+    if name == "verify-scale":
+        return code == 1 and out == "" and json.loads(result["stderr"])["error"] == "TooLarge"
     if name == "extend":
         return code == 0 and out == " ".join(str(Fraction(v) + 1) for v in column[:n])
     if name == "tightspan-kuratowski":
@@ -327,7 +365,9 @@ def main() -> int:
         # The sizes of each command that does not read a prefix; the others
         # run at every prefix size.
         own = {f"tightspan-{s}": range(4, bounds["tightspan"] + 1) for s in SPACES}
-        own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS})
+        scale_n, text = scale_dmat(bounds["pair_bits"])
+        (work / "scale.dmat").write_text(text)
+        own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS, "verify-scale": [scale_n]})
         groups: dict[int, list[tuple[str, str, str]]] = {}
         for command, runs in COMMANDS.items():
             for name, argv in runs:
