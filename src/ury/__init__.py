@@ -81,7 +81,6 @@ from .linf import (
     box_intersection,
     c0_counterexample,
     max_norm_ball,
-    max_norm_distance,
 )
 from .metric import (
     FiniteMetricSpace,

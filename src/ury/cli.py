@@ -90,10 +90,6 @@ def _pair_list(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj))
-
-
 def _fail(kind: str, detail: str, **extra) -> int:
     payload = {"error": kind, "detail": detail}
     payload.update(extra)
@@ -133,8 +129,12 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     """The JSON value in file ``path``.  An integer longer than the
     interpreter's int-string limit is a ValueError with the library's
-    reason, as in every other input."""
-    return json.loads(_read_text(path), parse_int=parse_int)
+    reason, as in every other input, and so is a value nested deeper than
+    the parser's recursion limit."""
+    try:
+        return json.loads(_read_text(path), parse_int=parse_int)
+    except RecursionError:
+        raise ValueError(f"JSON value in {path} is nested too deeply") from None
 
 
 def _read_space(path: str) -> metric.FiniteMetricSpace:
@@ -172,14 +172,12 @@ def cmd_build(args) -> int:
             text = _read_text(cache_path)
             # One line per point; replay no more of the cache than is asked for.
             resume = construct.load_prefix_text(text, min(args.points, len(text.splitlines())))
-        except (ParseError, OSError):
+            state = construct.build_prefix(args.points, mode, resume=resume)
+        except (ParseError, OSError, InvalidMode):
+            # An unreadable cache, or one whose mode tag or labels disagree
+            # with the requested enumeration: rebuild from scratch.
             resume = None
-    try:
-        state = construct.build_prefix(args.points, mode, resume=resume)
-    except InvalidMode:
-        # The cache's mode tag or labels disagree with the requested
-        # enumeration: rebuild from scratch.
-        resume = None
+    if resume is None:
         state = construct.build_prefix(args.points, mode)
 
     os.makedirs(_cache_dir(), exist_ok=True)
@@ -210,14 +208,10 @@ def cmd_verify(args) -> int:
     if report.ok:
         print(f"OK: metric on {len(lower)} points")
         return 0
-    for v in report.violations:
-        d = _violation_dict(v)
+    violations = list(map(_violation_dict, report.violations))
+    for d in violations:
         print(f"violation {d['kind']} at {tuple(d['indices'])}: {d['lhs']} vs {d['rhs']}")
-    return _fail(
-        "MetricViolation",
-        f"{len(report.violations)} axiom violation(s)",
-        violations=[_violation_dict(v) for v in report.violations],
-    )
+    return _fail("MetricViolation", f"{len(violations)} axiom violation(s)", violations=violations)
 
 
 def cmd_extend(args) -> int:
@@ -237,7 +231,7 @@ def cmd_extend(args) -> int:
         )
     print(" ".join(format_ratio(v, ext.scale) for v in ext.lower[space.n]))
     if args.out:
-        construct.write_atomically(args.out, [metric.serialize_distance_matrix(ext)])
+        construct.write_atomically(args.out, metric.dmat_lines(ext.n, ext.lower[1:], ext.scale))
     return 0
 
 
@@ -303,18 +297,14 @@ def cmd_tightspan(args) -> int:
         tightspan.check_vertex_limit(metric.dmat_point_count(_read_text(args.dmat)))
     space = _read_space(args.dmat)
     if args.vertices:
-        result = tightspan.tight_span_vertices(space)
-        for f in result.vertices:
-            print(" ".join(format_rational(v) for v in f.values))
-        return 0
-    if args.kuratowski is not None:
-        f = tightspan.kuratowski(space, args.kuratowski - 1)
+        functions = tightspan.tight_span_vertices(space).vertices
+    elif args.kuratowski is not None:
+        functions = [tightspan.kuratowski(space, args.kuratowski - 1)]
+    else:
+        values = [parse_rational(t) for t in args.project.split()]
+        functions = [tightspan.extremal_below(tightspan.KatetovFunction(space, values))]
+    for f in functions:
         print(" ".join(format_rational(v) for v in f.values))
-        return 0
-    values = [parse_rational(t) for t in args.project.split()]
-    g = tightspan.KatetovFunction(space, values)
-    f = tightspan.extremal_below(g)
-    print(" ".join(format_rational(v) for v in f.values))
     return 0
 
 
@@ -366,7 +356,7 @@ def cmd_c0_demo(args) -> int:
             else None
         ),
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     if report.witness is None:
         return _fail("EmptyIntersection", "the ball family has no common point")
     return 0
@@ -381,7 +371,7 @@ def cmd_embed(args) -> int:
         "mapping": [i + 1 for i in result.mapping] if result.mapping else None,
         "searched": result.searched_prefix_length,
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     if result.status != embed.FOUND:
         return _fail("NotFound", f"no embedding within the first {state.m} points")
     return 0
@@ -396,14 +386,14 @@ def cmd_isom_extend(args) -> int:
     except InvalidPartialIsometry as exc:
         return _fail("InvalidPartialIsometry", exc.message(1))
     if extended is None:
-        _emit_json({"status": "not-found", "searched": state.m})
+        print(json.dumps({"status": "not-found", "searched": state.m}))
         return _fail("NotFound", f"no compatible image within the first {state.m} points")
     payload = {
         "status": "extended",
         "pairs": [[s + 1, t + 1] for s, t in extended.pairs],
         "new_pair": [extended.pairs[-1][0] + 1, extended.pairs[-1][1] + 1],
     }
-    _emit_json(payload)
+    print(json.dumps(payload))
     return 0
 
 

@@ -449,7 +449,8 @@ def build_prefix(
     ``.ury`` replay); it must carry the same mode tag, and under an override
     the same labels, otherwise :class:`InvalidMode` is raised — a cache is
     never silently reused across settings.  The build continues from its
-    heads and step records.
+    heads and step records; without one it continues from the one-point
+    prefix.
 
     Every step runs in integers over the lcm of the denominators of all
     labels used; the result is then reduced to the canonical scale.  It
@@ -462,35 +463,31 @@ def build_prefix(
         raise ValueError("m must be >= 1")
     if m > PREFIX_MAX_POINTS:
         raise TooLarge(f"a prefix is limited to {PREFIX_MAX_POINTS} points")
-    if resume is not None:
-        if resume.mode_tag != mode.tag:
-            raise InvalidMode(
-                f"cached prefix was built as {resume.mode_tag!r}, requested {mode.tag!r}"
-            )
-        # A state under a canonical mode holds that mode's labels: every state
-        # is a build, or a replay under its tag.  An override is checked label
-        # by label.
-        if mode.q_override is not None:
-            for rec in resume.log:
-                if rec.label != mode.label_for_step(rec.step):
-                    raise InvalidMode(
-                        f"cached step {rec.step} used a different label; refusing to resume"
-                    )
-        if resume.m >= m:
-            return truncate_prefix(resume, m)
+    if resume is None:  # a cold build resumes from the one-point prefix
+        resume = PrefixState(((0,),), (), 1, (), mode.tag, (Fraction(0),))
+    if resume.mode_tag != mode.tag:
+        raise InvalidMode(
+            f"cached prefix was built as {resume.mode_tag!r}, requested {mode.tag!r}"
+        )
+    # A state under a canonical mode holds that mode's labels: every state is
+    # a build, or a replay under its tag.  An override is checked label by
+    # label.
+    if mode.q_override is not None:
+        for rec in resume.log:
+            if rec.label != mode.label_for_step(rec.step):
+                raise InvalidMode(
+                    f"cached step {rec.step} used a different label; refusing to resume"
+                )
+    if resume.m >= m:
+        return truncate_prefix(resume, m)
 
-    start = 1 if resume is None else resume.m
+    start = resume.m
     labels = [mode.label_for_step(step) for step in range(start, m)]
-    if resume is None:
-        heads, steps, base_scale, log, maxima = [], [], 1, [], [Fraction(0)]
-    else:
-        heads, steps = resume.heads, resume.steps
-        base_scale = resume.scale
-        log, maxima = list(resume.log), list(resume.running_max)
+    log, maxima = list(resume.log), list(resume.running_max)
     # One scale for the prior entries, their largest distance and every label.
     elements = [maxima[-1]] + [r for label in labels for r in label]
-    scale = lcm(base_scale, *(r.denominator for r in elements))
-    heads, steps = _rescaled(heads, steps, scale // base_scale, 1)
+    scale = lcm(resume.scale, *(r.denominator for r in elements))
+    heads, steps = _rescaled(resume.heads, resume.steps, scale // resume.scale, 1)
     scaled = (r.numerator * (scale // r.denominator) for r in elements)
     top = next(scaled)
     # A step reads only the full rows d(x, .) of its label's points x < p, and
@@ -499,7 +496,7 @@ def build_prefix(
     # by step; a resume whose labels are wider completes the missing ones.
     width = max([1, len(heads)] + [len(label) for label in labels])
     for x in range(len(heads), min(width, start)):
-        row = _step_row(heads, steps[x - 1], x) if x else ()
+        row = _step_row(heads, steps[x - 1], x)
         heads.append([*row, 0, *(_step_entry(heads, steps[k - 1], x) for k in range(x + 1, start))])
     head_max = list(map(max, heads))  # the largest d(x, .) so far, per head
 

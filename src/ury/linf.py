@@ -69,14 +69,6 @@ def max_norm_ball(center: Sequence, radius) -> Box:
     return Box([(as_rational(c) - r, as_rational(c) + r) for c in center])
 
 
-def max_norm_distance(p: Sequence, q: Sequence) -> Fraction:
-    a = [as_rational(v) for v in p]
-    b = [as_rational(v) for v in q]
-    if len(a) != len(b):
-        raise DimensionMismatch(f"points of dimension {len(a)} and {len(b)}")
-    return max(abs(x - y) for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class BoxIntersection:
     """Result of intersecting a family: the box (or None) and its witness.

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import MetricViolation, NonSquareInput, ParseError, TooLarge, quoted, too_many_digits
-from .rational import as_rational, format_ratio, format_rational, parse_rational
+from .rational import as_rational, format_ratio, parse_rational
 
 if TYPE_CHECKING:
     import numpy as np
@@ -638,12 +638,13 @@ def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMet
 
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:
-    """Render any square symmetric matrix in ``.dmat`` syntax."""
-    n = len(matrix)
-    lines = [str(n)]
-    for i in range(1, n):
-        lines.append(" ".join(format_rational(matrix[i][j]) for j in range(i)))
-    return "\n".join(lines) + "\n"
+    """Render any square symmetric matrix in ``.dmat`` syntax: the
+    :func:`dmat_lines` of its lower triangle over the lcm of the entries'
+    denominators.  Entries are read with :func:`as_rational`."""
+    lower = [[as_rational(row[j]) for j in range(i)] for i, row in enumerate(matrix)]
+    scale = lcm(*(v.denominator for row in lower for v in row))
+    rows = ([v.numerator * (scale // v.denominator) for v in row] for row in lower[1:])
+    return "".join(dmat_lines(len(lower), rows, scale))
 
 
 class _DenominatorText(dict):
@@ -664,7 +665,7 @@ class _DenominatorText(dict):
 def dmat_lines(n: int, rows: Iterable[Sequence[int]], scale: int) -> Iterator[str]:
     """The ``.dmat`` lines, each ending in LF, of the n-point matrix whose
     rows 1..n-1 are ``rows`` over ``scale`` (row i holds ``d(i, j) * scale``,
-    ``j < i``): the text of :func:`serialize_matrix`, with no Fraction made.
+    ``j < i``): each entry in canonical form, with no Fraction made.
     A row that repeats one value is formatted once; any other entry costs
     one gcd, its denominator text cached per gcd."""
     denominator = _DenominatorText(scale)

@@ -666,6 +666,13 @@ def prime_denominator_dmat(n: int) -> str:
     return "".join(f"{line}\n" for line in [str(n), *rows])
 
 
+def oracle_dmat_text(matrix) -> str:
+    """The ``.dmat`` text of a square Fraction matrix, each entry of its lower
+    triangle rendered by ``str``, independent of ``metric.dmat_lines``."""
+    rows = [" ".join(str(v) for v in row[:i]) for i, row in enumerate(matrix)][1:]
+    return "".join(f"{line}\n" for line in [str(len(matrix)), *rows])
+
+
 def oracle_parse_matrix(text: str) -> list[list[Fraction]]:
     """The ``.dmat`` text as a symmetric Fraction matrix, one Fraction per
     entry, with the library's ParseError (line, column, reason) for each fault."""

@@ -23,7 +23,7 @@ from ury import (
 from ury.cli import build_parser, main
 from ury.metric import FiniteMetricSpace, dmat_lines, parse_matrix_text, serialize_matrix
 
-from helpers import oracle_build_prefix, prime_denominator_dmat
+from helpers import oracle_build_prefix, oracle_dmat_text, prime_denominator_dmat
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -154,7 +154,7 @@ def test_export_matches_the_fraction_oracle(tmp_path, capsys):
         oracle = oracle_build_prefix(90, mode)
         for k in (1, 2, 45, 90):
             assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
-            assert dmat.read_text() == serialize_matrix([row[:k] for row in oracle.rho[:k]]), (mode, k)
+            assert dmat.read_text() == oracle_dmat_text([row[:k] for row in oracle.rho[:k]]), (mode, k)
 
 
 def test_export_text_is_the_serialised_space_and_fraction_matrix(tmp_path, capsys):
@@ -168,7 +168,7 @@ def test_export_text_is_the_serialised_space_and_fraction_matrix(tmp_path, capsy
         assert run(capsys, "export", "--cache", str(cache), "--points", str(k), "--out", str(dmat))[0] == 0
         part = truncate_prefix(state, k)
         space = FiniteMetricSpace.from_scaled_lower([list(part.row(i)) for i in range(k)], part.scale)
-        assert dmat.read_text() == serialize_distance_matrix(space) == serialize_matrix(part.rho)
+        assert dmat.read_text() == serialize_distance_matrix(space) == oracle_dmat_text(part.rho)
 
 
 def test_a_failed_export_leaves_the_old_file(tmp_path, capsys, monkeypatch):
@@ -540,10 +540,10 @@ def test_tightspan_vertices_golden_six_points(tmp_path, capsys):
 def test_tightspan_vertices_refuses_eight_points_before_parsing(tmp_path, capsys, monkeypatch):
     from ury import metric
 
-    def unexpected(text):
+    def unexpected(*args):
         raise AssertionError("the distance matrix was parsed")
 
-    monkeypatch.setattr(metric, "parse_distance_matrix", unexpected)
+    monkeypatch.setattr(metric, "parse_lower_triangle", unexpected)
     f = tmp_path / "eight.dmat"
     f.write_text("8\n" + "".join(" ".join(["1"] * i) + "\n" for i in range(1, 8)))
     code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
@@ -558,10 +558,10 @@ def test_tightspan_vertices_refuses_a_one_line_header_before_parsing(tmp_path, c
     # is no point count, and the refusal comes before the matrix is parsed.
     from ury import metric
 
-    def unexpected(text):
+    def unexpected(*args):
         raise AssertionError("the distance matrix was parsed")
 
-    monkeypatch.setattr(metric, "parse_distance_matrix", unexpected)
+    monkeypatch.setattr(metric, "parse_lower_triangle", unexpected)
     f = tmp_path / "seven.dmat"
     f.write_bytes(("7\x1c" + "\x1c".join(" ".join(["1"] * i) for i in range(1, 7))).encode())
     code, stdout, stderr = run(capsys, "tightspan", "--dmat", str(f), "--vertices")
@@ -627,6 +627,28 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, argv, content, 
     assert (code, stdout) == (2, "")
     assert stderr.count("\n") == 1
     assert json.loads(stderr) == {"error": "ValueError", "detail": detail}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--points", "3", "--q-override"], ["balls", "--family"], ["hull-check", "--candidate"]],
+    ids=["override", "family", "candidate"],
+)
+def test_deeply_nested_json_input_is_a_usage_error(tmp_path, argv):
+    # 100 000 nested arrays are a small file, but past the JSON parser's
+    # recursion limit: exit 2 with one JSON error line and no traceback.
+    f = tmp_path / "nested.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "URY_CACHE_DIR": str(tmp_path / "cache")}
+    result = subprocess.run([sys.executable, "-m", "ury.cli", *argv, str(f)], cwd=tmp_path,
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    assert json.loads(result.stderr) == {
+        "error": "ValueError",
+        "detail": f"JSON value in {f} is nested too deeply",
+    }
 
 
 def test_build_over_the_point_bound_is_refused_before_the_cache_is_read(tmp_path, capsys, monkeypatch):

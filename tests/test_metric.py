@@ -41,6 +41,7 @@ from helpers import (
     oracle_violations,
     oracle_katetov_failure,
     oracle_katetov_row,
+    oracle_dmat_text,
     oracle_parse_matrix,
     prefix_stand_in,
     prime_denominator_dmat,
@@ -564,12 +565,14 @@ def test_roundtrip_on_random_spaces():
         text = serialize_distance_matrix(space)
         assert parse_distance_matrix(text) == space
         assert serialize_distance_matrix(parse_distance_matrix(text)) == text
-        # The integer renderer against the independent Fraction one.
-        assert text == serialize_matrix(space.matrix)
+        # The integer renderers against an independent Fraction one.
+        assert text == serialize_matrix(space.matrix) == oracle_dmat_text(space.matrix)
 
 
 def test_parse_normalizes_then_serializes_canonically():
     assert serialize_distance_matrix(parse_distance_matrix("2\n2/4\n")) == "2\n1/2\n"
+    # String entries are read as every matrix input reads them.
+    assert serialize_matrix([["0", "2/4"], ["2/4", "0"]]) == "2\n1/2\n"
 
 
 def test_missing_final_newline_tolerated():

@@ -53,7 +53,12 @@ vertices, n of them for the path and n + 1 for the equilateral space;
 ``c0-demo --n C0_MAX_DIMENSION`` prints a witness; and ``hull-check
 --builtin backtrack --step 1/k``, at each k of :data:`HULL_STEPS`, fails
 (exit 1) at its first sample past the turn, ``(2k + 1)/k``, at distance
-``(2k - 1)/k``.
+``(2k - 1)/k``.  ``build-nested``, ``balls-nested`` and
+``hull-check-nested`` give ``build --q-override``, ``balls --family`` and
+``hull-check --candidate`` a file of :data:`NESTED_DEPTH` nested JSON
+arrays, past the JSON parser's recursion limit, once per run; each must
+exit 2 from ``cli.main`` with one JSON ``ValueError`` line on stderr, not a
+traceback.
 
 The child times the command inside ``cli.main`` (``command_s``) and the
 library functions that :data:`TIMED` names for the command: outermost calls
@@ -64,16 +69,17 @@ and ``numpy`` whether the child loaded numpy.  Only the triangle scan of a
 space of ``metric._NUMPY_MIN_N`` points or more loads it, so ``numpy``
 must be false for ``build-*``, ``export``, ``export-half``,
 ``isom-extend``, ``embed-*`` (whose targets have 3 points), ``c0-demo``,
-``hull-check`` and every ``tightspan-{generic,path,equilateral}``, and
+``hull-check``, every ``*-nested`` and every
+``tightspan-{generic,path,equilateral}``, and
 true for ``verify``, ``extend``, ``balls`` and ``tightspan-kuratowski`` at
 350 points and more, which validate the prefix; it is not checked for
 those four below 350.
 One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
-size for ``tightspan-*``, ``--n`` for ``c0-demo``, k for ``hull-check``
-and n for ``verify-scale``.  Each ``embed-absent`` line also has
-``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
+size for ``tightspan-*``, ``--n`` for ``c0-demo``, k for ``hull-check``,
+n for ``verify-scale`` and the nesting depth for ``*-nested``.  Each
+``embed-absent`` line also has ``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
 ``embed-never`` at the same N, in bytes, over the N(N - 1) positions of
 the whole index (one per ordered pair of points), so index memory reads
 per position.  The exit status is 1 unless every check passes; a
@@ -103,6 +109,9 @@ DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
 SPACES = ("generic", "path", "equilateral")
 # The hull-check runs the 4-long backtrack path at steps 1/k: 4k + 1 samples.
 HULL_STEPS = (16383, 2**40)
+# The depth of the nested arrays that each JSON-reading command is given.
+NESTED_DEPTH = 100_000
+NESTED = ("build-nested", "balls-nested", "hull-check-nested")
 EMBED = {
     "early": (0, {"status": "found", "mapping": [3, 6, 10]}),
     "never": (1, {"status": "not-found-up-to", "mapping": None}),
@@ -112,19 +121,21 @@ EMBED = {
 # Every subcommand of `ury`: its runs as (name, argv), each argv token filled
 # in with the size n, its half h = n // 2 and the work directory d.
 COMMANDS = {
-    "build": [(name, "build --points {n}") for name in ("build-cold", "build-resumed")],
+    "build": [(name, "build --points {n}") for name in ("build-cold", "build-resumed")]
+    + [("build-nested", "build --points 3 --q-override {d}/nested.json")],
     "export": [("export", "export --cache {d}/p{n}.ury --out {d}/export.dmat"),
                ("export-half", "export --cache {d}/p{n}.ury --points {h} --out {d}/half.dmat")],
     "verify": [("verify", "verify --dmat {d}/p{n}.dmat"), ("verify-scale", "verify --dmat {d}/scale.dmat")],
     "extend": [("extend", "extend --dmat {d}/p{n}.dmat --support 1 --radii 1")],
-    "balls": [("balls", "balls --family {d}/balls{n}.json")],
+    "balls": [("balls", "balls --family {d}/balls{n}.json"), ("balls-nested", "balls --family {d}/nested.json")],
     "tightspan": [("tightspan-kuratowski", "tightspan --dmat {d}/p{n}.dmat --kuratowski 1")]
     + [(f"tightspan-{s}", f"tightspan --dmat {{d}}/{s}{{n}}.dmat --vertices") for s in SPACES],
     "isom-extend": [("isom-extend", "isom-extend --prefix {d}/p{n}.ury --pairs 1:1,2:2 --source {n}")],
     "embed": [(f"embed-{t}", f"embed --target {{d}}/{t}.dmat --prefix {{d}}/p{{n}}.ury --limit {{n}}")
               for t in EMBED],
     "c0-demo": [("c0-demo", "c0-demo --n {n}")],
-    "hull-check": [("hull-check", "hull-check --builtin backtrack --step 1/{n}")],
+    "hull-check": [("hull-check", "hull-check --builtin backtrack --step 1/{n}"),
+                   ("hull-check-nested", "hull-check --candidate {d}/nested.json")],
 }
 
 # The library functions timed for each subcommand: {field: "module.prefix"}.
@@ -292,6 +303,11 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
         return False
     if name in VALIDATE_PREFIX and n >= NUMPY_FROM_POINTS and result.get("numpy") is not True:
         return False
+    if name in NESTED:
+        # One JSON error line from cli.main, which returned: no traceback.
+        return (code == 2 and out == "" and "maxrss_mib" in result
+                and result["stderr"].count("\n") == 1
+                and json.loads(result["stderr"])["error"] == "ValueError")
     if name.startswith("build"):
         files = sorted((work / "cache").iterdir())
         return (code == 0 and seen.setdefault(n, out) == out and len(files) == 1
@@ -368,6 +384,8 @@ def main() -> int:
         scale_n, text = scale_dmat(bounds["pair_bits"])
         (work / "scale.dmat").write_text(text)
         own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS, "verify-scale": [scale_n]})
+        (work / "nested.json").write_text("[" * NESTED_DEPTH + "]" * NESTED_DEPTH)
+        own.update(dict.fromkeys(NESTED, [NESTED_DEPTH]))
         groups: dict[int, list[tuple[str, str, str]]] = {}
         for command, runs in COMMANDS.items():
             for name, argv in runs:
