@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from . import construct, embed, extension, linf, metric, tightspan
 from .errors import (
+    _QUOTED,
     Inadmissible,
     InvalidMode,
     InvalidPartialIsometry,
@@ -99,9 +100,17 @@ def _fail(kind: str, detail: str, **extra) -> int:
 
 def _json_value(value, kind: type, what: str):
     """``value`` if it is a ``kind`` (a bool is no int); else a ValueError,
-    so a malformed JSON file is a usage error, not a crash."""
+    so a malformed JSON file is a usage error, not a crash.  The message
+    quotes the value's JSON text cut as :func:`~ury.errors.quoted` cuts,
+    and encodes no more of it than it shows."""
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {json.dumps(value)}")
+        shown = ""
+        for chunk in json.JSONEncoder().iterencode(value):
+            shown += chunk
+            if len(shown) > _QUOTED:
+                shown = shown[:_QUOTED] + "..."
+                break
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {shown}")
     return value
 
 
@@ -138,10 +147,10 @@ def _read_json(path: str):
 
 
 def _read_space(path: str) -> metric.FiniteMetricSpace:
-    """A ``.dmat`` file as a validated space, bounded like a prefix.  The
-    text is dropped once parsed, so that the validation does not hold it
-    too: ``verify`` does the same."""
-    lower, scale = metric.parse_lower_triangle(_read_text(path), construct.PREFIX_MAX_POINTS)
+    """A ``.dmat`` file as a validated space.  The text is dropped once
+    parsed, so that the validation does not hold it too: ``verify`` does
+    the same."""
+    lower, scale = metric.parse_lower_triangle(_read_text(path))
     return metric.FiniteMetricSpace.from_scaled_lower(lower, scale)
 
 
@@ -203,7 +212,7 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lower, scale = metric.parse_lower_triangle(_read_text(args.dmat), construct.PREFIX_MAX_POINTS)
+    lower, scale = metric.parse_lower_triangle(_read_text(args.dmat))
     report = metric.validate_lower_triangle(lower, scale)
     if report.ok:
         print(f"OK: metric on {len(lower)} points")
@@ -239,7 +248,7 @@ def cmd_balls(args) -> int:
     data = _json_value(_read_json(args.family), dict, "the family")
     dmat = _json_value(data["dmat"], str, '"dmat"')
     if "\n" in dmat:
-        space = metric.parse_distance_matrix(dmat, construct.PREFIX_MAX_POINTS)
+        space = metric.parse_distance_matrix(dmat)
     else:
         space = _read_space(dmat)
     balls = [
@@ -489,10 +498,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(json.dumps({"error": "ParseError", "detail": str(exc)}), file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, KeyError, ValueError, OSError) as exc:
+    except (ParseError, KeyError, ValueError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

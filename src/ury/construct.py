@@ -236,17 +236,25 @@ def _step_row(heads, record, i: int) -> tuple[int, ...]:
     return tuple(katetov_row([head[:i] for head in heads[:p]], range(p), record))
 
 
-def _step_entry(heads, record, x: int) -> int:
-    """``d(k, x)`` from step k's record, for a point x below k that is no
-    point of its label (``x >= len(radii)``)."""
-    if isinstance(record, int):
-        return record
-    return min(r + heads[l][x] for l, r in enumerate(record))
-
-
 def _row(heads, steps, i: int) -> tuple[int, ...]:
     """Row i of the lower triangle: a head slice, or step i's row."""
     return heads[i][:i] if i < len(heads) else _step_row(heads, steps[i - 1], i)
+
+
+def _column(heads, steps, u: int) -> list[int]:
+    """Column u of the lower triangle, ``d(k, u)`` for each ``k > u`` that
+    ``steps`` records: a head slice, or from each step k's record, which
+    reads ``d(l, u)`` for the points l of its label, which are heads."""
+    if u < len(heads):
+        return heads[u][u + 1:]
+    below = [head[u] for head in heads]  # d(l, u) for each head l
+    first = below[0]
+    return [
+        rec if isinstance(rec, int)
+        else rec[0] + first if len(rec) == 1  # a singleton label, the common step
+        else min(map(add, rec, below))
+        for rec in steps[u:]
+    ]
 
 
 class _DistanceBuckets(dict):
@@ -273,21 +281,11 @@ class _DistanceBuckets(dict):
         heads, steps = self._heads, self._steps
         if not 0 <= u < len(self._ones):
             raise IndexError(f"point {u} out of range")
-        if u < len(heads):
-            column = heads[u][u + 1:]
-        else:
-            below = [head[u] for head in heads]  # d(l, u) for each head l
-            first = below[0]
-            column = [
-                rec if isinstance(rec, int)
-                else rec[0] + first if len(rec) == 1  # a singleton label, the common step
-                else min(map(add, rec, below))
-                for rec in steps[u:]
-            ]
         ones = self._ones
         entry: dict[int, tuple[int, ...]] = {}
         setdefault = entry.setdefault
-        for one, d in chain(zip(ones, _row(heads, steps, u)), zip(ones[u + 1:], column)):
+        row, column = _row(heads, steps, u), _column(heads, steps, u)
+        for one, d in chain(zip(ones, row), zip(ones[u + 1:], column)):
             bucket = setdefault(d, one)  # a new bucket is v's shared tuple
             if bucket is not one:
                 entry[d] = bucket + one
@@ -389,7 +387,10 @@ class PrefixState:
         heads = self.heads
         if j < len(heads):
             return heads[j][i]
-        return _step_entry(heads, self.steps[i - 1], j) if i != j else 0
+        if i == j:
+            return 0
+        record = self.steps[i - 1]  # j >= len(heads): no point of step i's label
+        return record if isinstance(record, int) else min(r + heads[l][j] for l, r in enumerate(record))
 
     def distance(self, i: int, j: int) -> Fraction:
         return Fraction(self.entry(i, j), self.scale)
@@ -496,8 +497,7 @@ def build_prefix(
     # by step; a resume whose labels are wider completes the missing ones.
     width = max([1, len(heads)] + [len(label) for label in labels])
     for x in range(len(heads), min(width, start)):
-        row = _step_row(heads, steps[x - 1], x)
-        heads.append([*row, 0, *(_step_entry(heads, steps[k - 1], x) for k in range(x + 1, start))])
+        heads.append([*_row(heads, steps, x), 0, *_column(heads, steps, x)])
     head_max = list(map(max, heads))  # the largest d(x, .) so far, per head
 
     last = top  # maxima[-1] over scale: a new Fraction only when top grows

@@ -51,15 +51,6 @@ class Box:
     def lower_corner(self) -> tuple[Fraction, ...]:
         return tuple(lo for lo, _ in self.intervals)
 
-    def contains(self, point: Sequence) -> bool:
-        values = [as_rational(v) for v in point]
-        return len(values) == self.dimension and all(
-            lo <= v <= hi for v, (lo, hi) in zip(values, self.intervals)
-        )
-
-    def is_single_point(self) -> bool:
-        return all(lo == hi for lo, hi in self.intervals)
-
 
 def max_norm_ball(center: Sequence, radius) -> Box:
     """The closed max-norm ball as a box: [c_k - r, c_k + r] per coordinate."""
@@ -117,7 +108,6 @@ class C0Report:
     witness: tuple[Fraction, ...] | None
     witness_tail_value: Fraction | None
     conclusion: str
-    intersection: Box | None
 
 
 def c0_counterexample(N: int, radius=Fraction(1, 2)) -> C0Report:
@@ -128,7 +118,9 @@ def c0_counterexample(N: int, radius=Fraction(1, 2)) -> C0Report:
     is built in closed form, in O(N): for N >= 2 every coordinate k meets
     the interval [1 - r, 1 + r] of ``B(e_k, r)`` and [-r, r] of every other
     ball, so the intersection is [1 - r, r] on each coordinate, empty when
-    r < 1/2.  N above :data:`C0_MAX_DIMENSION` raises :class:`TooLarge`.
+    r < 1/2, and the witness is its lower corner.  N above
+    :data:`C0_MAX_DIMENSION` raises :class:`TooLarge`: the witness holds N
+    coordinates.
     """
     if N < 2:
         raise ValueError("N must be at least 2")
@@ -139,13 +131,12 @@ def c0_counterexample(N: int, radius=Fraction(1, 2)) -> C0Report:
         raise ValueError("radius must be positive")
     pairwise = Fraction(1)
     lo = 1 - radius
-    box = Box([(lo, radius)] * N) if lo <= radius else None
+    meets = lo <= radius
     return C0Report(
         N=N,
         pairwise_distance=pairwise,
         pairwise_feasible=pairwise <= radius + radius,
-        witness=box.lower_corner if box is not None else None,
-        witness_tail_value=lo if box is not None else None,
+        witness=(lo,) * N if meets else None,
+        witness_tail_value=lo if meets else None,
         conclusion="unique-linf-witness" if lo == radius else "none",
-        intersection=box,
     )

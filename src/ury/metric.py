@@ -496,7 +496,7 @@ def _split_lines(text: str) -> Iterator[str]:
         start = stop + 1
 
 
-def _point_count(head: str | None, max_points: int | None) -> int:
+def _point_count(head: str | None) -> int:
     if head is None:
         raise ParseError(1, 1, "empty input")
     if not (head.isascii() and head.isdigit()):
@@ -507,23 +507,24 @@ def _point_count(head: str | None, max_points: int | None) -> int:
         raise too_many_digits(1, head) from None
     if n < 1:
         raise ParseError(1, 1, "point count must be at least 1")
-    if max_points is not None and n > max_points:
-        raise TooLarge(f"a distance matrix is limited to {max_points} points")
     return n
 
 
 def dmat_point_count(text: str) -> int:
     """The point count on the first line of ``.dmat`` text, checked as the
     parse checks it, with no distance row read."""
-    return _point_count(next(_split_lines(text), None), None)
+    return _point_count(next(_split_lines(text), None))
 
 
-# A parse under a point bound also bounds the canonical scale: the entries are
+# Every parse bounds the point count at the largest prefix a command builds,
+# so that every export parses, and the canonical scale: the entries are
 # multiplied out over the lcm of their denominators, so the parsed triangle
 # holds about pairs x scale bits, and a file whose entries have distinct prime
-# denominators needs about n^4 of them.  The 4000-point prefix export, the
-# largest a prefix command writes, has a 298-bit scale: 7 998 000 pairs x 298
-# bits = 2.38e9, and `ury verify` on it takes 13.8 s and 814 MiB (README).
+# denominators needs about n^4 of them.
+# The 4000-point prefix export, the largest a prefix command writes, has a
+# 298-bit scale: 7 998 000 pairs x 298 bits = 2.38e9, and `ury verify` on it
+# takes 13.8 s and 814 MiB (README).
+DMAT_MAX_POINTS = 4000
 DMAT_MAX_PAIR_BITS = 2_400_000_000
 
 
@@ -534,17 +535,19 @@ class _Denominators(dict):
         return value
 
 
-def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list[list[int]], int]:
+def parse_lower_triangle(text: str) -> tuple[list[list[int]], int]:
     """Parse ``.dmat`` syntax into ``(lower, scale)``: ``lower[i][j] / scale``
     is ``d(i, j)`` for ``j < i``, with ``scale`` the lcm of the denominators
     written (not reduced), and no metric axiom checked.  Each row is turned
-    into ints as soon as it is read.  A point count above ``max_points``
-    raises :class:`TooLarge` before any row is read.  With ``max_points``
-    given, so does a scale of more than :data:`DMAT_MAX_PAIR_BITS` over the
+    into ints as soon as it is read.  A point count above
+    :data:`DMAT_MAX_POINTS` raises :class:`TooLarge` before any row is read,
+    and so does a scale of more than :data:`DMAT_MAX_PAIR_BITS` over the
     number of pairs bits, before any entry is multiplied out: the lcm is
     built one denominator at a time and not finished."""
     lines = _split_lines(text)
-    n = _point_count(next(lines, None), max_points)
+    n = _point_count(next(lines, None))
+    if n > DMAT_MAX_POINTS:
+        raise TooLarge(f"a distance matrix is limited to {DMAT_MAX_POINTS} points")
     count = text.count("\n") + (not text.endswith("\n"))
     if count > n:
         raise ParseError(n + 1, 1, "unexpected extra line")
@@ -577,11 +580,11 @@ def parse_lower_triangle(text: str, max_points: int | None = None) -> tuple[list
                 rows.append(([int(p) for p, _, _ in tokens], [den(q) for _, _, q in tokens]))
         except ValueError:
             raise too_many_digits(i + 1, line) from None
-    limit = None if max_points is None else DMAT_MAX_PAIR_BITS // max(1, n * (n - 1) // 2)
+    limit = DMAT_MAX_PAIR_BITS // max(1, n * (n - 1) // 2)
     scale = 1
     for q in denominators.values():
         scale = lcm(scale, q)
-        if limit is not None and scale.bit_length() > limit:
+        if scale.bit_length() > limit:
             raise TooLarge(
                 f"a distance matrix of {n} points is limited to a common denominator of {limit} bits"
             )
@@ -624,17 +627,17 @@ def parse_matrix_text(text: str) -> list[list[Fraction]]:
     return [list(row) for row in fraction_rows(*parse_lower_triangle(text))]
 
 
-def parse_distance_matrix(text: str, max_points: int | None = None) -> FiniteMetricSpace:
+def parse_distance_matrix(text: str) -> FiniteMetricSpace:
     """Parse and validate a ``.dmat`` document.
 
     Raises :class:`ParseError` for malformed syntax, :class:`TooLarge` for a
-    point count above ``max_points`` or, with it, a scale past
+    point count above :data:`DMAT_MAX_POINTS` or a scale past
     :data:`DMAT_MAX_PAIR_BITS`, and :class:`MetricViolation` when the
     parsed matrix is not a metric.  The lower triangle of the parse is
     reduced to its canonical scale and kept; only the positivity and
     triangle stages run, as the format can express no other fault.
     """
-    return FiniteMetricSpace.from_scaled_lower(*parse_lower_triangle(text, max_points))
+    return FiniteMetricSpace.from_scaled_lower(*parse_lower_triangle(text))
 
 
 def serialize_matrix(matrix: Sequence[Sequence[Fraction]]) -> str:

@@ -95,9 +95,6 @@ class KatetovFunction:
         """The values as Fractions.  Not a field."""
         return tuple(Fraction(v, self.scale) for v in self.ints)
 
-    def __call__(self, x: int) -> Fraction:
-        return Fraction(self.ints[x], self.scale)
-
     def _rows(self) -> dict[int, list[int]]:
         """Every row ``d(x, .)`` of the space over ``scale``, the kernels' input."""
         return square_rows(self.space.lower, self.space.points(), self.scale // self.space.scale)
@@ -440,7 +437,6 @@ class HullCheckReport:
     reference_distance: Fraction
     isometry_ok: bool
     first_violation: IsometryViolation | None
-    total_length: Fraction
     sample_count: int
 
 
@@ -513,6 +509,5 @@ def verify_hull_candidate(candidate: PathHullCandidate, step) -> HullCheckReport
         reference_distance=reference_distance,
         isometry_ok=isometry_ok,
         first_violation=first_violation,
-        total_length=total,
         sample_count=sample_count,
     )

@@ -202,8 +202,8 @@ def test_null_sequence_demo_and_helly():
             for j in range(i + 1, len(boxes)):
                 assert box_intersection([boxes[i], boxes[j]]).box is not None
         total = box_intersection(boxes)
-        assert total.box is not None
-        assert all(b.contains(total.witness) for b in boxes)
+        assert total.box is not None and len(total.witness) == dim
+        assert all(lo <= v <= hi for b in boxes for v, (lo, hi) in zip(total.witness, b.intervals))
     report("max-norm demo: truncated basis balls meet only at (1/2,...,1/2); Helly holds on 1000 families")
 
 

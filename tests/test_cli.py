@@ -630,6 +630,25 @@ def test_malformed_json_input_is_a_usage_error(tmp_path, capsys, argv, content, 
 
 
 @pytest.mark.parametrize(
+    "argv,what",
+    [(["balls", "--family"], "the family"), (["hull-check", "--candidate"], "the candidate")],
+    ids=["family", "candidate"],
+)
+def test_a_wide_json_value_of_the_wrong_type_is_quoted_cut(tmp_path, capsys, argv, what):
+    # A list of 10^6 zeros is a 3 MB file; its error line quotes the first
+    # 40 characters of its JSON text, then "...".
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps([0] * 1_000_000))
+    code, stdout, stderr = run(capsys, *argv, str(f))
+    assert (code, stdout) == (2, "")
+    assert stderr.count("\n") == 1 and len(stderr.encode()) <= 200
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "detail": f"{what} must be a JSON dict, got {json.dumps([0] * 14)[:40]}...",
+    }
+
+
+@pytest.mark.parametrize(
     "argv",
     [["build", "--points", "3", "--q-override"], ["balls", "--family"], ["hull-check", "--candidate"]],
     ids=["override", "family", "candidate"],
@@ -707,7 +726,7 @@ def dmat_argv(command: str, dmat: Path, cache: Path) -> list[str]:
 
 @pytest.mark.parametrize("command", DMAT_COMMANDS)
 def test_a_dmat_over_the_point_bound_is_refused_before_its_rows(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(construct, "PREFIX_MAX_POINTS", 11)
+    monkeypatch.setattr(metric, "DMAT_MAX_POINTS", 11)
     cache = tmp_path / "p.ury"
     run(capsys, "build", "--points", "11", "--out", str(cache))
     at_bound = tmp_path / "at.dmat"

@@ -48,7 +48,7 @@ def test_two_box_example():
 def test_basis_balls_meet_in_single_point():
     e1, e2 = (1, 0), (0, 1)
     result = box_intersection([max_norm_ball(e1, "1/2"), max_norm_ball(e2, "1/2")])
-    assert result.box.is_single_point()
+    assert all(lo == hi for lo, hi in result.box.intervals)
     assert result.witness == (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -74,8 +74,8 @@ def test_helly_property_random_families():
             for j in range(i + 1, len(boxes)):
                 assert box_intersection([boxes[i], boxes[j]]).box is not None
         total = box_intersection(boxes)
-        assert total.box is not None
-        assert all(b.contains(total.witness) for b in boxes)
+        assert total.box is not None and len(total.witness) == dim
+        assert all(lo <= v <= hi for b in boxes for v, (lo, hi) in zip(total.witness, b.intervals))
 
 
 @given(
@@ -92,7 +92,7 @@ def test_witness_membership_hypothesis(widths):
     boxes = [Box([(lo, lo + width)]) for lo, width in widths]
     result = box_intersection(boxes)
     if result.box is not None:
-        assert all(b.contains(result.witness) for b in boxes)
+        assert all(lo <= v <= hi for b in boxes for v, (lo, hi) in zip(result.witness, b.intervals))
     else:
         k = result.first_empty_coordinate
         assert max(b.intervals[k][0] for b in boxes) > min(b.intervals[k][1] for b in boxes)
@@ -122,7 +122,8 @@ def test_c0_n100():
 def test_c0_single_point_for_every_size():
     for n in (2, 3, 7, 20):
         report = c0_counterexample(n)
-        assert report.intersection.is_single_point()
+        assert report.conclusion == "unique-linf-witness"
+        assert report.witness == tuple([Fraction(1, 2)] * n)
         # The witness keeps sup-norm distance 1/2 from the origin at every
         # truncation size: it cannot head toward the zero sequence.
         origin = tuple([Fraction(0)] * n)
@@ -170,12 +171,11 @@ def test_c0_closed_form_matches_the_ball_intersection(radius):
         result = box_intersection([max_norm_ball(e, radius) for e in basis])
         report = c0_counterexample(n, radius)
         assert report.N == n
-        assert report.intersection == result.box
         assert report.witness == result.witness
         assert report.witness_tail_value == (min(result.witness) if result.witness else None)
         assert report.pairwise_distance == max_norm(basis[0], basis[1])
         assert report.pairwise_feasible == (report.pairwise_distance <= 2 * radius)
-        unique = result.box is not None and result.box.is_single_point()
+        unique = result.box is not None and all(lo == hi for lo, hi in result.box.intervals)
         assert report.conclusion == ("unique-linf-witness" if unique else "none")
 
 

@@ -640,21 +640,23 @@ def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch)
             monkeypatch.undo()
 
 
+# Every library parse of .dmat text.
+PARSES = [metric_mod.parse_lower_triangle, parse_distance_matrix, metric_mod.parse_matrix_text]
+
+
 def test_a_scale_past_the_budget_is_refused_before_any_entry_is_multiplied(monkeypatch):
     # 12 points, 66 pairs: the product of 66 primes above 2^20 has 1321
     # bits, so the file needs 66 * 1321 pair-bits, and one less is refused.
     # At 660 bits a pair the lcm stops at the 33rd prime (661 bits), with
-    # no entry multiplied out.  Without a point bound there is no scale
-    # bound either.
+    # no entry multiplied out.
     text = prime_denominator_dmat(12)
     lower, scale = metric_mod.parse_lower_triangle(text)
     assert scale.bit_length() == 1321
     monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 1321)
-    assert metric_mod.parse_lower_triangle(text, 12) == (lower, scale)
+    assert metric_mod.parse_lower_triangle(text) == (lower, scale)
     monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 1321 - 1)
     with pytest.raises(TooLarge):
-        metric_mod.parse_lower_triangle(text, 12)
-    assert metric_mod.parse_lower_triangle(text) == (lower, scale)
+        metric_mod.parse_lower_triangle(text)
 
     calls = []
 
@@ -668,18 +670,30 @@ def test_a_scale_past_the_budget_is_refused_before_any_entry_is_multiplied(monke
     monkeypatch.setattr(metric_mod, "DMAT_MAX_PAIR_BITS", 66 * 660)
     monkeypatch.setattr(metric_mod, "lcm", counted_lcm)
     monkeypatch.setattr(metric_mod, "operator", SimpleNamespace(mul=no_product))
-    for parse in (metric_mod.parse_lower_triangle, parse_distance_matrix):
+    for parse in PARSES:
         calls.clear()
         with pytest.raises(TooLarge) as exc:
-            parse(text, 12)
+            parse(text)
         assert str(exc.value) == "a distance matrix of 12 points is limited to a common denominator of 660 bits"
         assert len(calls) == 33
+
+
+@pytest.mark.parametrize("parse", PARSES)
+def test_every_parse_refuses_a_point_count_past_the_bound_before_its_rows(parse):
+    # Rows that would be a parse error if read: a library call is bounded
+    # as a command is.
+    bound = metric_mod.DMAT_MAX_POINTS
+    with pytest.raises(TooLarge, match=f"^a distance matrix is limited to {bound} points$"):
+        parse(f"{bound + 1}\nx\n")
+    with pytest.raises(ParseError):
+        parse(f"{bound}\nx\n")
 
 
 def test_the_scale_budget_passes_every_prefix_export_at_the_point_bound():
     # A prefix's scale is the lcm of its distances' denominators, so it is
     # the scale its export is parsed at.
     m = PREFIX_MAX_POINTS
+    assert m <= metric_mod.DMAT_MAX_POINTS
     for scope in (ALL_PRIOR, LABELS_ONLY):
         state = build_prefix(m, ConstructionMode(case1_scope=scope))
         assert m * (m - 1) // 2 * state.scale.bit_length() <= metric_mod.DMAT_MAX_PAIR_BITS

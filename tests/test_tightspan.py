@@ -491,7 +491,7 @@ def test_hull_h1_passes():
     candidate = PathHullCandidate([("0", "0"), ("1", "1")], A_PAIR)
     report = verify_hull_candidate(candidate, STEP)
     assert report.ok and report.endpoint_ok and report.isometry_ok
-    assert report.total_length == 1
+    assert report.endpoint_distance == 1  # the length, as the path is a segment
     assert report.sample_count == 65
 
 

@@ -56,9 +56,13 @@ vertices, n of them for the path and n + 1 for the equilateral space;
 ``(2k - 1)/k``.  ``build-nested``, ``balls-nested`` and
 ``hull-check-nested`` give ``build --q-override``, ``balls --family`` and
 ``hull-check --candidate`` a file of :data:`NESTED_DEPTH` nested JSON
-arrays, past the JSON parser's recursion limit, once per run; each must
-exit 2 from ``cli.main`` with one JSON ``ValueError`` line on stderr, not a
-traceback.
+arrays, past the JSON parser's recursion limit, once per run;
+``balls-wide`` and ``hull-check-wide`` give ``balls --family`` and
+``hull-check --candidate`` a 3 MB file holding a JSON list of
+:data:`WIDE_ITEMS` zeros, where each expects a dict, once per run.  Each
+``*-nested`` and ``*-wide`` run must exit 2 from ``cli.main`` with one
+JSON ``ValueError`` line of at most :data:`ERROR_LINE_BYTES` bytes on
+stderr, not a traceback, so no error echoes its input whole.
 
 The child times the command inside ``cli.main`` (``command_s``) and the
 library functions that :data:`TIMED` names for the command: outermost calls
@@ -69,7 +73,7 @@ and ``numpy`` whether the child loaded numpy.  Only the triangle scan of a
 space of ``metric._NUMPY_MIN_N`` points or more loads it, so ``numpy``
 must be false for ``build-*``, ``export``, ``export-half``,
 ``isom-extend``, ``embed-*`` (whose targets have 3 points), ``c0-demo``,
-``hull-check``, every ``*-nested`` and every
+``hull-check``, every ``*-nested``, every ``*-wide`` and every
 ``tightspan-{generic,path,equilateral}``, and
 true for ``verify``, ``extend``, ``balls`` and ``tightspan-kuratowski`` at
 350 points and more, which validate the prefix; it is not checked for
@@ -78,7 +82,8 @@ One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
 size for ``tightspan-*``, ``--n`` for ``c0-demo``, k for ``hull-check``,
-n for ``verify-scale`` and the nesting depth for ``*-nested``.  Each
+n for ``verify-scale``, the nesting depth for ``*-nested`` and the list's
+length for ``*-wide``.  Each
 ``embed-absent`` line also has ``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
 ``embed-never`` at the same N, in bytes, over the N(N - 1) positions of
 the whole index (one per ordered pair of points), so index memory reads
@@ -112,6 +117,11 @@ HULL_STEPS = (16383, 2**40)
 # The depth of the nested arrays that each JSON-reading command is given.
 NESTED_DEPTH = 100_000
 NESTED = ("build-nested", "balls-nested", "hull-check-nested")
+# The length of the list of zeros that each dict-reading command is given.
+WIDE_ITEMS = 1_000_000
+WIDE = ("balls-wide", "hull-check-wide")
+# The longest JSON error line a malformed JSON input may give.
+ERROR_LINE_BYTES = 200
 EMBED = {
     "early": (0, {"status": "found", "mapping": [3, 6, 10]}),
     "never": (1, {"status": "not-found-up-to", "mapping": None}),
@@ -127,7 +137,8 @@ COMMANDS = {
                ("export-half", "export --cache {d}/p{n}.ury --points {h} --out {d}/half.dmat")],
     "verify": [("verify", "verify --dmat {d}/p{n}.dmat"), ("verify-scale", "verify --dmat {d}/scale.dmat")],
     "extend": [("extend", "extend --dmat {d}/p{n}.dmat --support 1 --radii 1")],
-    "balls": [("balls", "balls --family {d}/balls{n}.json"), ("balls-nested", "balls --family {d}/nested.json")],
+    "balls": [("balls", "balls --family {d}/balls{n}.json"), ("balls-nested", "balls --family {d}/nested.json"),
+              ("balls-wide", "balls --family {d}/wide.json")],
     "tightspan": [("tightspan-kuratowski", "tightspan --dmat {d}/p{n}.dmat --kuratowski 1")]
     + [(f"tightspan-{s}", f"tightspan --dmat {{d}}/{s}{{n}}.dmat --vertices") for s in SPACES],
     "isom-extend": [("isom-extend", "isom-extend --prefix {d}/p{n}.ury --pairs 1:1,2:2 --source {n}")],
@@ -135,7 +146,8 @@ COMMANDS = {
               for t in EMBED],
     "c0-demo": [("c0-demo", "c0-demo --n {n}")],
     "hull-check": [("hull-check", "hull-check --builtin backtrack --step 1/{n}"),
-                   ("hull-check-nested", "hull-check --candidate {d}/nested.json")],
+                   ("hull-check-nested", "hull-check --candidate {d}/nested.json"),
+                   ("hull-check-wide", "hull-check --candidate {d}/wide.json")],
 }
 
 # The library functions timed for each subcommand: {field: "module.prefix"}.
@@ -303,10 +315,11 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
         return False
     if name in VALIDATE_PREFIX and n >= NUMPY_FROM_POINTS and result.get("numpy") is not True:
         return False
-    if name in NESTED:
-        # One JSON error line from cli.main, which returned: no traceback.
+    if name in NESTED + WIDE:
+        # One short JSON error line from cli.main, which returned: no traceback.
         return (code == 2 and out == "" and "maxrss_mib" in result
                 and result["stderr"].count("\n") == 1
+                and len(result["stderr"].encode()) <= ERROR_LINE_BYTES
                 and json.loads(result["stderr"])["error"] == "ValueError")
     if name.startswith("build"):
         files = sorted((work / "cache").iterdir())
@@ -386,6 +399,8 @@ def main() -> int:
         own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS, "verify-scale": [scale_n]})
         (work / "nested.json").write_text("[" * NESTED_DEPTH + "]" * NESTED_DEPTH)
         own.update(dict.fromkeys(NESTED, [NESTED_DEPTH]))
+        (work / "wide.json").write_text(json.dumps([0] * WIDE_ITEMS))
+        own.update(dict.fromkeys(WIDE, [WIDE_ITEMS]))
         groups: dict[int, list[tuple[str, str, str]]] = {}
         for command, runs in COMMANDS.items():
             for name, argv in runs:
