@@ -6,9 +6,11 @@ Provides metric-axiom validation with exact witnesses, the immutable
 toolkit).  A space is held as a prefix holds it, as its lower triangle of
 ints over one canonical scale; a kernel reads the square rows it needs
 through :func:`square_rows`, and no ``.dmat`` command builds the square.
-The triangle scan of a space of fewer than ``_NUMPY_MIN_N`` points is a
-loop in Python ints, so validating a small space never loads numpy; only a
-larger one is scanned in numpy.
+The triangle scan first finds, in Python ints, the pairs that can break a
+triangle.  While there are at most ``_PAIRS_PER_POINT`` of them per point,
+as in every space of 19 points or fewer and every prefix, it checks them in
+Python ints and never loads numpy; only a space with more, or one past 19
+points whose pairs meet many mids each, is scanned in numpy.
 
 ``.dmat`` format (UTF-8; lines end in LF or CRLF, and no other character
 breaks a line):
@@ -29,7 +31,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, islice, repeat
+from itertools import combinations, compress, groupby, islice, repeat, zip_longest
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -117,7 +119,7 @@ def reduced(lower: list[list[int]], scale: int) -> tuple[tuple[tuple[int, ...], 
 def symmetric_row(lower: Sequence[Sequence[int]], x: int) -> list[int]:
     """Row ``x`` of the symmetric matrix with a zero diagonal whose entries
     ``d(i, j)``, ``j < i``, are ``lower[i][j]``: ``d(x, j)`` for every j."""
-    return [*lower[x], 0, *(lower[k][x] for k in range(x + 1, len(lower)))]
+    return [*lower[x], 0, *map(operator.itemgetter(x), islice(lower, x + 1, None))]
 
 
 def square_rows(
@@ -183,77 +185,105 @@ def _lower_violations(lower: Sequence[Sequence[int]], scale: int) -> tuple[Viola
 # in cache.
 _TILE = 64
 
-# The least point count whose triangle scan runs in numpy.  A smaller space is
-# scanned in Python ints (_small_scan), which never loads numpy.  19 is the
-# least size at which the Python loop took longer per call than the numpy
-# scan with numpy already imported, on the path metric; seeded shortest-path
-# closures and strict spaces crossed at 20 to 23 points
-# (tools/scan_crossover.py).
-_NUMPY_MIN_N = 19
+# The most candidate pairs per point that the triangle scan checks in Python
+# ints; past it the scan runs in numpy.  At 9, every space of 19 points or
+# fewer (n(n-1)/2 <= 9n pairs) stays in Python ints and never loads numpy,
+# and so does a prefix, with about 0.8 pairs per point.  With numpy already
+# imported (tools/scan_crossover.py), the Python finish was the faster on
+# prefixes of 100 to 450 points, and on stars whose pairs spread over their
+# rows up to 27 pairs per point.  On the path metric and shortest-path
+# closures, where each pair meets many mids, it was the slower from about 4
+# pairs per point, but by at most about 0.2 ms a call within the budget,
+# where numpy's import costs about 0.1 s; and such a space past 19 points is
+# handed to numpy once its pairs have compared as many mids as it has pairs.
+_PAIRS_PER_POINT = 9
 
 
-def _candidates(lower: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    # numpy is imported by the two functions that use it, so that a command
-    # that validates nothing does not load it.
-    import numpy as np
+def _candidate_flags(lower: Sequence[Sequence[int]], m: Sequence[int], b: int) -> Iterator[bool]:
+    # d(a, b) > m[a] + m[b] for each a < b, in Python ints.
+    return map(operator.gt, lower[b], map(operator.add, m, repeat(m[b])))
 
+
+def _prefilter(
+    lower: Sequence[Sequence[int]], top: int, budget: int
+) -> tuple[list[int], list[tuple[int, int]] | None]:
     # The nearest-neighbour distances m[x] = min_{y != x} d(x, y) of the
-    # positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points, as an
-    # object array of Python ints, and the n x n bool array whose entry
-    # [b, a] is d(a, b) > m[a] + m[b] for a < b (False on and above the
-    # diagonal).  A triangle d(a,b) > d(a,mid) + d(mid,b) can break only on
-    # such a pair, as d(a,mid) >= m[a] and d(mid,b) >= m[b].  Both are exact:
-    # the object arrays compare and add the ints themselves, one row at a
-    # time.  m is a running minimum of the columns, from the last row up.
-    n = len(lower)
-    m = np.empty(n, dtype=object)
-    m[:-1] = lower[-1]
-    m[-1] = min(lower[-1])
-    for x in range(n - 2, 0, -1):
-        m[x] = min(m[x], min(lower[x]))
-        np.minimum(m[:x], np.array(lower[x], dtype=object), out=m[:x])
-    candidate = np.zeros((n, n), dtype=bool)
-    for b in range(1, n):
-        np.greater(np.array(lower[b], dtype=object), m[:b] + m[b], out=candidate[b, :b])
-    return m, candidate
+    # positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points whose
+    # largest entry is top, and the candidate pairs (a, b), a < b, with
+    # d(a, b) > m[a] + m[b], in Python ints; None for the pairs once there
+    # are more than budget of them.  A triangle d(a,b) > d(a,mid) + d(mid,b)
+    # can break only on such a pair, as d(a,mid) >= m[a] and d(mid,b) >=
+    # m[b].  m[x] is the least of row x and of column x, each column read
+    # through zip_longest with a sentinel above top.
+    above = top + 1
+    columns = [*map(min, zip_longest(*islice(lower, 1, None), fillvalue=above)), above]
+    m = list(map(min, columns, [above, *map(min, islice(lower, 1, None))]))
+    pairs = []
+    for b in range(1, len(lower)):
+        pairs += zip(compress(range(b), _candidate_flags(lower, m, b)), repeat(b))
+        if len(pairs) > budget:
+            return m, None
+    return m, pairs
 
 
-def _small_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
-    # _triangle_scan in Python ints, read from lower itself.  m[x] is the
-    # nearest-neighbour distance of x, a running minimum of the columns from
-    # the last row up, and only a pair with d(a,b) > m[a] + m[b] can break
-    # (see _candidates).  Such a pair's mids go in three runs: below a, where
-    # both distances lie in rows a and b, between a and b, and above b.
+def _pair_scan(
+    lower: Sequence[Sequence[int]], m: Sequence[int], pairs: list[tuple[int, int]], limit: int | None
+) -> list[tuple[int, int, int]] | None:
+    # _triangle_scan on the candidate pairs in Python ints, or None once the
+    # pairs have compared more than limit mids.  A mid can break the pair
+    # (a, b) only if d(a,mid) < d(a,b) - m[b], as d(mid,b) >= m[b].  Row a
+    # is made and read once per distinct a, for the mids below the largest
+    # such bound of its pairs; each pair compares only those, and checks
+    # the ones below its own bound.
     n = len(lower)
-    m = [*lower[-1], min(lower[-1])]
-    for x in range(n - 2, 0, -1):
-        row = lower[x]
-        m[x] = min(m[x], *row)
-        m[:x] = map(min, m[:x], row)
     found = []
-    for b in range(1, n):
-        row_b, m_b = lower[b], m[b]
-        for a, top in enumerate(row_b):
-            if top <= m[a] + m_b:
-                continue
-            row_a = lower[a]
-            for mid in range(a):
-                if top > row_a[mid] + row_b[mid]:
-                    found.append((a, b, mid))
-            for mid in range(a + 1, b):
-                if top > lower[mid][a] + row_b[mid]:
-                    found.append((a, b, mid))
-            for mid in range(b + 1, n):
-                row = lower[mid]
-                if top > row[a] + row[b]:
+    compared = 0
+    pairs.sort()
+    for a, group in groupby(pairs, operator.itemgetter(0)):
+        ends = [b for _, b in group]
+        row = symmetric_row(lower, a)
+        bounds = [row[b] - m[b] for b in ends]
+        # d(a, a) = 0 is raised to the largest bound, so that a is no mid.
+        row[a] = max(bounds)
+        near = list(compress(range(n), map(operator.gt, repeat(row[a]), row)))
+        distances = list(map(row.__getitem__, near))
+        for b, bound in zip(ends, bounds):
+            compared += len(near)
+            if limit is not None and compared > limit:
+                return None
+            top, row_b = row[b], lower[b]
+            for mid in compress(near, map(operator.gt, repeat(bound), distances)):
+                if top > row[mid] + (lower[mid][b] if mid > b else row_b[mid]):
                     found.append((a, b, mid))
     found.sort()
     return found
 
 
+def _candidates(lower: Sequence[Sequence[int]], m: Sequence[int]) -> np.ndarray:
+    # numpy is imported by the two functions that use it, so that a command
+    # that validates nothing does not load it.
+    import numpy as np
+
+    # The n x n bool array whose entry [b, a] is d(a, b) > m[a] + m[b] for
+    # a < b (False on and above the diagonal): the candidate pairs of
+    # _prefilter, one row at a time.
+    n = len(lower)
+    candidate = np.zeros((n, n), dtype=bool)
+    for b in range(1, n):
+        candidate[b, :b] = list(_candidate_flags(lower, m, b))
+    return candidate
+
+
 def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     # Every (a, b, mid) with a < b and d(a,b) > d(a,mid) + d(mid,b), sorted, on
     # the positive entries lower[i][j] = d(i, j), j < i, of n >= 2 points.
+    # When the largest entry is at most twice the smallest, d(a,b) <= 2 min
+    # <= d(a,mid) + d(mid,b) for every triple, and the scan ends here.
+    # Otherwise _prefilter finds the candidate pairs.  While there are at
+    # most _PAIRS_PER_POINT per point, _pair_scan checks them in Python ints
+    # and numpy is never loaded; a space whose every pair fits that budget
+    # stays there, and a larger one is handed to numpy once _pair_scan has
+    # compared as many mids as the space has pairs.
     # The int64 scan runs on the entries shifted right by s bits, the least s
     # that puts them all below _INT64_LIMIT, so no sum of two can wrap.
     # Flooring keeps every violation (x > y + z implies x>>s >= (y>>s) +
@@ -261,33 +291,30 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
     # triangles, so each flagged triple is rechecked in Python ints.  The
     # shifted diagonal is 1, so that no pair flags against one of its own
     # ends.
-    # Only a candidate pair (see _candidates) can break, and only through a
-    # mid with d(a,b) > 2 m[mid].  A tile of rows a is skipped unless one of
-    # its pairs a < b is a candidate; otherwise its rows and columns b that
-    # hold a candidate make a block, scanned against the mids whose shifted
-    # 2 m[mid] passes the filter against the block's largest entry.  The
-    # mids go in chunks that fill one buffer: per mid and row, the largest
-    # d(a,b) - d(mid,b) is checked against d(a,mid), and only the chunks
-    # where one passes are searched for their triples, which are rechecked
-    # at once.  The n x n candidate
-    # flags are reduced to each tile's rows and columns before the int64
-    # matrix is made, and without a candidate no matrix is made.
-    # numpy is loaded only for a space of _NUMPY_MIN_N points or more that
-    # can break a triangle.  When the largest entry is at most twice the
-    # smallest, d(a,b) <= 2 min <= d(a,mid) + d(mid,b) for every triple, and
-    # the scan ends here; a smaller space goes to _small_scan.
+    # Only a candidate pair can break, and only through a mid with d(a,b) >
+    # 2 m[mid].  A tile of rows a is skipped unless one of its pairs a < b is
+    # a candidate; otherwise its rows and columns b that hold a candidate
+    # make a block, scanned against the mids whose shifted 2 m[mid] passes
+    # the filter against the block's largest entry.  The mids go in chunks
+    # that fill one buffer: per mid and row, the largest d(a,b) - d(mid,b) is
+    # checked against d(a,mid), and only the chunks where one passes are
+    # searched for their triples, which are rechecked at once.  The n x n
+    # candidate flags are reduced to each tile's rows and columns before the
+    # int64 matrix is made.
     top = max(map(max, islice(lower, 1, None)))
     if top <= 2 * min(map(min, islice(lower, 1, None))):
         return []
-    if len(lower) < _NUMPY_MIN_N:
-        return _small_scan(lower)
+    n = len(lower)
+    budget, space_pairs = _PAIRS_PER_POINT * n, n * (n - 1) // 2
+    m, pairs = _prefilter(lower, top, budget)
+    if pairs is not None:
+        found = _pair_scan(lower, m, pairs, space_pairs if space_pairs > budget else None)
+        if found is not None:
+            return found
     import numpy as np
 
-    n = len(lower)
-    m, candidate = _candidates(lower)
+    candidate = _candidates(lower, m)
     tile_rows = candidate.any(axis=0)
-    if not tile_rows.any():
-        return []
     starts = range(0, n, _TILE)
     tile_cols = np.logical_or.reduceat(candidate, starts, axis=1)
     del candidate
@@ -298,7 +325,7 @@ def _triangle_scan(lower: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]
         d[:i, i] = d[i, :i]
     np.fill_diagonal(d, 1 if s else 0)
     flags = np.greater_equal if s else np.greater
-    twice = 2 * (m >> s).astype(np.int64)
+    twice = 2 * np.array([v >> s for v in m], dtype=np.int64)
     buffer = np.empty(_TILE * n, dtype=np.int64)
     found = []
     columns = {}
@@ -339,10 +366,11 @@ def validate_metric(matrix: Sequence[Sequence]) -> ValidationReport:
     the triangle inequality — and a stage only runs when the previous ones
     hold, so each reported witness is meaningful on its own.  Every stage
     runs on integers over the common denominator, and the stages after
-    symmetry on the lower triangle.  The triangle stage is an exact loop in
-    Python ints below ``_NUMPY_MIN_N`` points, and from there one int64 scan
-    on the entries shifted to fit, with each triple it flags rechecked
-    exactly.
+    symmetry on the lower triangle.  The triangle stage finds the pairs
+    that can break a triangle in Python ints; while there are at most
+    ``_PAIRS_PER_POINT`` per point it checks their mids in Python ints, and
+    otherwise it runs one int64 scan on the entries shifted to fit, with
+    each triple it flags rechecked exactly.
     Raises :class:`NonSquareInput` for inputs that are not square matrices.
     """
     violations = _square_input(matrix)[2]

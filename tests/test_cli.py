@@ -23,7 +23,7 @@ from ury import (
 from ury.cli import build_parser, main
 from ury.metric import FiniteMetricSpace, dmat_lines, parse_matrix_text, serialize_matrix
 
-from helpers import oracle_build_prefix, oracle_dmat_text, prime_denominator_dmat
+from helpers import oracle_build_prefix, oracle_dmat_text, oracle_violations, prime_denominator_dmat
 
 T345 = "3\n3\n4 5\n"
 BAD113 = "3\n1\n1 3\n"
@@ -248,8 +248,9 @@ SMALL_INPUTS = {
     ],
 )
 def test_small_space_commands_do_not_load_numpy(tmp_path, commands, stdout):
-    # The triangle scan of a space this small is a loop in Python ints, and
-    # an equilateral space's scan ends before it: no command loads numpy.
+    # A space this small has few enough candidate pairs for the Python
+    # finish, and an equilateral space's scan ends before the prefilter: no
+    # command loads numpy.
     for name, text in SMALL_INPUTS.items():
         (tmp_path / name).write_text(text)
     child = (
@@ -266,6 +267,58 @@ def test_small_space_commands_do_not_load_numpy(tmp_path, commands, stdout):
     assert lines[-1] == "False"
     if stdout is not None:
         assert lines[:-1] == stdout
+
+
+def test_prefix_commands_do_not_load_numpy(tmp_path, monkeypatch, capsys):
+    # A 450-point prefix export has about one candidate pair per point, far
+    # within the budget, so the four commands that validate it print what
+    # the numpy scan leads them to print, without loading numpy.  A 40-point
+    # path, with one pair stretched past its 38 mids, has 703 candidate
+    # pairs: verify loads numpy and prints the oracle's violations.
+    n = 450
+    state = build_prefix(n)
+    (tmp_path / "p.dmat").write_text("".join(dmat_lines(n, map(state.row, range(1, n)), state.scale)))
+    family = {"dmat": "p.dmat", "balls": [{"center": 1, "radius": 1}, {"center": 2, "radius": 2}]}
+    (tmp_path / "family.json").write_text(json.dumps(family))
+    path = [[i - j for j in range(i)] for i in range(40)]
+    path[39][0] += 1
+    (tmp_path / "path.dmat").write_text("".join(dmat_lines(40, path[1:], 1)))
+    commands = [
+        ["verify", "--dmat", "p.dmat"],
+        ["extend", "--dmat", "p.dmat", "--support", "1", "--radii", "1"],
+        ["balls", "--family", "family.json"],
+        ["tightspan", "--dmat", "p.dmat", "--kuratowski", "1"],
+    ]
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from ury.cli import main\n"
+        "def run(argv):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    return code, out.getvalue()\n"
+        "print(json.dumps([[*run(argv), 'numpy' in sys.modules] for argv in json.loads(sys.argv[1])]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "URY_CACHE_DIR": str(tmp_path / "cache")}
+
+    def in_child(argvs):
+        result = subprocess.run([sys.executable, "-c", child, json.dumps(argvs)], cwd=tmp_path,
+                                env=env, capture_output=True, text=True, check=True)
+        return json.loads(result.stdout)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(metric, "_PAIRS_PER_POINT", 0)
+    expected = [[*run(capsys, *argv)[:2], False] for argv in commands]
+    assert expected[0] == [0, f"OK: metric on {n} points\n", False]
+    assert all(code == 0 for code, _, _ in expected)
+    assert in_child(commands) == expected
+
+    rows = [metric.symmetric_row(path, x) for x in range(40)]
+    lines = [f"violation triangle at {(v.indices[0] + 1, v.indices[1] + 1, v.indices[2] + 1)}: "
+             f"{v.lhs} vs {v.rhs}\n" for v in oracle_violations(rows)]
+    assert len(lines) == 38
+    assert in_child([["verify", "--dmat", "path.dmat"]]) == [[1, "".join(lines), True]]
 
 
 # Asking for more points than a cache holds: exit code and error kind as
@@ -315,9 +368,10 @@ def test_verify_violation_exit_one(tmp_path, capsys):
 
 # stdout, stderr and exit code of ``verify`` on the .dmat files in
 # tests/golden, byte for byte as the Fraction implementation printed them.
-# The triangle files cover each scan: the Python-int loop at 6 points,
-# int64 at 40 points (15-bit scale) and Python ints again above 2^62 (a
-# 228-bit scale).
+# The triangle files hold 6 points, 40 points with a 15-bit scale and 40
+# points with a 228-bit scale, past 2^62.  Each has at most 7 candidate
+# pairs, so the Python finish checks them; the numpy scan is reached from
+# the CLI by the dense path of test_prefix_commands_do_not_load_numpy.
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -157,8 +157,9 @@ def _stretched_lower(rng: random.Random, n: int) -> tuple[list[list[Fraction]], 
 def test_shifted_scan_matches_oracle(monkeypatch):
     # Seeded spaces with a few stretched pairs, so most break triangles in
     # several places (some at once through one pair).  Each is validated by
-    # the Python loop these sizes take, then by the numpy scan at its
-    # natural shift and with the int64 bound lowered to 2, 4 and 8 bits,
+    # the Python finish these sizes take, then by the numpy scan (a budget
+    # of no pair) at its natural shift and with the int64 bound lowered to
+    # 2, 4 and 8 bits,
     # which shifts the entries and makes the filter flag tight and near-tight
     # triangles that the exact recheck must drop.  Every report, also that
     # of the lower-triangle validator verify runs, must equal the plain
@@ -173,7 +174,7 @@ def test_shifted_scan_matches_oracle(monkeypatch):
         assert metric_mod.validate_lower_triangle(lower, scale) == oracle
         for limit in (metric_mod._INT64_LIMIT, 2**2, 2**4, 2**8):
             with monkeypatch.context() as patch:
-                patch.setattr(metric_mod, "_NUMPY_MIN_N", 3)
+                patch.setattr(metric_mod, "_PAIRS_PER_POINT", 0)
                 patch.setattr(metric_mod, "_INT64_LIMIT", limit)
                 assert metric_mod.validate_metric(rows) == oracle
                 assert metric_mod.validate_lower_triangle(lower, scale) == oracle
@@ -192,10 +193,10 @@ def test_shifted_scan_floor_rule(monkeypatch, bits):
     # violation (a = b + c + 1, even when the floors of b and c lose a carry)
     # and the exact recheck must drop the tight and strict triangles it also
     # flags.  A fourth point at distance b + c from all three keeps every
-    # other triangle strict.  The Python loop these 4 points take, and the
-    # numpy scan, must both be exact.
+    # other triangle strict.  The Python finish these 4 points take, and the
+    # numpy scan (a budget of no pair), must both be exact.
     rng = random.Random(bits)
-    thresholds = (metric_mod._NUMPY_MIN_N, 4)
+    budgets = (metric_mod._PAIRS_PER_POINT, 0)
     for _ in range(40):
         b = rng.getrandbits(bits - 1) | 1 << (bits - 2)
         c = rng.getrandbits(bits - 1) | 1 << (bits - 2)
@@ -205,8 +206,8 @@ def test_shifted_scan_floor_rule(monkeypatch, bits):
             rows = [[0, b, a, far], [b, 0, c, far], [a, c, 0, far], [far, far, far, 0]]
             lower = [row[:i] for i, row in enumerate(rows)]
             expected = oracle_violations(rows)
-            for numpy_min_n in thresholds:
-                monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", numpy_min_n)
+            for budget in budgets:
+                monkeypatch.setattr(metric_mod, "_PAIRS_PER_POINT", budget)
                 assert metric_mod._triangle_scan(lower) == ([(0, 2, 1)] if delta > 0 else [])
                 assert validate_metric(rows) == ValidationReport(not expected, expected)
 
@@ -215,16 +216,17 @@ def test_shifted_scan_floor_rule(monkeypatch, bits):
 def test_triangle_scan_at_twice_the_smallest_entry(monkeypatch, top, expected):
     # With every entry in [5, 10] no triangle can break, and the scan ends
     # before the prefilter; one unit above, d(0,1) = 11 > d(0,2) + d(2,1)
-    # must still be found: by the Python loop these 5 points take, and by
-    # the numpy scan once the threshold is below 5.
-    calls = record_calls(monkeypatch, metric_mod, ["_candidates"])
+    # must still be found: by the Python finish that its one candidate pair
+    # takes, and by the numpy scan once the budget is below one pair.
+    calls = record_calls(monkeypatch, metric_mod, ["_prefilter", "_pair_scan", "_candidates"])
     rows = [[0, top, 5, 7, 9], [top, 0, 5, 8, 6], [5, 5, 0, 10, 7], [7, 8, 10, 0, 5], [9, 6, 7, 5, 0]]
     lower = [row[:i] for i, row in enumerate(rows)]
     assert metric_mod._triangle_scan(lower) == expected
-    assert calls == []
-    monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", 4)
+    assert calls == ([] if top == 10 else ["_prefilter", "_pair_scan"])
+    calls.clear()
+    monkeypatch.setattr(metric_mod, "_PAIRS_PER_POINT", 0)
     assert metric_mod._triangle_scan(lower) == expected
-    assert calls == ([] if top == 10 else ["_candidates"])
+    assert calls == ([] if top == 10 else ["_prefilter", "_candidates"])
     assert validate_metric(rows) == ValidationReport(not expected, oracle_violations(rows))
 
 
@@ -233,12 +235,12 @@ def test_triangle_scan_at_twice_the_smallest_entry(monkeypatch, top, expected):
 def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
     # Tile size minus one, the tile size, one more, and two tiles plus one,
     # so that violations cross tile boundaries in both directions.  The
-    # threshold is below every size, so that the numpy scan runs.
+    # budget is no pair, so that the numpy scan runs.
     n = 2 * tile + 1 if extra == "2t+1" else tile + extra
     rng = random.Random(tile * 100 + n)
     limits = (metric_mod._INT64_LIMIT, 2**4)
     monkeypatch.setattr(metric_mod, "_TILE", tile)
-    monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", 2)
+    monkeypatch.setattr(metric_mod, "_PAIRS_PER_POINT", 0)
     broken = 0
     for _ in range(30):
         rows, lower, scale = _stretched_lower(rng, n)
@@ -253,36 +255,35 @@ def test_triangle_scan_on_sizes_around_the_tile(monkeypatch, tile, extra):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_scan_on_both_sides_of_the_numpy_threshold(monkeypatch, offset):
-    # Spaces of _NUMPY_MIN_N - 1, _NUMPY_MIN_N and _NUMPY_MIN_N + 1 points:
-    # shortest-path closures, and seeded spaces with a few stretched pairs,
-    # most of which break triangles.  Each is validated at the default
-    # threshold, which takes the Python loop below _NUMPY_MIN_N points and
-    # the numpy scan from there, and with the threshold moved to send it
-    # down the other path.  Both must give the oracle's report.
-    n = metric_mod._NUMPY_MIN_N + offset
-    below = offset < 0
-    paths = [
-        (metric_mod._NUMPY_MIN_N, "_small_scan" if below else "_candidates"),
-        (n if below else n + 1, "_candidates" if below else "_small_scan"),
-    ]
-    rng = random.Random(50 + n)
-    cases = [[list(r) for r in random_metric_space(rng, n, closure=True).matrix] for _ in range(6)]
-    cases += [_stretched_lower(rng, n)[0] for _ in range(12)]
-    calls = record_calls(monkeypatch, metric_mod, ["_small_scan", "_candidates"])
-    broken = spread = 0
-    for rows in cases:
-        lower, scale, _ = metric_mod._square_input(rows)
+    # Stars of 30 leaves around a centre, 31 points with a budget of
+    # 9 x 31 = 279 candidate pairs, with 278, 279 or 280 leaf pairs moved one
+    # unit above the bound (each then broken through the centre, and so a
+    # candidate) and a few others moved below it.  Each is validated at the
+    # default budget, which takes the Python finish up to 279 pairs and the
+    # numpy scan past it, and with the budget moved one pair per point to
+    # send it down the other path.  Both must give the oracle's report.
+    k = 30
+    budget = metric_mod._PAIRS_PER_POINT
+    count = budget * (k + 1) + offset
+    paths = [(budget, "_candidates" if offset > 0 else "_pair_scan"),
+             (budget + 1 if offset > 0 else budget - 1, "_pair_scan" if offset > 0 else "_candidates")]
+    rng = random.Random(50 + offset)
+    calls = record_calls(monkeypatch, metric_mod, ["_pair_scan", "_candidates"])
+    for scale in (1, 1, 2**80):
+        radii = [rng.choice([2, 3, 5, 8, 13]) * scale for _ in range(k)]
+        leaf_pairs = [(i, j) for j in range(k) for i in range(j)]
+        moved = rng.sample(leaf_pairs, count + 5)
+        lower = _star(radii, [(i, j, 1) for i, j in moved[:count]] + [(i, j, -1) for i, j in moved[count:]])
+        assert len(_brute_candidates(lower)[1]) == count
+        rows = [metric_mod.symmetric_row(lower, x) for x in range(k + 1)]
         expected = oracle_violations(rows)
-        broken += bool(expected)
-        scanned = max(map(max, lower[1:])) > 2 * min(map(min, lower[1:]))
-        spread += scanned
-        for threshold, name in paths:
-            monkeypatch.setattr(metric_mod, "_NUMPY_MIN_N", threshold)
+        assert len(expected) == count
+        for per_point, name in paths:
+            monkeypatch.setattr(metric_mod, "_PAIRS_PER_POINT", per_point)
             calls.clear()
-            assert metric_mod.validate_lower_triangle(lower, scale).violations == expected
+            assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
             assert validate_metric(rows).violations == expected
-            assert calls == [name] * 2 * scanned
-    assert broken > 5 and spread > 8
+            assert calls == [name] * 2
 
 
 def _brute_candidates(lower):
@@ -313,12 +314,17 @@ def _path(n, scale=1):
 
 
 def _assert_scan_matches_oracle(lower, monkeypatch):
-    # At the default threshold, then by the numpy scan at both shifts.
-    rows = [metric_mod.symmetric_row(lower, x) for x in range(len(lower))]
+    # At the default budget, then by the Python finish (a budget of every
+    # pair, which also lifts the hand-over to numpy) and by the numpy scan (a
+    # budget of no pair) at both shifts.
+    n = len(lower)
+    rows = [metric_mod.symmetric_row(lower, x) for x in range(n)]
     expected = oracle_violations(rows)
     assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
     with monkeypatch.context() as patch:
-        patch.setattr(metric_mod, "_NUMPY_MIN_N", 2)
+        patch.setattr(metric_mod, "_PAIRS_PER_POINT", n)
+        assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
+        patch.setattr(metric_mod, "_PAIRS_PER_POINT", 0)
         for limit in (metric_mod._INT64_LIMIT, 2**4):
             patch.setattr(metric_mod, "_INT64_LIMIT", limit)
             assert metric_mod.validate_lower_triangle(lower, 1).violations == expected
@@ -326,13 +332,22 @@ def _assert_scan_matches_oracle(lower, monkeypatch):
 
 
 def test_candidates_match_their_definition():
+    # The prefilter's m and pairs, in Python ints, and the numpy scan's
+    # candidate flags made from that m; and the pairs are dropped once there
+    # are more than the budget.
     rng = random.Random(13)
     for _ in range(60):
         _, lower, _ = _stretched_lower(rng, rng.randint(2, 14))
-        m, candidate = metric_mod._candidates(lower)
-        brute_m, pairs = _brute_candidates(lower)
-        assert m.tolist() == brute_m
-        assert {(a, b) for b, a in np.argwhere(candidate).tolist()} == pairs
+        top = max(map(max, lower[1:]))
+        m, pairs = metric_mod._prefilter(lower, top, len(lower) ** 2)
+        brute_m, brute_pairs = _brute_candidates(lower)
+        assert m == brute_m
+        assert sorted(pairs) == sorted(brute_pairs)
+        candidate = metric_mod._candidates(lower, m)
+        assert {(a, b) for b, a in np.argwhere(candidate).tolist()} == brute_pairs
+        assert metric_mod._prefilter(lower, top, len(brute_pairs))[1] is not None
+        if brute_pairs:
+            assert metric_mod._prefilter(lower, top, len(brute_pairs) - 1) == (m, None)
 
 
 def test_every_violation_lies_on_a_candidate_pair():
@@ -391,7 +406,7 @@ def test_scan_at_the_candidate_bound(monkeypatch, scale):
 )
 def test_scan_on_spaces_the_prefilter_cannot_prune(monkeypatch, lower, candidates, stretch, mids):
     monkeypatch.setattr(metric_mod, "_TILE", 4)
-    assert int(metric_mod._candidates(lower)[1].sum()) == candidates
+    assert len(_brute_candidates(lower)[1]) == candidates
     assert _assert_scan_matches_oracle(lower, monkeypatch) == ()
     b, a, delta = stretch
     lower = [list(row) for row in lower]
@@ -400,12 +415,37 @@ def test_scan_on_spaces_the_prefilter_cannot_prune(monkeypatch, lower, candidate
     assert [v.indices for v in found] == [(a, mid, b) for mid in mids]
 
 
-def test_few_pairs_of_a_prefix_are_candidates(prefix300):
+@pytest.mark.parametrize(
+    "n,names",
+    [(19, ["_pair_scan"]), (21, ["_pair_scan", "_candidates"]), (23, ["_candidates"])],
+)
+def test_the_path_goes_to_numpy_by_its_pairs_and_its_mids(monkeypatch, n, names):
+    # The path has (n-2)(n-3)/2 candidate pairs, the pairs at distance 3 or
+    # more, and many mids on each.  At 19 points the budget admits every
+    # pair of the space, so the Python finish checks them all; at 21 points
+    # (171 pairs, a budget of 189) it has checked more mids than the space
+    # has pairs before it is done, and hands over to numpy; at 23 points
+    # (210 pairs, a budget of 207) the prefilter hands over.  Each finds the
+    # n - 2 mids of the one stretched pair.
+    lower = [list(row) for row in _path(n)]
+    lower[n - 1][0] += 1
+    calls = record_calls(monkeypatch, metric_mod, ["_pair_scan", "_candidates"])
+    found = metric_mod.validate_lower_triangle(lower, 1).violations
+    assert [v.indices for v in found] == [(0, mid, n - 1) for mid in range(1, n - 1)]
+    assert calls == names
+
+
+def test_few_pairs_of_a_prefix_are_candidates(monkeypatch, prefix300):
+    # Katetov rows put almost every pair on or below m_a + m_b: at most one
+    # candidate pair per point, far within the budget, so the Python finish
+    # checks them and numpy is not needed.
     n = prefix300.m
     lower = list(map(prefix300.row, range(n)))
-    _, candidate = metric_mod._candidates(lower)
-    assert 0 < candidate.sum() < 0.01 * n * (n - 1) / 2
+    m, pairs = metric_mod._prefilter(lower, max(map(max, lower[1:])), n * n)
+    assert 0 < len(pairs) <= n
+    calls = record_calls(monkeypatch, metric_mod, ["_pair_scan", "_candidates"])
     assert metric_mod._triangle_scan(lower) == []
+    assert calls == ["_pair_scan"]
 
 
 def test_small_spaces_through_the_library_do_not_load_numpy():
@@ -620,7 +660,8 @@ def test_lower_triangle_parse_holds_the_values_written():
 def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch):
     # A .dmat space runs the positivity and triangle stages on the parsed
     # triangle, reduced to its canonical scale, and no stage or view that
-    # needs a square matrix.
+    # needs a square matrix: the triangle stage reads one row at a time, at
+    # most one per first point of a candidate pair.
     rng = random.Random(1013)
     for n in (1, 2, 5, 12):
         space = random_metric_space(rng, n, closure=n > 2)
@@ -630,10 +671,14 @@ def test_parsed_space_keeps_its_lower_triangle_and_builds_no_square(monkeypatch)
         )
         names = ["parse_lower_triangle", "reduced", "_lower_violations", "_square_input",
                  "symmetric_row", "square_rows", "fraction_rows"]
+        first_points = {a for a, _ in _brute_candidates(space.lower)[1]} if n > 1 else set()
         for source in (serialize_distance_matrix(space), doubled):
             calls = record_calls(monkeypatch, metric_mod, names)
             parsed = parse_distance_matrix(source)
-            assert calls == ["parse_lower_triangle", "reduced", "_lower_violations"]
+            rows = calls.count("symmetric_row")
+            assert [c for c in calls if c != "symmetric_row"] == [
+                "parse_lower_triangle", "reduced", "_lower_violations"]
+            assert rows <= len(first_points)
             assert parsed == space and parsed.scale == space.scale
             assert [len(row) for row in parsed.lower] == list(range(n))
             assert all(type(row) is tuple for row in parsed.lower)

@@ -23,6 +23,10 @@ these commands at each size N, every one in a fresh child, and checks:
   writes ``H`` and then the first H - 1 row lines of ``pN.dmat``, since a
   canonical row does not depend on the prefix it is cut from;
 - ``verify``: prints ``OK: metric on N points``;
+- ``verify-dense``: on the path metric ``d(i, j) = |i - j|`` of
+  :data:`DENSE_POINTS` points, whose candidate pairs are far past the
+  triangle scan's budget, run once per run, prints ``OK: metric on n
+  points`` after loading numpy;
 - ``verify-scale``: on the least n-point ``.dmat`` whose entries
   ``(p + 1)/p``, for distinct primes p above 2^20, have a common
   denominator past ``metric.DMAT_MAX_PAIR_BITS`` over the n(n - 1)/2
@@ -70,19 +74,19 @@ of every function of the module whose name starts with the given prefix.
 ``wall_s`` adds the interpreter's start; all times are raw wall clock.
 ``maxrss_mib`` is the child's peak resident memory, its ``VmHWM`` (Linux),
 and ``numpy`` whether the child loaded numpy.  Only the triangle scan of a
-space of ``metric._NUMPY_MIN_N`` points or more loads it, so ``numpy``
-must be false for ``build-*``, ``export``, ``export-half``,
-``isom-extend``, ``embed-*`` (whose targets have 3 points), ``c0-demo``,
-``hull-check``, every ``*-nested``, every ``*-wide`` and every
-``tightspan-{generic,path,equilateral}``, and
-true for ``verify``, ``extend``, ``balls`` and ``tightspan-kuratowski`` at
-350 points and more, which validate the prefix; it is not checked for
-those four below 350.
+space with many candidate pairs loads it (more than
+``metric._PAIRS_PER_POINT`` per point, or past 19 points fewer with many
+mids each), so ``numpy`` must be true for ``verify-dense`` and false for
+every other command: ``verify``, ``extend``, ``balls`` and
+``tightspan-kuratowski`` validate the prefix, whose Katetov rows leave
+about one candidate pair per point, and no other command validates a space
+with more.
 One JSON line is printed per size and command, with the median of each
 time and memory value over the runs and every run's value, and ``numpy``
 of the first run; ``points`` is N for the prefix commands, the space's
 size for ``tightspan-*``, ``--n`` for ``c0-demo``, k for ``hull-check``,
-n for ``verify-scale``, the nesting depth for ``*-nested`` and the list's
+n for ``verify-scale``, :data:`DENSE_POINTS` for ``verify-dense``, the
+nesting depth for ``*-nested`` and the list's
 length for ``*-wide``.  Each
 ``embed-absent`` line also has ``index_bytes_per_pair``: its median ``maxrss_mib`` less that of
 ``embed-never`` at the same N, in bytes, over the N(N - 1) positions of
@@ -122,6 +126,8 @@ WIDE_ITEMS = 1_000_000
 WIDE = ("balls-wide", "hull-check-wide")
 # The longest JSON error line a malformed JSON input may give.
 ERROR_LINE_BYTES = 200
+# The points of the path metric that verify-dense validates.
+DENSE_POINTS = 1000
 EMBED = {
     "early": (0, {"status": "found", "mapping": [3, 6, 10]}),
     "never": (1, {"status": "not-found-up-to", "mapping": None}),
@@ -135,7 +141,8 @@ COMMANDS = {
     + [("build-nested", "build --points 3 --q-override {d}/nested.json")],
     "export": [("export", "export --cache {d}/p{n}.ury --out {d}/export.dmat"),
                ("export-half", "export --cache {d}/p{n}.ury --points {h} --out {d}/half.dmat")],
-    "verify": [("verify", "verify --dmat {d}/p{n}.dmat"), ("verify-scale", "verify --dmat {d}/scale.dmat")],
+    "verify": [("verify", "verify --dmat {d}/p{n}.dmat"), ("verify-scale", "verify --dmat {d}/scale.dmat"),
+               ("verify-dense", "verify --dmat {d}/dense.dmat")],
     "extend": [("extend", "extend --dmat {d}/p{n}.dmat --support 1 --radii 1")],
     "balls": [("balls", "balls --family {d}/balls{n}.json"), ("balls-nested", "balls --family {d}/nested.json"),
               ("balls-wide", "balls --family {d}/wide.json")],
@@ -299,10 +306,6 @@ def scale_dmat(pair_bits: int) -> tuple[int, str]:
     return n, "".join(f"{line}\n" for line in [str(n), *rows])
 
 
-# The commands that validate the prefix they read, and so load numpy at
-# these sizes and more; every other command must not load it.
-VALIDATE_PREFIX = ("verify", "extend", "balls", "tightspan-kuratowski")
-NUMPY_FROM_POINTS = 350
 
 
 def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen: dict) -> bool:
@@ -311,9 +314,7 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
     out, code = result.pop("stdout"), result["exit"]
     if code == 0 and "stderr" in result:
         return False
-    if name not in VALIDATE_PREFIX and result.get("numpy") is not False:
-        return False
-    if name in VALIDATE_PREFIX and n >= NUMPY_FROM_POINTS and result.get("numpy") is not True:
+    if result.get("numpy") is not (name == "verify-dense"):
         return False
     if name in NESTED + WIDE:
         # One short JSON error line from cli.main, which returned: no traceback.
@@ -330,7 +331,7 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
     if name == "export-half":
         h, lines = n // 2, (work / f"p{n}.dmat").read_text().splitlines(keepends=True)
         return code == 0 and (work / "half.dmat").read_text() == "".join([f"{h}\n", *lines[1:h]])
-    if name == "verify":
+    if name in ("verify", "verify-dense"):
         return code == 0 and out == f"OK: metric on {n} points"
     if name == "verify-scale":
         return code == 1 and out == "" and json.loads(result["stderr"])["error"] == "TooLarge"
@@ -397,6 +398,10 @@ def main() -> int:
         scale_n, text = scale_dmat(bounds["pair_bits"])
         (work / "scale.dmat").write_text(text)
         own.update({"c0-demo": [bounds["c0-demo"]], "hull-check": HULL_STEPS, "verify-scale": [scale_n]})
+        (work / "dense.dmat").write_text("".join(
+            " ".join(map(str, range(i, 0, -1))) + "\n" if i else f"{DENSE_POINTS}\n"
+            for i in range(DENSE_POINTS)))
+        own["verify-dense"] = [DENSE_POINTS]
         (work / "nested.json").write_text("[" * NESTED_DEPTH + "]" * NESTED_DEPTH)
         own.update(dict.fromkeys(NESTED, [NESTED_DEPTH]))
         (work / "wide.json").write_text(json.dumps([0] * WIDE_ITEMS))
