@@ -10,9 +10,9 @@ the vertex set of the admissibility polyhedron
 ``{f >= 0 : f(x) + f(y) >= d(x,y)}``, which this module enumerates exactly.
 
 The vertices with a zero coordinate are the Kuratowski functions; the others
-come from the sets of n tight pair constraints ``f(x) + f(y) = d(x,y)`` whose
-graph is odd unicyclic in every component, each solved by integer
-propagation on the scale ``2 * space.scale``; no float is used.
+are grown from odd cycles of tight pair constraints ``f(x) + f(y) = d(x,y)``,
+each further point taking the one value admissibility forces, in integers
+on the scale ``2 * space.scale``; no float is used.
 
 Extremality is decided by single-coordinate pinning: ``f`` admissible is
 extremal iff every coordinate is either 0 or tight in some pair constraint.
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import combinations
+from functools import cache, cached_property
+from itertools import combinations, permutations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -208,35 +208,23 @@ def check_vertex_limit(n: int) -> None:
 def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     """Enumerate the vertices of {f >= 0 : f(x) + f(y) >= d(x,y)} exactly.
 
-    A vertex is the unique solution of n tight constraints, each a loop
-    ``f_i = 0`` or an edge ``f_i + f_j = d_ij``.  Such a set has a unique
-    solution iff every connected component of its graph has exactly one
-    cycle and that cycle is odd (a loop counts as odd): the signless
-    incidence matrix of an odd unicyclic component has determinant +-2, and
-    every other structure is singular.  The vertices with a zero coordinate
-    are the Kuratowski functions ``f_a`` (``f(a) = 0`` gives ``f >= f_a``),
-    taken as they are; a depth-first search over the pair constraints finds
-    the others, skipping any that would close an even cycle or give a
-    component a second cycle.  Point t holds ``x_t = sign_t * x + off_t``,
-    x the value at its component's root.  The search prunes a branch by two
-    necessary conditions, so the vertex set is that of the unpruned search:
+    A vertex with ``f(a) = 0`` lies above the Kuratowski function ``f_a``,
+    and both are extremal, so it is ``f_a``; these n are taken as they are.
+    Every other vertex is the unique solution of n tight pair constraints
+    ``f_i + f_j = d_ij``, and a set of them has one exactly when every
+    component of its graph is one odd cycle with trees attached.  The search
+    grows such vertices point by point:
 
-    - closing an odd cycle anchors its component; the branch is dropped if
-      a newly anchored point is below 1 or inadmissible against an
-      anchored point (pairs of earlier anchored points were checked when
-      those were anchored);
-    - merging two free components bounds ``2 * x`` of the merged one from
-      below and above, by ``x_t >= 1`` and every pair constraint inside the
-      component or against an anchored point; the branch is dropped when
-      the bounds cross, since every leaf below it would meet them all.
+    - an odd cycle fixes its own values: ``f(c0)`` is half the alternating
+      sum of its edges, and each next value is the edge minus the last;
+    - a point t joined by a tree edge to a set point takes the value
+      admissibility forces, ``max_a (d_ta - f(a))`` over the set points;
+    - a further component starts with an odd cycle among the unset points.
 
-    Both conditions are checked against bounds the search keeps, not
-    re-derived: each free component keeps its members and the interval
-    for ``2 * x`` that ``x_t >= 1``, its same-sign pairs and the anchored
-    points set.  An anchoring checks its root value against that interval;
-    a merge maps the moved component's interval onto the kept root's and
-    adds only the pairs across the two; pushing an anchoring narrows every
-    free component's interval by the newly anchored points.
+    A branch is kept while every value is positive and every pair of set
+    points admissible; every complete state is then a vertex, every vertex
+    is reached by growing along its constraints, and a state reached twice
+    is grown once.
 
     All arithmetic is in Python ints on the scale ``W = 2 * D * d``, D the
     space's common denominator ``space.scale``: every coordinate is half an
@@ -255,129 +243,82 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
     return TightSpanVertexSet(space, vertices)
 
 
+@cache
+def _odd_cycles(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every odd cycle on 3 to n of the points ``range(n)``, once: from its
+    least point, in the direction whose second point is below its last."""
+    return tuple(
+        (first, *order)
+        for size in range(3, n + 1, 2)
+        for first, *rest in combinations(range(n), size)
+        for order in permutations(rest)
+        if order[0] < order[-1]
+    )
+
+
 def _vertex_search(w: dict[int, list[int]]) -> tuple[set[tuple[int, ...]], int]:
     """The vertices of :func:`tight_span_vertices` on the even integer
-    matrix ``w`` (its rows by point), and the number of constraint sets the search visits.
+    matrix ``w`` (its rows by point), and the number of states the growth
+    keeps.
 
-    The search keeps an explicit stack, not a recursive closure: a closure
-    that refers to itself is a reference cycle, which outlives the call
-    until the cycle collector runs.  A child's lists are copied only when
-    it is pushed, and a list it does not change is shared with its parent.
+    A state is its values by point, 0 where a point is unset, with the set
+    points' mask and ``need[t]``, the larger of 0 and ``max_a (w_ta - f(a))``
+    over the set points a: the least value admissible at t.  The search
+    keeps an explicit stack, not a recursive closure: a closure that refers
+    to itself is a reference cycle, which outlives the call until the cycle
+    collector runs.
     """
     n = len(w)
     points = range(n)
-    # (u, v, b) is x_u + x_v = b; the rows of w are the Kuratowski vertices.
-    constraints = [(i, j, w[i][j]) for i, j in combinations(points, 2)]
     found = {tuple(w[t]) for t in points}
-    visited = 0
-    # Each entry is (next constraint, constraints taken, root, sign, off,
-    # members, interval).  Point t holds x_t = sign[t] * x + off[t], x the
-    # value at its component's root; sign[t] == 0 marks an anchored point,
-    # where x_t == off[t].  A free component's root r has sign 1 and keeps
-    # its members[r] and interval[r] = (lo, hi), the bounds lo <= 2x <= hi
-    # that x_t >= 1, every same-sign pair inside it and every anchored point
-    # set (hi is None without a point of sign -1).  Its opposite-sign pairs
-    # do not involve x and were checked at the merges that built it.
-    stack = [(0, 0, list(points), [1] * n, [0] * n, [(t,) for t in points], [(2, None)] * n)]
+    # Each odd cycle whose values are at least 1 and admissible among
+    # themselves, as (mask, (point, value) pairs, the need they set).
+    starts = []
+    for cycle in _odd_cycles(n):
+        edges = [w[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        x = (sum(edges[::2]) - sum(edges[1::2])) // 2
+        values = []
+        for e in edges:
+            values.append(x)
+            x = e - x
+        if min(values) < 1:
+            continue
+        pairs = tuple(zip(cycle, values))
+        if all(x + y >= w[a][b] for (a, x), (b, y) in combinations(pairs, 2)):
+            need = list(map(max, *([wa - x for wa in w[a]] for a, x in pairs)))
+            starts.append((sum(1 << a for a in cycle), pairs, need))
+    full = (1 << n) - 1
+    seen = set()
+    # From the empty state, whose need of 0 grows no point, only a cycle starts.
+    stack = [(0, [0] * n, [0] * n)]
     while stack:
-        start, depth, root, sign, off, members, interval = stack.pop()
-        visited += 1
-        for k in range(start, len(constraints) - n + depth + 1):
-            u, v, b = constraints[k]
-            rest = b - off[u] - off[v]
-            if root[u] == root[v]:
-                if sign[u] == 0 or sign[u] != sign[v]:
-                    continue  # a second cycle, or an even one
-                # Exact: a free component's offsets are sums of the even W entries.
-                factor, shift = 0, sign[u] * rest // 2
-            else:
-                if sign[v] == 0:
-                    u, v = v, u
-                if sign[v] == 0:
-                    continue  # two anchored components
-                factor, shift = -sign[u] * sign[v], sign[v] * rest
-            # v's component M joins u's, K: M's root value becomes
-            # factor * x + shift, x the value at K's root.
-            group, keep = root[v], root[u]
-            moved = members[group]
-            lo, hi = interval[group]
-            if factor == 0:
-                # M is anchored at x = shift.
-                if 2 * shift < lo or hi is not None and 2 * shift > hi:
-                    continue
-                off2 = off[:]
-                for t in moved:
-                    off2[t] += sign[t] * shift
-                if depth + 1 == n:
-                    # A leaf, counted here and not pushed.  Each constraint
-                    # taken leaves one free component fewer (a merge joins
-                    # two, an anchoring fixes one), so the n-th anchors the
-                    # last, and off2 is a vertex.
-                    visited += 1
-                    found.add(tuple(off2))
-                    continue
-                sign2 = sign[:]
-                for t in moved:
-                    sign2[t] = 0
-                # x_t >= w_ta - x_a for each newly anchored a, and w is
-                # symmetric: row a holds each w_ta.
-                rows = [[wa - off2[a] for wa in w[a]] for a in moved]
-                least = rows[0] if len(rows) == 1 else list(map(max, *rows))
-                interval2 = interval[:]
-                for t in points:
-                    if sign2[t]:
-                        # s * 2x >= c, from x_t = s * x + off_t >= least[t].
-                        r, c = root[t], 2 * (least[t] - off[t])
-                        rlo, rhi = interval2[r]
-                        if sign[t] > 0:
-                            if c > rlo:
-                                interval2[r] = (c, rhi)
-                        elif rhi is None or -c < rhi:
-                            interval2[r] = (rlo, -c)
-                stack.append((k + 1, depth + 1, root, sign2, off2, members, interval2))
+        mask, values, need = stack.pop()
+        if mask == full:
+            found.add(tuple(values))
+            continue
+        for t in points:
+            x = need[t]
+            if x >= 1 and not mask >> t & 1:
+                child = values[:]
+                child[t] = x
+                key = tuple(child)
+                if key not in seen:
+                    seen.add(key)
+                    grown = list(map(max, need, [wt - x for wt in w[t]]))
+                    stack.append((mask | 1 << t, child, grown))
+        if n - mask.bit_count() < 3:
+            continue
+        for cycle_mask, pairs, cycle_need in starts:
+            if cycle_mask & mask or any(need[a] > x for a, x in pairs):
                 continue
-            # M's interval through 2x_M = factor * 2x + 2 * shift, and K's.
-            if factor > 0:
-                lo, hi = lo - 2 * shift, None if hi is None else hi - 2 * shift
-            else:
-                lo, hi = None if hi is None else 2 * shift - hi, 2 * shift - lo
-            klo, khi = interval[keep]
-            if lo is None or klo > lo:
-                lo = klo
-            if hi is None or khi is not None and khi < hi:
-                hi = khi
-            if hi is not None and lo > hi:
-                continue
-            kept = members[keep]
-            shifted = [(t, sign[t] * factor, off[t] + sign[t] * shift) for t in moved]
-            # A pair of K x M of one sign s reads s * 2x >= c; one of
-            # opposite signs holds for every x, or for none.
-            fits = True
-            for t in kept:
-                s, x, row = sign[t], off[t], w[t]
-                for t2, s2, x2 in shifted:
-                    c = row[t2] - x - x2
-                    if s != s2:
-                        if c > 0:
-                            fits = False
-                            break
-                    elif s > 0:
-                        if c > lo:
-                            lo = c
-                    elif hi is None or -c < hi:
-                        hi = -c
-                if not fits:
-                    break
-            if not fits or hi is not None and lo > hi:
-                continue
-            root2, sign2, off2 = root[:], sign[:], off[:]
-            for t, s, x in shifted:
-                root2[t], sign2[t], off2[t] = keep, s, x
-            members2, interval2 = members[:], interval[:]
-            members2[keep] = kept + moved
-            interval2[keep] = (lo, hi)
-            stack.append((k + 1, depth + 1, root2, sign2, off2, members2, interval2))
-    return found, visited
+            child = values[:]
+            for a, x in pairs:
+                child[a] = x
+            key = tuple(child)
+            if key not in seen:
+                seen.add(key)
+                stack.append((mask | cycle_mask, child, list(map(max, need, cycle_need))))
+    return found, len(seen)
 
 
 def tripod_center(space: FiniteMetricSpace) -> KatetovFunction:

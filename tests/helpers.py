@@ -465,11 +465,14 @@ def oracle_tight_span_vertices(space: FiniteMetricSpace) -> list[tuple[Fraction,
 
 
 def oracle_vertex_search(w: list[list[int]]) -> tuple[set[tuple[int, ...]], int]:
-    """The vertex search of ``tightspan._vertex_search`` as it was before
-    it kept each component's members and bounds: every candidate copies
-    ``root``, ``sign`` and ``off`` and re-derives its component's bounds
-    from every member pair and anchored point.  It visits the same
-    constraint sets, so it returns the same ``(vertices, visited)`` pair.
+    """The constraint-set search: the vertices of {x >= 0 : x_u + x_v >= w_uv}
+    and the number of constraint sets visited.  A depth-first search takes
+    the pair constraints in order, keeps each component's root, signs and
+    offsets, and drops a set that closes an even cycle, gives a component a
+    second cycle, or whose component has no root value meeting ``x_t >= 1``
+    and the pair constraints, bounds it re-derives for every candidate.  It
+    shares no step with the library's growth from odd cycles, and is the
+    fast oracle at n = 7, where ``oracle_tight_span_vertices`` takes too long.
 
     The search keeps an explicit stack, not a recursive closure: a closure
     that refers to itself is a reference cycle, which outlives the call

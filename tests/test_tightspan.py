@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ury import (
     DegeneratePath,
@@ -375,27 +377,28 @@ GENERIC6 = FiniteMetricSpace.from_lower_triangle([
 ])
 
 
-def test_vertex_search_prunes_merged_components():
-    # The output cannot show a lost pruning, so count the constraint sets
-    # the search visits: 573, against 4257 when it also took the loop
-    # constraints and checked only anchored components.
+def test_vertex_search_keeps_each_state_once():
+    # The output cannot show a lost deduplication, so count the states the
+    # growth keeps: 160, where the constraint-set search visited 573 sets.
     w = list(square_rows(GENERIC6.lower, GENERIC6.points(), 2).values())
-    found, visited = _vertex_search(w)
+    found, states = _vertex_search(w)
     assert len(found) == 28
     assert all(tuple(row) in found for row in w)  # the Kuratowski functions
-    assert visited <= 1000
+    assert states <= 200
 
 
 def test_vertex_search_seeds_the_kuratowski_vertices():
-    # On a line every triangle is tight, so with the loop constraints the
-    # search reached each Kuratowski vertex through many sets: the 7-point
-    # path visited 34 748.
-    path = _path(7)
-    w = list(square_rows(path.lower, path.points(), 2).values())
-    found, visited = _vertex_search(w)
-    assert len(found) == 7
-    assert all(tuple(row) in found for row in w)
-    assert visited <= 5000
+    # On a line every triangle is tight and every vertex is a Kuratowski
+    # function, so the 7-point path grows no state, where the constraint-set
+    # search visited 4412 sets.  Every pair is tight at the centre of the
+    # equilateral space, where it visited 88 412 sets; the growth keeps one
+    # state per set of at least 3 points, 99 at n = 7.
+    for space, vertices, bound in ((_path(7), 7, 0), (_equilateral(7), 8, 99)):
+        w = list(square_rows(space.lower, space.points(), 2).values())
+        found, states = _vertex_search(w)
+        assert len(found) == vertices
+        assert all(tuple(row) in found for row in w)
+        assert states <= bound
 
 
 def _search_corpus(group):
@@ -414,11 +417,55 @@ def _search_corpus(group):
     "group", ["random3", "random4", "random5", "random6", "degenerate", "equilateral_and_path", "generic7"]
 )
 def test_vertex_search_matches_reference_search(group):
-    # The kept bounds must prune exactly where bounds derived afresh for
-    # every candidate do: the same vertices from the same constraint sets.
+    # The growth from odd cycles and the constraint-set search share no step.
     for space in _search_corpus(group):
         w = list(square_rows(space.lower, space.points(), 2).values())
-        assert _vertex_search(w) == oracle_vertex_search(w)
+        assert _vertex_search(w)[0] == oracle_vertex_search(w)[0]
+
+
+def _clusters(sizes):
+    # Groups of points 10 apart inside a group and 6 apart across groups.
+    group = [k for k, size in enumerate(sizes) for _ in range(size)]
+    return FiniteMetricSpace([[0 if i == j else 10 if g == h else 6 for j, h in enumerate(group)]
+                              for i, g in enumerate(group)])
+
+
+def test_two_component_vertices_match_the_brute_force():
+    # The all-5 vertex is tight on two triangles and on no pair across them,
+    # so it is reached only by starting a second cycle.
+    space = _clusters([3, 3])
+    values = _vertex_values(space)
+    assert values == oracle_tight_span_vertices(space)
+    assert (5,) * 6 in values
+
+
+def test_two_component_vertices_match_the_reference_search():
+    space = _clusters([3, 4])
+    w = list(square_rows(space.lower, space.points(), 2).values())
+    found, _ = _vertex_search(w)
+    assert found == oracle_vertex_search(w)[0]
+    assert (10,) * 7 in found  # the all-5 vertex on the scale 2
+
+
+@st.composite
+def _small_closures(draw):
+    # Shortest-path closures of small integer weights, so many ties.
+    n = draw(st.integers(3, 7))
+    d = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        d[i][j] = d[j][i] = draw(st.integers(1, 4))
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    return d
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_small_closures())
+def test_vertex_search_matches_reference_search_on_small_closures(d):
+    w = [[2 * x for x in row] for row in d]
+    assert _vertex_search(w)[0] == oracle_vertex_search(w)[0]
 
 
 @pytest.mark.parametrize("group", ["random3", "random4", "random5", "degenerate"])

@@ -51,9 +51,12 @@ these commands at each size N, every one in a fresh child, and checks:
 The other commands run once per run at sizes of their own, up to the
 library's bound: ``tightspan --vertices`` on the generic (distances drawn
 from [11, 20] by ``random.Random(n)``), path (points 0, 1, 3, 6, ... of a
-line) and equilateral spaces of n = 4 to ``TIGHT_SPAN_MAX_POINTS`` points,
-written by this script, printing every Kuratowski function among its
-vertices, n of them for the path and n + 1 for the equilateral space;
+line), equilateral and clusters (the first n - n // 2 points and the
+rest, 10 apart inside a group and 6 across) spaces of n = 4 to
+``TIGHT_SPAN_MAX_POINTS`` points, written by this script, printing every
+Kuratowski function among its vertices, n of them for the path and n + 1
+for the equilateral space, and for the clusters from 6 points the all-5
+vertex, which is tight on no pair across the groups;
 ``c0-demo --n C0_MAX_DIMENSION`` prints a witness; and ``hull-check
 --builtin backtrack --step 1/k``, at each k of :data:`HULL_STEPS`, fails
 (exit 1) at its first sample past the turn, ``(2k + 1)/k``, at distance
@@ -115,7 +118,7 @@ from statistics import median
 from typing import Iterator
 
 DEFAULT_SRC = Path(__file__).resolve().parents[1] / "src"
-SPACES = ("generic", "path", "equilateral")
+SPACES = ("generic", "path", "equilateral", "clusters")
 # The hull-check runs the 4-long backtrack path at steps 1/k: 4k + 1 samples.
 HULL_STEPS = (16383, 2**40)
 # The depth of the nested arrays that each JSON-reading command is given.
@@ -265,7 +268,8 @@ def measured(env: dict, timed: dict, argv: list[str]) -> dict:
 
 
 def spaces(n: int) -> dict[str, list[list[int]]]:
-    """The generic, path and equilateral n-point spaces as integer matrices."""
+    """The generic, path, equilateral and clusters n-point spaces as integer
+    matrices."""
     rng = random.Random(n)
     generic = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -276,6 +280,8 @@ def spaces(n: int) -> dict[str, list[list[int]]]:
         "generic": generic,
         "path": [[abs(p - q) for q in positions] for p in positions],
         "equilateral": [[int(i != j) for j in range(n)] for i in range(n)],
+        "clusters": [[0 if i == j else 10 if (2 * i < n) == (2 * j < n) else 6 for j in range(n)]
+                     for i in range(n)],
     }
 
 
@@ -356,7 +362,8 @@ def passed(name: str, n: int, result: dict, work: Path, column: list[str], seen:
         space = name.removeprefix("tightspan-")
         vertices = out.splitlines()
         return (code == 0 and all(" ".join(map(str, row)) in vertices for row in spaces(n)[space])
-                and {"path": n, "equilateral": n + 1}.get(space, len(vertices)) == len(vertices))
+                and {"path": n, "equilateral": n + 1}.get(space, len(vertices)) == len(vertices)
+                and (space != "clusters" or n < 6 or " ".join(["5"] * n) in vertices))
     if name == "c0-demo":
         return code == 0 and json.loads(out)["witness"] == ["1/2"] * n
     if name == "hull-check":
