@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -55,7 +56,7 @@ class ExtensionRequest:
             raise ValueError("support indices must be distinct")
         if any(not 0 <= x < base.n for x in support):
             raise ValueError("support index out of range")
-        if any(r <= 0 for r in radii):
+        if any(r.numerator <= 0 for r in radii):
             raise ValueError("radii must be positive")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "support", support)
@@ -86,14 +87,20 @@ def admissible(req: ExtensionRequest) -> AdmissibilityResult:
     return AdmissibilityResult(False, *failure)
 
 
-def _extended_lower(base: FiniteMetricSpace, d, support, radii, scale: int) -> tuple:
-    """The lower triangle over ``scale`` of ``base`` and, last, the new point
-    at ``radii`` from ``support``, whose rows ``d`` are on ``scale``.  Only
-    the new row is made; the base rows are reused as they are unless the
-    radii change the scale."""
-    k = scale // base.scale
+def _extend(base, d, support, radii, scale: int, canonical: int) -> FiniteMetricSpace:
+    """``base`` and, last, the point at ``radii`` from ``support`` (rows ``d``
+    and radii in ints over ``scale``), on its ``canonical`` scale, which
+    divides ``scale``; or :class:`Inadmissible`.  The base rows are reused
+    as they are unless ``canonical`` is not the base's scale."""
+    failure = katetov_failure(d, support, radii, two_sided=True)
+    if failure is not None:
+        raise Inadmissible(*failure)
+    new, t = katetov_row(d, support, radii), scale // canonical
+    if t > 1:
+        new = [v // t for v in new]
+    k = canonical // base.scale
     lower = base.lower if k == 1 else tuple(tuple([v * k for v in row]) for row in base.lower)
-    return lower + (tuple(katetov_row(d, support, radii)),)
+    return FiniteMetricSpace._trusted(lower + (tuple(new),), canonical)
 
 
 def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
@@ -108,10 +115,7 @@ def extend_one_point(req: ExtensionRequest) -> FiniteMetricSpace:
     """
     base = req.base
     d, radii, scale = common_scale(base.lower, base.scale, req.support, req.radii)
-    failure = katetov_failure(d, req.support, radii, two_sided=True)
-    if failure is not None:
-        raise Inadmissible(*failure)
-    return FiniteMetricSpace._trusted(_extended_lower(base, d, req.support, radii, scale), scale)
+    return _extend(base, d, req.support, radii, scale, scale)
 
 
 class Ball(NamedTuple):
@@ -136,7 +140,7 @@ class BallFamily:
             raise EmptyFamily("a ball family must contain at least one ball")
         if any(not 0 <= b.center < base.n for b in normalized):
             raise ValueError("ball center out of range")
-        if any(b.radius <= 0 for b in normalized):
+        if any(b.radius.numerator <= 0 for b in normalized):
             raise ValueError("ball radii must be positive")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "balls", normalized)
@@ -169,6 +173,12 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
     each dominated by the lowest-index ball inside it not removed before it.
     That trace is computed here in O(k^2) for k balls, not O(k^3).
     """
+    return _reduce_balls(family)[0]
+
+
+def _reduce_balls(family: BallFamily) -> tuple:
+    """``(trace, d, r, scale)``: the trace of :func:`reduce_ball_family`, the
+    rows ``d`` at the centers and the radii ``r`` in ints over ``scale``."""
     centers, radii = zip(*family.balls)
     d, r, scale = common_scale(family.base.lower, family.base.scale, centers, radii)
     failure = katetov_failure(d, centers, r, two_sided=False)
@@ -201,7 +211,7 @@ def reduce_ball_family(family: BallFamily) -> ReductionTrace:
             while not r_i > row[centers[j]] + r[j]:
                 j += 1
         removals.append(RemovalRecord(i, j, radii[i], Fraction(row[centers[j]] + r[j], scale)))
-    return ReductionTrace(tuple(survivors), tuple(removals))
+    return ReductionTrace(tuple(survivors), tuple(removals)), d, r, scale
 
 
 class CertificateEntry(NamedTuple):
@@ -233,28 +243,24 @@ def ball_intersection_witness(family: BallFamily) -> WitnessResult:
     """Produce a point lying on the sphere of every non-redundant ball.
 
     Reduces the family, then extends the base by one point whose distances
-    to the surviving centers equal their radii exactly.  The certificate is
-    read from the new row of the extension.  It holds by construction:
-    ``katetov_row`` pins each survivor's center to its radius, and each
-    removed ball contains the ball that removed it, which is removed in
-    turn or survives, so it contains a survivor's ball and the witness.
+    to the surviving centers equal their radii exactly, in one integer pass
+    on the reduction's rows and scale; the two-sided check stays as a guard
+    that survivors always pass.  The certificate is read from the new row.
+    It holds by construction: ``katetov_row`` pins each survivor's center to
+    its radius, and each removed ball contains the ball that removed it,
+    which is removed in turn or survives, so it contains a survivor's ball
+    and the witness.
     """
-    trace = reduce_ball_family(family)
-    balls = family.balls
+    trace, d, r, scale = _reduce_balls(family)
+    base, balls = family.base, family.balls
     # Surviving duplicates share center and radius (differing radii at one
     # center cannot both survive), so collapse them for the support.
-    support: list[int] = []
-    radii: list[Fraction] = []
-    for i in trace.survivors:
-        if balls[i].center not in support:
-            support.append(balls[i].center)
-            radii.append(balls[i].radius)
-    ext = extend_one_point(ExtensionRequest(family.base, support, radii))
-    y = family.base.n
-    row, scale = ext.lower[y], ext.scale
-    survivors = set(trace.survivors)
+    at = {balls[i].center: i for i in trace.survivors}
+    canonical = lcm(base.scale, *(balls[i].radius.denominator for i in at.values()))
+    ext = _extend(base, d, list(at), [r[i] for i in at.values()], scale, canonical)
+    row, survivors = ext.lower[-1], set(trace.survivors)
     certificate = tuple(
-        CertificateEntry(k, b.center, b.radius, Fraction(row[b.center], scale), k in survivors)
+        CertificateEntry(k, b.center, b.radius, Fraction(row[b.center], canonical), k in survivors)
         for k, b in enumerate(balls)
     )
-    return WitnessResult(ext, y, trace, certificate)
+    return WitnessResult(ext, base.n, trace, certificate)

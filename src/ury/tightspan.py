@@ -29,6 +29,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import itemgetter, sub
 from typing import Sequence
 
 from .errors import (
@@ -69,7 +70,7 @@ class KatetovFunction:
         values = tuple(as_rational(v) for v in values)
         if len(values) != space.n:
             raise ValueError(f"{len(values)} values for a {space.n}-point space")
-        if any(v < 0 for v in values):
+        if any(v.numerator < 0 for v in values):
             raise ValueError("values must be nonnegative")
         scale = lcm(space.scale, *(v.denominator for v in values))
         self._set(space, [v.numerator * (scale // v.denominator) for v in values], scale)
@@ -136,9 +137,9 @@ def extremal_below(g: KatetovFunction) -> KatetovFunction:
     failure = katetov_failure(d, g.space.points(), values, two_sided=False)
     if failure is not None:
         raise NotAdmissible(failure[0])
-    n = g.space.n
-    for x in range(n):
-        values[x] = max(0, max((d[x][y] - values[y] for y in range(n) if y != x), default=0))
+    # The diagonal adds -f(x) <= 0 to each maximum, which changes nothing.
+    for x in g.space.points():
+        values[x] = max(0, *map(sub, d[x], values))
     return KatetovFunction._trusted(g.space, values, g.scale)
 
 
@@ -176,7 +177,7 @@ def extend_radius_function(
         raise ValueError("subset indices must be distinct")
     if any(not 0 <= a < space.n for a in subset):
         raise ValueError("subset index out of range")
-    if any(v <= 0 for v in r):
+    if any(v.numerator <= 0 for v in r):
         raise ValueError("radii must be positive")
     d, radii, scale = common_scale(space.lower, space.scale, subset, r)
     failure = katetov_failure(d, subset, radii, two_sided=False)
@@ -244,16 +245,22 @@ def tight_span_vertices(space: FiniteMetricSpace) -> TightSpanVertexSet:
 
 
 @cache
-def _odd_cycles(n: int) -> tuple[tuple[int, ...], ...]:
+def _odd_cycles(n: int) -> tuple[tuple, ...]:
     """Every odd cycle on 3 to n of the points ``range(n)``, once: from its
-    least point, in the direction whose second point is below its last."""
-    return tuple(
-        (first, *order)
-        for size in range(3, n + 1, 2)
-        for first, *rest in combinations(range(n), size)
-        for order in permutations(rest)
-        if order[0] < order[-1]
-    )
+    least point, in the direction whose second point is below its last; with
+    its mask, an ``itemgetter`` of its edges then its chords on the n·n
+    matrix flattened by rows, and its chords (non-adjacent position pairs)."""
+    table = []
+    for k in range(3, n + 1, 2):
+        chords = [(i, j) for i in range(k) for j in range(i + 2, k - (i == 0))]
+        pairs = [(i, (i + 1) % k) for i in range(k)] + chords
+        for first, *rest in combinations(range(n), k):
+            mask = sum(1 << a for a in (first, *rest))
+            for order in permutations(rest):
+                if order[0] < order[-1]:
+                    c = (first, *order)
+                    table.append((c, mask, itemgetter(*[c[i] * n + c[j] for i, j in pairs]), chords))
+    return tuple(table)
 
 
 def _vertex_search(w: dict[int, list[int]]) -> tuple[set[tuple[int, ...]], int]:
@@ -261,32 +268,34 @@ def _vertex_search(w: dict[int, list[int]]) -> tuple[set[tuple[int, ...]], int]:
     matrix ``w`` (its rows by point), and the number of states the growth
     keeps.
 
-    A state is its values by point, 0 where a point is unset, with the set
-    points' mask and ``need[t]``, the larger of 0 and ``max_a (w_ta - f(a))``
-    over the set points a: the least value admissible at t.  The search
-    keeps an explicit stack, not a recursive closure: a closure that refers
-    to itself is a reference cycle, which outlives the call until the cycle
-    collector runs.
+    A cycle's values are checked on its chords only (:func:`_odd_cycles`),
+    as each adjacent pair is tight by construction.  A state is its values
+    by point, 0 where a point is unset, with the set points' mask and
+    ``need[t]``, the larger of 0 and ``max_a (w_ta - f(a))`` over the set
+    points a: the least value admissible at t.  The search keeps an explicit
+    stack, not a recursive closure: a closure that refers to itself is a
+    reference cycle, which outlives the call until the cycle collector runs.
     """
     n = len(w)
     points = range(n)
     found = {tuple(w[t]) for t in points}
+    flat = [v for t in points for v in w[t]]
     # Each odd cycle whose values are at least 1 and admissible among
     # themselves, as (mask, (point, value) pairs, the need they set).
     starts = []
-    for cycle in _odd_cycles(n):
-        edges = [w[a][b] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    for cycle, cycle_mask, weights, chords in _odd_cycles(n):
+        k, got = len(cycle), weights(flat)
+        edges = got[:k]
         x = (sum(edges[::2]) - sum(edges[1::2])) // 2
         values = []
         for e in edges:
             values.append(x)
             x = e - x
-        if min(values) < 1:
+        if min(values) < 1 or any(values[i] + values[j] < d for (i, j), d in zip(chords, got[k:])):
             continue
         pairs = tuple(zip(cycle, values))
-        if all(x + y >= w[a][b] for (a, x), (b, y) in combinations(pairs, 2)):
-            need = list(map(max, *([wa - x for wa in w[a]] for a, x in pairs)))
-            starts.append((sum(1 << a for a in cycle), pairs, need))
+        need = list(map(max, *([wa - x for wa in w[a]] for a, x in pairs)))
+        starts.append((cycle_mask, pairs, need))
     full = (1 << n) - 1
     seen = set()
     # From the empty state, whose need of 0 grows no point, only a cycle starts.

@@ -13,10 +13,12 @@ from ury import (
     ExtensionRequest,
     FiniteMetricSpace,
     Inadmissible,
+    KatetovFunction,
     PairwiseInfeasible,
     admissible,
     ball_intersection_witness,
     extend_one_point,
+    extend_radius_function,
     reduce_ball_family,
     validate_metric,
 )
@@ -97,6 +99,25 @@ def test_request_validation():
         ExtensionRequest(TWO, [0, 1], [1])
     with pytest.raises(ValueError):
         ExtensionRequest(TWO, [0, 5], [1, 1])
+
+
+@pytest.mark.parametrize("bad", [0, -1, Fraction(0), Fraction(-1, 2), "0", "-1/2"])
+def test_constructors_refuse_a_radius_or_value_by_its_sign(bad):
+    # The sign is read from the numerator (a Fraction's denominator is
+    # positive); type and message are those of the Fraction comparison.
+    refusals = [
+        (lambda: ExtensionRequest(PATH, [0, 1], [1, bad]), "radii must be positive"),
+        (lambda: BallFamily(PATH, [(0, 1), (1, bad)]), "ball radii must be positive"),
+        (lambda: extend_radius_function(PATH, [0, 1], [1, bad]), "radii must be positive"),
+    ]
+    if Fraction(bad) < 0:
+        refusals.append((lambda: KatetovFunction(PATH, [1, bad, 1]), "values must be nonnegative"))
+    else:
+        assert KatetovFunction(PATH, [1, bad, 1]).ints == (1, 0, 1)
+    for make, message in refusals:
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 def test_equivalence_admissible_iff_extended_metric():

@@ -56,6 +56,7 @@ from helpers import (
     oracle_tripod_center,
     rand_rational,
     random_metric_space,
+    record_calls,
 )
 
 
@@ -168,9 +169,10 @@ def test_ball_reduction_matches_the_fraction_oracle():
         family = random_family(rng, space)
         expected = oracle_reduce_ball_family(family)
         if expected[0] == "infeasible":
-            with pytest.raises(PairwiseInfeasible) as exc:
-                reduce_ball_family(family)
-            assert ("infeasible", exc.value.pair, exc.value.lhs, exc.value.rhs) == expected
+            for call in (reduce_ball_family, ball_intersection_witness):
+                with pytest.raises(PairwiseInfeasible) as exc:
+                    call(family)
+                assert ("infeasible", exc.value.pair, exc.value.lhs, exc.value.rhs) == expected
             seen["infeasible"] += 1
             continue
         trace = reduce_ball_family(family)
@@ -180,14 +182,41 @@ def test_ball_reduction_matches_the_fraction_oracle():
         )
         seen["removals"] += bool(trace.removals)
         result = ball_intersection_witness(family)
+        assert result.trace == trace
         radii = [family.balls[i].radius for i in trace.survivors]
         support = [family.balls[i].center for i in trace.survivors]
         support, radii = zip(*dict(zip(support, radii)).items())
-        assert result.space == FiniteMetricSpace(oracle_extended_matrix(space, support, radii))
+        matrix = oracle_extended_matrix(space, support, radii)
+        assert result.space == FiniteMetricSpace(matrix)
+        assert [(e.distance, e.on_sphere) for e in result.certificate] == [
+            (matrix[space.n][b.center], k in trace.survivors) for k, b in enumerate(family.balls)
+        ]
         seen["witness_scale_below_joint"] += result.space.scale < joint_scale(
             space, [b.radius for b in family.balls]
         )
     assert min(seen.values()) > 30
+
+
+def test_witness_reduces_and_extends_in_one_pass(monkeypatch):
+    # One common scale per witness, feasible or not, and no extension
+    # request: the witness extends on the rows and radii of its reduction.
+    # The families of the oracle test above.
+    rng = random.Random(103)
+    scales = record_calls(monkeypatch, extension_mod, ["common_scale"])
+    requests = record_calls(monkeypatch, ExtensionRequest, ["__init__"])
+    outcomes = set()
+    for _ in range(100):
+        family = random_family(rng, random_metric_space(rng, rng.randint(1, 6)))
+        try:
+            ball_intersection_witness(family)
+            outcomes.add("witness")
+        except PairwiseInfeasible:
+            outcomes.add("infeasible")
+        assert (scales, requests) == (["common_scale"], [])
+        scales.clear()
+    assert outcomes == {"witness", "infeasible"}
+    extend_one_point(ExtensionRequest(family.base, [0], [1]))  # the recorders see a request
+    assert (scales, requests) == (["common_scale"], ["__init__"])
 
 
 def test_ball_reduction_matches_the_oracle_on_structured_families():

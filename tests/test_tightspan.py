@@ -27,7 +27,7 @@ from ury import (
     verify_hull_candidate,
 )
 from ury.metric import square_rows
-from ury.tightspan import IsometryViolation, _vertex_search
+from ury.tightspan import IsometryViolation, _odd_cycles, _vertex_search
 from helpers import (
     fraction_rank,
     oracle_hull_isometry,
@@ -384,7 +384,7 @@ def test_vertex_search_keeps_each_state_once():
     found, states = _vertex_search(w)
     assert len(found) == 28
     assert all(tuple(row) in found for row in w)  # the Kuratowski functions
-    assert states <= 200
+    assert states == 160
 
 
 def test_vertex_search_seeds_the_kuratowski_vertices():
@@ -393,12 +393,33 @@ def test_vertex_search_seeds_the_kuratowski_vertices():
     # search visited 4412 sets.  Every pair is tight at the centre of the
     # equilateral space, where it visited 88 412 sets; the growth keeps one
     # state per set of at least 3 points, 99 at n = 7.
-    for space, vertices, bound in ((_path(7), 7, 0), (_equilateral(7), 8, 99)):
+    for space, vertices, count in ((_path(7), 7, 0), (_equilateral(7), 8, 99)):
         w = list(square_rows(space.lower, space.points(), 2).values())
         found, states = _vertex_search(w)
         assert len(found) == vertices
         assert all(tuple(row) in found for row in w)
-        assert states <= bound
+        assert states == count
+
+
+def test_odd_cycle_table_lists_each_cycle_once():
+    # Each entry: the cycle, its mask, its edges and then its chords read
+    # from the flattened matrix, and the chords, the pairs of positions not
+    # adjacent on it.
+    for n, size in enumerate((0, 0, 1, 4, 22, 92, 647), start=1):
+        table = _odd_cycles(n)
+        assert len(table) == size == len({frozenset(map(frozenset, _edges(c))) for c, *_ in table})
+        flat = [(a, b) for a in range(n) for b in range(n)]
+        for cycle, mask, weights, chords in table:
+            k = len(cycle)
+            assert k % 2 == 1 and len(set(cycle)) == k and mask == sum(1 << a for a in cycle)
+            assert chords == [
+                (i, j) for i, j in combinations(range(k), 2) if (j - i) % k not in (1, k - 1)
+            ]
+            assert weights(flat) == (*_edges(cycle), *((cycle[i], cycle[j]) for i, j in chords))
+
+
+def _edges(cycle):
+    return list(zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def _search_corpus(group):

@@ -10,15 +10,18 @@ in each checkout (traced with ``--trace 1``) at the ``run_seconds`` of
 ``BENCHMARK.json``, one run at a time, the side that goes first
 alternating from seed to seed.  The file records each side's tree: its
 commit, only when the checkout is the top of a git work tree (an extract
-placed inside another checkout has none), and always ``src_sha256``, a
-digest of its ``src`` tree (every file's path and bytes, in sorted path
-order, ``__pycache__`` excluded).  It keeps, per run, the seed, the
-side, the pass count and the report and result lines that run.py printed,
-then the per-metric median and quartiles of each side (over the seeds
-where both runs completed) and the number of pairs the change won.  A run
-that exits nonzero or prints no report and result is kept with its exit
-code and the last 20 lines of its standard error, counted under
-``failed``, and the series goes on.  Those lines hold the worker's
+placed inside another checkout has none), with ``dirty: true`` when ``git
+status`` shows changes under ``src``, and always ``src_sha256``, a digest
+of its ``src`` tree (every file's path and bytes, in sorted path order,
+``__pycache__`` excluded).  The trees are taken again after the last run;
+if a side's ``src_sha256`` moved during the series, the runs stay in the
+file but the tool exits 1, as they measured no one tree.  It keeps, per
+run, the seed, the side, the pass count and the report and result lines
+that run.py printed, then the per-metric median and quartiles of each
+side (over the seeds where both runs completed) and the number of pairs
+the change won.  A run that exits nonzero or prints no report and result
+is kept with its exit code and the last 20 lines of its standard error,
+counted under ``failed``, and the series goes on.  Those lines hold the worker's
 traceback next to run.py's own error, so a report that run.py read torn
 (a ``JSONDecodeError`` at a multiple of 2^16 characters) can be told
 apart from a worker that crashed.  Run again with the same ``--out`` to
@@ -63,11 +66,14 @@ def git(root: Path, *args: str) -> str:
 
 def tree(root: Path) -> dict:
     """The checkout's commit, if ``root`` is the top of a git work tree, and
-    the sha256 of its ``src`` tree."""
+    whether its ``src`` differs from that commit; and the sha256 of its
+    ``src`` tree."""
     out = {}
     top = git(root, "rev-parse", "--show-toplevel")
     if top and Path(top).resolve() == root.resolve():
         out["commit"] = git(root, "rev-parse", "HEAD")
+        if git(root, "status", "--porcelain", "--", "src"):
+            out["dirty"] = True
     src = root / "src"
     files = sorted(
         (path.relative_to(src).as_posix(), path) for path in src.rglob("*")
@@ -152,6 +158,12 @@ def main() -> int:
                   file=sys.stderr)
             data["summary"] = summarize(data["runs"])
             args.out.write_text(json.dumps(data, indent=1) + "\n")
+    moved = [side for side, root in sides.items()
+             if tree(root)["src_sha256"] != trees[side]["src_sha256"]]
+    if moved:
+        print(f"the src tree of {' and '.join(moved)} changed during the series;"
+              f" its runs in {args.out} measure no one tree", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -163,7 +163,7 @@ COMMANDS = {
 # The library functions timed for each subcommand: {field: "module.prefix"}.
 TIMED = {
     "verify": {"parse_s": "metric.parse_", "validate_s": "metric.validate_"},
-    "balls": {"reduce_s": "extension.reduce_ball_family"},
+    "balls": {"reduce_s": "extension._reduce_balls"},
     "embed": {"load_s": "construct.load_prefix", "find_s": "embed.find_isometric_embedding"},
 }
 
